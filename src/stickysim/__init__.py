@@ -33,6 +33,7 @@ from .mean_field import (
     fixed_point_residual,
     integrate_ode,
     jsq_fixed_point,
+    jsq_two_level_mass,
     join_probs,
     power_of_d_tail_bound,
     shedding_fixed_point,
@@ -96,6 +97,7 @@ __all__ = [
     "fixed_point",
     "fixed_point_residual",
     "jsq_fixed_point",
+    "jsq_two_level_mass",
     "shedding_fixed_point",
     "power_of_d_tail_bound",
     "solve_pull_fixed_point",

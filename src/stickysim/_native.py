@@ -1,0 +1,126 @@
+"""Build and load the compiled event kernels.
+
+Each kernel is one C99 source file shipped next to this module.  On first use
+it is compiled with the host C compiler into a per-user cache directory
+(``$XDG_CACHE_HOME/stickysim``, else ``~/.cache/stickysim``), under a name
+keyed by the SHA-256 of the source and the compile flags, and loaded with
+ctypes.  Nothing here runs at package import.
+
+When no compiler is found, or the build or the load fails, ``load`` logs one
+warning and returns None; callers then run their pure-Python reference loop,
+which produces the same results.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import logging
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+logger = logging.getLogger(__name__)
+
+# -ffp-contract=off forbids fused multiply-add, so every double operation
+# rounds exactly as the Python reference does; no -ffast-math, no -march
+FLAGS = ("-std=c99", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+_HERE = Path(__file__).resolve().parent
+_libs: dict[str, ctypes.CDLL | None] = {}
+
+
+def compiler() -> str | None:
+    """Path of the host C compiler, or None when there is none."""
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+def cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "stickysim"
+
+
+def _build(source: Path) -> Path:
+    """Compiled library for `source`, built into the cache if missing."""
+    code = source.read_bytes()
+    key = hashlib.sha256(code + "\0".join(FLAGS).encode()).hexdigest()[:24]
+    target = cache_dir() / f"{source.stem}-{key}.so"
+    if target.is_file():
+        return target
+    cc = compiler()
+    if cc is None:
+        raise OSError("no C compiler found (looked for cc and gcc)")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f".{source.stem}-", suffix=".so",
+                               dir=target.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *FLAGS, "-o", tmp, str(source), "-lm"],
+                              capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            raise OSError(f"{cc} failed: {proc.stderr.strip()[-2000:]}")
+        os.replace(tmp, target)  # atomic: other processes never load a partial file
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def load(name: str) -> ctypes.CDLL | None:
+    """The compiled kernel for source file `name`, or None when unavailable.
+
+    The outcome is cached per process, so a fallback warns only once.
+    """
+    if name not in _libs:
+        try:
+            path = _build(_HERE / name)
+            _libs[name] = ctypes.CDLL(str(path))
+            logger.info("compiled kernel %s loaded from %s", name, path)
+        except (OSError, subprocess.SubprocessError) as exc:
+            _libs[name] = None
+            logger.warning("compiled kernel %s unavailable (%s); using the "
+                           "pure-Python loop", name, exc)
+    return _libs[name]
+
+
+# ---------------------------------------------------------------------------
+# flow kernel binding (mirrors the structs in _flow_kernel.c)
+# ---------------------------------------------------------------------------
+
+REFILL = ctypes.CFUNCTYPE(ctypes.c_int)
+_I64 = ctypes.c_int64
+_F64 = ctypes.c_double
+F64P = ctypes.POINTER(_F64)
+
+
+class FlowParams(ctypes.Structure):
+    _fields_ = [
+        ("n", _I64), ("mode", _I64), ("d", _I64), ("low", _I64), ("high", _I64),
+        ("tracked", _I64), ("hist_start", _I64),
+        ("lam_total", _F64), ("inv_beta", _F64), ("t_start", _F64),
+        ("t_stop", _F64),
+        ("buf", F64P), ("buf_len", _I64), ("refill", REFILL),
+    ]
+
+
+class FlowResult(ctypes.Structure):
+    _fields_ = [
+        ("started", _I64), ("violations", _I64), ("total_flows", _I64),
+        ("count", _I64), ("flow_int", _F64), ("prev_t", _F64),
+        ("occ", ctypes.POINTER(_I64)), ("last", F64P),
+        ("hist", F64P), ("hist_len", _I64),
+        ("series", F64P), ("series_rows", _I64),
+    ]
+
+
+def flow_kernel() -> ctypes.CDLL | None:
+    """The loaded flow-event kernel with its signatures set, or None."""
+    lib = load("_flow_kernel.c")
+    if lib is not None:
+        lib.flow_run.argtypes = [ctypes.POINTER(FlowParams), ctypes.POINTER(FlowResult)]
+        lib.flow_run.restype = ctypes.c_int
+        lib.flow_free.argtypes = [ctypes.POINTER(FlowResult)]
+        lib.flow_free.restype = None
+    return lib

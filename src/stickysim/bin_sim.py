@@ -5,9 +5,9 @@ each bin to one server, so a flow's server is wherever its bin currently
 lives.  When a flow arrival pushes a server's active-flow count from the high
 threshold to one above it, one uniformly random bin is taken from that server
 and re-assigned, preferring servers below the low threshold, then servers
-below the high threshold, then any server.  Every flow active in a moved bin
-has its server changed mid-lifetime and is counted as violated, at most once
-per flow.
+below the high threshold, then any other server.  Every flow active in a
+moved bin has its server changed mid-lifetime and is counted as violated, at
+most once per flow.
 
 The event engine is the same exact continuous-time Markov chain loop as
 flow_sim: exponential inter-event times at the total rate, uniform pick of
@@ -26,7 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import BinBased
-from .flow_sim import RngStream, SimConfig, SimStats, _BUFFER, _HIST_START
+from .flow_sim import (
+    RngStream,
+    SimConfig,
+    SimStats,
+    _BUFFER,
+    _HIST_START,
+    _window_stats,
+)
 
 __all__ = [
     "BinTable",
@@ -168,7 +175,8 @@ class BinSimStats(SimStats):
     violations field for runs produced here, and violated_flows/total_flows
     estimates the per-flow violation probability.
     skipped_reallocations counts triggers that found the server without any
-    bin to give up (possible when bins are fewer than servers).
+    bin to give up (possible when bins are fewer than servers), or with no
+    other server to take one (n = 1).
     """
 
     reallocations: int = 0
@@ -239,6 +247,31 @@ def reallocate_bin(
 # ---------------------------------------------------------------------------
 # event loop
 # ---------------------------------------------------------------------------
+
+
+def _move_destination(
+    u: float,
+    origin: int,
+    n: int,
+    invite: list[int],
+    inv_count: int,
+    below: list[int],
+    bel_count: int,
+) -> int:
+    """Destination server of a triggered bin move, from one uniform u.
+
+    A uniform member of the invite set if it is nonempty, else of the
+    below-high set.  When every server is at or above high, a uniform pick
+    among the other n - 1 servers: the origin is never drawn, so every
+    counted reallocation really moves its flows.  The origin itself is never
+    in either set (it has just passed high), and callers ensure n >= 2.
+    """
+    if inv_count:
+        return invite[int(u * inv_count)]
+    if bel_count:
+        return below[int(u * bel_count)]
+    dest = int(u * (n - 1))
+    return dest + 1 if dest >= origin else dest
 
 
 def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
@@ -357,8 +390,7 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
     hist = [0.0] * _HIST_START
     hist_len = _HIST_START
     last = [0.0] * n
-    series_t: list[float] = []
-    series_o: list[float] = []
+    series: list[float] = []  # flat (time, occupancy) pairs
     started = False
     reallocations = 0
     violated_flows = 0
@@ -382,7 +414,7 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
         nonlocal bi, buf, reallocations, violated_flows, skipped
         bins_here = server_bins[s]
         nb = len(bins_here)
-        if nb == 0:
+        if nb == 0 or n == 1:
             if started:
                 skipped += 1
             return
@@ -394,14 +426,9 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
         if bi == _BUFFER:
             buf = gen.random(_BUFFER).tolist()
             bi = 0
-        u = buf[bi]
+        dest = _move_destination(buf[bi], s, n, invite, inv_count, below,
+                                 bel_count)
         bi += 1
-        if inv_count:
-            dest = invite[int(u * inv_count)]
-        elif bel_count:
-            dest = below[int(u * bel_count)]
-        else:
-            dest = int(u * n)
         p = bin_pos[b]
         tail = bins_here[-1]
         bins_here[p] = tail
@@ -420,7 +447,7 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
                 if in_window[fid]:
                     violated_flows += 1
         k = len(flows_here)
-        if k and dest != s:
+        if k:
             o_old = occ[s]
             o_new = o_old - k
             occ[s] = o_new
@@ -431,11 +458,11 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
                 credit(s, o_old, t)
                 credit(dest, d_old, t)
                 if s == tracked:
-                    series_t.append(t)
-                    series_o.append(float(o_new))
+                    series.append(t)
+                    series.append(float(o_new))
                 if dest == tracked:
-                    series_t.append(t)
-                    series_o.append(float(d_new))
+                    series.append(t)
+                    series.append(float(d_new))
             fix_membership(s, o_old, o_new)
             fix_membership(dest, d_old, d_new)
 
@@ -456,8 +483,8 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
             for s in range(n):
                 last[s] = t_start
             prev_t = t_start
-            series_t.append(t_start)
-            series_o.append(float(occ[tracked]))
+            series.append(t_start)
+            series.append(float(occ[tracked]))
         if started:
             flow_int += count * (t - prev_t)
             prev_t = t
@@ -504,8 +531,8 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
             if started:
                 credit(s, o, t)
                 if s == tracked:
-                    series_t.append(t)
-                    series_o.append(float(o + 1))
+                    series.append(t)
+                    series.append(float(o + 1))
             no = o + 1
             if no == low:
                 p = invite_pos[s]
@@ -562,8 +589,8 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
             if started:
                 credit(s, o, t)
                 if s == tracked:
-                    series_t.append(t)
-                    series_o.append(float(o - 1))
+                    series.append(t)
+                    series.append(float(o - 1))
             if o == low:
                 invite_pos[s] = inv_count
                 if inv_count == len(invite):
@@ -588,40 +615,13 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
             ]:
                 raise ValueError("occupancy counters out of sync with table")
 
-    if not started:
-        raise ValueError(
-            "simulation produced no events inside the measurement window; "
-            "increase horizon"
-        )
-    flow_int += count * (t_stop - prev_t)
-    top = 0
-    for s in range(n):
-        o = occ[s]
-        if o >= hist_len:
-            hist.extend([0.0] * hist_len)
-            hist_len *= 2
-        hist[o] += t_stop - last[s]
-        if o > top:
-            top = o
-    for i in range(hist_len - 1, top, -1):
-        if hist[i] != 0.0:
-            top = i
-            break
-    hist_arr = np.asarray(hist[: top + 1], dtype=np.float64)
-    hist_arr /= hist_arr.sum()
-
-    series = np.empty((len(series_t), 2), dtype=np.float64)
-    series[:, 0] = series_t
-    series[:, 1] = series_o
-
-    horizon = t_stop - t_start
+    fields = _window_stats(started, t_start, t_stop, occ, last, hist, count,
+                           flow_int, prev_t, series)
     return BinSimStats(
-        occupancy_hist=hist_arr,
         violations=violated_flows,
         total_flows=total_flows,
-        series=series,
-        mean_occ=flow_int / (horizon * n),
         reallocations=reallocations,
         violated_flows=violated_flows,
         skipped_reallocations=skipped,
+        **fields,
     )

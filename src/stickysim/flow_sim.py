@@ -12,6 +12,11 @@ occupancy change, and the histogram is credited on each change, which keeps
 the per-event cost constant.  All randomness comes from one buffered
 counter-based generator consumed in a fixed documented order, so a seed fully
 determines the run.
+
+The loop exists twice: a compiled C kernel (_flow_kernel.c, built on first
+use by _native) that run_flow_sim dispatches to, and the pure-Python
+reference _run_flow_sim_py, which is the readable oracle and the fallback
+when no C compiler is available.  Both give bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -91,10 +96,7 @@ class SimConfig:
     """Run description for the flow-level (and bin-level) simulators.
 
     warmup/horizon default to multiples of the mean flow duration; statistics
-    cover exactly [warmup, warmup + horizon).  transfer_random_flow selects
-    which flow of a full server is re-dispatched on a transfer; both variants
-    induce the same occupancy process, so recorded statistics are unaffected
-    (the flag matters only to per-flow bookkeeping experiments).
+    cover exactly [warmup, warmup + horizon).
     drain_to_threshold applies to bin runs only: when a threshold trigger
     fires, keep moving bins until the server is back at or below the high
     threshold instead of moving exactly one bin.
@@ -106,7 +108,6 @@ class SimConfig:
     warmup: float | None = None
     horizon: float | None = None
     tracked_server: int = 0
-    transfer_random_flow: bool = False
     drain_to_threshold: bool = False
 
     def __post_init__(self) -> None:
@@ -187,8 +188,11 @@ def assign_flow(
 
     Returns (server index or None when discarded, violation flag, transfer
     record (origin, destination) or None).  This is the readable O(n)
-    reference for the scheme rules; run_flow_sim keeps the same draw
-    semantics with incremental data structures.
+    reference for the scheme rules.  run_flow_sim applies the same selection
+    laws with incremental data structures, but not draw for draw: its server
+    sets are kept in swap-remove order rather than index order, and its
+    d-choice tie break is a reservoir pick with one extra uniform per tie,
+    where this function picks once from the list of ties.
     """
     occ = list(server_occupancies)
     n = len(occ)
@@ -254,6 +258,75 @@ def assign_flow(
 # event loop
 # ---------------------------------------------------------------------------
 
+# scheme modes shared by both engines
+_D1, _D_CHOICES, _LEAST, _PULL, _SHED, _XFER_INVITE, _XFER_LEAST = range(7)
+
+
+def _scheme_mode(scheme: SchemeConfig, n: int) -> tuple[int, int, int, int]:
+    """(mode, d, low, high) of a flow-level scheme; high = -1 means no cap."""
+    if isinstance(scheme, BinBased):
+        raise TypeError("BinBased configs are simulated by run_bin_sim")
+    if isinstance(scheme, PowerOfD):
+        d = scheme.d
+        # sampling all servers is exact least-loaded
+        mode = _D1 if d == 1 else _D_CHOICES if d < n else _LEAST
+        return mode, d, 0, 0
+    if isinstance(scheme, PullBased):
+        high = scheme.high if scheme.high != math.inf else -1
+        return _PULL, 0, scheme.low, high
+    if isinstance(scheme, Shedding):
+        return _SHED, 0, 0, scheme.high if scheme.high != math.inf else -1
+    if isinstance(scheme, TransferToInvite):
+        return _XFER_INVITE, 0, scheme.low, scheme.high
+    if isinstance(scheme, TransferToLeastLoaded):
+        return _XFER_LEAST, 0, 0, scheme.high
+    raise TypeError(f"no flow-level simulation for {scheme!r}")
+
+
+def _window_stats(
+    started: bool,
+    t_start: float,
+    t_stop: float,
+    occ: list[int],
+    last: list[float],
+    hist: list[float],
+    count: int,
+    flow_int: float,
+    prev_t: float,
+    series: list[float],
+) -> dict:
+    """Close the measurement window and return the SimStats array fields.
+
+    Credits every server's open interval up to t_stop (growing `hist` in
+    place as needed), trims and normalises the histogram, and shapes the flat
+    (time, occupancy) series into rows.  Shared by every event engine, so
+    their results agree bit for bit whenever their event loops do.
+    """
+    if not started:
+        # the whole run ended inside warmup; measure nothing
+        raise ValueError(
+            "simulation produced no events inside the measurement window; "
+            "increase horizon"
+        )
+    flow_int += count * (t_stop - prev_t)
+    for s, o in enumerate(occ):
+        while o >= len(hist):
+            hist.extend([0.0] * len(hist))
+        hist[o] += t_stop - last[s]
+    top = max(occ)
+    for i in range(len(hist) - 1, top, -1):
+        if hist[i] != 0.0:
+            top = i
+            break
+    hist_arr = np.asarray(hist[: top + 1], dtype=np.float64)
+    hist_arr /= hist_arr.sum()
+    horizon = t_stop - t_start
+    return {
+        "occupancy_hist": hist_arr,
+        "series": np.asarray(series, dtype=np.float64).reshape(-1, 2),
+        "mean_occ": flow_int / (horizon * len(occ)),
+    }
+
 
 def run_flow_sim(config: SimConfig) -> SimStats:
     """Simulate one run and return its measurement-window statistics.
@@ -261,54 +334,90 @@ def run_flow_sim(config: SimConfig) -> SimStats:
     Draw order per event: one uniform for the inter-event time, one for the
     event type, then the assignment draws (uniform server picks, d-choices
     candidates, transfer destination) or the departing-flow pick.
+
+    Runs the compiled kernel (_flow_kernel.c, built on first use) and falls
+    back to the pure-Python reference loop, with one logged warning, when
+    the kernel cannot be built or loaded; both give identical results.
     """
-    scheme = config.scheme
-    if isinstance(scheme, BinBased):
-        raise TypeError("BinBased configs are simulated by run_bin_sim")
+    # imported here so that importing the package loads no kernel machinery
+    from . import _native
+
+    lib = _native.flow_kernel()
+    if lib is None:
+        return _run_flow_sim_py(config)
+    return _run_flow_sim_kernel(lib, config)
+
+
+def _run_flow_sim_kernel(lib, config: SimConfig) -> SimStats:
+    """run_flow_sim on the compiled kernel; same draws as the reference."""
+    from . import _native as native
+
     params = config.params
     n = params.n
+    mode, d, low, high = _scheme_mode(config.scheme, n)
+    t_start = float(config.warmup)
+    t_stop = t_start + float(config.horizon)
+
+    gen = np.random.Generator(np.random.Philox(config.seed))
+    buf = np.empty(_BUFFER, dtype=np.float64)
+    gen.random(out=buf)
+    failure: list[BaseException] = []
+
+    def refill() -> int:
+        try:
+            gen.random(out=buf)
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            failure.append(exc)
+            return 1
+        return 0
+
+    callback = native.REFILL(refill)
+    p = native.FlowParams(
+        n=n, mode=mode, d=d, low=low, high=high,
+        tracked=config.tracked_server, hist_start=_HIST_START,
+        lam_total=params.lam * n, inv_beta=1.0 / params.beta,
+        t_start=t_start, t_stop=t_stop,
+        buf=buf.ctypes.data_as(native.F64P), buf_len=_BUFFER,
+        refill=callback,
+    )
+    r = native.FlowResult()
+    try:
+        status = lib.flow_run(p, r)
+        if failure:
+            raise failure[0]
+        if status:
+            raise MemoryError("flow kernel ran out of memory")
+
+        def take(ptr, size):
+            return np.ctypeslib.as_array(ptr, (size,)).tolist() if size else []
+
+        fields = _window_stats(
+            bool(r.started), t_start, t_stop,
+            take(r.occ, n), take(r.last, n), take(r.hist, r.hist_len),
+            r.count, r.flow_int, r.prev_t, take(r.series, 2 * r.series_rows),
+        )
+        return SimStats(violations=r.violations, total_flows=r.total_flows,
+                        **fields)
+    finally:
+        lib.flow_free(r)
+
+
+def _run_flow_sim_py(config: SimConfig) -> SimStats:
+    """Pure-Python reference event loop of run_flow_sim.
+
+    The readable oracle the compiled kernel is tested against, and the
+    fallback when no kernel can be built.
+    """
+    params = config.params
+    n = params.n
+    mode, d, low, high = _scheme_mode(config.scheme, n)
     beta = params.beta
     lam_total = params.lam * n
     t_start = float(config.warmup)
     t_stop = t_start + float(config.horizon)
     tracked = config.tracked_server
-
-    # scheme mode and thresholds, unpacked for the hot loop
-    low = high = 0
-    if isinstance(scheme, PowerOfD):
-        d = scheme.d
-        if d == 1:
-            mode = 0
-        elif d < n:
-            mode = 1
-        else:
-            mode = 2  # sampling all servers is exact least-loaded
-        need_levels = mode == 2
-        need_invites = False
-    elif isinstance(scheme, PullBased):
-        mode = 3
-        low = scheme.low
-        high = scheme.high if scheme.high != math.inf else -1
-        need_levels = False
-        need_invites = True
-    elif isinstance(scheme, Shedding):
-        mode = 4
-        high = scheme.high if scheme.high != math.inf else -1
-        need_levels = False
-        need_invites = False
-    elif isinstance(scheme, TransferToInvite):
-        mode = 5
-        low = scheme.low
-        high = scheme.high
-        need_levels = False
-        need_invites = True
-    elif isinstance(scheme, TransferToLeastLoaded):
-        mode = 6
-        high = scheme.high
-        need_levels = True
-        need_invites = False
-    else:
-        raise TypeError(f"no flow-level simulation for {scheme!r}")
+    need_invites = mode in (_PULL, _XFER_INVITE)
+    need_levels = mode in (_LEAST, _XFER_LEAST)
 
     gen = np.random.Generator(np.random.Philox(config.seed))
     buf = gen.random(_BUFFER).tolist()
@@ -318,11 +427,12 @@ def run_flow_sim(config: SimConfig) -> SimStats:
     occ = [0] * n
 
     # invite (occ < low) and below-high (occ < high) membership with swap
-    # removal; pos arrays give O(1) membership updates on threshold crossings
+    # removal; pos arrays give O(1) membership updates on threshold crossings.
+    # low = 0 invites nobody: no occupancy is below zero
     if need_invites:
-        invite = list(range(n))
-        invite_pos = list(range(n))
-        inv_count = n
+        invite = list(range(n)) if low > 0 else []
+        invite_pos = list(range(n)) if low > 0 else [-1] * n
+        inv_count = len(invite)
         below = list(range(n))
         below_pos = list(range(n))
         bel_count = n
@@ -340,8 +450,7 @@ def run_flow_sim(config: SimConfig) -> SimStats:
     hist = [0.0] * _HIST_START
     hist_len = _HIST_START
     last = [0.0] * n
-    series_t: list[float] = []
-    series_o: list[float] = []
+    series: list[float] = []  # flat (time, occupancy) pairs
     started = False
     violations = 0
     total_flows = 0
@@ -365,8 +474,8 @@ def run_flow_sim(config: SimConfig) -> SimStats:
             for s in range(n):
                 last[s] = t_start
             prev_t = t_start
-            series_t.append(t_start)
-            series_o.append(float(occ[tracked]))
+            series.append(t_start)
+            series.append(float(occ[tracked]))
         if started:
             flow_int += count * (t - prev_t)
             prev_t = t
@@ -387,9 +496,9 @@ def run_flow_sim(config: SimConfig) -> SimStats:
             u = buf[bi]
             bi += 1
 
-            if mode == 0:
+            if mode == _D1:
                 s = int(u * n)
-            elif mode == 1:
+            elif mode == _D_CHOICES:
                 cands = [int(u * n)]
                 needed = d - 1
                 while needed:
@@ -420,23 +529,23 @@ def run_flow_sim(config: SimConfig) -> SimStats:
                         if buf[bi] * nb < 1.0:
                             s = c
                         bi += 1
-            elif mode == 2:
+            elif mode == _LEAST:
                 bucket = levels[cur_min]
                 s = bucket[int(u * len(bucket))]
-            elif mode == 3:
+            elif mode == _PULL:
                 if inv_count:
                     s = invite[int(u * inv_count)]
                 elif bel_count:
                     s = below[int(u * bel_count)]
                 else:
                     s = int(u * n)
-            elif mode == 4:
+            elif mode == _SHED:
                 s = int(u * n)
                 if occ[s] >= high >= 0:
                     if started:
                         violations += 1
                     continue
-            elif mode == 5:
+            elif mode == _XFER_INVITE:
                 s = int(u * n)
                 if occ[s] >= high:
                     if started:
@@ -475,8 +584,8 @@ def run_flow_sim(config: SimConfig) -> SimStats:
                 hist[o] += t - last[s]
                 last[s] = t
                 if s == tracked:
-                    series_t.append(t)
-                    series_o.append(float(o + 1))
+                    series.append(t)
+                    series.append(float(o + 1))
             if need_invites:
                 no = o + 1
                 if no == low:
@@ -530,8 +639,8 @@ def run_flow_sim(config: SimConfig) -> SimStats:
                 hist[o] += t - last[s]
                 last[s] = t
                 if s == tracked:
-                    series_t.append(t)
-                    series_o.append(float(o - 1))
+                    series.append(t)
+                    series.append(float(o - 1))
             if need_invites:
                 if o == low:
                     invite_pos[s] = inv_count
@@ -563,39 +672,6 @@ def run_flow_sim(config: SimConfig) -> SimStats:
                     while not levels[cur_min]:
                         cur_min += 1
 
-    # flush every server's open interval at the window end
-    if not started:
-        # the whole run ended inside warmup; measure nothing
-        raise ValueError(
-            "simulation produced no events inside the measurement window; "
-            "increase horizon"
-        )
-    flow_int += count * (t_stop - prev_t)
-    top = 0
-    for s in range(n):
-        o = occ[s]
-        if o >= hist_len:
-            hist.extend([0.0] * hist_len)
-            hist_len *= 2
-        hist[o] += t_stop - last[s]
-        if o > top:
-            top = o
-    for i in range(hist_len - 1, top, -1):
-        if hist[i] != 0.0:
-            top = i
-            break
-    hist_arr = np.asarray(hist[: top + 1], dtype=np.float64)
-    hist_arr /= hist_arr.sum()
-
-    series = np.empty((len(series_t), 2), dtype=np.float64)
-    series[:, 0] = series_t
-    series[:, 1] = series_o
-
-    horizon = t_stop - t_start
-    return SimStats(
-        occupancy_hist=hist_arr,
-        violations=violations,
-        total_flows=total_flows,
-        series=series,
-        mean_occ=flow_int / (horizon * n),
-    )
+    fields = _window_stats(started, t_start, t_stop, occ, last, hist, count,
+                           flow_int, prev_t, series)
+    return SimStats(violations=violations, total_flows=total_flows, **fields)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from stickysim import bin_sim
 from stickysim.bin_sim import (
     BinSimStats,
     BinTable,
     _hash_block,
+    _move_destination,
     hash_flow_to_bin,
     reallocate_bin,
     run_bin_sim,
@@ -268,3 +270,44 @@ def test_run_warns_when_bins_fewer_than_servers(bin_params, caplog):
     with caplog.at_level(logging.WARNING, logger="stickysim.bin_sim"):
         run_bin_sim(cfg)
     assert any("bin" in rec.message for rec in caplog.records)
+
+
+def test_move_destination_skips_the_origin_when_all_servers_are_full():
+    us = np.linspace(0.0, 1.0, 400, endpoint=False)
+    for origin in range(4):
+        dests = {_move_destination(u, origin, 4, [], 0, [], 0) for u in us}
+        assert dests == {0, 1, 2, 3} - {origin}
+    # the invite set wins, then the below-high set; list order is honoured
+    assert _move_destination(0.9, 0, 4, [2, 3], 1, [1, 2], 2) == 2
+    assert _move_destination(0.9, 0, 4, [], 0, [1, 3], 2) == 3
+
+
+def test_run_bin_moves_never_land_on_their_origin(monkeypatch):
+    # at n = 4, rho = 10 with (3, 6) every server is often above high when a
+    # trigger fires; drawing over all servers used to pick the origin in
+    # 6 of 76 moves (seed 1), counting a reallocation that moved nothing
+    calls = []
+
+    def spy(u, origin, n, invite, inv_count, below, bel_count):
+        dest = _move_destination(u, origin, n, invite, inv_count, below,
+                                 bel_count)
+        calls.append((origin, dest, inv_count + bel_count))
+        return dest
+
+    monkeypatch.setattr(bin_sim, "_move_destination", spy)
+    params = SystemParams(n=4, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
+    stats = run_bin_sim(SimConfig(params=params,
+                                  scheme=BinBased(bins=40, low=3, high=6),
+                                  seed=1, warmup=0.0, horizon=50.0))
+    assert stats.reallocations == len(calls) > 0
+    assert any(open_servers == 0 for _, _, open_servers in calls)
+    assert all(origin != dest for origin, dest, _ in calls)
+
+
+def test_run_single_server_skips_every_move():
+    params = SystemParams(n=1, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
+    stats = run_bin_sim(SimConfig(params=params,
+                                  scheme=BinBased(bins=5, low=3, high=6),
+                                  seed=2, warmup=1.0, horizon=20.0))
+    assert stats.skipped_reallocations > 0
+    assert stats.reallocations == stats.violations == 0

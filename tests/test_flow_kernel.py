@@ -1,0 +1,176 @@
+"""The compiled flow-event kernel against the pure-Python reference loop.
+
+run_flow_sim runs _flow_kernel.c through ctypes; _run_flow_sim_py is the
+readable oracle.  Both consume the same Philox uniforms in the same order with
+the same double arithmetic, so every SimStats field must agree bit for bit.
+"""
+
+import dataclasses
+import logging
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from stickysim import _native
+from stickysim.core import (
+    PowerOfD,
+    PullBased,
+    Shedding,
+    SystemParams,
+    TransferToInvite,
+    TransferToLeastLoaded,
+)
+from stickysim.flow_sim import SimConfig, SimStats, _run_flow_sim_py, run_flow_sim
+
+SRC = Path(_native.__file__).with_name("_flow_kernel.c")
+
+# rho = 30 at n = 50: ~75k events, several draw-block refills per run
+MID = SystemParams(n=50, lam=30.0, beta=1.0, nu=1.0, mu=200.0)
+# rho = 150 at n = 20, for the overload pull band of the reference load
+HEAVY = SystemParams(n=20, lam=150.0, beta=1.0, nu=1.0, mu=800.0)
+# rho = 10 at n = 4
+SMALL = SystemParams(n=4, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
+# rho = 1200 at n = 2: occupancies pass the 1024-entry starting histogram
+HUGE = SystemParams(n=2, lam=600.0, beta=2.0, nu=1.0, mu=5000.0)
+
+CASES = {
+    "d1": (MID, PowerOfD(1), 0),
+    "d2": (MID, PowerOfD(2), 0),
+    "d3": (MID, PowerOfD(3), 0),
+    "d=n": (MID, PowerOfD(MID.n), 0),
+    "d2-tracked": (MID, PowerOfD(2), 17),
+    "pull": (MID, PullBased(25, 35), 0),
+    "pull-overload": (MID, PullBased(20, 27), 3),
+    "pull-overload-rho150": (HEAVY, PullBased(130, 145), 0),
+    "pull-low0": (MID, PullBased(0, 33), 0),
+    "pull-high-inf": (MID, PullBased(28, math.inf), 0),
+    "pull-random": (MID, PullBased(0, math.inf), 0),
+    "shedding": (MID, Shedding(33), 0),
+    "shedding-inf": (MID, Shedding(math.inf), 0),
+    "transfer-invite": (MID, TransferToInvite(25, 35), 0),
+    "transfer-invite-low0": (MID, TransferToInvite(0, 33), 0),
+    "transfer-least": (MID, TransferToLeastLoaded(33), 0),
+    "small-d2": (SMALL, PowerOfD(2), 2),
+    "small-d=n": (SMALL, PowerOfD(4), 2),
+    "small-pull-overload": (SMALL, PullBased(3, 6), 2),
+    "small-shedding": (SMALL, Shedding(6), 2),
+    "small-transfer-invite": (SMALL, TransferToInvite(3, 6), 2),
+    "small-transfer-least": (SMALL, TransferToLeastLoaded(6), 2),
+}
+
+
+def _config(params, scheme, tracked, seed=7):
+    return SimConfig(params=params, scheme=scheme, seed=seed, warmup=5.0,
+                     horizon=20.0, tracked_server=tracked)
+
+
+def assert_same_stats(a: SimStats, b: SimStats) -> None:
+    for field in dataclasses.fields(SimStats):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape, field.name
+            assert x.tobytes() == y.tobytes(), field.name
+        else:
+            assert type(x) is type(y) and x == y, field.name
+
+
+@pytest.fixture
+def kernel():
+    if _native.flow_kernel() is None:
+        pytest.skip("compiled kernel unavailable (no C compiler)")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernel_matches_reference(kernel, case):
+    cfg = _config(*CASES[case])
+    assert_same_stats(run_flow_sim(cfg), _run_flow_sim_py(cfg))
+
+
+def test_kernel_matches_reference_through_histogram_growth(kernel):
+    cfg = SimConfig(params=HUGE, scheme=PowerOfD(1), seed=3, warmup=4.0,
+                    horizon=6.0, tracked_server=1)
+    stats = run_flow_sim(cfg)
+    assert stats.occupancy_hist.size > 1024
+    assert_same_stats(stats, _run_flow_sim_py(cfg))
+
+
+def test_kernel_matches_reference_when_window_is_empty(kernel):
+    cfg = SimConfig(params=SMALL, scheme=PowerOfD(1), warmup=1000.0, horizon=1e-9)
+    for engine in (run_flow_sim, _run_flow_sim_py):
+        with pytest.raises(ValueError, match="measurement window"):
+            engine(cfg)
+
+
+def _isolate_loader(monkeypatch, tmp_path, compiler):
+    monkeypatch.setattr(_native, "compiler", lambda: compiler)
+    monkeypatch.setattr(_native, "cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(_native, "_libs", {})
+
+
+def test_no_compiler_falls_back_to_reference(monkeypatch, tmp_path, caplog):
+    cfg = _config(*CASES["transfer-invite"])
+    expected = run_flow_sim(cfg)
+    _isolate_loader(monkeypatch, tmp_path, None)
+    with caplog.at_level(logging.WARNING, logger="stickysim._native"):
+        first = run_flow_sim(cfg)
+        second = run_flow_sim(cfg)
+    assert _native.flow_kernel() is None
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "no C compiler" in warnings[0].getMessage()
+    assert_same_stats(first, expected)
+    assert_same_stats(second, expected)
+
+
+def test_failed_build_falls_back_and_leaves_no_partial_file(monkeypatch, tmp_path,
+                                                            caplog):
+    false = subprocess.run(["sh", "-c", "command -v false"], capture_output=True,
+                           text=True).stdout.strip()
+    if not false:
+        pytest.skip("no false(1) to stand in for a failing compiler")
+    _isolate_loader(monkeypatch, tmp_path, false)
+    cfg = _config(*CASES["d2"])
+    with caplog.at_level(logging.WARNING, logger="stickysim._native"):
+        stats = run_flow_sim(cfg)
+    assert any("failed" in r.getMessage() for r in caplog.records)
+    assert list(tmp_path.iterdir()) == []
+    assert_same_stats(stats, _run_flow_sim_py(cfg))
+
+
+def test_build_lands_in_cache_keyed_by_source_and_flags(monkeypatch, tmp_path):
+    cc = _native.compiler()
+    if cc is None:
+        pytest.skip("no C compiler")
+    _isolate_loader(monkeypatch, tmp_path, cc)
+    assert _native.flow_kernel() is not None
+    built = sorted(p.name for p in tmp_path.iterdir())
+    assert len(built) == 1
+    assert built[0].startswith("_flow_kernel-") and built[0].endswith(".so")
+    # a second process-level load reuses the cached library without a compiler
+    _isolate_loader(monkeypatch, tmp_path, None)
+    assert _native.flow_kernel() is not None
+
+
+def test_kernel_source_compiles_cleanly_with_all_warnings(tmp_path):
+    cc = _native.compiler()
+    if cc is None:
+        pytest.skip("no C compiler")
+    proc = subprocess.run(
+        [cc, *_native.FLAGS, "-Wall", "-Wextra", "-Werror", "-o",
+         str(tmp_path / "kernel.so"), str(SRC), "-lm"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_neither_builds_nor_loads_the_kernel():
+    code = ("import sys, stickysim, stickysim.cli; "
+            "print('stickysim._native' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60, env=env)
+    assert out.stdout.strip() == "False"

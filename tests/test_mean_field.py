@@ -34,6 +34,7 @@ from stickysim.mean_field import (
     integrate_ode,
     join_probs,
     jsq_fixed_point,
+    jsq_two_level_mass,
     power_of_d_tail_bound,
     shedding_fixed_point,
     solve_least_loaded_fixed_point,
@@ -130,6 +131,25 @@ def test_jsq_fixed_point_is_stationary():
     d = jsq_fixed_point(150.5)
     res = fixed_point_residual(PullBased(low=150, high=151), d, 150.5)
     assert res <= 1e-12
+
+
+def test_jsq_two_level_mass_closed_form():
+    # 1 - rho * P[Poisson(n rho) = n rho], against scipy's pmf
+    for rho, n in ((10, 20), (150, 500), (150, 240_000)):
+        oracle = 1.0 - rho * scipy.stats.poisson.pmf(n * rho, n * rho)
+        assert jsq_two_level_mass(rho, n) == pytest.approx(oracle, rel=1e-9)
+    # the reference point of criterion 4b, and the size that reaches 0.99
+    assert jsq_two_level_mass(150, 500) == pytest.approx(0.7815, abs=1e-4)
+    assert jsq_two_level_mass(150, 240_000) == pytest.approx(0.99, abs=1e-4)
+    assert jsq_two_level_mass(150, 200_000) < 0.99
+    # Stirling form 1 - sqrt(rho / (2 pi n))
+    for n in (500, 5000, 10**5):
+        approx = 1.0 - math.sqrt(150 / (2 * math.pi * n))
+        assert jsq_two_level_mass(150, n) == pytest.approx(approx, abs=1e-5)
+    with pytest.raises(ValueError):
+        jsq_two_level_mass(150.5, 500)
+    with pytest.raises(ValueError):
+        jsq_two_level_mass(150, 0)
 
 
 def test_shedding_fixed_point_matches_scipy(full_params):
