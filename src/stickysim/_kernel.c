@@ -1,0 +1,680 @@
+/*
+ * Compiled event loops of stickysim: flow_run for flow_sim.run_flow_sim and
+ * bin_run for bin_sim.run_bin_sim.
+ *
+ * Each is a line-for-line port of its Python reference loop
+ * (flow_sim._run_flow_sim_py, bin_sim._run_bin_sim_py): same draw order, same
+ * double arithmetic, same swap-remove/append order in every list, so a run
+ * produces the same statistics bit for bit.  Build it with -ffp-contract=off
+ * and never with -ffast-math: a fused multiply-add or a reordered sum changes
+ * the result.
+ *
+ * Uniform draws come from a block of doubles owned by the caller; when the
+ * block is used up the kernel calls refill(), which overwrites it in place
+ * with the next block of the same generator.  The kernel owns every growable
+ * array (flow registry, histogram, series, server and bin lists) and hands
+ * the ones the caller needs back through sim_result; sim_free releases them.
+ *
+ * Flow modes: 0 d=1, 1 d<n choices, 2 d>=n (least loaded), 3 pull, 4 shedding,
+ * 5 transfer to invite, 6 transfer to least loaded.  high = INT64_MAX means
+ * no upper threshold.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef int (*refill_fn)(void);
+
+typedef struct {
+    int64_t n, low, high, tracked, hist_start;
+    int64_t mode, d;     /* flow_run only */
+    int64_t bins, drain; /* bin_run only */
+    double lam_total, inv_beta, t_start, t_stop;
+    double *buf;
+    int64_t buf_len;
+    refill_fn refill;
+} sim_params;
+
+typedef struct {
+    int64_t started, violations, total_flows, count;
+    int64_t reallocations, skipped; /* bin_run only */
+    double flow_int, prev_t;
+    int64_t *occ;
+    double *last;
+    double *hist;
+    int64_t hist_len;
+    double *series; /* (time, occupancy) rows */
+    int64_t series_rows;
+} sim_result;
+
+enum { RUN_OK = 0, RUN_NOMEM = 1, RUN_REFILL = 2 };
+
+typedef struct {
+    int32_t *a;
+    int64_t len, cap;
+} ilist;
+
+/* ensure room for `need` elements of size `elem`; doubles the capacity */
+static int reserve(void **p, int64_t *cap, int64_t need, size_t elem)
+{
+    if (need <= *cap)
+        return 0;
+    int64_t c = *cap ? *cap : 16;
+    while (c < need)
+        c *= 2;
+    void *q = realloc(*p, (size_t)c * elem);
+    if (!q)
+        return -1;
+    *p = q;
+    *cap = c;
+    return 0;
+}
+
+static int push(ilist *l, int32_t v)
+{
+    if (reserve((void **)&l->a, &l->cap, l->len + 1, sizeof *l->a))
+        return -1;
+    l->a[l->len++] = v;
+    return 0;
+}
+
+typedef struct {
+    const sim_params *p;
+    sim_result *r;
+    int64_t bi, series_cap;
+} run_state;
+
+/* next uniform; a refill failure sets *bad, and the run stops after the event */
+static inline double draw(run_state *S, int *bad)
+{
+    const sim_params *p = S->p;
+    if (S->bi == p->buf_len) {
+        if (p->refill())
+            *bad = 1;
+        S->bi = 0;
+    }
+    return p->buf[S->bi++];
+}
+
+/* zeroed occupancies, last-change times and starting histogram */
+static int init_result(run_state *S)
+{
+    const sim_params *p = S->p;
+    sim_result *r = S->r;
+    memset(r, 0, sizeof *r);
+    r->occ = calloc((size_t)p->n, sizeof *r->occ);
+    r->last = calloc((size_t)p->n, sizeof *r->last);
+    r->hist = calloc((size_t)p->hist_start, sizeof *r->hist);
+    r->hist_len = p->hist_start;
+    return r->occ && r->last && r->hist ? 0 : -1;
+}
+
+/* first event inside the window: every server's interval starts at t_start
+ * and the series opens with the tracked server's occupancy */
+static int open_window(run_state *S)
+{
+    const sim_params *p = S->p;
+    sim_result *r = S->r;
+    for (int64_t s = 0; s < p->n; s++)
+        r->last[s] = p->t_start;
+    if (reserve((void **)&r->series, &S->series_cap, 2, sizeof *r->series))
+        return -1;
+    r->series[0] = p->t_start;
+    r->series[1] = (double)r->occ[p->tracked];
+    r->series_rows = 1;
+    return 0;
+}
+
+/* time-weight server s's interval at occupancy o, then log its new value */
+static int credit(run_state *S, int64_t s, int64_t o, int64_t o_new, double t)
+{
+    sim_result *r = S->r;
+    while (o >= r->hist_len) {
+        double *h = realloc(r->hist, (size_t)(2 * r->hist_len) * sizeof *h);
+        if (!h)
+            return -1;
+        memset(h + r->hist_len, 0, (size_t)r->hist_len * sizeof *h);
+        r->hist = h;
+        r->hist_len *= 2;
+    }
+    r->hist[o] += t - r->last[s];
+    r->last[s] = t;
+    if (s == S->p->tracked) {
+        if (reserve((void **)&r->series, &S->series_cap, 2 * (r->series_rows + 1),
+                    sizeof *r->series))
+            return -1;
+        r->series[2 * r->series_rows] = t;
+        r->series[2 * r->series_rows + 1] = (double)o_new;
+        r->series_rows++;
+    }
+    return 0;
+}
+
+/* swap-remove s from a membership list with a position index */
+static void set_remove(int32_t *set, int64_t *pos, int64_t *count, int64_t s)
+{
+    int64_t p = pos[s];
+    int32_t moved = set[--*count];
+    set[p] = moved;
+    pos[moved] = p;
+    pos[s] = -1;
+}
+
+static void set_add(int32_t *set, int64_t *pos, int64_t *count, int64_t s)
+{
+    pos[s] = *count;
+    set[(*count)++] = (int32_t)s;
+}
+
+/* invite (occ < low) and below-high (occ < high) lists over all n servers;
+ * low = 0 invites nobody: no occupancy is below zero */
+static int init_sets(int64_t n, int64_t low, int32_t **invite, int64_t **invite_pos,
+                     int64_t *inv_count, int32_t **below, int64_t **below_pos,
+                     int64_t *bel_count)
+{
+    *invite = malloc((size_t)n * sizeof **invite);
+    *invite_pos = malloc((size_t)n * sizeof **invite_pos);
+    *below = malloc((size_t)n * sizeof **below);
+    *below_pos = malloc((size_t)n * sizeof **below_pos);
+    if (!*invite || !*invite_pos || !*below || !*below_pos)
+        return -1;
+    *inv_count = low > 0 ? n : 0;
+    *bel_count = n;
+    for (int64_t s = 0; s < n; s++) {
+        (*invite)[s] = (int32_t)s;
+        (*invite_pos)[s] = low > 0 ? s : -1;
+        (*below)[s] = (int32_t)s;
+        (*below_pos)[s] = s;
+    }
+    return 0;
+}
+
+/* move s from level bucket `from` to the end of bucket `to` */
+static int level_move(ilist *levels, int64_t *level_pos, int64_t from, int64_t to,
+                      int64_t s)
+{
+    ilist *b = &levels[from];
+    int64_t p = level_pos[s];
+    int32_t moved = b->a[b->len - 1];
+    b->a[p] = moved;
+    level_pos[moved] = p;
+    b->len--;
+    level_pos[s] = levels[to].len;
+    return push(&levels[to], (int32_t)s);
+}
+
+int flow_run(const sim_params *p, sim_result *r)
+{
+    const int64_t n = p->n, mode = p->mode, low = p->low, high = p->high;
+    const double lam_total = p->lam_total, inv_beta = p->inv_beta;
+    const double t_start = p->t_start, t_stop = p->t_stop;
+    const int need_invites = mode == 3 || mode == 5;
+    const int need_levels = mode == 2 || mode == 6;
+
+    run_state S = {p, r, 0, 0};
+    int status = RUN_NOMEM, bad = 0;
+
+    int32_t *invite = NULL, *below = NULL, *slot = NULL;
+    int64_t *invite_pos = NULL, *below_pos = NULL, *level_pos = NULL;
+    int64_t *cands = NULL;
+    ilist *levels = NULL;
+    int64_t n_levels = 0, levels_cap = 0, slot_cap = 0;
+    int64_t inv_count = 0, bel_count = 0, cur_min = 0;
+
+    if (init_result(&S))
+        goto done;
+    int64_t *occ = r->occ;
+
+    if (need_invites && init_sets(n, low, &invite, &invite_pos, &inv_count, &below,
+                                  &below_pos, &bel_count))
+        goto done;
+    if (need_levels) {
+        level_pos = malloc((size_t)n * sizeof *level_pos);
+        if (!level_pos || reserve((void **)&levels, &levels_cap, 1, sizeof *levels))
+            goto done;
+        memset(&levels[0], 0, sizeof *levels);
+        n_levels = 1;
+        for (int64_t s = 0; s < n; s++) {
+            level_pos[s] = s;
+            if (push(&levels[0], (int32_t)s))
+                goto done;
+        }
+    }
+    if (mode == 1 && !(cands = malloc((size_t)p->d * sizeof *cands)))
+        goto done;
+
+    int64_t count = 0;
+    double t = 0.0, flow_int = 0.0, prev_t = 0.0;
+    int started = 0;
+    for (;;) {
+        double rate = lam_total + (double)count * inv_beta;
+        double u = draw(&S, &bad);
+        t += -log(1.0 - u) / rate;
+        if (t >= t_stop)
+            break;
+        if (!started && t >= t_start) {
+            started = 1;
+            prev_t = t_start;
+            if (open_window(&S))
+                goto done;
+        }
+        if (started) {
+            flow_int += (double)count * (t - prev_t);
+            prev_t = t;
+        }
+
+        u = draw(&S, &bad);
+        int64_t s, o;
+        if (u * rate < lam_total) {
+            /* ----- arrival ----- */
+            if (started)
+                r->total_flows++;
+            u = draw(&S, &bad);
+            switch (mode) {
+            case 0:
+                s = (int64_t)(u * (double)n);
+                break;
+            case 1: {
+                int64_t nc = 1;
+                cands[0] = (int64_t)(u * (double)n);
+                while (nc < p->d) {
+                    int64_t c = (int64_t)(draw(&S, &bad) * (double)n), seen = 0;
+                    for (int64_t k = 0; k < nc; k++)
+                        seen |= cands[k] == c;
+                    if (!seen)
+                        cands[nc++] = c;
+                }
+                s = cands[0];
+                int64_t best = occ[s], nb = 1;
+                for (int64_t k = 1; k < nc; k++) {
+                    int64_t c = cands[k], oc = occ[c];
+                    if (oc < best) {
+                        best = oc;
+                        s = c;
+                        nb = 1;
+                    } else if (oc == best) {
+                        /* reservoir pick over ties: replace with prob 1/nb */
+                        nb++;
+                        if (draw(&S, &bad) * (double)nb < 1.0)
+                            s = c;
+                    }
+                }
+                break;
+            }
+            case 2: {
+                ilist *b = &levels[cur_min];
+                s = b->a[(int64_t)(u * (double)b->len)];
+                break;
+            }
+            case 3:
+                if (inv_count)
+                    s = invite[(int64_t)(u * (double)inv_count)];
+                else if (bel_count)
+                    s = below[(int64_t)(u * (double)bel_count)];
+                else
+                    s = (int64_t)(u * (double)n);
+                break;
+            case 4:
+                s = (int64_t)(u * (double)n);
+                if (occ[s] >= high) {
+                    if (started)
+                        r->violations++;
+                    continue;
+                }
+                break;
+            case 5:
+                s = (int64_t)(u * (double)n);
+                if (occ[s] >= high) {
+                    if (started)
+                        r->violations++;
+                    u = draw(&S, &bad);
+                    if (inv_count)
+                        s = invite[(int64_t)(u * (double)inv_count)];
+                    else if (bel_count)
+                        s = below[(int64_t)(u * (double)bel_count)];
+                    else
+                        s = (int64_t)(u * (double)n);
+                }
+                break;
+            default:
+                s = (int64_t)(u * (double)n);
+                if (occ[s] >= high) {
+                    if (started)
+                        r->violations++;
+                    ilist *b = &levels[cur_min];
+                    s = b->a[(int64_t)(draw(&S, &bad) * (double)b->len)];
+                }
+                break;
+            }
+
+            o = occ[s];
+            occ[s] = o + 1;
+            if (reserve((void **)&slot, &slot_cap, count + 1, sizeof *slot))
+                goto done;
+            slot[count++] = (int32_t)s;
+            if (started && credit(&S, s, o, o + 1, t))
+                goto done;
+            if (need_invites) {
+                if (o + 1 == low)
+                    set_remove(invite, invite_pos, &inv_count, s);
+                if (o + 1 == high)
+                    set_remove(below, below_pos, &bel_count, s);
+            } else if (need_levels) {
+                if (o + 1 >= n_levels) {
+                    if (reserve((void **)&levels, &levels_cap, n_levels + 1,
+                                sizeof *levels))
+                        goto done;
+                    memset(&levels[n_levels++], 0, sizeof *levels);
+                }
+                if (level_move(levels, level_pos, o, o + 1, s))
+                    goto done;
+                if (levels[o].len == 0 && o == cur_min)
+                    while (levels[cur_min].len == 0)
+                        cur_min++;
+            }
+        } else {
+            /* ----- departure: uniform over active flows ----- */
+            if (count == 0)
+                continue;
+            int64_t j = (int64_t)(draw(&S, &bad) * (double)count);
+            s = slot[j];
+            slot[j] = slot[--count];
+            o = occ[s];
+            occ[s] = o - 1;
+            if (started && credit(&S, s, o, o - 1, t))
+                goto done;
+            if (need_invites) {
+                if (o == low)
+                    set_add(invite, invite_pos, &inv_count, s);
+                if (o == high)
+                    set_add(below, below_pos, &bel_count, s);
+            } else if (need_levels) {
+                if (level_move(levels, level_pos, o, o - 1, s))
+                    goto done;
+                if (o - 1 < cur_min)
+                    cur_min = o - 1;
+                else if (levels[o].len == 0 && o == cur_min)
+                    while (levels[cur_min].len == 0)
+                        cur_min++;
+            }
+        }
+        if (bad) {
+            status = RUN_REFILL;
+            goto done;
+        }
+    }
+    status = bad ? RUN_REFILL : RUN_OK;
+    r->started = started;
+    r->count = count;
+    r->flow_int = flow_int;
+    r->prev_t = prev_t;
+
+done:
+    free(invite);
+    free(invite_pos);
+    free(below);
+    free(below_pos);
+    free(level_pos);
+    free(cands);
+    free(slot);
+    for (int64_t k = 0; k < n_levels; k++)
+        free(levels[k].a);
+    free(levels);
+    return status;
+}
+
+/* ------------------------------------------------------------------------ */
+/* bin-indirected scheme                                                    */
+/* ------------------------------------------------------------------------ */
+
+/* flow registry entry; slot ids are recycled through a free stack */
+typedef struct {
+    int32_t bin, pos; /* the flow's bin and its index in that bin's list */
+    uint8_t violated, in_window;
+} flow_slot;
+
+/* bin of flow `id`: the splitmix64 output function, reduced mod m */
+static inline int64_t hash_bin(uint64_t id, uint64_t m)
+{
+    uint64_t z = id + UINT64_C(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
+    z ^= z >> 31;
+    return (int64_t)(z % m);
+}
+
+/* make s's membership of a threshold list follow a jump from `was` to `now` */
+static void set_update(int32_t *set, int64_t *pos, int64_t *count, int64_t s,
+                       int was, int now)
+{
+    if (was == now)
+        return;
+    if (now)
+        set_add(set, pos, count, s);
+    else
+        set_remove(set, pos, count, s);
+}
+
+int bin_run(const sim_params *p, sim_result *r)
+{
+    const int64_t n = p->n, m = p->bins, low = p->low, high = p->high;
+    const double lam_total = p->lam_total, inv_beta = p->inv_beta;
+    const double t_start = p->t_start, t_stop = p->t_stop;
+
+    run_state S = {p, r, 0, 0};
+    int status = RUN_NOMEM, bad = 0;
+
+    int32_t *invite = NULL, *below = NULL, *assignment = NULL;
+    int64_t *invite_pos = NULL, *below_pos = NULL, *bin_pos = NULL;
+    int64_t inv_count = 0, bel_count = 0;
+    ilist *server_bins = NULL, *bin_flows = NULL;
+    ilist active = {0}, free_ids = {0};
+    flow_slot *flows = NULL;
+    int64_t n_slots = 0, slots_cap = 0;
+
+    if (init_result(&S))
+        goto done;
+    int64_t *occ = r->occ;
+    if (init_sets(n, low, &invite, &invite_pos, &inv_count, &below, &below_pos,
+                  &bel_count))
+        goto done;
+
+    /* bins dealt round-robin: bin b starts at server b mod n */
+    assignment = malloc((size_t)m * sizeof *assignment);
+    bin_pos = malloc((size_t)m * sizeof *bin_pos);
+    server_bins = calloc((size_t)n, sizeof *server_bins);
+    bin_flows = calloc((size_t)m, sizeof *bin_flows);
+    if (!assignment || !bin_pos || !server_bins || !bin_flows)
+        goto done;
+    for (int64_t b = 0; b < m; b++) {
+        int64_t s = b % n;
+        assignment[b] = (int32_t)s;
+        bin_pos[b] = server_bins[s].len;
+        if (push(&server_bins[s], (int32_t)b))
+            goto done;
+    }
+
+    uint64_t next_id = 0;
+    double t = 0.0, flow_int = 0.0, prev_t = 0.0;
+    int started = 0;
+    for (;;) {
+        double rate = lam_total + (double)active.len * inv_beta;
+        double u = draw(&S, &bad);
+        t += -log(1.0 - u) / rate;
+        if (t >= t_stop)
+            break;
+        if (!started && t >= t_start) {
+            started = 1;
+            prev_t = t_start;
+            if (open_window(&S))
+                goto done;
+        }
+        if (started) {
+            flow_int += (double)active.len * (t - prev_t);
+            prev_t = t;
+        }
+
+        u = draw(&S, &bad);
+        int64_t s, o;
+        if (u * rate < lam_total) {
+            /* ----- arrival: server dictated by the flow's static bin ----- */
+            if (started)
+                r->total_flows++;
+            int64_t b = hash_bin(next_id++, (uint64_t)m);
+            s = assignment[b];
+            int32_t fid;
+            if (free_ids.len) {
+                fid = free_ids.a[--free_ids.len];
+            } else {
+                if (reserve((void **)&flows, &slots_cap, n_slots + 1, sizeof *flows))
+                    goto done;
+                fid = (int32_t)n_slots++;
+            }
+            flows[fid].violated = 0;
+            flows[fid].in_window = (uint8_t)started;
+            flows[fid].bin = (int32_t)b;
+            flows[fid].pos = (int32_t)bin_flows[b].len;
+            if (push(&bin_flows[b], fid) || push(&active, fid))
+                goto done;
+
+            o = occ[s];
+            occ[s] = o + 1;
+            if (started && credit(&S, s, o, o + 1, t))
+                goto done;
+            if (o + 1 == low)
+                set_remove(invite, invite_pos, &inv_count, s);
+            if (o + 1 == high)
+                set_remove(below, below_pos, &bel_count, s);
+
+            /* drain: shed bins until s is back at or below high, at most as
+             * many as s holds at the trigger; default: one bin per upward
+             * high -> high + 1 crossing */
+            int64_t moves = p->drain ? (o >= high ? server_bins[s].len : 0) : o == high;
+            for (int64_t k = 0; k < moves && occ[s] > high; k++) {
+                ilist *here = &server_bins[s];
+                if (here->len == 0 || n == 1) {
+                    if (started)
+                        r->skipped++;
+                    continue;
+                }
+                int32_t mb = here->a[(int64_t)(draw(&S, &bad) * (double)here->len)];
+                /* invite list, then below-high list, then any server but s */
+                u = draw(&S, &bad);
+                int64_t dest;
+                if (inv_count) {
+                    dest = invite[(int64_t)(u * (double)inv_count)];
+                } else if (bel_count) {
+                    dest = below[(int64_t)(u * (double)bel_count)];
+                } else {
+                    dest = (int64_t)(u * (double)(n - 1));
+                    if (dest >= s)
+                        dest++;
+                }
+                int64_t bp = bin_pos[mb];
+                int32_t tail = here->a[here->len - 1];
+                here->a[bp] = tail;
+                bin_pos[tail] = bp;
+                here->len--;
+                bin_pos[mb] = server_bins[dest].len;
+                if (push(&server_bins[dest], mb))
+                    goto done;
+                assignment[mb] = (int32_t)dest;
+                if (started)
+                    r->reallocations++;
+
+                ilist *moved = &bin_flows[mb];
+                for (int64_t i = 0; i < moved->len; i++) {
+                    flow_slot *f = &flows[moved->a[i]];
+                    if (!f->violated) {
+                        f->violated = 1;
+                        if (f->in_window)
+                            r->violations++;
+                    }
+                }
+                int64_t kf = moved->len;
+                if (kf) {
+                    int64_t o_old = occ[s], o_new = o_old - kf;
+                    int64_t d_old = occ[dest], d_new = d_old + kf;
+                    occ[s] = o_new;
+                    occ[dest] = d_new;
+                    if (started && (credit(&S, s, o_old, o_new, t) ||
+                                    credit(&S, dest, d_old, d_new, t)))
+                        goto done;
+                    set_update(invite, invite_pos, &inv_count, s, o_old < low,
+                               o_new < low);
+                    set_update(below, below_pos, &bel_count, s, o_old < high,
+                               o_new < high);
+                    set_update(invite, invite_pos, &inv_count, dest, d_old < low,
+                               d_new < low);
+                    set_update(below, below_pos, &bel_count, dest, d_old < high,
+                               d_new < high);
+                }
+            }
+        } else {
+            /* ----- departure: uniform over active flows ----- */
+            if (active.len == 0)
+                continue;
+            int64_t j = (int64_t)(draw(&S, &bad) * (double)active.len);
+            int32_t fid = active.a[j];
+            active.a[j] = active.a[--active.len];
+            flow_slot *f = &flows[fid];
+            ilist *here = &bin_flows[f->bin];
+            int32_t tail = here->a[here->len - 1];
+            here->a[f->pos] = tail;
+            flows[tail].pos = f->pos;
+            here->len--;
+            if (push(&free_ids, fid))
+                goto done;
+            s = assignment[f->bin];
+            o = occ[s];
+            occ[s] = o - 1;
+            if (started && credit(&S, s, o, o - 1, t))
+                goto done;
+            if (o == low)
+                set_add(invite, invite_pos, &inv_count, s);
+            if (o == high)
+                set_add(below, below_pos, &bel_count, s);
+        }
+        if (bad) {
+            status = RUN_REFILL;
+            goto done;
+        }
+    }
+    status = bad ? RUN_REFILL : RUN_OK;
+    r->started = started;
+    r->count = active.len;
+    r->flow_int = flow_int;
+    r->prev_t = prev_t;
+
+done:
+    free(invite);
+    free(invite_pos);
+    free(below);
+    free(below_pos);
+    free(assignment);
+    free(bin_pos);
+    for (int64_t s = 0; server_bins && s < n; s++)
+        free(server_bins[s].a);
+    free(server_bins);
+    for (int64_t b = 0; bin_flows && b < m; b++)
+        free(bin_flows[b].a);
+    free(bin_flows);
+    free(active.a);
+    free(free_ids.a);
+    free(flows);
+    return status;
+}
+
+void sim_free(sim_result *r)
+{
+    free(r->occ);
+    free(r->last);
+    free(r->hist);
+    free(r->series);
+    r->occ = NULL;
+    r->last = NULL;
+    r->hist = NULL;
+    r->series = NULL;
+}

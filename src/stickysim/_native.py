@@ -1,7 +1,8 @@
 """Build and load the compiled event kernels.
 
-Each kernel is one C99 source file shipped next to this module.  On first use
-it is compiled with the host C compiler into a per-user cache directory
+The event kernels (flow_run, bin_run) live in one C99 source file shipped
+next to this module, _kernel.c.  On first use it is compiled with the host C
+compiler into a per-user cache directory
 (``$XDG_CACHE_HOME/stickysim``, else ``~/.cache/stickysim``), under a name
 keyed by the SHA-256 of the source and the compile flags, and loaded with
 ctypes.  Nothing here runs at package import.
@@ -86,7 +87,7 @@ def load(name: str) -> ctypes.CDLL | None:
 
 
 # ---------------------------------------------------------------------------
-# flow kernel binding (mirrors the structs in _flow_kernel.c)
+# kernel binding (mirrors the structs in _kernel.c)
 # ---------------------------------------------------------------------------
 
 REFILL = ctypes.CFUNCTYPE(ctypes.c_int)
@@ -94,33 +95,39 @@ _I64 = ctypes.c_int64
 _F64 = ctypes.c_double
 F64P = ctypes.POINTER(_F64)
 
+# the kernel's "no upper threshold" value of `high`
+NO_CAP = 2**63 - 1
 
-class FlowParams(ctypes.Structure):
+
+class SimParams(ctypes.Structure):
     _fields_ = [
-        ("n", _I64), ("mode", _I64), ("d", _I64), ("low", _I64), ("high", _I64),
-        ("tracked", _I64), ("hist_start", _I64),
+        ("n", _I64), ("low", _I64), ("high", _I64), ("tracked", _I64),
+        ("hist_start", _I64), ("mode", _I64), ("d", _I64), ("bins", _I64),
+        ("drain", _I64),
         ("lam_total", _F64), ("inv_beta", _F64), ("t_start", _F64),
         ("t_stop", _F64),
         ("buf", F64P), ("buf_len", _I64), ("refill", REFILL),
     ]
 
 
-class FlowResult(ctypes.Structure):
+class SimResult(ctypes.Structure):
     _fields_ = [
         ("started", _I64), ("violations", _I64), ("total_flows", _I64),
-        ("count", _I64), ("flow_int", _F64), ("prev_t", _F64),
+        ("count", _I64), ("reallocations", _I64), ("skipped", _I64),
+        ("flow_int", _F64), ("prev_t", _F64),
         ("occ", ctypes.POINTER(_I64)), ("last", F64P),
         ("hist", F64P), ("hist_len", _I64),
         ("series", F64P), ("series_rows", _I64),
     ]
 
 
-def flow_kernel() -> ctypes.CDLL | None:
-    """The loaded flow-event kernel with its signatures set, or None."""
-    lib = load("_flow_kernel.c")
+def kernel() -> ctypes.CDLL | None:
+    """The loaded event kernels (flow_run, bin_run) with signatures set, or None."""
+    lib = load("_kernel.c")
     if lib is not None:
-        lib.flow_run.argtypes = [ctypes.POINTER(FlowParams), ctypes.POINTER(FlowResult)]
-        lib.flow_run.restype = ctypes.c_int
-        lib.flow_free.argtypes = [ctypes.POINTER(FlowResult)]
-        lib.flow_free.restype = None
+        for entry in (lib.flow_run, lib.bin_run):
+            entry.argtypes = [ctypes.POINTER(SimParams), ctypes.POINTER(SimResult)]
+            entry.restype = ctypes.c_int
+        lib.sim_free.argtypes = [ctypes.POINTER(SimResult)]
+        lib.sim_free.restype = None
     return lib

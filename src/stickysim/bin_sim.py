@@ -14,6 +14,12 @@ flow_sim: exponential inter-event times at the total rate, uniform pick of
 the departing flow, one buffered counter-based generator consumed in a fixed
 documented order.  Bin hashes come from a separate deterministic integer
 mixer, not from the random stream.
+
+As in flow_sim, the loop exists twice: a compiled C kernel (bin_run in
+_kernel.c, built on first use by _native) that run_bin_sim dispatches to,
+and the pure-Python reference _run_bin_sim_py, which is the readable oracle,
+the fallback when no C compiler is available, and the engine of
+validate_table runs.  Both give bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .flow_sim import (
     SimStats,
     _BUFFER,
     _HIST_START,
+    _run_kernel,
     _window_stats,
 )
 
@@ -206,18 +213,20 @@ def reallocate_bin(
     """Move one uniformly random bin off `server`; return what moved.
 
     Destination precedence: a uniform member of invite_set if nonempty, else
-    a uniform server outside disinvite_set, else a uniform server.  Returns
-    (bin, destination, handles of flows active in the bin at the move) so the
-    caller can mark them violated; returns None when the server holds no bins
-    (the caller should record the skipped move).  Consumes one uniform for
-    the bin pick and one for the destination pick.  Sets are sorted before
-    drawing so the result depends only on membership, not container order.
+    a uniform server outside disinvite_set, else a uniform server other than
+    `server` itself, as in the event loop.  Returns (bin, destination,
+    handles of flows active in the bin at the move) so the caller can mark
+    them violated; returns None when the server holds no bins or there is no
+    other server (the caller should record the skipped move).  Consumes one
+    uniform for the bin pick and one for the destination pick.  Sets are
+    sorted before drawing so the result depends only on membership, not
+    container order.
     """
     n = table.n_servers
     if not 0 <= server < n:
         raise ValueError(f"server must be in [0, {n}), got {server!r}")
     bins_here = table.server_bins[server]
-    if not bins_here:
+    if not bins_here or n == 1:
         return None
     moved = bins_here[rng.randint(len(bins_here))]
 
@@ -230,7 +239,9 @@ def reallocate_bin(
         if open_servers:
             dest = open_servers[rng.randint(len(open_servers))]
         else:
-            dest = rng.randint(n)
+            dest = rng.randint(n - 1)
+            if dest >= server:
+                dest += 1
 
     p = table.bin_pos[moved]
     tail = bins_here[-1]
@@ -289,20 +300,53 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
 
     validate_table re-checks the bin-table bijection after every event;
     meant for small test runs, far too slow for production sizes.
+
+    Runs the compiled kernel (bin_run in _kernel.c, built on first use) and
+    falls back to the pure-Python reference loop, with one logged warning,
+    when the kernel cannot be built or loaded; both give identical results.
+    validate_table runs always use the reference loop.
     """
     scheme = config.scheme
     if not isinstance(scheme, BinBased):
         raise TypeError(f"run_bin_sim needs a BinBased scheme, got {scheme!r}")
-    params = config.params
-    n = params.n
-    m = scheme.bins
-    if m < n:
+    if scheme.bins < config.params.n:
         logger.warning(
             "bin count m=%d is below server count n=%d; servers without "
             "bins never receive flows",
-            m,
-            n,
+            scheme.bins,
+            config.params.n,
         )
+    if not validate_table:
+        # imported here so that importing the package loads no kernel machinery
+        from . import _native
+
+        lib = _native.kernel()
+        if lib is not None:
+            r, fields = _run_kernel(lib, lib.bin_run, config, scheme.low,
+                                    scheme.high, bins=scheme.bins,
+                                    drain=int(config.drain_to_threshold))
+            return BinSimStats(
+                violations=r.violations,
+                total_flows=r.total_flows,
+                reallocations=r.reallocations,
+                violated_flows=r.violations,
+                skipped_reallocations=r.skipped,
+                **fields,
+            )
+    return _run_bin_sim_py(config, validate_table)
+
+
+def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimStats:
+    """Pure-Python reference event loop of run_bin_sim.
+
+    The readable oracle the compiled kernel is tested against, the fallback
+    when no kernel can be built, and the only engine that can validate the
+    bin table after every event.
+    """
+    scheme = config.scheme
+    params = config.params
+    n = params.n
+    m = scheme.bins
     low = scheme.low
     high: int | float = scheme.high  # int < math.inf compares exactly
     drain = config.drain_to_threshold
@@ -372,7 +416,6 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
     # flow's bin membership position stays valid for its whole lifetime
     flow_bin: list[int] = []
     flow_pos: list[int] = []  # position inside its bin's flow list
-    flow_apos: list[int] = []  # position inside the active list
     violated = bytearray()
     # violated_flows only counts flows that arrived inside the window, so it
     # can never exceed total_flows even in very short windows
@@ -514,7 +557,6 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
                 fid = len(flow_bin)
                 flow_bin.append(0)
                 flow_pos.append(0)
-                flow_apos.append(0)
                 violated.append(0)
                 in_window.append(0)
             in_window[fid] = 1 if started else 0
@@ -522,7 +564,6 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
             flows_here = bin_flows[b]
             flow_pos[fid] = len(flows_here)
             flows_here.append(fid)
-            flow_apos[fid] = count
             active.append(fid)
             count += 1
 
@@ -573,7 +614,6 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
             count -= 1
             tail_fid = active[count]
             active[j] = tail_fid
-            flow_apos[tail_fid] = j
             active.pop()
             b = flow_bin[fid]
             flows_here = bin_flows[b]

@@ -940,7 +940,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for path in written:
             print(path)
         return EXIT_OK
-    except (mf.NumericalError, mf.BracketError) as exc:
+    except mf.NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, TypeError, OSError) as exc:

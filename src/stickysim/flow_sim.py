@@ -13,8 +13,8 @@ the per-event cost constant.  All randomness comes from one buffered
 counter-based generator consumed in a fixed documented order, so a seed fully
 determines the run.
 
-The loop exists twice: a compiled C kernel (_flow_kernel.c, built on first
-use by _native) that run_flow_sim dispatches to, and the pure-Python
+The loop exists twice: a compiled C kernel (flow_run in _kernel.c, built on
+first use by _native) that run_flow_sim dispatches to, and the pure-Python
 reference _run_flow_sim_py, which is the readable oracle and the fallback
 when no C compiler is available.  Both give bit-identical statistics.
 """
@@ -263,7 +263,7 @@ _D1, _D_CHOICES, _LEAST, _PULL, _SHED, _XFER_INVITE, _XFER_LEAST = range(7)
 
 
 def _scheme_mode(scheme: SchemeConfig, n: int) -> tuple[int, int, int, int]:
-    """(mode, d, low, high) of a flow-level scheme; high = -1 means no cap."""
+    """(mode, d, low, high) of a flow-level scheme; high may be math.inf."""
     if isinstance(scheme, BinBased):
         raise TypeError("BinBased configs are simulated by run_bin_sim")
     if isinstance(scheme, PowerOfD):
@@ -272,10 +272,9 @@ def _scheme_mode(scheme: SchemeConfig, n: int) -> tuple[int, int, int, int]:
         mode = _D1 if d == 1 else _D_CHOICES if d < n else _LEAST
         return mode, d, 0, 0
     if isinstance(scheme, PullBased):
-        high = scheme.high if scheme.high != math.inf else -1
-        return _PULL, 0, scheme.low, high
+        return _PULL, 0, scheme.low, scheme.high
     if isinstance(scheme, Shedding):
-        return _SHED, 0, 0, scheme.high if scheme.high != math.inf else -1
+        return _SHED, 0, 0, scheme.high
     if isinstance(scheme, TransferToInvite):
         return _XFER_INVITE, 0, scheme.low, scheme.high
     if isinstance(scheme, TransferToLeastLoaded):
@@ -335,26 +334,37 @@ def run_flow_sim(config: SimConfig) -> SimStats:
     event type, then the assignment draws (uniform server picks, d-choices
     candidates, transfer destination) or the departing-flow pick.
 
-    Runs the compiled kernel (_flow_kernel.c, built on first use) and falls
-    back to the pure-Python reference loop, with one logged warning, when
-    the kernel cannot be built or loaded; both give identical results.
+    Runs the compiled kernel (flow_run in _kernel.c, built on first use) and
+    falls back to the pure-Python reference loop, with one logged warning,
+    when the kernel cannot be built or loaded; both give identical results.
     """
     # imported here so that importing the package loads no kernel machinery
     from . import _native
 
-    lib = _native.flow_kernel()
+    lib = _native.kernel()
     if lib is None:
         return _run_flow_sim_py(config)
-    return _run_flow_sim_kernel(lib, config)
+    mode, d, low, high = _scheme_mode(config.scheme, config.params.n)
+    r, fields = _run_kernel(lib, lib.flow_run, config, low, high, mode=mode, d=d)
+    return SimStats(violations=r.violations, total_flows=r.total_flows, **fields)
 
 
-def _run_flow_sim_kernel(lib, config: SimConfig) -> SimStats:
-    """run_flow_sim on the compiled kernel; same draws as the reference."""
+def _run_kernel(lib, entry, config: SimConfig, low: int, high: int | float,
+                **scheme_fields: int):
+    """Run one compiled event loop on config's draws and close its window.
+
+    `entry` is a kernel function of `lib` (flow_run or bin_run); it reads
+    config's system and window and the given thresholds, plus the
+    scheme-specific SimParams fields.  Draws come from the same Philox stream
+    as the reference loops, one float64 block at a time through a refill
+    callback; an exception raised there stops the kernel and is re-raised
+    here.  Returns the kernel's SimResult, for its counters, and the SimStats
+    array fields from _window_stats.
+    """
     from . import _native as native
 
     params = config.params
     n = params.n
-    mode, d, low, high = _scheme_mode(config.scheme, n)
     t_start = float(config.warmup)
     t_stop = t_start + float(config.horizon)
 
@@ -372,21 +382,21 @@ def _run_flow_sim_kernel(lib, config: SimConfig) -> SimStats:
         return 0
 
     callback = native.REFILL(refill)
-    p = native.FlowParams(
-        n=n, mode=mode, d=d, low=low, high=high,
+    p = native.SimParams(
+        n=n, low=low, high=native.NO_CAP if high == math.inf else high,
         tracked=config.tracked_server, hist_start=_HIST_START,
         lam_total=params.lam * n, inv_beta=1.0 / params.beta,
         t_start=t_start, t_stop=t_stop,
         buf=buf.ctypes.data_as(native.F64P), buf_len=_BUFFER,
-        refill=callback,
+        refill=callback, **scheme_fields,
     )
-    r = native.FlowResult()
+    r = native.SimResult()
     try:
-        status = lib.flow_run(p, r)
+        status = entry(p, r)
         if failure:
             raise failure[0]
         if status:
-            raise MemoryError("flow kernel ran out of memory")
+            raise MemoryError("event kernel ran out of memory")
 
         def take(ptr, size):
             return np.ctypeslib.as_array(ptr, (size,)).tolist() if size else []
@@ -396,10 +406,9 @@ def _run_flow_sim_kernel(lib, config: SimConfig) -> SimStats:
             take(r.occ, n), take(r.last, n), take(r.hist, r.hist_len),
             r.count, r.flow_int, r.prev_t, take(r.series, 2 * r.series_rows),
         )
-        return SimStats(violations=r.violations, total_flows=r.total_flows,
-                        **fields)
+        return r, fields
     finally:
-        lib.flow_free(r)
+        lib.sim_free(r)
 
 
 def _run_flow_sim_py(config: SimConfig) -> SimStats:
@@ -541,7 +550,7 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
                     s = int(u * n)
             elif mode == _SHED:
                 s = int(u * n)
-                if occ[s] >= high >= 0:
+                if occ[s] >= high:
                     if started:
                         violations += 1
                     continue

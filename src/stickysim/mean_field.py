@@ -482,8 +482,6 @@ def solve_pull_fixed_point(
 
     if rho < low or sigma <= 0.0:
         dummy = None
-    elif hi == math.inf:
-        dummy = lo * float(w[0]) / sigma
     else:
         dummy = lo * float(w[0]) / sigma
     return dist, SolveDiagnostics(

@@ -1,0 +1,171 @@
+"""The compiled bin-event kernel against the pure-Python reference loop.
+
+run_bin_sim runs bin_run in _kernel.c through ctypes; _run_bin_sim_py is the
+readable oracle.  Both consume the same Philox uniforms in the same order,
+hash flows to bins with the same splitmix64 mixer and keep every list in the
+same swap-remove/append order, so every BinSimStats field must agree bit for
+bit.
+"""
+
+import dataclasses
+import logging
+import math
+
+import numpy as np
+import pytest
+
+from stickysim import _native
+from stickysim.bin_sim import BinSimStats, _run_bin_sim_py, run_bin_sim
+from stickysim.core import BinBased, SystemParams
+from stickysim.flow_sim import SimConfig
+
+# rho = 30 at n = 50: ~75k events, several draw-block refills per run
+MID = SystemParams(n=50, lam=30.0, beta=1.0, nu=1.0, mu=200.0)
+# rho = 10 at n = 4: every server is often above high, so moves take the
+# last-resort destination branch
+SMALL = SystemParams(n=4, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
+ONE = SystemParams(n=1, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
+# rho = 800 at n = 2 with one bin per server: the first move lifts the other
+# server from ~700 to ~1400 flows, past the 1024-entry starting histogram
+JUMP = SystemParams(n=2, lam=800.0, beta=1.0, nu=1.0, mu=5000.0)
+
+N = MID.n
+CASES = {
+    "m=2n": (MID, BinBased(2 * N, 25, 33), False, 0),
+    "m=2n-drain": (MID, BinBased(2 * N, 25, 33), True, 0),
+    "m=10n": (MID, BinBased(10 * N, 25, 33), False, 0),
+    "m=10n-drain": (MID, BinBased(10 * N, 25, 33), True, 0),
+    "m=100n": (MID, BinBased(100 * N, 25, 33), False, 0),
+    "m=100n-drain": (MID, BinBased(100 * N, 25, 33), True, 0),
+    "m<n": (MID, BinBased(N // 2, 40, 70), False, 0),
+    "m<n-drain": (MID, BinBased(N // 2, 40, 70), True, 0),
+    "low0": (MID, BinBased(10 * N, 0, 33), False, 0),
+    "high-inf": (MID, BinBased(10 * N, 25, math.inf), False, 0),
+    "high-inf-drain": (MID, BinBased(10 * N, 25, math.inf), True, 0),
+    "tracked": (MID, BinBased(10 * N, 25, 33), False, 17),
+    "tracked-drain": (MID, BinBased(2 * N, 25, 33), True, 31),
+    "small-overload": (SMALL, BinBased(40, 3, 6), False, 2),
+    "small-overload-drain": (SMALL, BinBased(40, 3, 6), True, 1),
+    "single-server": (ONE, BinBased(5, 3, 6), False, 0),
+    "single-server-drain": (ONE, BinBased(5, 3, 6), True, 0),
+}
+
+
+def _config(params, scheme, drain, tracked, seed=7, warmup=5.0, horizon=20.0):
+    return SimConfig(params=params, scheme=scheme, seed=seed, warmup=warmup,
+                     horizon=horizon, tracked_server=tracked,
+                     drain_to_threshold=drain)
+
+
+def assert_same_stats(a: BinSimStats, b: BinSimStats) -> None:
+    for field in dataclasses.fields(BinSimStats):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape, field.name
+            assert x.tobytes() == y.tobytes(), field.name
+        else:
+            assert type(x) is type(y) and x == y, field.name
+
+
+@pytest.fixture
+def kernel():
+    if _native.kernel() is None:
+        pytest.skip("compiled kernel unavailable (no C compiler)")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernel_matches_reference(kernel, case):
+    cfg = _config(*CASES[case])
+    assert_same_stats(run_bin_sim(cfg), _run_bin_sim_py(cfg))
+
+
+def test_kernel_matches_reference_on_the_self_move_config(kernel):
+    # the config of test_run_bin_moves_never_land_on_their_origin, where the
+    # reference loop takes the all-servers-full destination branch
+    cfg = _config(SMALL, BinBased(40, 3, 6), False, 0, seed=1, warmup=0.0,
+                  horizon=50.0)
+    stats = run_bin_sim(cfg)
+    assert stats.reallocations > 0
+    assert_same_stats(stats, _run_bin_sim_py(cfg))
+
+
+def test_single_server_kernel_skips_every_move(kernel):
+    for drain in (False, True):
+        stats = run_bin_sim(_config(*CASES["single-server"][:2], drain, 0))
+        assert stats.skipped_reallocations > 0
+        assert stats.reallocations == stats.violations == 0
+
+
+def test_kernel_matches_reference_through_histogram_growth_by_moves(kernel):
+    cfg = _config(JUMP, BinBased(2, 0, 700), False, 1, seed=3, warmup=0.0,
+                  horizon=3.0)
+    stats = run_bin_sim(cfg)
+    assert stats.reallocations >= 1
+    assert stats.occupancy_hist.size > 1024
+    assert_same_stats(stats, _run_bin_sim_py(cfg))
+
+
+def test_kernel_matches_reference_past_a_hash_block_and_draw_refills(kernel):
+    # > 65,536 flow ids: the reference hashes ids in blocks of 2**16 and
+    # refills its draw block several times
+    cfg = _config(MID, BinBased(10 * N, 25, 33), True, 0, horizon=60.0)
+    stats = run_bin_sim(cfg)
+    assert stats.total_flows > 1 << 16
+    assert_same_stats(stats, _run_bin_sim_py(cfg))
+
+
+def test_validate_table_runs_the_reference_with_the_same_result(kernel):
+    cfg = _config(SMALL, BinBased(40, 3, 6), True, 0)
+    assert_same_stats(run_bin_sim(cfg, validate_table=True), run_bin_sim(cfg))
+
+
+def test_kernel_matches_reference_when_window_is_empty(kernel):
+    cfg = SimConfig(params=SMALL, scheme=BinBased(40, 3, 6), warmup=1000.0,
+                    horizon=1e-9)
+    for engine in (run_bin_sim, _run_bin_sim_py):
+        with pytest.raises(ValueError, match="measurement window"):
+            engine(cfg)
+
+
+def test_refill_failure_is_reraised(kernel, monkeypatch):
+    real = np.random.Generator
+
+    class FailingRefill:
+        """Generator whose first block works and whose refills raise."""
+
+        def __init__(self, bit_generator):
+            self.gen = real(bit_generator)
+            self.blocks = 0
+
+        def random(self, *args, **kwargs):
+            self.blocks += 1
+            if self.blocks > 1:
+                raise RuntimeError("refill failed")
+            return self.gen.random(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", FailingRefill)
+    cfg = _config(*CASES["m=10n"])
+    with pytest.raises(RuntimeError, match="refill failed"):
+        run_bin_sim(cfg)
+
+
+def test_no_compiler_falls_back_to_reference(monkeypatch, tmp_path, caplog):
+    cfg = _config(*CASES["m<n-drain"])
+    expected = run_bin_sim(cfg)
+    monkeypatch.setattr(_native, "compiler", lambda: None)
+    monkeypatch.setattr(_native, "cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(_native, "_libs", {})
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        first = run_bin_sim(cfg)
+        second = run_bin_sim(cfg)
+    assert _native.kernel() is None
+    native = [r for r in caplog.records if r.name == "stickysim._native"]
+    assert len(native) == 1 and native[0].levelno == logging.WARNING
+    assert "no C compiler" in native[0].getMessage()
+    # the m < n warning is logged before dispatch, once per run
+    bins = [r for r in caplog.records if r.name == "stickysim.bin_sim"]
+    assert len(bins) == 2 and all("below server count" in r.getMessage()
+                                  for r in bins)
+    assert_same_stats(first, expected)
+    assert_same_stats(second, expected)

@@ -128,6 +128,8 @@ def test_reallocate_avoids_disinvited_servers():
 
 
 def test_reallocate_falls_back_to_any_server():
+    # with every server disinvited the bin goes to any server but its origin,
+    # as in the event loop's _move_destination
     rng = RngStream(3)
     dests = set()
     for _ in range(80):
@@ -135,7 +137,11 @@ def test_reallocate_falls_back_to_any_server():
         _, dest, _ = reallocate_bin(t, 1, invite_set=[],
                                     disinvite_set=[0, 1, 2, 3], rng=rng)
         dests.add(dest)
-    assert dests == {0, 1, 2, 3}
+        t.check_consistency()
+    assert dests == {0, 2, 3}
+    # a single server has nowhere to send its bin
+    t = BinTable.initial(bins=3, servers=1)
+    assert reallocate_bin(t, 0, invite_set=[], disinvite_set=[0], rng=rng) is None
 
 
 def test_reallocate_empty_server_returns_none():
@@ -294,9 +300,11 @@ def test_run_bin_moves_never_land_on_their_origin(monkeypatch):
         calls.append((origin, dest, inv_count + bel_count))
         return dest
 
+    # the compiled kernel never calls _move_destination: spy on the reference
+    # loop, which test_bin_kernel holds the kernel to on this same config
     monkeypatch.setattr(bin_sim, "_move_destination", spy)
     params = SystemParams(n=4, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
-    stats = run_bin_sim(SimConfig(params=params,
+    stats = bin_sim._run_bin_sim_py(SimConfig(params=params,
                                   scheme=BinBased(bins=40, low=3, high=6),
                                   seed=1, warmup=0.0, horizon=50.0))
     assert stats.reallocations == len(calls) > 0

@@ -1,6 +1,6 @@
 """The compiled flow-event kernel against the pure-Python reference loop.
 
-run_flow_sim runs _flow_kernel.c through ctypes; _run_flow_sim_py is the
+run_flow_sim runs flow_run in _kernel.c through ctypes; _run_flow_sim_py is the
 readable oracle.  Both consume the same Philox uniforms in the same order with
 the same double arithmetic, so every SimStats field must agree bit for bit.
 """
@@ -27,7 +27,7 @@ from stickysim.core import (
 )
 from stickysim.flow_sim import SimConfig, SimStats, _run_flow_sim_py, run_flow_sim
 
-SRC = Path(_native.__file__).with_name("_flow_kernel.c")
+SRC = Path(_native.__file__).with_name("_kernel.c")
 
 # rho = 30 at n = 50: ~75k events, several draw-block refills per run
 MID = SystemParams(n=50, lam=30.0, beta=1.0, nu=1.0, mu=200.0)
@@ -81,7 +81,7 @@ def assert_same_stats(a: SimStats, b: SimStats) -> None:
 
 @pytest.fixture
 def kernel():
-    if _native.flow_kernel() is None:
+    if _native.kernel() is None:
         pytest.skip("compiled kernel unavailable (no C compiler)")
 
 
@@ -119,7 +119,7 @@ def test_no_compiler_falls_back_to_reference(monkeypatch, tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="stickysim._native"):
         first = run_flow_sim(cfg)
         second = run_flow_sim(cfg)
-    assert _native.flow_kernel() is None
+    assert _native.kernel() is None
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and "no C compiler" in warnings[0].getMessage()
     assert_same_stats(first, expected)
@@ -146,13 +146,13 @@ def test_build_lands_in_cache_keyed_by_source_and_flags(monkeypatch, tmp_path):
     if cc is None:
         pytest.skip("no C compiler")
     _isolate_loader(monkeypatch, tmp_path, cc)
-    assert _native.flow_kernel() is not None
+    assert _native.kernel() is not None
     built = sorted(p.name for p in tmp_path.iterdir())
     assert len(built) == 1
-    assert built[0].startswith("_flow_kernel-") and built[0].endswith(".so")
+    assert built[0].startswith("_kernel-") and built[0].endswith(".so")
     # a second process-level load reuses the cached library without a compiler
     _isolate_loader(monkeypatch, tmp_path, None)
-    assert _native.flow_kernel() is not None
+    assert _native.kernel() is not None
 
 
 def test_kernel_source_compiles_cleanly_with_all_warnings(tmp_path):
