@@ -18,8 +18,6 @@ from .core import (
     TransferToInvite,
     TransferToLeastLoaded,
     ValidationReport,
-    mean_occupancy,
-    to_tail,
     total_variation,
     validate_params,
 )
@@ -56,7 +54,6 @@ from .flow_sim import (
     SimConfig,
     SimStats,
     assign_flow,
-    empirical_vs_theory,
     run_flow_sim,
 )
 from .bin_sim import (
@@ -76,8 +73,6 @@ __all__ = [
     "ValidationReport",
     "validate_params",
     "FlowDistribution",
-    "mean_occupancy",
-    "to_tail",
     "total_variation",
     "PowerOfD",
     "PullBased",
@@ -119,7 +114,6 @@ __all__ = [
     "SimStats",
     "run_flow_sim",
     "assign_flow",
-    "empirical_vs_theory",
     # bin_sim
     "BinTable",
     "BinSimStats",

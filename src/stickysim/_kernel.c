@@ -554,7 +554,9 @@ int bin_run(const sim_params *p, sim_result *r)
             int64_t moves = p->drain ? (o >= high ? server_bins[s].len : 0) : o == high;
             for (int64_t k = 0; k < moves && occ[s] > high; k++) {
                 ilist *here = &server_bins[s];
-                if (here->len == 0 || n == 1) {
+                /* s holds the arriving flow's bin and drains at most the bins
+                 * it held, so it always has one: only n = 1 skips */
+                if (n == 1) {
                     if (started)
                         r->skipped++;
                     continue;

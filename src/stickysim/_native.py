@@ -7,9 +7,9 @@ compiler into a per-user cache directory
 keyed by the SHA-256 of the source and the compile flags, and loaded with
 ctypes.  Nothing here runs at package import.
 
-When no compiler is found, or the build or the load fails, ``load`` logs one
-warning and returns None; callers then run their pure-Python reference loop,
-which produces the same results.
+When no compiler is found, or the build or the load fails, ``kernel`` logs
+one warning and returns None; callers then run their pure-Python reference
+loop, which produces the same results.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ logger = logging.getLogger(__name__)
 # rounds exactly as the Python reference does; no -ffast-math, no -march
 FLAGS = ("-std=c99", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-_HERE = Path(__file__).resolve().parent
-_libs: dict[str, ctypes.CDLL | None] = {}
+_SOURCE = Path(__file__).resolve().with_name("_kernel.c")
+# the outcome of the one build-and-load attempt per process, once made
+_loaded: list[ctypes.CDLL | None] = []
 
 
 def compiler() -> str | None:
@@ -69,23 +70,6 @@ def _build(source: Path) -> Path:
     return target
 
 
-def load(name: str) -> ctypes.CDLL | None:
-    """The compiled kernel for source file `name`, or None when unavailable.
-
-    The outcome is cached per process, so a fallback warns only once.
-    """
-    if name not in _libs:
-        try:
-            path = _build(_HERE / name)
-            _libs[name] = ctypes.CDLL(str(path))
-            logger.info("compiled kernel %s loaded from %s", name, path)
-        except (OSError, subprocess.SubprocessError) as exc:
-            _libs[name] = None
-            logger.warning("compiled kernel %s unavailable (%s); using the "
-                           "pure-Python loop", name, exc)
-    return _libs[name]
-
-
 # ---------------------------------------------------------------------------
 # kernel binding (mirrors the structs in _kernel.c)
 # ---------------------------------------------------------------------------
@@ -122,12 +106,25 @@ class SimResult(ctypes.Structure):
 
 
 def kernel() -> ctypes.CDLL | None:
-    """The loaded event kernels (flow_run, bin_run) with signatures set, or None."""
-    lib = load("_kernel.c")
-    if lib is not None:
-        for entry in (lib.flow_run, lib.bin_run):
-            entry.argtypes = [ctypes.POINTER(SimParams), ctypes.POINTER(SimResult)]
-            entry.restype = ctypes.c_int
-        lib.sim_free.argtypes = [ctypes.POINTER(SimResult)]
-        lib.sim_free.restype = None
-    return lib
+    """The loaded event kernels (flow_run, bin_run) with signatures set, or None.
+
+    Built and loaded on the first call; the outcome is kept for the process,
+    so a fallback warns only once.
+    """
+    if not _loaded:
+        try:
+            path = _build(_SOURCE)
+            lib = ctypes.CDLL(str(path))
+        except (OSError, subprocess.SubprocessError) as exc:
+            lib = None
+            logger.warning("compiled kernel %s unavailable (%s); using the "
+                           "pure-Python loop", _SOURCE.name, exc)
+        else:
+            for entry in (lib.flow_run, lib.bin_run):
+                entry.argtypes = [ctypes.POINTER(SimParams), ctypes.POINTER(SimResult)]
+                entry.restype = ctypes.c_int
+            lib.sim_free.argtypes = [ctypes.POINTER(SimResult)]
+            lib.sim_free.restype = None
+            logger.info("compiled kernel %s loaded from %s", _SOURCE.name, path)
+        _loaded.append(lib)
+    return _loaded[0]

@@ -18,8 +18,12 @@ mixer, not from the random stream.
 As in flow_sim, the loop exists twice: a compiled C kernel (bin_run in
 _kernel.c, built on first use by _native) that run_bin_sim dispatches to,
 and the pure-Python reference _run_bin_sim_py, which is the readable oracle,
-the fallback when no C compiler is available, and the engine of
-validate_table runs.  Both give bit-identical statistics.
+the fallback when no C compiler is available, and the only engine that can
+re-check the bin table after every event.  Both give bit-identical
+statistics.  The reference loop runs on flow_sim's shared reference helpers
+(RngStream.uniform, _threshold_lists, _Window), moves bins with BinTable.move
+and picks their destination with _move_destination, the same two that
+reallocate_bin uses.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ from .flow_sim import (
     SimConfig,
     SimStats,
     _BUFFER,
-    _HIST_START,
+    _SwapList,
+    _Window,
     _run_kernel,
-    _window_stats,
+    _threshold_lists,
 )
 
 __all__ = [
@@ -117,14 +122,12 @@ class BinTable:
         """Fresh empty table with bins dealt round-robin: bin b -> b mod n."""
         if bins < 1 or servers < 1:
             raise ValueError("need at least one bin and one server")
-        assignment = [b % servers for b in range(bins)]
-        server_bins: list[list[int]] = [[] for _ in range(servers)]
         bin_pos = [0] * bins
-        for b, s in enumerate(assignment):
-            bin_pos[b] = len(server_bins[s])
-            server_bins[s].append(b)
+        server_bins = [_SwapList(bin_pos) for _ in range(servers)]
+        for b in range(bins):
+            server_bins[b % servers].add(b)
         return cls(
-            assignment=assignment,
+            assignment=[b % servers for b in range(bins)],
             server_bins=server_bins,
             bin_pos=bin_pos,
             bin_flows=[[] for _ in range(bins)],
@@ -137,6 +140,16 @@ class BinTable:
     @property
     def n_servers(self) -> int:
         return len(self.server_bins)
+
+    def move(self, b: int, dest: int) -> None:
+        """Re-assign bin b to server dest.
+
+        Swap-removes b from its server's list and appends it to dest's; both
+        engines keep this order, which later bin picks depend on.
+        """
+        self.server_bins[self.assignment[b]].drop(b)
+        self.server_bins[dest].add(b)
+        self.assignment[b] = dest
 
     def server_load(self, server: int) -> int:
         """Active flows at a server = flows across all its bins."""
@@ -181,9 +194,10 @@ class BinSimStats(SimStats):
     moved bin before the window closed, each at most once; it equals the
     violations field for runs produced here, and violated_flows/total_flows
     estimates the per-flow violation probability.
-    skipped_reallocations counts triggers that found the server without any
-    bin to give up (possible when bins are fewer than servers), or with no
-    other server to take one (n = 1).
+    skipped_reallocations counts triggers with no other server to take a
+    bin, which happens only at n = 1: a trigger fires at the server holding
+    the arriving flow's bin, and the drain loop stops after as many moves as
+    the server held bins, so a triggered server always has a bin to give up.
     """
 
     reallocations: int = 0
@@ -199,64 +213,7 @@ class BinSimStats(SimStats):
 
 
 # ---------------------------------------------------------------------------
-# reference single-move operation
-# ---------------------------------------------------------------------------
-
-
-def reallocate_bin(
-    table: BinTable,
-    server: int,
-    invite_set: Sequence[int],
-    disinvite_set: Sequence[int],
-    rng: RngStream,
-) -> tuple[int, int, list[int]] | None:
-    """Move one uniformly random bin off `server`; return what moved.
-
-    Destination precedence: a uniform member of invite_set if nonempty, else
-    a uniform server outside disinvite_set, else a uniform server other than
-    `server` itself, as in the event loop.  Returns (bin, destination,
-    handles of flows active in the bin at the move) so the caller can mark
-    them violated; returns None when the server holds no bins or there is no
-    other server (the caller should record the skipped move).  Consumes one
-    uniform for the bin pick and one for the destination pick.  Sets are
-    sorted before drawing so the result depends only on membership, not
-    container order.
-    """
-    n = table.n_servers
-    if not 0 <= server < n:
-        raise ValueError(f"server must be in [0, {n}), got {server!r}")
-    bins_here = table.server_bins[server]
-    if not bins_here or n == 1:
-        return None
-    moved = bins_here[rng.randint(len(bins_here))]
-
-    invites = sorted(invite_set)
-    if invites:
-        dest = invites[rng.randint(len(invites))]
-    else:
-        blocked = set(disinvite_set)
-        open_servers = [s for s in range(n) if s not in blocked]
-        if open_servers:
-            dest = open_servers[rng.randint(len(open_servers))]
-        else:
-            dest = rng.randint(n - 1)
-            if dest >= server:
-                dest += 1
-
-    p = table.bin_pos[moved]
-    tail = bins_here[-1]
-    bins_here[p] = tail
-    table.bin_pos[tail] = p
-    bins_here.pop()
-    dest_bins = table.server_bins[dest]
-    table.bin_pos[moved] = len(dest_bins)
-    dest_bins.append(moved)
-    table.assignment[moved] = dest
-    return moved, dest, list(table.bin_flows[moved])
-
-
-# ---------------------------------------------------------------------------
-# event loop
+# bin moves
 # ---------------------------------------------------------------------------
 
 
@@ -274,8 +231,9 @@ def _move_destination(
     A uniform member of the invite set if it is nonempty, else of the
     below-high set.  When every server is at or above high, a uniform pick
     among the other n - 1 servers: the origin is never drawn, so every
-    counted reallocation really moves its flows.  The origin itself is never
-    in either set (it has just passed high), and callers ensure n >= 2.
+    counted reallocation really moves its flows.  In the event loop the
+    origin is never in either set (it has just passed high); reallocate_bin
+    passes its caller's sets as given.  Callers ensure n >= 2.
     """
     if inv_count:
         return invite[int(u * inv_count)]
@@ -285,7 +243,48 @@ def _move_destination(
     return dest + 1 if dest >= origin else dest
 
 
-def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
+def reallocate_bin(
+    table: BinTable,
+    server: int,
+    invite_set: Sequence[int],
+    disinvite_set: Sequence[int],
+    rng: RngStream,
+) -> tuple[int, int, list[int]] | None:
+    """Move one uniformly random bin off `server`; return what moved.
+
+    Destination precedence: a uniform member of invite_set if nonempty, else
+    a uniform server outside disinvite_set, else a uniform server other than
+    `server` itself: _move_destination, the event loop's rule, with these
+    two sets in place of the loop's lists.  Returns (bin, destination,
+    handles of flows active in the bin at the move) so the caller can mark
+    them violated; returns None when the server holds no bins or there is no
+    other server (the caller should record the skipped move).  Consumes one
+    uniform for the bin pick and one for the destination pick.  Sets are
+    sorted before drawing so the result depends only on membership, not
+    container order.
+    """
+    n = table.n_servers
+    if not 0 <= server < n:
+        raise ValueError(f"server must be in [0, {n}), got {server!r}")
+    bins_here = table.server_bins[server]
+    if not bins_here or n == 1:
+        return None
+    moved = bins_here[rng.randint(len(bins_here))]
+    invites = sorted(invite_set)
+    blocked = set(disinvite_set)
+    open_servers = [s for s in range(n) if s not in blocked]
+    dest = _move_destination(rng.uniform(), server, n, invites, len(invites),
+                             open_servers, len(open_servers))
+    table.move(moved, dest)
+    return moved, dest, list(table.bin_flows[moved])
+
+
+# ---------------------------------------------------------------------------
+# event loop
+# ---------------------------------------------------------------------------
+
+
+def run_bin_sim(config: SimConfig) -> BinSimStats:
     """Simulate one bin-scheme run and return measurement-window statistics.
 
     The arriving flow's server comes from its bin, so arrivals consume no
@@ -298,13 +297,9 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
     arrival leaving a server above `high` sheds bins until the server is
     back at or below `high`, bounded by the bins it held at trigger time.
 
-    validate_table re-checks the bin-table bijection after every event;
-    meant for small test runs, far too slow for production sizes.
-
     Runs the compiled kernel (bin_run in _kernel.c, built on first use) and
     falls back to the pure-Python reference loop, with one logged warning,
     when the kernel cannot be built or loaded; both give identical results.
-    validate_table runs always use the reference loop.
     """
     scheme = config.scheme
     if not isinstance(scheme, BinBased):
@@ -316,32 +311,31 @@ def run_bin_sim(config: SimConfig, validate_table: bool = False) -> BinSimStats:
             scheme.bins,
             config.params.n,
         )
-    if not validate_table:
-        # imported here so that importing the package loads no kernel machinery
-        from . import _native
+    # imported here so that importing the package loads no kernel machinery
+    from . import _native
 
-        lib = _native.kernel()
-        if lib is not None:
-            r, fields = _run_kernel(lib, lib.bin_run, config, scheme.low,
-                                    scheme.high, bins=scheme.bins,
-                                    drain=int(config.drain_to_threshold))
-            return BinSimStats(
-                violations=r.violations,
-                total_flows=r.total_flows,
-                reallocations=r.reallocations,
-                violated_flows=r.violations,
-                skipped_reallocations=r.skipped,
-                **fields,
-            )
-    return _run_bin_sim_py(config, validate_table)
+    lib = _native.kernel()
+    if lib is None:
+        return _run_bin_sim_py(config)
+    r, fields = _run_kernel(lib, lib.bin_run, config, scheme.low, scheme.high,
+                            bins=scheme.bins, drain=int(config.drain_to_threshold))
+    return BinSimStats(
+        violations=r.violations,
+        total_flows=r.total_flows,
+        reallocations=r.reallocations,
+        violated_flows=r.violations,
+        skipped_reallocations=r.skipped,
+        **fields,
+    )
 
 
 def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimStats:
     """Pure-Python reference event loop of run_bin_sim.
 
-    The readable oracle the compiled kernel is tested against, the fallback
-    when no kernel can be built, and the only engine that can validate the
-    bin table after every event.
+    The readable oracle the compiled kernel is tested against, and the
+    fallback when no kernel can be built.  validate_table re-checks the
+    bin-table bijection after every event; meant for small test runs, far
+    too slow for production sizes.
     """
     scheme = config.scheme
     params = config.params
@@ -350,72 +344,29 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
     low = scheme.low
     high: int | float = scheme.high  # int < math.inf compares exactly
     drain = config.drain_to_threshold
-    beta = params.beta
     lam_total = params.lam * n
-    t_start = float(config.warmup)
-    t_stop = t_start + float(config.horizon)
-    tracked = config.tracked_server
 
-    gen = np.random.Generator(np.random.Philox(config.seed))
-    buf = gen.random(_BUFFER).tolist()
-    bi = 0
+    uniform = RngStream(config.seed).uniform
     log = math.log
+    win = _Window(config)
+    t_start, t_stop = win.t_start, win.t_stop
 
     table = BinTable.initial(m, n)
     assignment = table.assignment
     server_bins = table.server_bins
-    bin_pos = table.bin_pos
-    bin_flows = table.bin_flows
 
     occ = [0] * n
 
-    # invite (occ < low) and below-high (occ < high) swap lists, as in
-    # flow_sim; bulk occupancy jumps from bin moves re-derive membership
-    invite = list(range(n)) if low > 0 else []
-    invite_pos = list(range(n)) if low > 0 else [-1] * n
-    inv_count = len(invite)
-    below = list(range(n))
-    below_pos = list(range(n))
-    bel_count = n
-
-    def fix_membership(s: int, o_old: int, o_new: int) -> None:
-        """Repair both swap lists after occ[s] jumped o_old -> o_new."""
-        nonlocal inv_count, bel_count
-        if (o_old < low) != (o_new < low):
-            if o_new < low:
-                invite_pos[s] = inv_count
-                if inv_count == len(invite):
-                    invite.append(s)
-                else:
-                    invite[inv_count] = s
-                inv_count += 1
-            else:
-                p = invite_pos[s]
-                inv_count -= 1
-                moved = invite[inv_count]
-                invite[p] = moved
-                invite_pos[moved] = p
-                invite_pos[s] = -1
-        if (o_old < high) != (o_new < high):
-            if o_new < high:
-                below_pos[s] = bel_count
-                if bel_count == len(below):
-                    below.append(s)
-                else:
-                    below[bel_count] = s
-                bel_count += 1
-            else:
-                p = below_pos[s]
-                bel_count -= 1
-                moved = below[bel_count]
-                below[p] = moved
-                below_pos[moved] = p
-                below_pos[s] = -1
+    # invite and below-high lists, as in flow_sim; bin moves jump
+    # occupancies by whole bins and update membership both ways
+    invite, below = _threshold_lists(n, low)
 
     # flow registry: stable slot ids recycled through a free list, so a
-    # flow's bin membership position stays valid for its whole lifetime
+    # flow's position in its bin's flow list stays valid for its whole
+    # lifetime; the table's bin_flows hold these ids and share flow_pos
     flow_bin: list[int] = []
-    flow_pos: list[int] = []  # position inside its bin's flow list
+    flow_pos: list[int] = []
+    table.bin_flows = bin_flows = [_SwapList(flow_pos) for _ in range(m)]
     violated = bytearray()
     # violated_flows only counts flows that arrived inside the window, so it
     # can never exceed total_flows even in very short windows
@@ -430,57 +381,24 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
     hash_buf: list[int] = []
     hash_idx = 0
 
-    hist = [0.0] * _HIST_START
-    hist_len = _HIST_START
-    last = [0.0] * n
-    series: list[float] = []  # flat (time, occupancy) pairs
     started = False
     reallocations = 0
     violated_flows = 0
     skipped = 0
     total_flows = 0
-    flow_int = 0.0
-    prev_t = 0.0
-
-    def credit(s: int, o_old: int, t: float) -> None:
-        """Time-weight the interval the server spent at o_old."""
-        nonlocal hist_len
-        if o_old >= hist_len:
-            while o_old >= hist_len:
-                hist.extend([0.0] * hist_len)
-                hist_len *= 2
-        hist[o_old] += t - last[s]
-        last[s] = t
 
     def move_one_bin(s: int, t: float) -> None:
         """One triggered re-allocation off server s at time t."""
-        nonlocal bi, buf, reallocations, violated_flows, skipped
-        bins_here = server_bins[s]
-        nb = len(bins_here)
-        if nb == 0 or n == 1:
+        nonlocal reallocations, violated_flows, skipped
+        if n == 1:
             if started:
                 skipped += 1
             return
-        if bi == _BUFFER:
-            buf = gen.random(_BUFFER).tolist()
-            bi = 0
-        b = bins_here[int(buf[bi] * nb)]
-        bi += 1
-        if bi == _BUFFER:
-            buf = gen.random(_BUFFER).tolist()
-            bi = 0
-        dest = _move_destination(buf[bi], s, n, invite, inv_count, below,
-                                 bel_count)
-        bi += 1
-        p = bin_pos[b]
-        tail = bins_here[-1]
-        bins_here[p] = tail
-        bin_pos[tail] = p
-        bins_here.pop()
-        dest_bins = server_bins[dest]
-        bin_pos[b] = len(dest_bins)
-        dest_bins.append(b)
-        assignment[b] = dest
+        bins_here = server_bins[s]
+        b = bins_here[int(uniform() * len(bins_here))]
+        dest = _move_destination(uniform(), s, n, invite, len(invite), below,
+                                 len(below))
+        table.move(b, dest)
         if started:
             reallocations += 1
         flows_here = bin_flows[b]
@@ -498,47 +416,26 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
             d_new = d_old + k
             occ[dest] = d_new
             if started:
-                credit(s, o_old, t)
-                credit(dest, d_old, t)
-                if s == tracked:
-                    series.append(t)
-                    series.append(float(o_new))
-                if dest == tracked:
-                    series.append(t)
-                    series.append(float(d_new))
-            fix_membership(s, o_old, o_new)
-            fix_membership(dest, d_old, d_new)
+                win.credit(s, o_old, o_new, t)
+                win.credit(dest, d_old, d_new, t)
+            invite.update(s, o_old < low, o_new < low)
+            below.update(s, o_old < high, o_new < high)
+            invite.update(dest, d_old < low, d_new < low)
+            below.update(dest, d_old < high, d_new < high)
 
     t = 0.0
-    inv_beta = 1.0 / beta
+    inv_beta = 1.0 / params.beta
     while True:
         rate = lam_total + count * inv_beta
-        if bi == _BUFFER:
-            buf = gen.random(_BUFFER).tolist()
-            bi = 0
-        u = buf[bi]
-        bi += 1
-        t += -log(1.0 - u) / rate
+        t += -log(1.0 - uniform()) / rate
         if t >= t_stop:
             break
         if not started and t >= t_start:
-            started = True
-            for s in range(n):
-                last[s] = t_start
-            prev_t = t_start
-            series.append(t_start)
-            series.append(float(occ[tracked]))
+            started = win.open(occ)
         if started:
-            flow_int += count * (t - prev_t)
-            prev_t = t
+            win.advance(t, count)
 
-        if bi == _BUFFER:
-            buf = gen.random(_BUFFER).tolist()
-            bi = 0
-        u = buf[bi]
-        bi += 1
-
-        if u * rate < lam_total:
+        if uniform() * rate < lam_total:
             # ----- arrival: server dictated by the flow's static bin -----
             if started:
                 total_flows += 1
@@ -561,34 +458,18 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
                 in_window.append(0)
             in_window[fid] = 1 if started else 0
             flow_bin[fid] = b
-            flows_here = bin_flows[b]
-            flow_pos[fid] = len(flows_here)
-            flows_here.append(fid)
+            bin_flows[b].add(fid)
             active.append(fid)
             count += 1
 
             o = occ[s]
             occ[s] = o + 1
             if started:
-                credit(s, o, t)
-                if s == tracked:
-                    series.append(t)
-                    series.append(float(o + 1))
-            no = o + 1
-            if no == low:
-                p = invite_pos[s]
-                inv_count -= 1
-                moved = invite[inv_count]
-                invite[p] = moved
-                invite_pos[moved] = p
-                invite_pos[s] = -1
-            if no == high:
-                p = below_pos[s]
-                bel_count -= 1
-                moved = below[bel_count]
-                below[p] = moved
-                below_pos[moved] = p
-                below_pos[s] = -1
+                win.credit(s, o, o + 1, t)
+            if o + 1 == low:
+                invite.drop(s)
+            if o + 1 == high:
+                below.drop(s)
 
             if drain:
                 # state-based variant: any arrival leaving the server above
@@ -605,46 +486,24 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
             # ----- departure: uniform over active flows -----
             if count == 0:
                 continue
-            if bi == _BUFFER:
-                buf = gen.random(_BUFFER).tolist()
-                bi = 0
-            j = int(buf[bi] * count)
-            bi += 1
+            j = int(uniform() * count)
             fid = active[j]
             count -= 1
             tail_fid = active[count]
             active[j] = tail_fid
             active.pop()
             b = flow_bin[fid]
-            flows_here = bin_flows[b]
-            p = flow_pos[fid]
-            tail_fid = flows_here[-1]
-            flows_here[p] = tail_fid
-            flow_pos[tail_fid] = p
-            flows_here.pop()
+            bin_flows[b].drop(fid)
             free.append(fid)
             s = assignment[b]
             o = occ[s]
             occ[s] = o - 1
             if started:
-                credit(s, o, t)
-                if s == tracked:
-                    series.append(t)
-                    series.append(float(o - 1))
+                win.credit(s, o, o - 1, t)
             if o == low:
-                invite_pos[s] = inv_count
-                if inv_count == len(invite):
-                    invite.append(s)
-                else:
-                    invite[inv_count] = s
-                inv_count += 1
+                invite.add(s)
             if o == high:
-                below_pos[s] = bel_count
-                if bel_count == len(below):
-                    below.append(s)
-                else:
-                    below[bel_count] = s
-                bel_count += 1
+                below.add(s)
 
         if validate_table:
             table.check_consistency()
@@ -655,13 +514,11 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
             ]:
                 raise ValueError("occupancy counters out of sync with table")
 
-    fields = _window_stats(started, t_start, t_stop, occ, last, hist, count,
-                           flow_int, prev_t, series)
     return BinSimStats(
         violations=violated_flows,
         total_flows=total_flows,
         reallocations=reallocations,
         violated_flows=violated_flows,
         skipped_reallocations=skipped,
-        **fields,
+        **win.close(occ, count),
     )

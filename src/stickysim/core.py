@@ -17,8 +17,6 @@ __all__ = [
     "ValidationReport",
     "validate_params",
     "FlowDistribution",
-    "mean_occupancy",
-    "to_tail",
     "total_variation",
     "PowerOfD",
     "PullBased",
@@ -215,14 +213,6 @@ class FlowDistribution:
             raise ValueError("tail must be non-increasing")
         p = s - np.append(s[1:], 0.0)
         return cls(p)
-
-
-def mean_occupancy(dist: FlowDistribution) -> float:
-    return dist.mean()
-
-
-def to_tail(dist: FlowDistribution) -> np.ndarray:
-    return dist.to_tail()
 
 
 def total_variation(p: np.ndarray | FlowDistribution, q: np.ndarray | FlowDistribution) -> float:

@@ -16,13 +16,19 @@ determines the run.
 The loop exists twice: a compiled C kernel (flow_run in _kernel.c, built on
 first use by _native) that run_flow_sim dispatches to, and the pure-Python
 reference _run_flow_sim_py, which is the readable oracle and the fallback
-when no C compiler is available.  Both give bit-identical statistics.
+when no C compiler is available.  Both give bit-identical statistics.  The
+reference loops of both simulators share the Python twins of the kernel's
+helpers: RngStream.uniform for draws, _SwapList and _threshold_lists for the
+invite, below-high and per-occupancy server lists, and _Window for the
+measurement window, which closes through _window_stats like the kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -36,7 +42,6 @@ from .core import (
     SystemParams,
     TransferToInvite,
     TransferToLeastLoaded,
-    total_variation,
 )
 
 __all__ = [
@@ -45,7 +50,6 @@ __all__ = [
     "SimStats",
     "run_flow_sim",
     "assign_flow",
-    "empirical_vs_theory",
 ]
 
 _BUFFER = 1 << 16
@@ -63,25 +67,27 @@ class RngStream:
 
     The same seed always yields the same draw sequence; simulation code
     documents how many draws each event consumes so runs are reproducible.
-    Exponentials use the inverse transform -scale*log(1 - u), which never
-    sees log(0) because uniforms live in [0, 1).
+    uniform() returns the next draw in [0, 1).  The stream is a chain of
+    blocks of _BUFFER uniforms, each made by gen.random(_BUFFER) when the
+    one before runs out, and uniform is the chain's C-level __next__, so an
+    event loop that binds it to a local pays about what an inline list index
+    costs.  Exponentials use the inverse transform -scale*log(1 - u), which
+    never sees log(0) because uniforms live in [0, 1).
     """
 
-    __slots__ = ("_gen", "_buf", "_idx")
+    __slots__ = ("uniform",)
+    uniform: Callable[[], float]
 
     def __init__(self, seed: int) -> None:
-        self._gen = np.random.Generator(np.random.Philox(seed))
-        self._buf = self._gen.random(_BUFFER).tolist()
-        self._idx = 0
+        gen = np.random.Generator(np.random.Philox(seed))
+        first = gen.random(_BUFFER).tolist()
 
-    def uniform(self) -> float:
-        """Next uniform draw in [0, 1)."""
-        idx = self._idx
-        if idx == _BUFFER:
-            self._buf = self._gen.random(_BUFFER).tolist()
-            idx = 0
-        self._idx = idx + 1
-        return self._buf[idx]
+        def blocks() -> Iterator[list[float]]:
+            yield first
+            while True:
+                yield gen.random(_BUFFER).tolist()
+
+        self.uniform = itertools.chain.from_iterable(blocks()).__next__
 
     def exponential(self, scale: float = 1.0) -> float:
         return -scale * math.log(1.0 - self.uniform())
@@ -167,11 +173,6 @@ class SimStats:
 
     def distribution(self) -> FlowDistribution:
         return FlowDistribution(self.occupancy_hist)
-
-
-def empirical_vs_theory(stats: SimStats, theory: FlowDistribution) -> float:
-    """Total variation distance between a run's histogram and a pmf."""
-    return total_variation(stats.occupancy_hist, theory)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +412,118 @@ def _run_kernel(lib, entry, config: SimConfig, low: int, high: int | float,
         lib.sim_free(r)
 
 
+# ---------------------------------------------------------------------------
+# reference event engine: the Python twins of the kernel's helpers
+# ---------------------------------------------------------------------------
+
+
+class _SwapList(list):
+    """List of distinct ids with O(1) add and swap-remove.
+
+    The twin of the kernel's set_add, set_remove and set_update: the list
+    holds its members in swap-remove order and pos[x] is x's index in it, -1
+    when x is absent.  Lists that partition one population (the
+    per-occupancy server buckets, the bins of each server) share one pos.
+    """
+
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: list[int], members: Iterable[int] = ()) -> None:
+        super().__init__(members)
+        self.pos = pos
+
+    def add(self, x: int) -> None:
+        self.pos[x] = len(self)
+        self.append(x)
+
+    def drop(self, x: int) -> None:
+        pos = self.pos
+        p = pos[x]
+        moved = self.pop()
+        if moved != x:
+            self[p] = moved
+            pos[moved] = p
+        pos[x] = -1
+
+    def update(self, x: int, was: bool, now: bool) -> None:
+        """Make x's membership follow a jump: member before `was`, after `now`."""
+        if was != now:
+            if now:
+                self.add(x)
+            else:
+                self.drop(x)
+
+
+def _threshold_lists(n: int, low: int) -> tuple[_SwapList, _SwapList]:
+    """Invite (occ < low) and below-high (occ < high) lists of n empty servers.
+
+    The twin of the kernel's init_sets; low = 0 invites nobody: no occupancy
+    is below zero.
+    """
+    if low > 0:
+        invite = _SwapList(list(range(n)), range(n))
+    else:
+        invite = _SwapList([-1] * n)
+    return invite, _SwapList(list(range(n)), range(n))
+
+
+class _Window:
+    """Measurement-window state of one reference run.
+
+    The twin of the kernel's open_window and credit: per-server last-change
+    times, the time-weighted histogram (doubling from _HIST_START), the
+    tracked server's flat (time, occupancy) series and the integral of the
+    active-flow count.  close() hands them to _window_stats.
+    """
+
+    __slots__ = ("t_start", "t_stop", "tracked", "started", "last", "hist",
+                 "series", "flow_int", "prev_t")
+
+    def __init__(self, config: SimConfig) -> None:
+        self.t_start = float(config.warmup)
+        self.t_stop = self.t_start + float(config.horizon)
+        self.tracked = config.tracked_server
+        self.started = False
+        self.last = [0.0] * config.params.n
+        self.hist = [0.0] * _HIST_START
+        self.series: list[float] = []
+        self.flow_int = 0.0
+        self.prev_t = 0.0
+
+    def open(self, occ: list[int]) -> bool:
+        """Start measuring at the first event inside the window; returns True.
+
+        Every server's interval starts at t_start and the series opens with
+        the tracked server's occupancy.
+        """
+        self.started = True
+        self.last = [self.t_start] * len(occ)
+        self.prev_t = self.t_start
+        self.series += (self.t_start, float(occ[self.tracked]))
+        return True
+
+    def advance(self, t: float, count: int) -> None:
+        """Integrate the active-flow count up to the event at time t."""
+        self.flow_int += count * (t - self.prev_t)
+        self.prev_t = t
+
+    def credit(self, s: int, o: int, o_new: int, t: float) -> None:
+        """Time-weight server s's interval at occupancy o, then log o_new."""
+        hist = self.hist
+        while o >= len(hist):
+            hist.extend([0.0] * len(hist))
+        hist[o] += t - self.last[s]
+        self.last[s] = t
+        if s == self.tracked:
+            self.series += (t, float(o_new))
+
+    def close(self, occ: list[int], count: int) -> dict:
+        """The SimStats array fields, from _window_stats."""
+        return _window_stats(self.started, self.t_start, self.t_stop, occ,
+                             self.last, self.hist, count, self.flow_int,
+                             self.prev_t, self.series)
+
+
 def _run_flow_sim_py(config: SimConfig) -> SimStats:
     """Pure-Python reference event loop of run_flow_sim.
 
@@ -420,35 +533,23 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
     params = config.params
     n = params.n
     mode, d, low, high = _scheme_mode(config.scheme, n)
-    beta = params.beta
     lam_total = params.lam * n
-    t_start = float(config.warmup)
-    t_stop = t_start + float(config.horizon)
-    tracked = config.tracked_server
     need_invites = mode in (_PULL, _XFER_INVITE)
     need_levels = mode in (_LEAST, _XFER_LEAST)
 
-    gen = np.random.Generator(np.random.Philox(config.seed))
-    buf = gen.random(_BUFFER).tolist()
-    bi = 0
+    uniform = RngStream(config.seed).uniform
     log = math.log
+    win = _Window(config)
+    t_start, t_stop = win.t_start, win.t_stop
 
     occ = [0] * n
 
-    # invite (occ < low) and below-high (occ < high) membership with swap
-    # removal; pos arrays give O(1) membership updates on threshold crossings.
-    # low = 0 invites nobody: no occupancy is below zero
     if need_invites:
-        invite = list(range(n)) if low > 0 else []
-        invite_pos = list(range(n)) if low > 0 else [-1] * n
-        inv_count = len(invite)
-        below = list(range(n))
-        below_pos = list(range(n))
-        bel_count = n
+        invite, below = _threshold_lists(n, low)
     # per-occupancy server buckets with a running minimum for least-loaded
     if need_levels:
-        levels = [list(range(n))]
         level_pos = list(range(n))
+        levels = [_SwapList(level_pos, range(n))]
         cur_min = 0
 
     # active flows: slot i holds the server of one active flow; departures
@@ -456,54 +557,27 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
     slot: list[int] = []
     count = 0
 
-    hist = [0.0] * _HIST_START
-    hist_len = _HIST_START
-    last = [0.0] * n
-    series: list[float] = []  # flat (time, occupancy) pairs
     started = False
     violations = 0
     total_flows = 0
-    flow_int = 0.0
-    prev_t = 0.0
 
     t = 0.0
-    inv_beta = 1.0 / beta
+    inv_beta = 1.0 / params.beta
     while True:
         rate = lam_total + count * inv_beta
-        if bi == _BUFFER:
-            buf = gen.random(_BUFFER).tolist()
-            bi = 0
-        u = buf[bi]
-        bi += 1
-        t += -log(1.0 - u) / rate
+        t += -log(1.0 - uniform()) / rate
         if t >= t_stop:
             break
         if not started and t >= t_start:
-            started = True
-            for s in range(n):
-                last[s] = t_start
-            prev_t = t_start
-            series.append(t_start)
-            series.append(float(occ[tracked]))
+            started = win.open(occ)
         if started:
-            flow_int += count * (t - prev_t)
-            prev_t = t
+            win.advance(t, count)
 
-        if bi == _BUFFER:
-            buf = gen.random(_BUFFER).tolist()
-            bi = 0
-        u = buf[bi]
-        bi += 1
-
-        if u * rate < lam_total:
+        if uniform() * rate < lam_total:
             # ----- arrival -----
             if started:
                 total_flows += 1
-            if bi == _BUFFER:
-                buf = gen.random(_BUFFER).tolist()
-                bi = 0
-            u = buf[bi]
-            bi += 1
+            u = uniform()
 
             if mode == _D1:
                 s = int(u * n)
@@ -511,11 +585,7 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
                 cands = [int(u * n)]
                 needed = d - 1
                 while needed:
-                    if bi == _BUFFER:
-                        buf = gen.random(_BUFFER).tolist()
-                        bi = 0
-                    c = int(buf[bi] * n)
-                    bi += 1
+                    c = int(uniform() * n)
                     if c not in cands:
                         cands.append(c)
                         needed -= 1
@@ -532,20 +602,16 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
                         # uniform over ties without a second pass: replace the
                         # incumbent with probability 1/(ties so far)
                         nb += 1
-                        if bi == _BUFFER:
-                            buf = gen.random(_BUFFER).tolist()
-                            bi = 0
-                        if buf[bi] * nb < 1.0:
+                        if uniform() * nb < 1.0:
                             s = c
-                        bi += 1
             elif mode == _LEAST:
                 bucket = levels[cur_min]
                 s = bucket[int(u * len(bucket))]
             elif mode == _PULL:
-                if inv_count:
-                    s = invite[int(u * inv_count)]
-                elif bel_count:
-                    s = below[int(u * bel_count)]
+                if invite:
+                    s = invite[int(u * len(invite))]
+                elif below:
+                    s = below[int(u * len(below))]
                 else:
                     s = int(u * n)
             elif mode == _SHED:
@@ -559,15 +625,11 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
                 if occ[s] >= high:
                     if started:
                         violations += 1
-                    if bi == _BUFFER:
-                        buf = gen.random(_BUFFER).tolist()
-                        bi = 0
-                    u = buf[bi]
-                    bi += 1
-                    if inv_count:
-                        s = invite[int(u * inv_count)]
-                    elif bel_count:
-                        s = below[int(u * bel_count)]
+                    u = uniform()
+                    if invite:
+                        s = invite[int(u * len(invite))]
+                    elif below:
+                        s = below[int(u * len(below))]
                     else:
                         s = int(u * n)
             else:
@@ -576,65 +638,32 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
                     if started:
                         violations += 1
                     bucket = levels[cur_min]
-                    if bi == _BUFFER:
-                        buf = gen.random(_BUFFER).tolist()
-                        bi = 0
-                    s = bucket[int(buf[bi] * len(bucket))]
-                    bi += 1
+                    s = bucket[int(uniform() * len(bucket))]
 
             o = occ[s]
             occ[s] = o + 1
             slot.append(s)
             count += 1
             if started:
-                if o >= hist_len:
-                    hist.extend([0.0] * hist_len)
-                    hist_len *= 2
-                hist[o] += t - last[s]
-                last[s] = t
-                if s == tracked:
-                    series.append(t)
-                    series.append(float(o + 1))
+                win.credit(s, o, o + 1, t)
             if need_invites:
-                no = o + 1
-                if no == low:
-                    p = invite_pos[s]
-                    inv_count -= 1
-                    moved = invite[inv_count]
-                    invite[p] = moved
-                    invite_pos[moved] = p
-                    invite_pos[s] = -1
-                if no == high:
-                    p = below_pos[s]
-                    bel_count -= 1
-                    moved = below[bel_count]
-                    below[p] = moved
-                    below_pos[moved] = p
-                    below_pos[s] = -1
+                if o + 1 == low:
+                    invite.drop(s)
+                if o + 1 == high:
+                    below.drop(s)
             elif need_levels:
-                bucket = levels[o]
-                p = level_pos[s]
-                moved = bucket[-1]
-                bucket[p] = moved
-                level_pos[moved] = p
-                bucket.pop()
                 if o + 1 >= len(levels):
-                    levels.append([])
-                dest_bucket = levels[o + 1]
-                level_pos[s] = len(dest_bucket)
-                dest_bucket.append(s)
-                if not bucket and o == cur_min:
+                    levels.append(_SwapList(level_pos))
+                levels[o].drop(s)
+                levels[o + 1].add(s)
+                if not levels[o] and o == cur_min:
                     while not levels[cur_min]:
                         cur_min += 1
         else:
             # ----- departure: uniform over active flows -----
             if count == 0:
                 continue
-            if bi == _BUFFER:
-                buf = gen.random(_BUFFER).tolist()
-                bi = 0
-            j = int(buf[bi] * count)
-            bi += 1
+            j = int(uniform() * count)
             s = slot[j]
             count -= 1
             slot[j] = slot[count]
@@ -642,45 +671,20 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
             o = occ[s]
             occ[s] = o - 1
             if started:
-                if o >= hist_len:
-                    hist.extend([0.0] * hist_len)
-                    hist_len *= 2
-                hist[o] += t - last[s]
-                last[s] = t
-                if s == tracked:
-                    series.append(t)
-                    series.append(float(o - 1))
+                win.credit(s, o, o - 1, t)
             if need_invites:
                 if o == low:
-                    invite_pos[s] = inv_count
-                    if inv_count == len(invite):
-                        invite.append(s)
-                    else:
-                        invite[inv_count] = s
-                    inv_count += 1
+                    invite.add(s)
                 if o == high:
-                    below_pos[s] = bel_count
-                    if bel_count == len(below):
-                        below.append(s)
-                    else:
-                        below[bel_count] = s
-                    bel_count += 1
+                    below.add(s)
             elif need_levels:
-                bucket = levels[o]
-                p = level_pos[s]
-                moved = bucket[-1]
-                bucket[p] = moved
-                level_pos[moved] = p
-                bucket.pop()
-                dest_bucket = levels[o - 1]
-                level_pos[s] = len(dest_bucket)
-                dest_bucket.append(s)
+                levels[o].drop(s)
+                levels[o - 1].add(s)
                 if o - 1 < cur_min:
                     cur_min = o - 1
-                elif not bucket and o == cur_min:
+                elif not levels[o] and o == cur_min:
                     while not levels[cur_min]:
                         cur_min += 1
 
-    fields = _window_stats(started, t_start, t_stop, occ, last, hist, count,
-                           flow_int, prev_t, series)
-    return SimStats(violations=violations, total_flows=total_flows, **fields)
+    return SimStats(violations=violations, total_flows=total_flows,
+                    **win.close(occ, count))

@@ -122,6 +122,24 @@ def join_probs_shedding(s: np.ndarray, high: int | float) -> np.ndarray:
     return q
 
 
+def _join_probs_saturated(
+    q: np.ndarray, sp: np.ndarray, high: int, rho: float
+) -> np.ndarray:
+    """Fill q for the regime where every server is at or above `high`.
+
+    Shared by the pull and transfer-to-invite schemes: dips below `high`
+    absorb what they can, the rest spreads uniformly over the (full)
+    population.  sp is the padded tail and q starts zeroed.
+    """
+    dip = high * (1.0 - sp[high + 1])
+    if rho <= dip:
+        q[high - 1] = 1.0
+        return q
+    q[high - 1] = dip / rho
+    q[high:] = (rho - dip) / rho * (sp[high:-1] - sp[high + 1 :])
+    return q
+
+
 def join_probs_pull(
     s: np.ndarray, low: int, high: int | float, rho: float
 ) -> np.ndarray:
@@ -153,16 +171,7 @@ def join_probs_pull(
         q[low:hb] = rem * (sp[low:hb] - sp[low + 1 : hb + 1]) / (1.0 - s_high)
         return q
 
-    # every server at or above `high`: dips below `high` absorb what they can,
-    # the rest spreads uniformly over the (full) population
-    dip = high * (1.0 - sp[high + 1])
-    if rho <= dip:
-        q[high - 1] = 1.0
-        return q
-    q[high - 1] = dip / rho
-    rem = (rho - dip) / rho
-    q[high:] = rem * (sp[high:-1] - sp[high + 1 :])
-    return q
+    return _join_probs_saturated(q, sp, high, rho)
 
 
 def join_probs_transfer_invite(
@@ -196,14 +205,7 @@ def join_probs_transfer_invite(
         q[low:high] = diffs * (1.0 + rem / (1.0 - s_high))
         return q
 
-    # all servers full: identical to the pull scheme's saturated regime
-    dip = high * (1.0 - sp[high + 1])
-    if rho <= dip:
-        q[high - 1] = 1.0
-        return q
-    q[high - 1] = dip / rho
-    q[high:] = (rho - dip) / rho * (sp[high:-1] - sp[high + 1 :])
-    return q
+    return _join_probs_saturated(q, sp, high, rho)
 
 
 def join_probs_least_loaded(

@@ -216,7 +216,7 @@ def test_run_rejects_flow_level_scheme(bin_params):
 def test_run_with_table_validation(bin_params):
     cfg = SimConfig(params=bin_params, scheme=BinBased(bins=60, low=2, high=5),
                     seed=8, warmup=2.0, horizon=10.0)
-    stats = run_bin_sim(cfg, validate_table=True)
+    stats = bin_sim._run_bin_sim_py(cfg, validate_table=True)
     assert stats.occupancy_hist.sum() == pytest.approx(1.0, abs=1e-12)
     assert stats.reallocations > 0
     assert stats.violations == stats.violated_flows

@@ -109,7 +109,7 @@ def test_kernel_matches_reference_when_window_is_empty(kernel):
 def _isolate_loader(monkeypatch, tmp_path, compiler):
     monkeypatch.setattr(_native, "compiler", lambda: compiler)
     monkeypatch.setattr(_native, "cache_dir", lambda: tmp_path)
-    monkeypatch.setattr(_native, "_libs", {})
+    monkeypatch.setattr(_native, "_loaded", [])
 
 
 def test_no_compiler_falls_back_to_reference(monkeypatch, tmp_path, caplog):

@@ -26,7 +26,6 @@ from stickysim.flow_sim import (
     SimStats,
     _run_flow_sim_py,
     assign_flow,
-    empirical_vs_theory,
     run_flow_sim,
 )
 from stickysim.mean_field import (
@@ -234,7 +233,7 @@ def test_run_histogram_is_distribution(small_params):
     assert stats.mean_occ == pytest.approx(3.0, rel=0.15)
     # histogram close to the Poisson law at this scale
     target = shedding_fixed_point(3.0, math.inf)
-    assert empirical_vs_theory(stats, target) < 0.1
+    assert total_variation(stats.occupancy_hist, target) < 0.1
 
 
 def test_run_jsq_concentrates(small_params):
@@ -254,7 +253,7 @@ def test_run_pull_matches_window_law():
                     seed=9, warmup=20.0, horizon=120.0)
     stats = run_flow_sim(cfg)
     ref, _ = solve_pull_fixed_point(3.0, 2, 5)
-    assert empirical_vs_theory(stats, ref) < 0.08
+    assert total_variation(stats.occupancy_hist, ref) < 0.08
     assert stats.violations == 0  # pull assignment never violates
 
 
@@ -267,7 +266,7 @@ def test_run_shedding_violation_rate_matches_theory():
     assert stats.violations > 100
     assert stats.violation_rate == pytest.approx(theory, rel=0.25)
     ref = shedding_fixed_point(3.0, 5)
-    assert empirical_vs_theory(stats, ref) < 0.08
+    assert total_variation(stats.occupancy_hist, ref) < 0.08
 
 
 def test_run_transfer_schemes_record_violations():
