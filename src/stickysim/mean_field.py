@@ -104,40 +104,204 @@ def _padded_tail(s: np.ndarray, need: int) -> np.ndarray:
 # join probabilities
 # ---------------------------------------------------------------------------
 
+# A join rule writes every entry of q (q.size == sp.size - 1) from a tail sp
+# that ends in zeros and has at least `need` + 2 entries, `need` being the top
+# threshold the rule reads (see _padded_tail).  Each scheme's law exists once,
+# as a rule bound to its thresholds; integrate_ode calls it on reused buffers
+# and the public join_probs_* call it on a freshly padded copy.
+JoinRule = Callable[[np.ndarray, np.ndarray], None]
+
+
+def _power_of_d_rule(d: int) -> tuple[int, JoinRule]:
+    # a 0-d float64 exponent skips the per-call scalar conversion; the
+    # powers equal sp**d bit for bit
+    exponent = np.array(float(d))
+    powers = None
+
+    def rule(sp: np.ndarray, q: np.ndarray) -> None:
+        nonlocal powers
+        if powers is None or powers.size != sp.size:
+            powers = np.empty(sp.size)
+        np.power(sp, exponent, out=powers)
+        np.subtract(powers[:-1], powers[1:], out=q)
+
+    return 0, rule
+
+
+def _shedding_rule(high: int | float) -> tuple[int, JoinRule]:
+    finite_high = high != math.inf
+
+    def rule(sp: np.ndarray, q: np.ndarray) -> None:
+        np.subtract(sp[:-1], sp[1:], out=q)
+        if finite_high:
+            q[high:] = 0.0
+
+    return (high if finite_high else 0), rule
+
+
+def _fill_saturated(sp: np.ndarray, q: np.ndarray, high: int, rho: float) -> None:
+    """Fill q for the regime where every server is at or above `high`.
+
+    Shared by the pull and transfer-to-invite rules: dips below `high`
+    absorb what they can, the rest spreads uniformly over the (full)
+    population.  q starts zeroed.
+    """
+    dip = high * (1.0 - sp[high + 1])
+    if rho <= dip:
+        q[high - 1] = 1.0
+        return
+    q[high - 1] = dip / rho
+    band = q[high:]
+    np.subtract(sp[high:-1], sp[high + 1 :], out=band)
+    np.multiply((rho - dip) / rho, band, out=band)
+
+
+def _pull_rule(low: int, high: int | float, rho: float) -> tuple[int, JoinRule]:
+    finite_high = high != math.inf
+
+    def rule(sp: np.ndarray, q: np.ndarray) -> None:
+        q.fill(0.0)
+        s_low = sp[low]
+        s_high = sp[high] if finite_high else 0.0
+
+        if s_low < 1.0 - CASE_EPS:
+            # invites outstanding: every arrival lands below `low`
+            band = q[:low]
+            np.subtract(sp[:low], sp[1 : low + 1], out=band)
+            np.divide(band, 1.0 - s_low, out=band)
+            return
+
+        if not finite_high or s_high < 1.0 - CASE_EPS:
+            # no invites; arrivals spread over the non-disinvited band, except
+            # the share absorbed by momentary dips below `low`
+            dip = low * (1.0 - sp[low + 1])
+            if rho <= dip:
+                q[low - 1] = 1.0
+                return
+            if low >= 1:
+                q[low - 1] = dip / rho
+            rem = (rho - dip) / rho
+            hb = high if finite_high else q.size
+            band = q[low:hb]
+            np.subtract(sp[low:hb], sp[low + 1 : hb + 1], out=band)
+            np.multiply(rem, band, out=band)
+            np.divide(band, 1.0 - s_high, out=band)
+            return
+
+        _fill_saturated(sp, q, high, rho)
+
+    return max(low, high if finite_high else 0), rule
+
+
+def _transfer_invite_rule(low: int, high: int, rho: float) -> tuple[int, JoinRule]:
+    def rule(sp: np.ndarray, q: np.ndarray) -> None:
+        q.fill(0.0)
+        s_low = sp[low]
+        s_high = sp[high]
+
+        if s_low < 1.0 - CASE_EPS:
+            boost = (1.0 - s_low + s_high) / (1.0 - s_low)
+            band = q[:low]
+            np.subtract(sp[:low], sp[1 : low + 1], out=band)
+            np.multiply(band, boost, out=band)
+            np.subtract(sp[low:high], sp[low + 1 : high + 1], out=q[low:high])
+            return
+
+        if s_high < 1.0 - CASE_EPS:
+            dip = low * (1.0 - sp[low + 1])
+            band = q[low:high]
+            np.subtract(sp[low:high], sp[low + 1 : high + 1], out=band)
+            if rho * s_high <= dip:
+                # dips below `low` absorb every transfer
+                if low >= 1:
+                    q[low - 1] = s_high
+                return
+            if low >= 1:
+                q[low - 1] = dip / rho
+            rem = (rho * s_high - dip) / rho
+            np.multiply(band, 1.0 + rem / (1.0 - s_high), out=band)
+            return
+
+        _fill_saturated(sp, q, high, rho)
+
+    return max(low, high), rule
+
+
+def _least_loaded_rule(high: int, rho: float) -> tuple[int, JoinRule]:
+    below = np.empty(0, dtype=bool)
+
+    def rule(sp: np.ndarray, q: np.ndarray) -> None:
+        nonlocal below
+        q.fill(0.0)
+        if below.size != q.size:
+            below = np.empty(q.size, dtype=bool)
+        np.less(sp[1:], 1.0 - CASE_EPS, out=below)
+        m = int(below.argmax())
+        if not below[m]:
+            m = sp.size - 1
+        s_high = sp[high]
+
+        if m < high:
+            dip = m * (1.0 - sp[m + 1])
+            if rho * s_high <= dip:
+                if m >= 1:
+                    q[m - 1] = s_high
+                np.subtract(sp[m:high], sp[m + 1 : high + 1], out=q[m:high])
+                return
+            if m >= 1:
+                q[m - 1] = dip / rho
+            q[m] = s_high + (rho - m) * (1.0 - sp[m + 1]) / rho
+            np.subtract(sp[m + 1 : high], sp[m + 2 : high + 1], out=q[m + 1 : high])
+            return
+
+        # least-loaded level at or above `high`: pure greedy filling of dips
+        dip = m * (1.0 - sp[m + 1])
+        if rho <= dip:
+            q[m - 1] = 1.0
+            return
+        q[m - 1] = dip / rho
+        q[m] = (rho - dip) / rho
+
+    return high, rule
+
+
+def _join_rule(scheme: SchemeConfig, rho: float) -> tuple[int, JoinRule]:
+    """The scheme's join rule bound to its thresholds and the load, with the
+    top level it reads."""
+    if isinstance(scheme, PowerOfD):
+        return _power_of_d_rule(scheme.d)
+    if isinstance(scheme, PullBased):
+        return _pull_rule(scheme.low, scheme.high, rho)
+    if isinstance(scheme, Shedding):
+        return _shedding_rule(scheme.high)
+    if isinstance(scheme, TransferToInvite):
+        return _transfer_invite_rule(scheme.low, scheme.high, rho)
+    if isinstance(scheme, TransferToLeastLoaded):
+        return _least_loaded_rule(scheme.high, rho)
+    if isinstance(scheme, BinBased):
+        raise UnsupportedConfigError(
+            "bin-based scheme has no single-server mean-field dynamics; "
+            "compare against the transfer-to-invite fixed point instead"
+        )
+    raise TypeError(f"unknown scheme config: {scheme!r}")
+
+
+def _apply_rule(s: np.ndarray, need: int, rule: JoinRule) -> np.ndarray:
+    sp = _padded_tail(s, need)
+    q = np.zeros(sp.size - 1)
+    rule(sp, q)
+    return q
+
 
 def join_probs_power_of_d(s: np.ndarray, d: int) -> np.ndarray:
     """q[j] = s_j^d - s_{j+1}^d: the sampled minimum sits at level j."""
-    sp = _padded_tail(s, 0)
-    powers = sp**d
-    return powers[:-1] - powers[1:]
+    return _apply_rule(s, *_power_of_d_rule(d))
 
 
 def join_probs_shedding(s: np.ndarray, high: int | float) -> np.ndarray:
     """Uniform assignment with arrivals to full servers dropped; the vector
     sums to 1 minus the blocked mass."""
-    sp = _padded_tail(s, high if high != math.inf else 0)
-    q = sp[:-1] - sp[1:]
-    if high != math.inf:
-        q[high:] = 0.0
-    return q
-
-
-def _join_probs_saturated(
-    q: np.ndarray, sp: np.ndarray, high: int, rho: float
-) -> np.ndarray:
-    """Fill q for the regime where every server is at or above `high`.
-
-    Shared by the pull and transfer-to-invite schemes: dips below `high`
-    absorb what they can, the rest spreads uniformly over the (full)
-    population.  sp is the padded tail and q starts zeroed.
-    """
-    dip = high * (1.0 - sp[high + 1])
-    if rho <= dip:
-        q[high - 1] = 1.0
-        return q
-    q[high - 1] = dip / rho
-    q[high:] = (rho - dip) / rho * (sp[high:-1] - sp[high + 1 :])
-    return q
+    return _apply_rule(s, *_shedding_rule(high))
 
 
 def join_probs_pull(
@@ -146,32 +310,7 @@ def join_probs_pull(
     """Invite-steered uniform assignment. Three regimes keyed on whether any
     server sits below `low` (invites outstanding) and whether every server
     has reached `high` (all disinvited)."""
-    finite_high = high != math.inf
-    sp = _padded_tail(s, max(low, high if finite_high else 0))
-    q = np.zeros(sp.size - 1)
-    s_low = sp[low]
-    s_high = sp[high] if finite_high else 0.0
-
-    if s_low < 1.0 - CASE_EPS:
-        # invites outstanding: every arrival lands below `low`
-        q[:low] = (sp[:low] - sp[1 : low + 1]) / (1.0 - s_low)
-        return q
-
-    if not finite_high or s_high < 1.0 - CASE_EPS:
-        # no invites; arrivals spread over the non-disinvited band, except the
-        # share absorbed by momentary dips below `low`
-        dip = low * (1.0 - sp[low + 1])
-        if rho <= dip:
-            q[low - 1] = 1.0
-            return q
-        if low >= 1:
-            q[low - 1] = dip / rho
-        rem = (rho - dip) / rho
-        hb = min(high, q.size) if finite_high else q.size
-        q[low:hb] = rem * (sp[low:hb] - sp[low + 1 : hb + 1]) / (1.0 - s_high)
-        return q
-
-    return _join_probs_saturated(q, sp, high, rho)
+    return _apply_rule(s, *_pull_rule(low, high, rho))
 
 
 def join_probs_transfer_invite(
@@ -179,33 +318,7 @@ def join_probs_transfer_invite(
 ) -> np.ndarray:
     """Uniform assignment with arrivals hitting a full server re-dispatched to
     inviting servers (below `low`)."""
-    sp = _padded_tail(s, max(low, high))
-    q = np.zeros(sp.size - 1)
-    s_low = sp[low]
-    s_high = sp[high]
-
-    if s_low < 1.0 - CASE_EPS:
-        boost = (1.0 - s_low + s_high) / (1.0 - s_low)
-        q[:low] = (sp[:low] - sp[1 : low + 1]) * boost
-        q[low:high] = sp[low:high] - sp[low + 1 : high + 1]
-        return q
-
-    if s_high < 1.0 - CASE_EPS:
-        dip = low * (1.0 - sp[low + 1])
-        diffs = sp[low:high] - sp[low + 1 : high + 1]
-        if rho * s_high <= dip:
-            # dips below `low` absorb every transfer
-            if low >= 1:
-                q[low - 1] = s_high
-            q[low:high] = diffs
-            return q
-        if low >= 1:
-            q[low - 1] = dip / rho
-        rem = (rho * s_high - dip) / rho
-        q[low:high] = diffs * (1.0 + rem / (1.0 - s_high))
-        return q
-
-    return _join_probs_saturated(q, sp, high, rho)
+    return _apply_rule(s, *_transfer_invite_rule(low, high, rho))
 
 
 def join_probs_least_loaded(
@@ -213,52 +326,11 @@ def join_probs_least_loaded(
 ) -> np.ndarray:
     """Uniform assignment with arrivals hitting a full server re-dispatched to
     a least-loaded server (occupancy m = lowest level present)."""
-    sp = _padded_tail(s, high)
-    q = np.zeros(sp.size - 1)
-    below = np.nonzero(sp[1:] < 1.0 - CASE_EPS)[0]
-    m = int(below[0]) if below.size else sp.size - 1
-    s_high = sp[high]
-
-    if m < high:
-        dip = m * (1.0 - sp[m + 1])
-        if rho * s_high <= dip:
-            if m >= 1:
-                q[m - 1] = s_high
-            q[m:high] = sp[m:high] - sp[m + 1 : high + 1]
-            return q
-        if m >= 1:
-            q[m - 1] = dip / rho
-        q[m] = s_high + (rho - m) * (1.0 - sp[m + 1]) / rho
-        q[m + 1 : high] = sp[m + 1 : high] - sp[m + 2 : high + 1]
-        return q
-
-    # least-loaded level at or above `high`: pure greedy filling of dips
-    dip = m * (1.0 - sp[m + 1])
-    if rho <= dip:
-        q[m - 1] = 1.0
-        return q
-    q[m - 1] = dip / rho
-    q[m] = (rho - dip) / rho
-    return q
+    return _apply_rule(s, *_least_loaded_rule(high, rho))
 
 
 def join_probs(scheme: SchemeConfig, s: np.ndarray, rho: float) -> np.ndarray:
-    if isinstance(scheme, PowerOfD):
-        return join_probs_power_of_d(s, scheme.d)
-    if isinstance(scheme, PullBased):
-        return join_probs_pull(s, scheme.low, scheme.high, rho)
-    if isinstance(scheme, Shedding):
-        return join_probs_shedding(s, scheme.high)
-    if isinstance(scheme, TransferToInvite):
-        return join_probs_transfer_invite(s, scheme.low, scheme.high, rho)
-    if isinstance(scheme, TransferToLeastLoaded):
-        return join_probs_least_loaded(s, scheme.high, rho)
-    if isinstance(scheme, BinBased):
-        raise UnsupportedConfigError(
-            "bin-based scheme has no single-server mean-field dynamics; "
-            "compare against the transfer-to-invite fixed point instead"
-        )
-    raise TypeError(f"unknown scheme config: {scheme!r}")
+    return _apply_rule(s, *_join_rule(scheme, rho))
 
 
 def fixed_point_residual(
@@ -629,7 +701,13 @@ def fixed_point(scheme: SchemeConfig, rho: float) -> FlowDistribution:
 
 @dataclass(frozen=True)
 class OdeResult:
-    """Terminal state of a mean-field integration plus bookkeeping."""
+    """Terminal state of a mean-field integration plus bookkeeping.
+
+    `stop_reason` is "residual" when sup|ds/dt| fell below stop_residual and
+    "t_end" when the step budget ran out.  `pins` counts levels that joined
+    the pinned saturated prefix (those pinned at the start included) and
+    `releases` the levels freed from it, so pins - releases is the length of
+    the prefix pinned at the end."""
 
     t: float
     tail: np.ndarray
@@ -637,9 +715,17 @@ class OdeResult:
     max_projection: float
     steps: int
     trajectory: tuple[tuple[float, np.ndarray], ...]
+    stop_reason: str
+    pins: int
+    releases: int
 
     def distribution(self) -> FlowDistribution:
         return FlowDistribution.from_tail(self.tail)
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def integrate_ode(
@@ -664,6 +750,10 @@ def integrate_ode(
     projection repair larger than PROJECTION_TOL at the terminal step aborts;
     stop_residual stops early once sup|ds/dt| falls below it.
 
+    The state and the RK4 stage live in buffers zero-padded to the width the
+    scheme's join rule reads, and every vector operation of a step writes into
+    a buffer allocated once per call.
+
     Below the invite threshold the snap-to-constraint window is PIN_TOL wide,
     so configurations whose true stationary tails there fall within PIN_TOL of
     1 (offered load just under the invite threshold) may see those entries
@@ -672,23 +762,50 @@ def integrate_ode(
     levels (every server above ceil(rho) at once) can stick at a spurious
     point mass at ceil(rho); use starts that keep those tails off 1, such as
     the empty state."""
-    s = np.asarray(s0, dtype=np.float64).copy()
-    if s.ndim != 1 or s.size < 2:
+    s0 = np.asarray(s0, dtype=np.float64)
+    if s0.ndim != 1 or s0.size < 2:
         raise ValueError("s0 must be a 1-d tail with at least two levels")
-    if abs(s[0] - 1.0) > 1e-9:
-        raise ValueError(f"s0[0] must be 1, got {s[0]!r}")
-    if np.any(np.diff(s) > 1e-9) or np.any(s < -1e-9) or np.any(s > 1.0 + 1e-9):
+    if abs(s0[0] - 1.0) > 1e-9:
+        raise ValueError(f"s0[0] must be 1, got {s0[0]!r}")
+    if np.any(np.diff(s0) > 1e-9) or np.any(s0 < -1e-9) or np.any(s0 > 1.0 + 1e-9):
         raise ValueError("s0 must be a non-increasing tail in [0, 1]")
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    _check_positive("t_end", t_end)
     lam, beta, rho = params.lam, params.beta, params.rho
     if dt is None:
         dt = 1e-3 * beta
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_positive("dt", dt)
+    if record_every is not None:
+        _check_positive("record_every", record_every)
+    need, join_rule = _join_rule(scheme, rho)
 
-    size = s.size
-    idx = np.arange(1, size)
+    # Buffers.  The state and the stage state are zero-padded past the last
+    # level, so the join rule reads them in place and the next level of
+    # level i is padded[i + 1]; the padding is never written.
+    size = s0.size
+    width = max(size + 1, need + 2)
+    state = np.zeros(width)
+    stage = np.zeros(width)
+    state[:size] = s0
+    s = state[:size]
+    g = stage[:size]
+    s_views = (state, s[1:], state[2 : size + 1])
+    g_views = (stage, g[1:], stage[2 : size + 1])
+    q = np.empty(width - 1)
+    q_head = q[: size - 1]
+    # k[0] stays 0: s_0 = 1 has no dynamics
+    k1, k2, k3, k4 = (np.zeros(size) for _ in range(4))
+    ks = [(k, k[1:]) for k in (k1, k2, k3, k4)]
+    raw = np.empty(size)
+    tmp = np.empty(size)
+    arrive = np.empty(size - 1)
+    depart = np.empty(size - 1)
+    idx = np.arange(1, size, dtype=np.float64)
+    lam_c, beta_c = np.array(lam, dtype=np.float64), np.array(beta, dtype=np.float64)
+    half_dt, full_dt = np.array(0.5 * dt), np.array(dt)
+    sixth_dt, two = np.array(dt / 6.0), np.array(2.0)
+    zero, one = np.array(0.0), np.array(1.0)
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    absolute, fill_down, sup = np.absolute, np.minimum.accumulate, np.maximum.reduce
 
     # Saturated-prefix bookkeeping: levels whose tail has reached 1 are pinned
     # there (they are fast variables slaved to the saturation constraint; the
@@ -708,16 +825,24 @@ def integrate_ode(
             return value >= 1.0 - PIN_TOL
         return False
 
-    sat = 0
-    while sat + 1 < size and may_pin(sat + 1, float(s[sat + 1])):
-        sat += 1
-        s[sat] = 1.0
+    sat = pins = releases = 0
 
-    def project(state: np.ndarray) -> np.ndarray:
-        state[: sat + 1] = 1.0
-        np.clip(state, 0.0, 1.0, out=state)
-        np.minimum.accumulate(state, out=state)
-        return state
+    def pin() -> None:
+        # a level that climbed to 1 joins the pinned prefix; its saturated-case
+        # drift is then evaluated with the tail exactly at 1
+        nonlocal sat, pins
+        while sat + 1 < size and may_pin(sat + 1, float(s[sat + 1])):
+            sat += 1
+            pins += 1
+            s[sat] = 1.0
+
+    def sup_abs(v: np.ndarray) -> float:
+        return float(sup(absolute(v, out=tmp)))
+
+    def project(src: np.ndarray, dst: np.ndarray) -> None:
+        src.clip(zero, one, out=dst)
+        dst[: sat + 1] = 1.0
+        fill_down(dst, out=dst)
 
     # Departures out of a pinned prefix open transient dips that fall inside
     # the invite set of the pull-family schemes, where the join weights are
@@ -726,14 +851,15 @@ def integrate_ode(
     # their refill demand off the arrival stream before it reaches the
     # unsaturated levels.  Other schemes (and saturated levels at or above the
     # threshold) give dips no such priority and need no correction.
-    def rhs(state: np.ndarray) -> np.ndarray:
-        q = join_probs(scheme, state, rho)
-        upper = np.empty(size)
-        upper[:-1] = state[1:]
-        upper[-1] = 0.0
-        ds = np.empty(size)
-        ds[0] = 0.0
-        ds[1:] = lam * q[: size - 1] - idx * (state[1:] - upper[1:]) / beta
+    def rhs(views: tuple, k: tuple) -> None:
+        padded, level, upper = views
+        ds, ds_tail = k
+        join_rule(padded, q)
+        multiply(lam_c, q_head, out=arrive)
+        subtract(level, upper, out=depart)
+        multiply(idx, depart, out=depart)
+        divide(depart, beta_c, out=depart)
+        subtract(arrive, depart, out=ds_tail)
         if invite_low is not None and 0 < sat < invite_low and ds[sat] < 0.0:
             # if the whole stream cannot cover the refill demand, ds[sat]
             # stays negative and the release rule frees the level
@@ -743,8 +869,18 @@ def integrate_ode(
             if cover > 0.0:
                 ds[sat] += cover
                 scale = cover / visible
-                ds[sat + 1 :] -= (lam * scale) * q[sat : size - 1]
-        return ds
+                siphon = arrive[: size - 1 - sat]
+                multiply(lam * scale, q[sat : size - 1], out=siphon)
+                subtract(ds[sat + 1 :], siphon, out=ds[sat + 1 :])
+
+    def drift() -> None:
+        """k1 at the current state, then release the pinned levels it pulls
+        below 1."""
+        nonlocal sat, releases
+        rhs(s_views, ks[0])
+        while sat > 0 and k1[sat] < -RELEASE_EPS:
+            sat -= 1
+            releases += 1
 
     n_steps = max(1, math.ceil(t_end / dt))
     record_stride = (
@@ -753,41 +889,40 @@ def integrate_ode(
     trajectory: list[tuple[float, np.ndarray]] = []
     max_projection = 0.0
     last_projection = 0.0
+    stop_reason = "t_end"
     t = 0.0
-    k1 = rhs(s)
-    while sat > 0 and k1[sat] < -RELEASE_EPS:
-        sat -= 1
+    pin()
+    drift()
     step = 0
     while step < n_steps:
-        if stop_residual is not None and float(np.abs(k1).max()) < stop_residual:
+        if stop_residual is not None and sup_abs(k1) < stop_residual:
+            stop_reason = "residual"
             break
         # stage states are projected so the join probabilities only ever see
         # valid tails; in smooth regions the projection is the identity and
         # this is classical RK4
-        k2 = rhs(project(s + (0.5 * dt) * k1))
-        k3 = rhs(project(s + (0.5 * dt) * k2))
-        k4 = rhs(project(s + dt * k3))
-        s_next = s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        raw = s_next.copy()
-        project(s_next)
-        last_projection = float(np.abs(raw - s_next).max())
+        for k_in, scale, k_out in ((k1, half_dt, ks[1]), (k2, half_dt, ks[2]),
+                                   (k3, full_dt, ks[3])):
+            add(s, multiply(scale, k_in, out=tmp), out=g)
+            project(g, g)
+            rhs(g_views, k_out)
+        # s + (dt/6) * (k1 + 2 k2 + 2 k3 + k4), summed in that order
+        add(k1, multiply(two, k2, out=raw), out=raw)
+        add(raw, multiply(two, k3, out=tmp), out=raw)
+        add(raw, k4, out=raw)
+        add(s, multiply(sixth_dt, raw, out=raw), out=raw)
+        project(raw, s)
+        last_projection = sup_abs(subtract(raw, s, out=tmp))
         if last_projection > max_projection:
             max_projection = last_projection
-        s = s_next
-        # a level that climbed to 1 joins the pinned prefix; its saturated-case
-        # drift is then evaluated with the tail exactly at 1
-        while sat + 1 < size and may_pin(sat + 1, float(s[sat + 1])):
-            sat += 1
-            s[sat] = 1.0
+        pin()
         t += dt
         step += 1
         if record_stride is not None and step % record_stride == 0:
             frozen = s.copy()
             frozen.flags.writeable = False
             trajectory.append((t, frozen))
-        k1 = rhs(s)
-        while sat > 0 and k1[sat] < -RELEASE_EPS:
-            sat -= 1
+        drift()
 
     # large repairs during a saturation transient are the hybrid dynamics
     # sliding along the constraint set, so only a repair that persists at the
@@ -798,12 +933,16 @@ def integrate_ode(
             f"exceeds {PROJECTION_TOL:g}; reduce dt"
         )
 
-    s.flags.writeable = False
+    tail = s.copy()
+    tail.flags.writeable = False
     return OdeResult(
         t=t,
-        tail=s,
-        residual=float(np.abs(k1).max()),
+        tail=tail,
+        residual=sup_abs(k1),
         max_projection=max_projection,
         steps=step,
         trajectory=tuple(trajectory),
+        stop_reason=stop_reason,
+        pins=pins,
+        releases=releases,
     )

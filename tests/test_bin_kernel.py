@@ -28,6 +28,10 @@ ONE = SystemParams(n=1, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
 # rho = 800 at n = 2 with one bin per server: the first move lifts the other
 # server from ~700 to ~1400 flows, past the 1024-entry starting histogram
 JUMP = SystemParams(n=2, lam=800.0, beta=1.0, nu=1.0, mu=5000.0)
+# rho = 2200 at n = 2: nothing is credited during the warmup, so the first
+# credit lands at an occupancy of ~2170 >= 2 * 1024 and the histogram has to
+# double more than once in one credit
+DEEP = SystemParams(n=2, lam=2200.0, beta=1.0, nu=1.0, mu=10000.0)
 
 N = MID.n
 CASES = {
@@ -106,6 +110,14 @@ def test_kernel_matches_reference_through_histogram_growth_by_moves(kernel):
     stats = run_bin_sim(cfg)
     assert stats.reallocations >= 1
     assert stats.occupancy_hist.size > 1024
+    assert_same_stats(stats, _run_bin_sim_py(cfg))
+
+
+def test_kernel_matches_reference_through_multi_doubling_histogram_growth(kernel):
+    cfg = _config(DEEP, BinBased(4, 2100, 2250), False, 0, seed=3, warmup=8.0,
+                  horizon=0.5)
+    stats = run_bin_sim(cfg)
+    assert stats.occupancy_hist.size > 2048
     assert_same_stats(stats, _run_bin_sim_py(cfg))
 
 

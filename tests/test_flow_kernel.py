@@ -37,6 +37,10 @@ HEAVY = SystemParams(n=20, lam=150.0, beta=1.0, nu=1.0, mu=800.0)
 SMALL = SystemParams(n=4, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
 # rho = 1200 at n = 2: occupancies pass the 1024-entry starting histogram
 HUGE = SystemParams(n=2, lam=600.0, beta=2.0, nu=1.0, mu=5000.0)
+# rho = 2200 at n = 2: nothing is credited during the warmup, so the first
+# credit lands at an occupancy of ~2170 >= 2 * 1024 and the histogram has to
+# double more than once in one credit
+DEEP = SystemParams(n=2, lam=2200.0, beta=1.0, nu=1.0, mu=10000.0)
 
 CASES = {
     "d1": (MID, PowerOfD(1), 0),
@@ -96,6 +100,14 @@ def test_kernel_matches_reference_through_histogram_growth(kernel):
                     horizon=6.0, tracked_server=1)
     stats = run_flow_sim(cfg)
     assert stats.occupancy_hist.size > 1024
+    assert_same_stats(stats, _run_flow_sim_py(cfg))
+
+
+def test_kernel_matches_reference_through_multi_doubling_histogram_growth(kernel):
+    cfg = SimConfig(params=DEEP, scheme=PowerOfD(1), seed=3, warmup=8.0,
+                    horizon=0.5)
+    stats = run_flow_sim(cfg)
+    assert stats.occupancy_hist.size > 2048
     assert_same_stats(stats, _run_flow_sim_py(cfg))
 
 

@@ -6,6 +6,7 @@ so solver agreement does not rest on shared code.  Frozen constants pin
 regression values observed from those oracles.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from stickysim.core import (
     TransferToLeastLoaded,
     total_variation,
 )
+from stickysim import mean_field as mf
 from stickysim.mean_field import (
     BracketError,
     NumericalError,
@@ -378,6 +380,228 @@ def test_ode_rejects_bad_inputs():
         integrate_ode(PowerOfD(d=1), params, np.array([1.0, 0.5]), t_end=-1.0)
     with pytest.raises(ValueError):
         integrate_ode(PowerOfD(d=1), params, np.array([1.0, 0.5, 0.9]), t_end=1.0)
+
+
+# ---------------------------------------------------------------------------
+# ODE stepper output pinned bit for bit.  Each run takes a different branch of
+# the join rules or of the hybrid integrator:
+#   pull / transfer-invite from empty: the invite-region snap to 1 (PIN_TOL)
+#     and, at rho >= high, the dip-refill correction;
+#   stacked start: pinned levels released;
+#   rho >= high: the all-servers-full rule (and, stacked at `high`, its
+#     dips-absorb-everything branch; likewise the dip branches of the other
+#     rules);
+#   least-loaded at m >= high; finite-high shedding; d = 1 and 2 (d >= 3 goes
+#     through pow(), which can differ across CPUs); an s0 shorter than
+#     high + 2; a stop on the residual; record_every.
+# t, residual and max_projection are hex floats; tail and trajectory are
+# SHA-256 digests of their bytes.
+# ---------------------------------------------------------------------------
+
+
+def _empty(size):
+    s = np.zeros(size)
+    s[0] = 1.0
+    return s
+
+
+def _stacked(size, top):
+    s = np.zeros(size)
+    s[: top + 1] = 1.0
+    return s
+
+
+def _load(rho):
+    # beta != 1, so the departure term's (i * diff) / beta rounds
+    return SystemParams(n=100, lam=rho / 1.5, beta=1.5, nu=1.0, mu=100.0)
+
+
+ODE_RUNS = {
+    "pull-empty": (PullBased(5, 8), 6.0, _empty(16), 2.0, {}),
+    "transfer-invite-empty": (TransferToInvite(5, 8), 6.0, _empty(16), 2.0, {}),
+    "pull-stacked": (PullBased(5, 8), 6.0, _stacked(16, 12), 2.0, {}),
+    "pull-saturated": (PullBased(3, 5), 7.0, _empty(16), 2.0, {}),
+    "transfer-invite-saturated": (TransferToInvite(3, 5), 8.0, _empty(16), 1.5, {}),
+    "least-loaded-above-high": (TransferToLeastLoaded(4), 7.0, _empty(16), 2.0, {}),
+    "least-loaded-short-s0": (TransferToLeastLoaded(8), 6.0, _empty(6), 1.0, {}),
+    "shedding-finite": (Shedding(8), 6.0, _empty(16), 1.0, {}),
+    "pull-dip-absorbs": (PullBased(5, 8), 3.0, _stacked(16, 5), 0.5, {}),
+    "pull-saturated-dip-absorbs": (PullBased(3, 5), 4.0, _stacked(16, 5), 0.5, {}),
+    "transfer-invite-dip-absorbs": (
+        TransferToInvite(5, 8), 3.0, _stacked(16, 5), 0.5, {}),
+    "least-loaded-dip-absorbs": (
+        TransferToLeastLoaded(4), 3.0, _stacked(16, 5), 0.5, {}),
+    "power-of-1": (PowerOfD(1), 3.0, _empty(20), 20.0, {"stop_residual": 1e-4}),
+    "power-of-2": (PowerOfD(2), 5.3, _empty(20), 1.0, {"record_every": 0.25}),
+}
+
+# (t, steps, residual, max_projection, sha256(tail), sha256(trajectory))
+ODE_PINNED = {
+    "pull-empty": (
+        "0x1.0020c49ba5e63p+1", 1334, "0x1.f8f0e0bb8f4e8p-2", "0x0.0p+0",
+        "e53a83cafa9d3210c4cdb875955fcf67152029f8b41148f9a85e7abd8eddc360",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "transfer-invite-empty": (
+        "0x1.0020c49ba5e63p+1", 1334, "0x1.ed1cc4d19a9a0p-3", "0x0.0p+0",
+        "31659c09a457f2eb4fc3d5488c850196a0ffd0292939c1d2345115c8f15d3767",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "pull-stacked": (
+        "0x1.0020c49ba5e63p+1", 1334, "0x1.14acb9f895ef8p-1", "0x1.129faca22a000p-14",
+        "91ac79dc0bb6b69ae02d28ed3e7b9be70fef5df99eea808ed5d40269a1b3b95f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "pull-saturated": (
+        "0x1.0020c49ba5e63p+1", 1334, "0x1.06f5d1c3ea391p+0", "0x1.08b8ea4367400p-10",
+        "3737301bbd2055e1040191209b99f3aab7cd0484f55574171189cf72f931920c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "transfer-invite-saturated": (
+        "0x1.8000000000006p+0", 1000, "0x1.d99a9451c2cf5p+0", "0x1.7a617e9329000p-11",
+        "eced28292542a58f1f65fd332506b6519b5ad27cbb81a938695e9c30b7f06904",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "least-loaded-above-high": (
+        "0x1.0020c49ba5e63p+1", 1334, "0x1.3aeee2e22c0dcp+0", "0x1.bc702167fc000p-11",
+        "a65fd3b48077d36471069b8723661f26505fb011fce2d47c71277f7367ac280e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "least-loaded-short-s0": (
+        "0x1.0020c49ba5de6p+0", 667, "0x1.dc6cae12d9738p-2", "0x0.0p+0",
+        "0f8bd096d6444ea61e5e8bcc5d2de61c799a9eeb327147a0051a5a9c4b6d3d68",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "shedding-finite": (
+        "0x1.0020c49ba5de6p+0", 667, "0x1.e348faea4dc80p-2", "0x0.0p+0",
+        "77cd864af31ad3b86cfe4d335947833588795618e40890d39b44041cf3aa683c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "pull-dip-absorbs": (
+        "0x1.0083126e978d8p-1", 334, "0x1.e8d377ecea230p-1", "0x0.0p+0",
+        "a5af2de2187006fe875776e11d2506c6750aa15cb465c89f71033263cb7aa7c4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "pull-saturated-dip-absorbs": (
+        "0x1.0083126e978d8p-1", 334, "0x1.6fb74e760acf8p-2", "0x1.0bfd166280000p-19",
+        "b03ad8d1ce0c7c160e5cd99b04ff2204c8c649e82b00d27c05949103a8bd60a8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "transfer-invite-dip-absorbs": (
+        "0x1.0083126e978d8p-1", 334, "0x1.6abfe68cb29bbp-1", "0x0.0p+0",
+        "c1e1a15252dd65366b9717bfb6420ab5a8cbf549ae177886f18057fabfe73fef",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "least-loaded-dip-absorbs": (
+        "0x1.0083126e978d8p-1", 334, "0x1.e8d377ecea230p-1", "0x0.0p+0",
+        "a5af2de2187006fe875776e11d2506c6750aa15cb465c89f71033263cb7aa7c4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "power-of-1": (
+        "0x1.9395810624ec0p+3", 8408, "0x1.a3576aae13000p-14", "0x0.0p+0",
+        "ceb67639c6d49ad8b802bd6204258026379728a4886870daade204e04087a8aa",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "power-of-2": (
+        "0x1.0020c49ba5de6p+0", 667, "0x1.842fbf580c547p-1", "0x0.0p+0",
+        "dc97b223ba7f53f3701f1afe335b1e835724bff3674a3bf65478d5cfa4d2a08b",
+        "1d957c697c8f5fbb807bf53760204c0b9d2607753c122e49fc4199a0940a3fbc",
+    ),
+}
+
+
+def _run_ode(name):
+    scheme, rho, s0, t_end, kwargs = ODE_RUNS[name]
+    return integrate_ode(scheme, _load(rho), s0.copy(), t_end, **kwargs)
+
+
+def _trajectory_digest(trajectory):
+    h = hashlib.sha256()
+    for t, frame in trajectory:
+        h.update(float(t).hex().encode())
+        h.update(frame.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ODE_RUNS))
+def test_ode_output_is_pinned_bit_for_bit(name):
+    out = _run_ode(name)
+    got = (
+        float(out.t).hex(), out.steps, float(out.residual).hex(),
+        float(out.max_projection).hex(),
+        hashlib.sha256(out.tail.tobytes()).hexdigest(),
+        _trajectory_digest(out.trajectory),
+    )
+    assert got == ODE_PINNED[name]
+
+
+def test_ode_terminal_projection_error_is_pinned():
+    with pytest.raises(NumericalError, match="projection distance 0.0012219"):
+        integrate_ode(TransferToInvite(3, 5), _load(7.0), _empty(16), 2.0)
+
+
+def test_ode_result_says_why_it_stopped_and_counts_pins():
+    on_residual = _run_ode("power-of-1")
+    assert on_residual.stop_reason == "residual"
+    assert on_residual.residual < 1e-4
+    assert on_residual.steps < math.ceil(20.0 / 1.5e-3)
+    assert on_residual.pins == on_residual.releases == 0
+
+    on_t_end = _run_ode("pull-stacked")
+    assert on_t_end.stop_reason == "t_end"
+    assert on_t_end.steps == math.ceil(2.0 / 1.5e-3)
+    # 12 levels pinned by the start, 18 pinned again on the way down; pins -
+    # releases is the prefix still pinned, and those levels sit exactly at 1
+    assert (on_t_end.pins, on_t_end.releases) == (30, 25)
+    held = on_t_end.pins - on_t_end.releases
+    assert np.all(on_t_end.tail[: held + 1] == 1.0)
+    assert on_t_end.tail[held + 1] < 1.0
+
+
+def test_ode_result_buffers_are_copies():
+    out = _run_ode("power-of-2")
+    frames = [frame for _, frame in out.trajectory]
+    assert len(frames) == 3
+    arrays = [out.tail] + frames
+    for i, a in enumerate(arrays):
+        assert not a.flags.writeable
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    assert not np.array_equal(frames[0], frames[-1])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"record_every": 0.0}, {"record_every": -1.0}, {"record_every": math.nan},
+    {"record_every": math.inf}, {"dt": 0.0}, {"dt": -1e-3}, {"dt": math.nan},
+    {"dt": math.inf}, {"t_end": 0.0}, {"t_end": math.nan}, {"t_end": math.inf},
+])
+def test_ode_rejects_non_positive_or_non_finite_step_arguments(kwargs):
+    params = SystemParams(n=10, lam=1.0, beta=1.0, nu=1.0, mu=10.0)
+    args = {"t_end": 1.0, **kwargs}
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        integrate_ode(PowerOfD(d=1), params, _empty(5), **args)
+
+
+@pytest.mark.parametrize("scheme", [
+    PowerOfD(1), PowerOfD(2), Shedding(6), Shedding(math.inf),
+    PullBased(3, 6), PullBased(3, math.inf), TransferToInvite(3, 6),
+    TransferToLeastLoaded(6),
+])
+def test_join_rule_writes_every_entry(scheme):
+    # integrate_ode hands the rule a reused q buffer: whatever it held must
+    # not leak into the result
+    need, rule = mf._join_rule(scheme, 5.0)
+    rng = np.random.default_rng(4)
+    tails = [np.sort(rng.random(10))[::-1] for _ in range(20)]
+    tails += [_stacked(10, top) for top in (2, 3, 6, 9)]
+    for s in tails:
+        s = s.copy()
+        s[0] = 1.0
+        sp = np.zeros(max(s.size + 1, need + 2))
+        sp[: s.size] = s
+        q = np.full(sp.size - 1, np.nan)
+        rule(sp, q)
+        assert q.tobytes() == join_probs(scheme, s, 5.0).tobytes()
 
 
 def test_error_hierarchy():
