@@ -53,14 +53,12 @@ from .flow_sim import (
     RngStream,
     SimConfig,
     SimStats,
-    assign_flow,
     run_flow_sim,
 )
 from .bin_sim import (
     BinSimStats,
     BinTable,
     hash_flow_to_bin,
-    reallocate_bin,
     run_bin_sim,
 )
 
@@ -113,11 +111,9 @@ __all__ = [
     "SimConfig",
     "SimStats",
     "run_flow_sim",
-    "assign_flow",
     # bin_sim
     "BinTable",
     "BinSimStats",
     "hash_flow_to_bin",
-    "reallocate_bin",
     "run_bin_sim",
 ]

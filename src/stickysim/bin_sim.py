@@ -22,8 +22,8 @@ the fallback when no C compiler is available, and the only engine that can
 re-check the bin table after every event.  Both give bit-identical
 statistics.  The reference loop runs on flow_sim's shared reference helpers
 (RngStream.uniform, _threshold_lists, _Window), moves bins with BinTable.move
-and picks their destination with _move_destination, the same two that
-reallocate_bin uses.
+and picks their destination with _move_destination, whose branches bin_run
+follows; the move rule exists only inside the two loops.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +50,6 @@ __all__ = [
     "BinTable",
     "BinSimStats",
     "hash_flow_to_bin",
-    "reallocate_bin",
     "run_bin_sim",
 ]
 
@@ -218,65 +216,22 @@ class BinSimStats(SimStats):
 
 
 def _move_destination(
-    u: float,
-    origin: int,
-    n: int,
-    invite: list[int],
-    inv_count: int,
-    below: list[int],
-    bel_count: int,
+    u: float, origin: int, n: int, invite: list[int], below: list[int]
 ) -> int:
     """Destination server of a triggered bin move, from one uniform u.
 
-    A uniform member of the invite set if it is nonempty, else of the
-    below-high set.  When every server is at or above high, a uniform pick
+    A uniform member of the invite list if it is nonempty, else of the
+    below-high list.  When every server is at or above high, a uniform pick
     among the other n - 1 servers: the origin is never drawn, so every
-    counted reallocation really moves its flows.  In the event loop the
-    origin is never in either set (it has just passed high); reallocate_bin
-    passes its caller's sets as given.  Callers ensure n >= 2.
+    counted reallocation really moves its flows.  The origin is never in
+    either list (it has just passed high).  Callers ensure n >= 2.
     """
-    if inv_count:
-        return invite[int(u * inv_count)]
-    if bel_count:
-        return below[int(u * bel_count)]
+    if invite:
+        return invite[int(u * len(invite))]
+    if below:
+        return below[int(u * len(below))]
     dest = int(u * (n - 1))
     return dest + 1 if dest >= origin else dest
-
-
-def reallocate_bin(
-    table: BinTable,
-    server: int,
-    invite_set: Sequence[int],
-    disinvite_set: Sequence[int],
-    rng: RngStream,
-) -> tuple[int, int, list[int]] | None:
-    """Move one uniformly random bin off `server`; return what moved.
-
-    Destination precedence: a uniform member of invite_set if nonempty, else
-    a uniform server outside disinvite_set, else a uniform server other than
-    `server` itself: _move_destination, the event loop's rule, with these
-    two sets in place of the loop's lists.  Returns (bin, destination,
-    handles of flows active in the bin at the move) so the caller can mark
-    them violated; returns None when the server holds no bins or there is no
-    other server (the caller should record the skipped move).  Consumes one
-    uniform for the bin pick and one for the destination pick.  Sets are
-    sorted before drawing so the result depends only on membership, not
-    container order.
-    """
-    n = table.n_servers
-    if not 0 <= server < n:
-        raise ValueError(f"server must be in [0, {n}), got {server!r}")
-    bins_here = table.server_bins[server]
-    if not bins_here or n == 1:
-        return None
-    moved = bins_here[rng.randint(len(bins_here))]
-    invites = sorted(invite_set)
-    blocked = set(disinvite_set)
-    open_servers = [s for s in range(n) if s not in blocked]
-    dest = _move_destination(rng.uniform(), server, n, invites, len(invites),
-                             open_servers, len(open_servers))
-    table.move(moved, dest)
-    return moved, dest, list(table.bin_flows[moved])
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +351,7 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
             return
         bins_here = server_bins[s]
         b = bins_here[int(uniform() * len(bins_here))]
-        dest = _move_destination(uniform(), s, n, invite, len(invite), below,
-                                 len(below))
+        dest = _move_destination(uniform(), s, n, invite, below)
         table.move(b, dest)
         if started:
             reallocations += 1

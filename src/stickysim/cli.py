@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -78,6 +78,7 @@ class ExperimentSpec:
 # rows are lists of str/int/float; floats serialize via repr
 _CsvTable = tuple[Sequence[str], Sequence[Sequence[object]]]
 _RunnerResult = tuple[dict[str, _CsvTable], dict[str, object]]
+_T = TypeVar("_T")
 _Runner = Callable[[ExperimentSpec], _RunnerResult]
 
 
@@ -137,40 +138,26 @@ def _delay_metric(params: SystemParams, chi: float):
     return lambda i: mx.delay_tail_prob(i, chi, params)
 
 
-def _int_list(p: Mapping[str, object], key: str) -> list[int]:
+def _list_param(
+    p: Mapping[str, object], key: str, parse: Callable[[object], _T]
+) -> list[_T]:
+    """A list parameter, given as a list or as comma-separated text, with
+    each item parsed by `parse`; blank items are skipped and an empty list
+    is rejected."""
     raw = p[key]
-    if isinstance(raw, (list, tuple)):
-        return [int(v) for v in raw]
-    out = []
-    for tok in str(raw).split(","):
-        tok = tok.strip()
-        if tok:
-            out.append(int(tok))
+    items = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+    out = [parse(v) for v in items if str(v).strip()]
     if not out:
-        raise ValueError(f"{key} must list at least one integer")
+        raise ValueError(f"{key} must list at least one value")
     return out
 
 
-def _bins_list(p: Mapping[str, object], key: str, n: int) -> list[int]:
-    """Bin counts given either as integers or as multiples like '10n'."""
-    raw = p[key]
-    toks = (
-        [str(v) for v in raw]
-        if isinstance(raw, (list, tuple))
-        else str(raw).split(",")
-    )
-    out = []
-    for tok in toks:
-        tok = tok.strip().lower()
-        if not tok:
-            continue
-        if tok.endswith("n"):
-            out.append(int(float(tok[:-1]) * n))
-        else:
-            out.append(int(tok))
-    if not out:
-        raise ValueError(f"{key} must list at least one bin count")
-    return out
+def _bin_count(item: object, n: int) -> int:
+    """A bin count given either as an integer or as a multiple like '10n'."""
+    tok = str(item).strip().lower()
+    if tok.endswith("n"):
+        return int(float(tok[:-1]) * n)
+    return int(tok)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +300,7 @@ def _exp_transfer_least(spec: ExperimentSpec) -> _RunnerResult:
 def _exp_violation_curves(spec: ExperimentSpec) -> _RunnerResult:
     p = spec.params
     params = _system_params(p)
-    h_values = _int_list(p, "h_values")
+    h_values = _list_param(p, "h_values", int)
     low = int(p["low"])
     rows = []
     for h in h_values:
@@ -346,7 +333,7 @@ def _exp_delay_tails(spec: ExperimentSpec) -> _RunnerResult:
     p = spec.params
     params = _system_params(p)
     high = _high(p)
-    chis = [float(c) for c in str(p["chi_values"]).split(",") if c.strip()]
+    chis = _list_param(p, "chi_values", float)
     rows = []
     for chi in chis:
         rows.append([chi, "packet-random", mx.delay_tail_packet_random(chi, params)])
@@ -378,7 +365,7 @@ def _exp_bin_occupancy(spec: ExperimentSpec) -> _RunnerResult:
     p = spec.params
     params = _system_params(p)
     low, high = int(p["low"]), int(p["high"])
-    m = _bins_list(p, "bins", params.n)[0]
+    m = _list_param(p, "bins", lambda v: _bin_count(v, params.n))[0]
     theory, _ = mf.solve_transfer_invite_fixed_point(params.rho, low, high)
     cfg = _sim_config(spec, BinBased(bins=m, low=low, high=high))
     stats = run_bin_sim(cfg)
@@ -406,7 +393,7 @@ def _exp_bin_violation(spec: ExperimentSpec) -> _RunnerResult:
     p = spec.params
     params_obj = _system_params(p)
     low, high = int(p["low"]), int(p["high"])
-    ms = _bins_list(p, "bins", params_obj.n)
+    ms = _list_param(p, "bins", lambda v: _bin_count(v, params_obj.n))
     n_seeds = int(p["seeds"])
     rows = []
     means = []
@@ -436,8 +423,8 @@ def _exp_bin_violation(spec: ExperimentSpec) -> _RunnerResult:
 def _exp_bin_tradeoff(spec: ExperimentSpec) -> _RunnerResult:
     p = spec.params
     params = _system_params(p)
-    ms = _bins_list(p, "bins", params.n)
-    h_values = _int_list(p, "h_values")
+    ms = _list_param(p, "bins", lambda v: _bin_count(v, params.n))
+    h_values = _list_param(p, "h_values", int)
     gap = int(p["gap"])
     fixed_low = str(p["low"]).strip()
     chi = float(p["chi"])

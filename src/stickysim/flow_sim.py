@@ -21,6 +21,9 @@ reference loops of both simulators share the Python twins of the kernel's
 helpers: RngStream.uniform for draws, _SwapList and _threshold_lists for the
 invite, below-high and per-occupancy server lists, and _Window for the
 measurement window, which closes through _window_stats like the kernel.
+Each scheme's placement rule is written once per engine, as a mode branch
+of the loop (see _scheme_mode); the kernel differential tests tie the two
+together draw for draw, and the run tests tie both to mean_field's laws.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ __all__ = [
     "SimConfig",
     "SimStats",
     "run_flow_sim",
-    "assign_flow",
 ]
 
 _BUFFER = 1 << 16
@@ -71,8 +73,9 @@ class RngStream:
     blocks of _BUFFER uniforms, each made by gen.random(_BUFFER) when the
     one before runs out, and uniform is the chain's C-level __next__, so an
     event loop that binds it to a local pays about what an inline list index
-    costs.  Exponentials use the inverse transform -scale*log(1 - u), which
-    never sees log(0) because uniforms live in [0, 1).
+    costs.  The loops draw exponentials by the inverse transform
+    -log(1 - u) / rate, which never sees log(0) because uniforms live in
+    [0, 1).
     """
 
     __slots__ = ("uniform",)
@@ -89,13 +92,6 @@ class RngStream:
 
         self.uniform = itertools.chain.from_iterable(blocks()).__next__
 
-    def exponential(self, scale: float = 1.0) -> float:
-        return -scale * math.log(1.0 - self.uniform())
-
-    def randint(self, k: int) -> int:
-        """Uniform integer in [0, k). k is assumed far below 2**53."""
-        return int(self.uniform() * k)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -103,9 +99,10 @@ class SimConfig:
 
     warmup/horizon default to multiples of the mean flow duration; statistics
     cover exactly [warmup, warmup + horizon).
-    drain_to_threshold applies to bin runs only: when a threshold trigger
-    fires, keep moving bins until the server is back at or below the high
-    threshold instead of moving exactly one bin.
+    drain_to_threshold applies to bin runs only (a flow-level scheme with it
+    set is rejected): when a threshold trigger fires, keep moving bins until
+    the server is back at or below the high threshold instead of moving
+    exactly one bin.
     """
 
     params: SystemParams
@@ -133,6 +130,11 @@ class SimConfig:
             )
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
+        if self.drain_to_threshold and not isinstance(self.scheme, BinBased):
+            raise ValueError(
+                "drain_to_threshold applies to bin runs only, got "
+                f"{self.scheme!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -173,86 +175,6 @@ class SimStats:
 
     def distribution(self) -> FlowDistribution:
         return FlowDistribution(self.occupancy_hist)
-
-
-# ---------------------------------------------------------------------------
-# reference single-flow assignment
-# ---------------------------------------------------------------------------
-
-
-def assign_flow(
-    scheme: SchemeConfig,
-    server_occupancies: "np.ndarray | list[int]",
-    rng: RngStream,
-) -> tuple[int | None, bool, tuple[int, int] | None]:
-    """Assign one arriving flow given a snapshot of server occupancies.
-
-    Returns (server index or None when discarded, violation flag, transfer
-    record (origin, destination) or None).  This is the readable O(n)
-    reference for the scheme rules.  run_flow_sim applies the same selection
-    laws with incremental data structures, but not draw for draw: its server
-    sets are kept in swap-remove order rather than index order, and its
-    d-choice tie break is a reservoir pick with one extra uniform per tie,
-    where this function picks once from the list of ties.
-    """
-    occ = list(server_occupancies)
-    n = len(occ)
-    if n == 0:
-        raise ValueError("need at least one server")
-    if any(o < 0 for o in occ):
-        raise ValueError("occupancies must be non-negative")
-
-    if isinstance(scheme, PowerOfD):
-        d = min(scheme.d, n)
-        if d == n:
-            sampled = list(range(n))
-        else:
-            sampled = []
-            while len(sampled) < d:
-                c = rng.randint(n)
-                if c not in sampled:
-                    sampled.append(c)
-        best = min(occ[c] for c in sampled)
-        ties = [c for c in sampled if occ[c] == best]
-        return ties[rng.randint(len(ties))], False, None
-
-    if isinstance(scheme, PullBased):
-        invite = [s for s in range(n) if occ[s] < scheme.low]
-        if invite:
-            return invite[rng.randint(len(invite))], False, None
-        below = [s for s in range(n) if occ[s] < scheme.high]
-        if below:
-            return below[rng.randint(len(below))], False, None
-        return rng.randint(n), False, None
-
-    if isinstance(scheme, Shedding):
-        s = rng.randint(n)
-        if occ[s] >= scheme.high:
-            return None, True, None
-        return s, False, None
-
-    if isinstance(scheme, TransferToInvite):
-        s = rng.randint(n)
-        if occ[s] < scheme.high:
-            return s, False, None
-        invite = [c for c in range(n) if occ[c] < scheme.low]
-        if invite:
-            dest = invite[rng.randint(len(invite))]
-        else:
-            below = [c for c in range(n) if occ[c] < scheme.high]
-            dest = below[rng.randint(len(below))] if below else rng.randint(n)
-        return dest, True, (s, dest)
-
-    if isinstance(scheme, TransferToLeastLoaded):
-        s = rng.randint(n)
-        if occ[s] < scheme.high:
-            return s, False, None
-        best = min(occ)
-        ties = [c for c in range(n) if occ[c] == best]
-        dest = ties[rng.randint(len(ties))]
-        return dest, True, (s, dest)
-
-    raise TypeError(f"no flow-level assignment rule for {scheme!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,6 @@ __all__ = [
     "SolveDiagnostics",
     "OdeResult",
     "join_probs",
-    "join_probs_power_of_d",
-    "join_probs_pull",
-    "join_probs_shedding",
-    "join_probs_transfer_invite",
-    "join_probs_least_loaded",
     "fixed_point_residual",
     "default_i_max",
     "power_of_d_tail_bound",
@@ -108,7 +103,7 @@ def _padded_tail(s: np.ndarray, need: int) -> np.ndarray:
 # that ends in zeros and has at least `need` + 2 entries, `need` being the top
 # threshold the rule reads (see _padded_tail).  Each scheme's law exists once,
 # as a rule bound to its thresholds; integrate_ode calls it on reused buffers
-# and the public join_probs_* call it on a freshly padded copy.
+# and join_probs calls it on a freshly padded copy.
 JoinRule = Callable[[np.ndarray, np.ndarray], None]
 
 
@@ -286,51 +281,19 @@ def _join_rule(scheme: SchemeConfig, rho: float) -> tuple[int, JoinRule]:
     raise TypeError(f"unknown scheme config: {scheme!r}")
 
 
-def _apply_rule(s: np.ndarray, need: int, rule: JoinRule) -> np.ndarray:
+def join_probs(scheme: SchemeConfig, s: np.ndarray, rho: float) -> np.ndarray:
+    """Join probabilities q of `scheme` at occupancy tail `s` and load rho.
+
+    q[j] is the probability that an arriving flow joins a server holding j
+    flows.  q has one entry per level of the tail, extended with zeros to
+    cover the scheme's thresholds.  Raises UnsupportedConfigError for the
+    bin scheme and TypeError for an unknown config.
+    """
+    need, rule = _join_rule(scheme, rho)
     sp = _padded_tail(s, need)
     q = np.zeros(sp.size - 1)
     rule(sp, q)
     return q
-
-
-def join_probs_power_of_d(s: np.ndarray, d: int) -> np.ndarray:
-    """q[j] = s_j^d - s_{j+1}^d: the sampled minimum sits at level j."""
-    return _apply_rule(s, *_power_of_d_rule(d))
-
-
-def join_probs_shedding(s: np.ndarray, high: int | float) -> np.ndarray:
-    """Uniform assignment with arrivals to full servers dropped; the vector
-    sums to 1 minus the blocked mass."""
-    return _apply_rule(s, *_shedding_rule(high))
-
-
-def join_probs_pull(
-    s: np.ndarray, low: int, high: int | float, rho: float
-) -> np.ndarray:
-    """Invite-steered uniform assignment. Three regimes keyed on whether any
-    server sits below `low` (invites outstanding) and whether every server
-    has reached `high` (all disinvited)."""
-    return _apply_rule(s, *_pull_rule(low, high, rho))
-
-
-def join_probs_transfer_invite(
-    s: np.ndarray, low: int, high: int, rho: float
-) -> np.ndarray:
-    """Uniform assignment with arrivals hitting a full server re-dispatched to
-    inviting servers (below `low`)."""
-    return _apply_rule(s, *_transfer_invite_rule(low, high, rho))
-
-
-def join_probs_least_loaded(
-    s: np.ndarray, high: int, rho: float
-) -> np.ndarray:
-    """Uniform assignment with arrivals hitting a full server re-dispatched to
-    a least-loaded server (occupancy m = lowest level present)."""
-    return _apply_rule(s, *_least_loaded_rule(high, rho))
-
-
-def join_probs(scheme: SchemeConfig, s: np.ndarray, rho: float) -> np.ndarray:
-    return _apply_rule(s, *_join_rule(scheme, rho))
 
 
 def fixed_point_residual(
@@ -684,9 +647,7 @@ def fixed_point(scheme: SchemeConfig, rho: float) -> FlowDistribution:
     if isinstance(scheme, PullBased):
         return solve_pull_fixed_point(rho, scheme.low, scheme.high)[0]
     if isinstance(scheme, Shedding):
-        if scheme.high == math.inf:
-            return shedding_fixed_point(rho, math.inf)
-        return shedding_fixed_point(rho, int(scheme.high))
+        return shedding_fixed_point(rho, scheme.high)
     if isinstance(scheme, TransferToInvite):
         return solve_transfer_invite_fixed_point(rho, scheme.low, scheme.high)[0]
     if isinstance(scheme, TransferToLeastLoaded):

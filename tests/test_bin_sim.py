@@ -1,5 +1,5 @@
 """Unit tests for the bin-indirected simulator: static hash, bin table,
-single-move semantics and whole runs."""
+bin-move destination rule and whole runs."""
 
 import logging
 import math
@@ -15,11 +15,10 @@ from stickysim.bin_sim import (
     _hash_block,
     _move_destination,
     hash_flow_to_bin,
-    reallocate_bin,
     run_bin_sim,
 )
 from stickysim.core import BinBased, PullBased, SystemParams, total_variation
-from stickysim.flow_sim import RngStream, SimConfig
+from stickysim.flow_sim import SimConfig
 from stickysim.mean_field import shedding_fixed_point
 
 
@@ -95,86 +94,6 @@ def test_bin_table_rejects_empty():
         BinTable.initial(bins=0, servers=3)
     with pytest.raises(ValueError):
         BinTable.initial(bins=3, servers=0)
-
-
-# ---------------------------------------------------------------------------
-# single bin move
-# ---------------------------------------------------------------------------
-
-
-def test_reallocate_prefers_invite_servers():
-    rng = RngStream(1)
-    for _ in range(30):
-        t = BinTable.initial(bins=12, servers=6)
-        out = reallocate_bin(t, 0, invite_set=[3], disinvite_set=[0, 1], rng=rng)
-        assert out is not None
-        moved, dest, flows = out
-        assert dest == 3
-        assert t.assignment[moved] == 3
-        assert flows == []
-        t.check_consistency()
-
-
-def test_reallocate_avoids_disinvited_servers():
-    rng = RngStream(2)
-    dests = set()
-    for _ in range(100):
-        t = BinTable.initial(bins=12, servers=4)
-        _, dest, _ = reallocate_bin(t, 0, invite_set=[],
-                                    disinvite_set=[0, 1], rng=rng)
-        dests.add(dest)
-        t.check_consistency()
-    assert dests == {2, 3}
-
-
-def test_reallocate_falls_back_to_any_server():
-    # with every server disinvited the bin goes to any server but its origin,
-    # as in the event loop's _move_destination
-    rng = RngStream(3)
-    dests = set()
-    for _ in range(80):
-        t = BinTable.initial(bins=8, servers=4)
-        _, dest, _ = reallocate_bin(t, 1, invite_set=[],
-                                    disinvite_set=[0, 1, 2, 3], rng=rng)
-        dests.add(dest)
-        t.check_consistency()
-    assert dests == {0, 2, 3}
-    # a single server has nowhere to send its bin
-    t = BinTable.initial(bins=3, servers=1)
-    assert reallocate_bin(t, 0, invite_set=[], disinvite_set=[0], rng=rng) is None
-
-
-def test_reallocate_empty_server_returns_none():
-    t = BinTable.initial(bins=3, servers=5)  # servers 3, 4 hold no bins
-    rng = RngStream(4)
-    assert reallocate_bin(t, 4, invite_set=[0], disinvite_set=[], rng=rng) is None
-
-
-def test_reallocate_reports_flows_in_moved_bin():
-    t = BinTable.initial(bins=2, servers=2)  # server 0 holds only bin 0
-    t.bin_flows[0].extend([7, 8, 9])
-    rng = RngStream(5)
-    moved, dest, flows = reallocate_bin(t, 0, invite_set=[1],
-                                        disinvite_set=[], rng=rng)
-    assert moved == 0 and dest == 1
-    assert flows == [7, 8, 9]
-    assert t.server_load(1) == 3
-
-
-def test_reallocate_ignores_container_order():
-    a = RngStream(9)
-    b = RngStream(9)
-    ta = BinTable.initial(bins=20, servers=10)
-    tb = BinTable.initial(bins=20, servers=10)
-    out_a = reallocate_bin(ta, 0, invite_set=[5, 2, 8], disinvite_set=[], rng=a)
-    out_b = reallocate_bin(tb, 0, invite_set=[8, 5, 2], disinvite_set=[], rng=b)
-    assert out_a == out_b
-
-
-def test_reallocate_validates_server_index():
-    t = BinTable.initial(bins=4, servers=2)
-    with pytest.raises(ValueError):
-        reallocate_bin(t, 2, invite_set=[], disinvite_set=[], rng=RngStream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +200,13 @@ def test_run_warns_when_bins_fewer_than_servers(bin_params, caplog):
 def test_move_destination_skips_the_origin_when_all_servers_are_full():
     us = np.linspace(0.0, 1.0, 400, endpoint=False)
     for origin in range(4):
-        dests = {_move_destination(u, origin, 4, [], 0, [], 0) for u in us}
+        dests = {_move_destination(u, origin, 4, [], []) for u in us}
         assert dests == {0, 1, 2, 3} - {origin}
     # the invite set wins, then the below-high set; list order is honoured
-    assert _move_destination(0.9, 0, 4, [2, 3], 1, [1, 2], 2) == 2
-    assert _move_destination(0.9, 0, 4, [], 0, [1, 3], 2) == 3
+    assert _move_destination(0.1, 0, 4, [3, 2], [1, 2]) == 3
+    assert _move_destination(0.9, 0, 4, [3, 2], [1, 2]) == 2
+    assert _move_destination(0.9, 0, 4, [], [1, 3]) == 3
+    assert _move_destination(0.9, 0, 4, [], [3, 1]) == 1
 
 
 def test_run_bin_moves_never_land_on_their_origin(monkeypatch):
@@ -294,10 +215,9 @@ def test_run_bin_moves_never_land_on_their_origin(monkeypatch):
     # 6 of 76 moves (seed 1), counting a reallocation that moved nothing
     calls = []
 
-    def spy(u, origin, n, invite, inv_count, below, bel_count):
-        dest = _move_destination(u, origin, n, invite, inv_count, below,
-                                 bel_count)
-        calls.append((origin, dest, inv_count + bel_count))
+    def spy(u, origin, n, invite, below):
+        dest = _move_destination(u, origin, n, invite, below)
+        calls.append((origin, dest, len(invite) + len(below)))
         return dest
 
     # the compiled kernel never calls _move_destination: spy on the reference

@@ -427,6 +427,21 @@ class TestMainExitCodes:
         ])
         assert rc == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("experiment, param", [
+        ("delay-tails", "chi_values="),
+        ("violation-curves", "h_values=,"),
+        ("bin-violation", "bins= , "),
+    ])
+    def test_empty_list_parameter_is_validation_error(
+        self, tmp_path, capsys, experiment, param
+    ):
+        rc = cli.main([
+            "run", experiment, "--out", str(tmp_path), "--param", param
+        ])
+        assert rc == cli.EXIT_VALIDATION
+        assert "must list at least one value" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_compare_pass_fail_codes(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

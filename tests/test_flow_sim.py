@@ -1,8 +1,9 @@
 """Unit tests for the event-driven flow-level simulator.
 
-Scheme rules are exercised through assign_flow on hand-built occupancy
-snapshots; whole runs are checked for determinism, conservation properties
-and agreement with the analytic laws at reduced scale.
+Scheme rules are exercised through whole runs of the event loop, checked
+for determinism, conservation properties and agreement with the analytic
+laws at reduced scale; tests/test_flow_kernel.py ties the compiled kernel to
+the Python loop draw for draw.
 """
 
 import math
@@ -25,7 +26,6 @@ from stickysim.flow_sim import (
     SimConfig,
     SimStats,
     _run_flow_sim_py,
-    assign_flow,
     run_flow_sim,
 )
 from stickysim.mean_field import (
@@ -58,15 +58,6 @@ def test_rng_stream_seeds_differ():
     ]
 
 
-def test_rng_exponential_and_randint():
-    rng = RngStream(7)
-    draws = [rng.exponential(2.0) for _ in range(5000)]
-    assert all(d > 0 for d in draws)
-    assert np.mean(draws) == pytest.approx(2.0, rel=0.1)
-    ints = [rng.randint(5) for _ in range(2000)]
-    assert set(ints) == {0, 1, 2, 3, 4}
-
-
 # ---------------------------------------------------------------------------
 # configuration and stats containers
 # ---------------------------------------------------------------------------
@@ -90,6 +81,11 @@ def test_sim_config_validation(full_params):
         SimConfig(params=full_params, scheme=scheme, tracked_server=500)
     with pytest.raises(ValueError):
         SimConfig(params=full_params, scheme=scheme, seed=-1)
+    # the drain flag is a bin-run option; flow-level runs would ignore it
+    with pytest.raises(ValueError, match="drain_to_threshold"):
+        SimConfig(params=full_params, scheme=scheme, drain_to_threshold=True)
+    SimConfig(params=full_params, scheme=BinBased(bins=1000, low=140, high=160),
+              drain_to_threshold=True)
 
 
 def test_sim_stats_invariants():
@@ -102,93 +98,6 @@ def test_sim_stats_invariants():
                   series=series, mean_occ=0.5)
     assert ok.violation_rate == 0.0
     assert ok.distribution().mean() == pytest.approx(0.5)
-
-
-# ---------------------------------------------------------------------------
-# assign_flow scheme rules
-# ---------------------------------------------------------------------------
-
-
-def test_assign_flow_validates_input():
-    rng = RngStream(0)
-    with pytest.raises(ValueError):
-        assign_flow(PowerOfD(d=1), [], rng)
-    with pytest.raises(ValueError):
-        assign_flow(PowerOfD(d=1), [1, -2], rng)
-    with pytest.raises(TypeError):
-        assign_flow(BinBased(bins=10, low=1, high=2), [0, 0], rng)
-
-
-def test_assign_flow_random_covers_all_servers():
-    rng = RngStream(1)
-    seen = {assign_flow(PowerOfD(d=1), [5, 5, 5, 5], rng)[0] for _ in range(200)}
-    assert seen == {0, 1, 2, 3}
-
-
-def test_assign_flow_two_choices_prefers_lower():
-    rng = RngStream(2)
-    # with two servers, d=2 samples both: always the strictly lower one
-    for _ in range(50):
-        server, violated, rec = assign_flow(PowerOfD(d=2), [4, 1], rng)
-        assert (server, violated, rec) == (1, False, None)
-
-
-def test_assign_flow_full_scan_breaks_ties_uniformly():
-    rng = RngStream(3)
-    picks = [assign_flow(PowerOfD(d=3), [2, 1, 1], rng)[0] for _ in range(300)]
-    assert 0 not in picks
-    assert {1, 2} == set(picks)
-    # roughly even split over the tied minimum
-    assert 0.35 < picks.count(1) / len(picks) < 0.65
-
-
-def test_assign_flow_pull_precedence():
-    rng = RngStream(4)
-    # invite set (occupancy < low) always wins
-    for _ in range(50):
-        assert assign_flow(PullBased(low=5, high=20), [0, 10, 10], rng)[0] == 0
-    # no invites: uniform over servers below high
-    picks = {assign_flow(PullBased(low=5, high=10), [7, 8, 30], rng)[0]
-             for _ in range(100)}
-    assert picks == {0, 1}
-    # everyone disinvited: uniform over all
-    picks = {assign_flow(PullBased(low=5, high=10), [10, 11], rng)[0]
-             for _ in range(100)}
-    assert picks == {0, 1}
-
-
-def test_assign_flow_shedding():
-    rng = RngStream(5)
-    assert assign_flow(Shedding(high=3), [3], rng) == (None, True, None)
-    assert assign_flow(Shedding(high=3), [2], rng) == (0, False, None)
-
-
-def test_assign_flow_transfer_invite():
-    rng = RngStream(6)
-    outcomes = [assign_flow(TransferToInvite(low=5, high=8), [2, 9, 9], rng)
-                for _ in range(200)]
-    stayed = [o for o in outcomes if not o[1]]
-    transferred = [o for o in outcomes if o[1]]
-    # landing on server 0 keeps the flow there without violation
-    assert all(o == (0, False, None) for o in stayed)
-    # landing on a full server transfers to the only invite server
-    assert all(o[0] == 0 and o[2][1] == 0 and o[2][0] in (1, 2)
-               for o in transferred)
-    assert stayed and transferred
-    # roughly one third of arrivals hit the invite server directly
-    assert 0.15 < len(stayed) / len(outcomes) < 0.55
-
-
-def test_assign_flow_transfer_least_loaded():
-    rng = RngStream(7)
-    outcomes = [assign_flow(TransferToLeastLoaded(high=8), [9, 9, 4], rng)
-                for _ in range(100)]
-    for server, violated, rec in outcomes:
-        assert server == 2  # unique least-loaded destination
-        if violated:
-            assert rec is not None and rec[1] == 2 and rec[0] in (0, 1)
-        else:
-            assert rec is None
 
 
 # ---------------------------------------------------------------------------
