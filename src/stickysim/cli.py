@@ -239,6 +239,11 @@ def _exp_power_of_2(spec: ExperimentSpec) -> _RunnerResult:
     summary = {
         "ode_residual": res.residual,
         "ode_steps": res.steps,
+        "ode_stop_reason": res.stop_reason,
+        "ode_t": res.t,
+        "ode_max_projection": res.max_projection,
+        "ode_pins": res.pins,
+        "ode_releases": res.releases,
         "worst_tail_excess_over_bound": worst,
         "tolerances": {"stop_residual": float(p["stop_residual"])},
     }

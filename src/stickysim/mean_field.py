@@ -636,7 +636,8 @@ def solve_least_loaded_fixed_point(rho: float, high: int) -> FlowDistribution:
 
 def fixed_point(scheme: SchemeConfig, rho: float) -> FlowDistribution:
     """Analytic fixed point for schemes that have one (d-choices with d >= 2
-    does not; the bin scheme has no single-server mean-field)."""
+    does not; the bin scheme has no single-server mean-field).  The pull and
+    transfer-to-invite solvers' SolveDiagnostics go to the log at DEBUG."""
     if isinstance(scheme, PowerOfD):
         if scheme.d == 1:
             return shedding_fixed_point(rho, math.inf)
@@ -644,12 +645,14 @@ def fixed_point(scheme: SchemeConfig, rho: float) -> FlowDistribution:
             "d-choices with d >= 2 has no closed-form fixed point; "
             "use integrate_ode and power_of_d_tail_bound"
         )
-    if isinstance(scheme, PullBased):
-        return solve_pull_fixed_point(rho, scheme.low, scheme.high)[0]
+    if isinstance(scheme, (PullBased, TransferToInvite)):
+        solve = (solve_pull_fixed_point if isinstance(scheme, PullBased)
+                 else solve_transfer_invite_fixed_point)
+        dist, diag = solve(rho, scheme.low, scheme.high)
+        logger.debug("fixed point of %r at rho=%g: %s", scheme, rho, diag)
+        return dist
     if isinstance(scheme, Shedding):
         return shedding_fixed_point(rho, scheme.high)
-    if isinstance(scheme, TransferToInvite):
-        return solve_transfer_invite_fixed_point(rho, scheme.low, scheme.high)[0]
     if isinstance(scheme, TransferToLeastLoaded):
         return solve_least_loaded_fixed_point(rho, scheme.high)
     raise UnsupportedConfigError(f"no analytic fixed point for {scheme!r}")
@@ -664,11 +667,15 @@ def fixed_point(scheme: SchemeConfig, rho: float) -> FlowDistribution:
 class OdeResult:
     """Terminal state of a mean-field integration plus bookkeeping.
 
-    `stop_reason` is "residual" when sup|ds/dt| fell below stop_residual and
-    "t_end" when the step budget ran out.  `pins` counts levels that joined
-    the pinned saturated prefix (those pinned at the start included) and
-    `releases` the levels freed from it, so pins - releases is the length of
-    the prefix pinned at the end."""
+    `stop_reason` is "residual" when sup|ds/dt| fell below stop_residual,
+    "stationary" when a step left the state unchanged bit for bit (checked
+    only when stop_residual is given), and "t_end" when the step budget ran
+    out.  A "stationary" run has the tail, residual, max_projection, pins and
+    releases that a run to t_end would have; only t, steps and a recorded
+    trajectory are shorter.  `pins` counts levels that joined the pinned
+    saturated prefix (those pinned at the start included) and `releases` the
+    levels freed from it, both up to the stop, so pins - releases is the
+    length of the prefix pinned at the end."""
 
     t: float
     tail: np.ndarray
@@ -708,8 +715,15 @@ def integrate_ode(
     drift at the constraint turns negative and the entry is released.  Every
     state fed to the rate evaluation is first projected onto valid tails
     (s_0 = 1, pinned prefix at 1, entries in [0, 1], non-increasing).  A
-    projection repair larger than PROJECTION_TOL at the terminal step aborts;
-    stop_residual stops early once sup|ds/dt| falls below it.
+    projection repair larger than PROJECTION_TOL at the terminal step aborts.
+
+    With stop_residual given, the run stops early, either once sup|ds/dt|
+    falls below it ("residual") or once a step leaves the tail, the pinned
+    prefix, the drift and the pin counters unchanged bit for bit
+    ("stationary").  The second catches a drift that the projection cancels
+    every step, so the residual stays above stop_residual forever; the
+    result then equals that of a run to t_end but for t, steps and the
+    trajectory.
 
     The state and the RK4 stage live in buffers zero-padded to the width the
     scheme's join rule reads, and every vector operation of a step writes into
@@ -728,7 +742,9 @@ def integrate_ode(
         raise ValueError("s0 must be a 1-d tail with at least two levels")
     if abs(s0[0] - 1.0) > 1e-9:
         raise ValueError(f"s0[0] must be 1, got {s0[0]!r}")
-    if np.any(np.diff(s0) > 1e-9) or np.any(s0 < -1e-9) or np.any(s0 > 1.0 + 1e-9):
+    # the comparisons are all False on NaN, hence the finiteness test
+    if (not np.all(np.isfinite(s0)) or np.any(np.diff(s0) > 1e-9)
+            or np.any(s0 < -1e-9) or np.any(s0 > 1.0 + 1e-9)):
         raise ValueError("s0 must be a non-increasing tail in [0, 1]")
     _check_positive("t_end", t_end)
     lam, beta, rho = params.lam, params.beta, params.rho
@@ -854,11 +870,27 @@ def integrate_ode(
     t = 0.0
     pin()
     drift()
+    # A step reads nothing but the loop state (s, sat, k1), so once a step
+    # leaves it and the pin counters unchanged bit for bit, every later step
+    # repeats it.  Only a step whose sup|k1| repeats the previous one is
+    # compared with (and saved for) the next, so an ordinary step makes no
+    # extra NumPy call.
+    last_sup = math.nan
+    saved: tuple | None = None
     step = 0
     while step < n_steps:
-        if stop_residual is not None and sup_abs(k1) < stop_residual:
-            stop_reason = "residual"
-            break
+        if stop_residual is not None:
+            sup_k1 = sup_abs(k1)
+            if sup_k1 < stop_residual:
+                stop_reason = "residual"
+                break
+            if sup_k1 == last_sup:
+                state = (sat, pins, releases, s.tobytes(), k1.tobytes())
+                if saved == (step - 1, state):
+                    stop_reason = "stationary"
+                    break
+                saved = (step, state)
+            last_sup = sup_k1
         # stage states are projected so the join probabilities only ever see
         # valid tails; in smooth regions the projection is the identity and
         # this is classical RK4

@@ -130,6 +130,8 @@ def test_criterion_02_ode_converges_to_fixed_points():
     starts = (empty, stacked, two_point)
 
     worst = 0.0
+    steps = 0
+    stops: dict[str, int] = {}
     for scheme in (
         PullBased(LOW, HIGH),
         TransferToInvite(LOW, HIGH),
@@ -142,12 +144,16 @@ def test_criterion_02_ode_converges_to_fixed_points():
                 scheme, FULL, s0.copy(), t_end=90.0, stop_residual=1e-9
             )
             worst = max(worst, total_variation(out.distribution(), target))
+            steps += out.steps
+            stops[out.stop_reason] = stops.get(out.stop_reason, 0) + 1
     elapsed = time.perf_counter() - t0
     ok = worst <= tol and elapsed < 30.0
+    stopped = ", ".join(f"{n} {reason}" for reason, n in sorted(stops.items()))
     _verdict(
         "2", ok,
         f"ODE terminal state within TV 1e-6 of the analytic fixed point, "
-        f"3 starts x 4 schemes (worst {worst:.2e}, {elapsed:.1f}s)",
+        f"3 starts x 4 schemes (worst {worst:.2e}, {steps} steps, "
+        f"stopped: {stopped}, {elapsed:.1f}s)",
     )
     assert worst <= tol
     assert elapsed < 30.0

@@ -9,6 +9,7 @@ import pytest
 from stickysim import cli
 from stickysim import mean_field as mf
 from stickysim import metrics as mx
+from stickysim.core import PowerOfD
 
 
 # overrides that shrink any full-scale experiment to a fast toy system
@@ -217,6 +218,22 @@ class TestRunExperiment:
         assert payload["wall_clock_s"] >= 0.0
         assert payload["params"]["h_min"] == 195
         assert "tolerances" in payload
+
+    def test_power_of_2_summary_says_why_the_ode_stopped(self, tmp_path):
+        spec = cli.build_spec("power-of-2", TINY, seed=0, out_dir=tmp_path)
+        cli.run_experiment(spec)
+        payload = json.loads((tmp_path / "power-of-2_summary.json").read_text())
+        params = cli._system_params(spec.params)
+        s0 = np.zeros(mf.default_i_max(params.rho) + 1)
+        s0[0] = 1.0
+        res = mf.integrate_ode(PowerOfD(d=2), params, s0, t_end=60.0,
+                               stop_residual=1e-9)
+        assert payload["ode_stop_reason"] == res.stop_reason == "residual"
+        assert payload["ode_steps"] == res.steps
+        assert payload["ode_t"] == res.t < 60.0
+        assert payload["ode_residual"] == res.residual
+        assert payload["ode_max_projection"] == res.max_projection
+        assert (payload["ode_pins"], payload["ode_releases"]) == (res.pins, res.releases)
 
     def test_delay_tails_values(self, tmp_path, full_params):
         spec = cli.build_spec(

@@ -382,6 +382,17 @@ def test_ode_rejects_bad_inputs():
         integrate_ode(PowerOfD(d=1), params, np.array([1.0, 0.5, 0.9]), t_end=1.0)
 
 
+@pytest.mark.parametrize("level,value", [
+    (0, math.nan), (1, math.nan), (4, math.nan), (2, math.inf), (2, -math.inf),
+])
+def test_ode_rejects_a_non_finite_start(level, value):
+    params = SystemParams(n=10, lam=1.0, beta=1.0, nu=1.0, mu=10.0)
+    s0 = np.array([1.0, 0.5, 0.2, 0.0, 0.0])
+    s0[level] = value
+    with pytest.raises(ValueError, match=r"non-increasing tail in \[0, 1\]"):
+        integrate_ode(PowerOfD(d=1), params, s0, t_end=1.0)
+
+
 # ---------------------------------------------------------------------------
 # ODE stepper output pinned bit for bit.  Each run takes a different branch of
 # the join rules or of the hybrid integrator:
@@ -540,7 +551,43 @@ def test_ode_terminal_projection_error_is_pinned():
         integrate_ode(TransferToInvite(3, 5), _load(7.0), _empty(16), 2.0)
 
 
-def test_ode_result_says_why_it_stopped_and_counts_pins():
+STALL = (TransferToLeastLoaded(60),
+         SystemParams(n=100, lam=50.0, beta=1.0, nu=1.0, mu=100.0))
+
+
+@pytest.fixture(scope="module")
+def stalled():
+    # least-loaded from empty below `high`: the band settles at the rule's
+    # CASE_EPS cut, just short of the pin threshold, and the top band level's
+    # drift is cancelled by the projection every step, so the residual stays
+    # near 4e-8 and never reaches stop_residual
+    scheme, params = STALL
+    return integrate_ode(scheme, params, _empty(100), t_end=60.0, stop_residual=1e-9)
+
+
+def test_ode_stops_when_a_step_changes_nothing(stalled):
+    scheme, params = STALL
+    assert stalled.stop_reason == "stationary"
+    assert stalled.residual > 1e-9
+    assert stalled.steps < math.ceil(60.0 / 1e-3)
+    assert stalled.t < 60.0
+    # every later step repeats the last one: a restart that cannot stop early
+    # hands the same tail back
+    again = integrate_ode(scheme, params, stalled.tail.copy(), t_end=0.01)
+    assert again.stop_reason == "t_end"
+    assert again.steps == 10
+    assert again.tail.tobytes() == stalled.tail.tobytes()
+    assert again.residual == stalled.residual
+    # with stop_residual given, the same restart stops as soon as it can tell
+    early = integrate_ode(scheme, params, stalled.tail.copy(), t_end=0.01,
+                          stop_residual=1e-9)
+    assert (early.stop_reason, early.steps) == ("stationary", 2)
+
+
+def test_ode_result_says_why_it_stopped_and_counts_pins(stalled):
+    assert stalled.stop_reason == "stationary"
+    assert stalled.pins == stalled.releases == 0
+
     on_residual = _run_ode("power-of-1")
     assert on_residual.stop_reason == "residual"
     assert on_residual.residual < 1e-4
