@@ -1,6 +1,8 @@
 /*
- * Compiled event loops of stickysim: flow_run for flow_sim.run_flow_sim and
- * bin_run for bin_sim.run_bin_sim.
+ * Compiled loops of stickysim: flow_run for flow_sim.run_flow_sim, bin_run
+ * for bin_sim.run_bin_sim, and ode_drift, the mean-field drift (join rule
+ * plus arrival/departure balance) that mean_field.integrate_ode evaluates at
+ * every RK4 stage.
  *
  * Each is a line-for-line port of its Python reference loop
  * (flow_sim._run_flow_sim_py, bin_sim._run_bin_sim_py): same draw order, same
@@ -18,6 +20,13 @@
  * Flow modes: 0 d=1, 1 d<n choices, 2 d>=n (least loaded), 3 pull, 4 shedding,
  * 5 transfer to invite, 6 transfer to least loaded.  high = INT64_MAX means
  * no upper threshold.
+ *
+ * ode_drift is a port of the join rules in mean_field (_pull_rule and its
+ * siblings) and of the balance in integrate_ode's Python rhs, with the same
+ * double operations in the same order, so the drift agrees bit for bit.
+ *
+ * The SIZEOF_* constants export the size of every struct shared with
+ * _native.py, so a test can compare each with its ctypes mirror.
  */
 
 #include <math.h>
@@ -680,3 +689,180 @@ void sim_free(sim_result *r)
     r->hist = NULL;
     r->series = NULL;
 }
+
+/* ------------------------------------------------------------------------ */
+/* mean-field drift                                                         */
+/* ------------------------------------------------------------------------ */
+
+/* Join rules: 0 d choices (d = 1 or 2), 1 pull, 2 shedding, 3 transfer to
+ * invite, 4 transfer to least loaded.  high = INT64_MAX means no upper
+ * threshold. */
+enum { RULE_POWER = 0, RULE_PULL = 1, RULE_SHEDDING = 2, RULE_INVITE = 3,
+       RULE_LEAST = 4 };
+
+typedef struct {
+    int64_t rule, d, low, high;
+    int64_t size;  /* tail levels: ds has `size` entries */
+    int64_t width; /* padded tail length: sp has `width`, q `width - 1` */
+    double lam, beta, rho, case_eps;
+    double *q;
+} drift_params;
+
+/* q[j] = sp[j] - sp[j + 1] for from <= j < to */
+static void tail_diff(const double *sp, double *q, int64_t from, int64_t to)
+{
+    for (int64_t j = from; j < to; j++)
+        q[j] = sp[j] - sp[j + 1];
+}
+
+/* every server at or above `high`: dips below it absorb what they can, the
+ * rest spreads uniformly; q starts zeroed (mean_field._fill_saturated) */
+static void fill_saturated(const double *sp, double *q, int64_t nq, int64_t high,
+                           double rho)
+{
+    double dip = (double)high * (1.0 - sp[high + 1]);
+    if (rho <= dip) {
+        q[high - 1] = 1.0;
+        return;
+    }
+    q[high - 1] = dip / rho;
+    double rem = (rho - dip) / rho;
+    for (int64_t j = high; j < nq; j++)
+        q[j] = rem * (sp[j] - sp[j + 1]);
+}
+
+static void pull_rule(const drift_params *p, const double *sp, double *q, int64_t nq)
+{
+    const int64_t low = p->low, high = p->high;
+    const int finite_high = high != INT64_MAX;
+    const double rho = p->rho, near_one = 1.0 - p->case_eps;
+    const double s_low = sp[low], s_high = finite_high ? sp[high] : 0.0;
+
+    if (s_low < near_one) {
+        /* invites outstanding: every arrival lands below `low` */
+        for (int64_t j = 0; j < low; j++)
+            q[j] = (sp[j] - sp[j + 1]) / (1.0 - s_low);
+        return;
+    }
+    if (!finite_high || s_high < near_one) {
+        double dip = (double)low * (1.0 - sp[low + 1]);
+        if (rho <= dip) {
+            q[low - 1] = 1.0;
+            return;
+        }
+        if (low >= 1)
+            q[low - 1] = dip / rho;
+        double rem = (rho - dip) / rho;
+        int64_t hb = finite_high ? high : nq;
+        for (int64_t j = low; j < hb; j++)
+            q[j] = rem * (sp[j] - sp[j + 1]) / (1.0 - s_high);
+        return;
+    }
+    fill_saturated(sp, q, nq, high, rho);
+}
+
+static void invite_rule(const drift_params *p, const double *sp, double *q, int64_t nq)
+{
+    const int64_t low = p->low, high = p->high;
+    const double rho = p->rho, near_one = 1.0 - p->case_eps;
+    const double s_low = sp[low], s_high = sp[high];
+
+    if (s_low < near_one) {
+        double boost = (1.0 - s_low + s_high) / (1.0 - s_low);
+        for (int64_t j = 0; j < low; j++)
+            q[j] = (sp[j] - sp[j + 1]) * boost;
+        tail_diff(sp, q, low, high);
+        return;
+    }
+    if (s_high < near_one) {
+        double dip = (double)low * (1.0 - sp[low + 1]);
+        tail_diff(sp, q, low, high);
+        if (rho * s_high <= dip) {
+            /* dips below `low` absorb every transfer */
+            if (low >= 1)
+                q[low - 1] = s_high;
+            return;
+        }
+        if (low >= 1)
+            q[low - 1] = dip / rho;
+        double rem = (rho * s_high - dip) / rho;
+        double boost = 1.0 + rem / (1.0 - s_high);
+        for (int64_t j = low; j < high; j++)
+            q[j] *= boost;
+        return;
+    }
+    fill_saturated(sp, q, nq, high, rho);
+}
+
+static void least_rule(const drift_params *p, const double *sp, double *q, int64_t nq)
+{
+    const int64_t high = p->high;
+    const double rho = p->rho, near_one = 1.0 - p->case_eps;
+    /* least-loaded level: the first m with sp[m + 1] below 1; the zero padding
+     * past the tail guarantees one */
+    int64_t m = 0;
+    while (m < nq - 1 && !(sp[m + 1] < near_one))
+        m++;
+    const double s_high = sp[high];
+    const double dip = (double)m * (1.0 - sp[m + 1]);
+
+    if (m < high) {
+        if (rho * s_high <= dip) {
+            if (m >= 1)
+                q[m - 1] = s_high;
+            tail_diff(sp, q, m, high);
+            return;
+        }
+        if (m >= 1)
+            q[m - 1] = dip / rho;
+        q[m] = s_high + (rho - (double)m) * (1.0 - sp[m + 1]) / rho;
+        tail_diff(sp, q, m + 1, high);
+        return;
+    }
+    /* least-loaded level at or above `high`: pure greedy filling of dips */
+    if (rho <= dip) {
+        q[m - 1] = 1.0;
+        return;
+    }
+    q[m - 1] = dip / rho;
+    q[m] = (rho - dip) / rho;
+}
+
+/* Drift of the occupancy tail at the padded tail sp: writes every entry of
+ * p->q with the scheme's join rule, then ds[i] = lam*q[i-1] -
+ * (i*(sp[i] - sp[i+1]))/beta for 1 <= i < size; ds[0] is left alone. */
+void ode_drift(const drift_params *p, const double *sp, double *ds)
+{
+    double *q = p->q;
+    const int64_t nq = p->width - 1;
+
+    if (p->rule == RULE_POWER) {
+        if (p->d == 1) {
+            tail_diff(sp, q, 0, nq);
+        } else {
+            /* sp**2 as numpy computes it: one rounded product */
+            for (int64_t j = 0; j < nq; j++)
+                q[j] = sp[j] * sp[j] - sp[j + 1] * sp[j + 1];
+        }
+    } else if (p->rule == RULE_SHEDDING) {
+        int64_t top = p->high < nq ? p->high : nq;
+        tail_diff(sp, q, 0, top);
+        memset(q + top, 0, (size_t)(nq - top) * sizeof *q);
+    } else {
+        memset(q, 0, (size_t)nq * sizeof *q);
+        if (p->rule == RULE_PULL)
+            pull_rule(p, sp, q, nq);
+        else if (p->rule == RULE_INVITE)
+            invite_rule(p, sp, q, nq);
+        else
+            least_rule(p, sp, q, nq);
+    }
+
+    const double lam = p->lam, beta = p->beta;
+    for (int64_t i = 1; i < p->size; i++)
+        ds[i] = lam * q[i - 1] - (double)i * (sp[i] - sp[i + 1]) / beta;
+}
+
+const int64_t SIZEOF_SIM_PARAMS = sizeof(sim_params);
+const int64_t SIZEOF_SIM_RESULT = sizeof(sim_result);
+const int64_t SIZEOF_DRIFT_PARAMS = sizeof(drift_params);

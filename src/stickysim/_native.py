@@ -1,15 +1,15 @@
-"""Build and load the compiled event kernels.
+"""Build and load the compiled kernels.
 
-The event kernels (flow_run, bin_run) live in one C99 source file shipped
-next to this module, _kernel.c.  On first use it is compiled with the host C
-compiler into a per-user cache directory
+The event kernels (flow_run, bin_run) and the mean-field drift (ode_drift)
+live in one C99 source file shipped next to this module, _kernel.c.  On first
+use it is compiled with the host C compiler into a per-user cache directory
 (``$XDG_CACHE_HOME/stickysim``, else ``~/.cache/stickysim``), under a name
 keyed by the SHA-256 of the source and the compile flags, and loaded with
 ctypes.  Nothing here runs at package import.
 
 When no compiler is found, or the build or the load fails, ``kernel`` logs
 one warning and returns None; callers then run their pure-Python reference
-loop, which produces the same results.
+code, which produces the same results.
 """
 
 from __future__ import annotations
@@ -105,8 +105,22 @@ class SimResult(ctypes.Structure):
     ]
 
 
+class DriftParams(ctypes.Structure):
+    _fields_ = [
+        ("rule", _I64), ("d", _I64), ("low", _I64), ("high", _I64),
+        ("size", _I64), ("width", _I64),
+        ("lam", _F64), ("beta", _F64), ("rho", _F64), ("case_eps", _F64),
+        ("q", F64P),
+    ]
+
+
+# ode_drift's join-rule codes
+RULE_POWER, RULE_PULL, RULE_SHEDDING, RULE_INVITE, RULE_LEAST = range(5)
+
+
 def kernel() -> ctypes.CDLL | None:
-    """The loaded event kernels (flow_run, bin_run) with signatures set, or None.
+    """The loaded kernels (flow_run, bin_run, ode_drift) with signatures set,
+    or None.
 
     Built and loaded on the first call; the outcome is kept for the process,
     so a fallback warns only once.
@@ -125,6 +139,9 @@ def kernel() -> ctypes.CDLL | None:
                 entry.restype = ctypes.c_int
             lib.sim_free.argtypes = [ctypes.POINTER(SimResult)]
             lib.sim_free.restype = None
+            # the tails go in as plain addresses, taken once per integration
+            lib.ode_drift.argtypes = [ctypes.c_void_p] * 3
+            lib.ode_drift.restype = None
             logger.info("compiled kernel %s loaded from %s", _SOURCE.name, path)
         _loaded.append(lib)
     return _loaded[0]

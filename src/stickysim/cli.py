@@ -24,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -75,8 +75,10 @@ class ExperimentSpec:
     out_dir: Path = Path(".")
 
 
-# rows are lists of str/int/float; floats serialize via repr
-_CsvTable = tuple[Sequence[str], Sequence[Sequence[object]]]
+# rows hold str/int/float and are read once; csv.writer writes each cell as
+# its str, which for a Python float is its repr (a numpy float scalar's repr
+# differs, so rows hold Python floats)
+_CsvTable = tuple[Sequence[str], Iterable[Iterable[object]]]
 _RunnerResult = tuple[dict[str, _CsvTable], dict[str, object]]
 _T = TypeVar("_T")
 _Runner = Callable[[ExperimentSpec], _RunnerResult]
@@ -125,13 +127,18 @@ def _histogram_table(
     emp[: empirical.size] = empirical
     th = np.zeros(size)
     th[: theory.p.size] = theory.p
-    rows = [[i, float(emp[i]), float(th[i])] for i in range(size)]
+    rows = zip(range(size), emp.tolist(), th.tolist())
     return ["i", "p_empirical", "p_theory"], rows
 
 
 def _series_table(series: np.ndarray) -> _CsvTable:
-    rows = [[float(t), int(o)] for t, o in series]
+    rows = zip(series[:, 0].tolist(), series[:, 1].astype(np.int64).tolist())
     return ["t", "occupancy"], rows
+
+
+def _sigma_summary(diag: mf.SolveDiagnostics) -> dict[str, object]:
+    return {"sigma": diag.sigma, "sigma_residual": diag.residual,
+            "sigma_iterations": diag.iterations}
 
 
 def _delay_metric(params: SystemParams, chi: float):
@@ -240,6 +247,7 @@ def _exp_power_of_2(spec: ExperimentSpec) -> _RunnerResult:
         "ode_residual": res.residual,
         "ode_steps": res.steps,
         "ode_stop_reason": res.stop_reason,
+        "ode_engine": res.engine,
         "ode_t": res.t,
         "ode_max_projection": res.max_projection,
         "ode_pins": res.pins,
@@ -259,7 +267,7 @@ def _exp_pull(spec: ExperimentSpec) -> _RunnerResult:
         spec,
         PullBased(low=low, high=high),
         theory,
-        {"sigma": diag.sigma, "sigma_residual": diag.residual},
+        _sigma_summary(diag),
     )
 
 
@@ -284,7 +292,7 @@ def _exp_transfer_invite(spec: ExperimentSpec) -> _RunnerResult:
         spec,
         TransferToInvite(low=low, high=high),
         theory,
-        {"violation_rate_theory": eps_theory, "sigma": diag.sigma},
+        {"violation_rate_theory": eps_theory, **_sigma_summary(diag)},
     )
 
 
@@ -702,19 +710,12 @@ def build_spec(
     )
 
 
-def _format_cell(v: object) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_csv(path: Path, table: _CsvTable) -> None:
     header, rows = table
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(c) for c in row])
+        writer.writerows(rows)
 
 
 def _json_default(v: object):

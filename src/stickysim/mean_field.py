@@ -260,6 +260,26 @@ def _least_loaded_rule(high: int, rho: float) -> tuple[int, JoinRule]:
     return high, rule
 
 
+def _kernel_rule(scheme: SchemeConfig) -> tuple[int, int, int, int | float] | None:
+    """The compiled drift's rule code and (d, low, high) for `scheme`, or None
+    where the drift stays in Python: d-choices with d >= 3, whose powers
+    numpy may round differently from C (an SVML build of np.power differs
+    from libm pow on about 5% of inputs)."""
+    from . import _native as native
+
+    if isinstance(scheme, PowerOfD):
+        return (native.RULE_POWER, scheme.d, 0, 0) if scheme.d <= 2 else None
+    if isinstance(scheme, PullBased):
+        return native.RULE_PULL, 0, scheme.low, scheme.high
+    if isinstance(scheme, Shedding):
+        return native.RULE_SHEDDING, 0, 0, scheme.high
+    if isinstance(scheme, TransferToInvite):
+        return native.RULE_INVITE, 0, scheme.low, scheme.high
+    if isinstance(scheme, TransferToLeastLoaded):
+        return native.RULE_LEAST, 0, 0, scheme.high
+    return None
+
+
 def _join_rule(scheme: SchemeConfig, rho: float) -> tuple[int, JoinRule]:
     """The scheme's join rule bound to its thresholds and the load, with the
     top level it reads."""
@@ -675,7 +695,9 @@ class OdeResult:
     trajectory are shorter.  `pins` counts levels that joined the pinned
     saturated prefix (those pinned at the start included) and `releases` the
     levels freed from it, both up to the stop, so pins - releases is the
-    length of the prefix pinned at the end."""
+    length of the prefix pinned at the end.  `engine` names what evaluated
+    the drift: "kernel" for ode_drift in _kernel.c, "python" for the NumPy
+    join rules; both give the same result bit for bit."""
 
     t: float
     tail: np.ndarray
@@ -686,9 +708,87 @@ class OdeResult:
     stop_reason: str
     pins: int
     releases: int
+    engine: str
 
     def distribution(self) -> FlowDistribution:
         return FlowDistribution.from_tail(self.tail)
+
+
+def _tail_views(padded: np.ndarray, size: int) -> tuple:
+    """What a drift reads of a padded tail with `size` levels: the tail, its
+    levels 1..size-1, their next levels, and its address for the kernel."""
+    return padded, padded[1:size], padded[2 : size + 1], padded.ctypes.data
+
+
+def _drift_views(ds: np.ndarray) -> tuple:
+    """What a drift writes: ds, its levels 1.., and its address."""
+    return ds, ds[1:], ds.ctypes.data
+
+
+def _bind_drift(
+    scheme: SchemeConfig, params: SystemParams, size: int, q: np.ndarray
+) -> tuple[str, Callable[[tuple, tuple], None]]:
+    """The mean-field drift of `scheme` at `params`, bound to the join buffer q
+    (one entry less than the padded tails it reads), with its engine's name.
+
+    drift(_tail_views(sp, size), _drift_views(ds)), for contiguous float64
+    sp with q.size + 1 entries and ds with `size`, writes every entry of q
+    with the scheme's join rule, then ds[i] = lam*q[i-1] - (i*(sp[i] -
+    sp[i+1]))/beta for 1 <= i < size.  It is ode_drift in _kernel.c
+    ("kernel") when the kernel loads and _kernel_rule covers the scheme, and
+    the NumPy join rule and balance ("python") otherwise; the two agree bit
+    for bit.  The kernel's arguments are built here, once, so each drift is
+    one foreign call.
+    """
+    lam, beta, rho = params.lam, params.beta, params.rho
+    need, join_rule = _join_rule(scheme, rho)
+    # the kernel indexes the tails through these bounds unchecked
+    if q.size < max(size, need + 1):
+        raise ValueError(f"join buffer of {q.size} entries is too short for "
+                         f"{size} levels and a rule reading level {need}")
+    kernel_rule = _kernel_rule(scheme)
+    lib = None
+    if kernel_rule is not None:
+        # imported here so that importing the package loads no kernel machinery
+        import ctypes
+
+        from . import _native as native
+
+        lib = native.kernel()
+    if lib is not None:
+        code, d, low, high = kernel_rule
+        c_params = native.DriftParams(
+            rule=code, d=d, low=low,
+            high=native.NO_CAP if high == math.inf else high,
+            size=size, width=q.size + 1, lam=lam, beta=beta, rho=rho,
+            case_eps=CASE_EPS, q=q.ctypes.data_as(native.F64P),
+        )
+        # the reference keeps c_params alive as long as the closure
+        params_ref = ctypes.byref(c_params)
+        ode_drift = lib.ode_drift
+
+        def kernel_drift(views: tuple, k: tuple) -> None:
+            ode_drift(params_ref, views[3], k[2])
+
+        return "kernel", kernel_drift
+
+    q_head = q[: size - 1]
+    arrive = np.empty(size - 1)
+    depart = np.empty(size - 1)
+    idx = np.arange(1, size, dtype=np.float64)
+    lam_c, beta_c = np.array(lam, dtype=np.float64), np.array(beta, dtype=np.float64)
+    subtract, multiply, divide = np.subtract, np.multiply, np.divide
+
+    def python_drift(views: tuple, k: tuple) -> None:
+        padded, level, upper, _ = views
+        join_rule(padded, q)
+        multiply(lam_c, q_head, out=arrive)
+        subtract(level, upper, out=depart)
+        multiply(idx, depart, out=depart)
+        divide(depart, beta_c, out=depart)
+        subtract(arrive, depart, out=k[1])
+
+    return "python", python_drift
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -727,7 +827,11 @@ def integrate_ode(
 
     The state and the RK4 stage live in buffers zero-padded to the width the
     scheme's join rule reads, and every vector operation of a step writes into
-    a buffer allocated once per call.
+    a buffer allocated once per call.  The drift (join rule plus arrival and
+    departure balance) runs in the compiled kernel (ode_drift in _kernel.c,
+    built on first use) when it loads and the scheme is not d-choices with
+    d >= 3, and otherwise in NumPy; both give the same result bit for bit,
+    and OdeResult.engine names the one that ran.
 
     Below the invite threshold the snap-to-constraint window is PIN_TOL wide,
     so configurations whose true stationary tails there fall within PIN_TOL of
@@ -753,7 +857,7 @@ def integrate_ode(
     _check_positive("dt", dt)
     if record_every is not None:
         _check_positive("record_every", record_every)
-    need, join_rule = _join_rule(scheme, rho)
+    need = _join_rule(scheme, rho)[0]
 
     # Buffers.  The state and the stage state are zero-padded past the last
     # level, so the join rule reads them in place and the next level of
@@ -765,23 +869,21 @@ def integrate_ode(
     state[:size] = s0
     s = state[:size]
     g = stage[:size]
-    s_views = (state, s[1:], state[2 : size + 1])
-    g_views = (stage, g[1:], stage[2 : size + 1])
+    s_views = _tail_views(state, size)
+    g_views = _tail_views(stage, size)
     q = np.empty(width - 1)
-    q_head = q[: size - 1]
+    # the drift without the dip-refill correction, which rhs adds
+    engine, bare_drift = _bind_drift(scheme, params, size, q)
     # k[0] stays 0: s_0 = 1 has no dynamics
     k1, k2, k3, k4 = (np.zeros(size) for _ in range(4))
-    ks = [(k, k[1:]) for k in (k1, k2, k3, k4)]
+    ks = [_drift_views(k) for k in (k1, k2, k3, k4)]
     raw = np.empty(size)
     tmp = np.empty(size)
-    arrive = np.empty(size - 1)
-    depart = np.empty(size - 1)
-    idx = np.arange(1, size, dtype=np.float64)
-    lam_c, beta_c = np.array(lam, dtype=np.float64), np.array(beta, dtype=np.float64)
+    siphon_buf = np.empty(size - 1)
     half_dt, full_dt = np.array(0.5 * dt), np.array(dt)
     sixth_dt, two = np.array(dt / 6.0), np.array(2.0)
     zero, one = np.array(0.0), np.array(1.0)
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    add, subtract, multiply = np.add, np.subtract, np.multiply
     absolute, fill_down, sup = np.absolute, np.minimum.accumulate, np.maximum.reduce
 
     # Saturated-prefix bookkeeping: levels whose tail has reached 1 are pinned
@@ -829,14 +931,8 @@ def integrate_ode(
     # unsaturated levels.  Other schemes (and saturated levels at or above the
     # threshold) give dips no such priority and need no correction.
     def rhs(views: tuple, k: tuple) -> None:
-        padded, level, upper = views
-        ds, ds_tail = k
-        join_rule(padded, q)
-        multiply(lam_c, q_head, out=arrive)
-        subtract(level, upper, out=depart)
-        multiply(idx, depart, out=depart)
-        divide(depart, beta_c, out=depart)
-        subtract(arrive, depart, out=ds_tail)
+        bare_drift(views, k)
+        ds = k[0]
         if invite_low is not None and 0 < sat < invite_low and ds[sat] < 0.0:
             # if the whole stream cannot cover the refill demand, ds[sat]
             # stays negative and the release rule frees the level
@@ -846,7 +942,7 @@ def integrate_ode(
             if cover > 0.0:
                 ds[sat] += cover
                 scale = cover / visible
-                siphon = arrive[: size - 1 - sat]
+                siphon = siphon_buf[: size - 1 - sat]
                 multiply(lam * scale, q[sat : size - 1], out=siphon)
                 subtract(ds[sat + 1 :], siphon, out=ds[sat + 1 :])
 
@@ -938,4 +1034,5 @@ def integrate_ode(
         stop_reason=stop_reason,
         pins=pins,
         releases=releases,
+        engine=engine,
     )

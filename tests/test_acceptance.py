@@ -132,6 +132,7 @@ def test_criterion_02_ode_converges_to_fixed_points():
     worst = 0.0
     steps = 0
     stops: dict[str, int] = {}
+    engines: set[str] = set()
     for scheme in (
         PullBased(LOW, HIGH),
         TransferToInvite(LOW, HIGH),
@@ -146,6 +147,7 @@ def test_criterion_02_ode_converges_to_fixed_points():
             worst = max(worst, total_variation(out.distribution(), target))
             steps += out.steps
             stops[out.stop_reason] = stops.get(out.stop_reason, 0) + 1
+            engines.add(out.engine)
     elapsed = time.perf_counter() - t0
     ok = worst <= tol and elapsed < 30.0
     stopped = ", ".join(f"{n} {reason}" for reason, n in sorted(stops.items()))
@@ -153,7 +155,8 @@ def test_criterion_02_ode_converges_to_fixed_points():
         "2", ok,
         f"ODE terminal state within TV 1e-6 of the analytic fixed point, "
         f"3 starts x 4 schemes (worst {worst:.2e}, {steps} steps, "
-        f"stopped: {stopped}, {elapsed:.1f}s)",
+        f"stopped: {stopped}, drift engine {'/'.join(sorted(engines))}, "
+        f"{elapsed:.1f}s)",
     )
     assert worst <= tol
     assert elapsed < 30.0

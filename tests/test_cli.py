@@ -234,6 +234,44 @@ class TestRunExperiment:
         assert payload["ode_residual"] == res.residual
         assert payload["ode_max_projection"] == res.max_projection
         assert (payload["ode_pins"], payload["ode_releases"]) == (res.pins, res.releases)
+        assert payload["ode_engine"] == res.engine in ("kernel", "python")
+
+    @pytest.mark.parametrize("name,low,high", [
+        ("pull-thresholds", 2, 5), ("pull-tight", 3, 4), ("transfer-invite", 2, 5),
+    ])
+    def test_sigma_diagnostics_in_summary(self, tmp_path, name, low, high):
+        spec = cli.build_spec(name, {**TINY, "low": str(low), "high": str(high)},
+                              seed=0, out_dir=tmp_path)
+        cli.run_experiment(spec)
+        payload = json.loads((tmp_path / f"{name}_summary.json").read_text())
+        solve = (mf.solve_transfer_invite_fixed_point if name == "transfer-invite"
+                 else mf.solve_pull_fixed_point)
+        _, diag = solve(cli._system_params(spec.params).rho, low, high)
+        assert payload["sigma"] == diag.sigma
+        assert payload["sigma_residual"] == diag.residual
+        assert payload["sigma_iterations"] == diag.iterations > 0
+
+    def test_csv_writer_formats_cells_like_the_per_cell_rule(self, tmp_path):
+        import csv
+
+        # runners hand over Python floats (.tolist(), float()), never numpy
+        # float scalars, whose repr is not their str
+        rows = [
+            [0.1, -0.0, 1e-300, 1 / 3],
+            [0, -7, 2**70, "label", "with,comma"],
+            [math.inf, -math.inf, math.nan, True, np.int64(3)],
+        ]
+        cli._write_csv(tmp_path / "new.csv", (["a", "b", "c", "d", "e"], iter(rows)))
+        # the rule the writer replaced: repr for a float, str for the rest
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["a", "b", "c", "d", "e"])
+            for row in rows:
+                writer.writerow([repr(c) if isinstance(c, float) else str(c)
+                                 for c in row])
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert b"-0.0,1e-300,0.3333333333333333\n" in new
 
     def test_delay_tails_values(self, tmp_path, full_params):
         spec = cli.build_spec(
