@@ -1,10 +1,13 @@
 /*
  * Compiled loops of stickysim: flow_run for flow_sim.run_flow_sim, bin_run
- * for bin_sim.run_bin_sim, and ode_drift, the mean-field drift (join rule
- * plus arrival/departure balance) that mean_field.integrate_ode evaluates at
- * every RK4 stage.
+ * for bin_sim.run_bin_sim, and the vector arithmetic of a
+ * mean_field.integrate_ode RK4 step: ode_drift, the mean-field drift (join
+ * rule plus arrival/departure balance) at the step's start; ode_stage, one
+ * RK4 stage (projected stage state, then the drift there); ode_finish, the
+ * step end (RK4 combination, projection, projection distance).  The step loop,
+ * pinning, the dip-refill correction and the stop rules stay in Python.
  *
- * Each is a line-for-line port of its Python reference loop
+ * The two event loops are line-for-line ports of their Python references
  * (flow_sim._run_flow_sim_py, bin_sim._run_bin_sim_py): same draw order, same
  * double arithmetic, same swap-remove/append order in every list, so a run
  * produces the same statistics bit for bit.  Build it with -ffp-contract=off
@@ -21,9 +24,11 @@
  * 5 transfer to invite, 6 transfer to least loaded.  high = INT64_MAX means
  * no upper threshold.
  *
- * ode_drift is a port of the join rules in mean_field (_pull_rule and its
- * siblings) and of the balance in integrate_ode's Python rhs, with the same
- * double operations in the same order, so the drift agrees bit for bit.
+ * ode_drift, ode_stage and ode_finish are ports of the NumPy engine in
+ * mean_field._bind_ode (the join rules _pull_rule and its siblings, the
+ * balance, numpy's clip and np.minimum.accumulate down to NaN and -0.0),
+ * with the same double operations in the same order, so every RK4 step agrees
+ * bit for bit.
  *
  * The SIZEOF_* constants export the size of every struct shared with
  * _native.py, so a test can compare each with its ctypes mirror.
@@ -861,6 +866,63 @@ void ode_drift(const drift_params *p, const double *sp, double *ds)
     const double lam = p->lam, beta = p->beta;
     for (int64_t i = 1; i < p->size; i++)
         ds[i] = lam * q[i - 1] - (double)i * (sp[i] - sp[i + 1]) / beta;
+}
+
+/* numpy's clip to [0, 1]: NaN and -0.0 come out unchanged */
+static double clip_unit(double x)
+{
+    x = x < 0.0 ? 0.0 : x;
+    return x > 1.0 ? 1.0 : x;
+}
+
+/* v = src clipped to [0, 1], levels 0..sat set to 1, then its running
+ * minimum, as mean_field's NumPy projection computes it: np.minimum keeps
+ * its first argument only when that is smaller or NaN, so a tie keeps the
+ * later entry (and its sign of zero) and the first NaN spreads down */
+static void project(const double *src, double *v, int64_t size, int64_t sat)
+{
+    for (int64_t i = 0; i < size; i++)
+        v[i] = i <= sat ? 1.0 : clip_unit(src[i]);
+    for (int64_t i = 1; i < size; i++)
+        if (v[i - 1] < v[i] || isnan(v[i - 1]))
+            v[i] = v[i - 1];
+}
+
+/* One RK4 stage: g = project(s + scale*k_in) on the first size levels of the
+ * padded stage tail g, then the drift there into p->q and k_out. */
+void ode_stage(const drift_params *p, const double *s, const double *k_in,
+               double scale, int64_t sat, double *g, double *k_out)
+{
+    const int64_t size = p->size;
+    for (int64_t i = 0; i < size; i++)
+        g[i] = s[i] + scale * k_in[i];
+    project(g, g, size, sat);
+    ode_drift(p, g, k_out);
+}
+
+/* The end of an RK4 step: raw = s + sixth_dt*(k1 + 2*k2 + 2*k3 + k4), summed
+ * in that order, with k1..k4 the rows of the size-wide block k; then s =
+ * project(raw).  Returns sup|raw - s| as np.maximum.reduce takes it (a NaN
+ * wins). */
+double ode_finish(const drift_params *p, const double *k, double sixth_dt,
+                  int64_t sat, double *raw, double *s)
+{
+    const int64_t size = p->size;
+    const double *k1 = k, *k2 = k + size, *k3 = k + 2 * size, *k4 = k + 3 * size;
+    for (int64_t i = 0; i < size; i++) {
+        double r = k1[i] + 2.0 * k2[i];
+        r = r + 2.0 * k3[i];
+        r = r + k4[i];
+        raw[i] = s[i] + sixth_dt * r;
+    }
+    project(raw, s, size, sat);
+    double dist = fabs(raw[0] - s[0]);
+    for (int64_t i = 1; i < size; i++) {
+        double d = fabs(raw[i] - s[i]);
+        if (!(dist >= d || isnan(dist)))
+            dist = d;
+    }
+    return dist;
 }
 
 const int64_t SIZEOF_SIM_PARAMS = sizeof(sim_params);

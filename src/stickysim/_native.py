@@ -1,8 +1,9 @@
 """Build and load the compiled kernels.
 
-The event kernels (flow_run, bin_run) and the mean-field drift (ode_drift)
-live in one C99 source file shipped next to this module, _kernel.c.  On first
-use it is compiled with the host C compiler into a per-user cache directory
+The event kernels (flow_run, bin_run) and the mean-field RK4 pieces
+(ode_drift, ode_stage, ode_finish) live in one C99 source file shipped next
+to this module, _kernel.c.  On first use it is compiled with the host C
+compiler into a per-user cache directory
 (``$XDG_CACHE_HOME/stickysim``, else ``~/.cache/stickysim``), under a name
 keyed by the SHA-256 of the source and the compile flags, and loaded with
 ctypes.  Nothing here runs at package import.
@@ -119,8 +120,8 @@ RULE_POWER, RULE_PULL, RULE_SHEDDING, RULE_INVITE, RULE_LEAST = range(5)
 
 
 def kernel() -> ctypes.CDLL | None:
-    """The loaded kernels (flow_run, bin_run, ode_drift) with signatures set,
-    or None.
+    """The loaded kernels (flow_run, bin_run, ode_drift, ode_stage,
+    ode_finish) with signatures set, or None.
 
     Built and loaded on the first call; the outcome is kept for the process,
     so a fallback warns only once.
@@ -139,9 +140,14 @@ def kernel() -> ctypes.CDLL | None:
                 entry.restype = ctypes.c_int
             lib.sim_free.argtypes = [ctypes.POINTER(SimResult)]
             lib.sim_free.restype = None
-            # the tails go in as plain addresses, taken once per integration
-            lib.ode_drift.argtypes = [ctypes.c_void_p] * 3
+            # the buffers go in as plain addresses, taken once per integration
+            ptr = ctypes.c_void_p
+            lib.ode_drift.argtypes = [ptr] * 3
             lib.ode_drift.restype = None
+            lib.ode_stage.argtypes = [ptr, ptr, ptr, _F64, _I64, ptr, ptr]
+            lib.ode_stage.restype = None
+            lib.ode_finish.argtypes = [ptr, ptr, _F64, _I64, ptr, ptr]
+            lib.ode_finish.restype = _F64
             logger.info("compiled kernel %s loaded from %s", _SOURCE.name, path)
         _loaded.append(lib)
     return _loaded[0]

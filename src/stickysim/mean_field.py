@@ -695,9 +695,10 @@ class OdeResult:
     trajectory are shorter.  `pins` counts levels that joined the pinned
     saturated prefix (those pinned at the start included) and `releases` the
     levels freed from it, both up to the stop, so pins - releases is the
-    length of the prefix pinned at the end.  `engine` names what evaluated
-    the drift: "kernel" for ode_drift in _kernel.c, "python" for the NumPy
-    join rules; both give the same result bit for bit."""
+    length of the prefix pinned at the end.  `engine` names what ran the
+    vector arithmetic of each step (the drift, the RK4 stages and the step
+    end): "kernel" for ode_drift, ode_stage and ode_finish in _kernel.c,
+    "python" for NumPy; both give the same result bit for bit."""
 
     t: float
     tail: np.ndarray
@@ -714,38 +715,55 @@ class OdeResult:
         return FlowDistribution.from_tail(self.tail)
 
 
-def _tail_views(padded: np.ndarray, size: int) -> tuple:
-    """What a drift reads of a padded tail with `size` levels: the tail, its
-    levels 1..size-1, their next levels, and its address for the kernel."""
-    return padded, padded[1:size], padded[2 : size + 1], padded.ctypes.data
+@dataclass(frozen=True)
+class _Rk4:
+    """The buffers of a fixed-step RK4 integration of the mean-field ODE and
+    the three pieces of a step that run on them, for one engine.
+
+    `state` and `g` are the current and the stage tail, zero-padded past
+    their `size` levels to the width the join rule reads (the padding is never
+    written); `k` holds k1..k4 as rows of `size` entries, whose level 0 stays
+    0; `raw` is the step end before projection; `q` is the join buffer, one
+    entry shorter than the padded tails.
+
+    drift() writes every entry of q with the scheme's join rule at state, then
+    k1[i] = lam*q[i-1] - (i*(state[i] - state[i+1]))/beta for 1 <= i < size.
+    stage(i, scale, sat) writes project(state + scale*k[i], sat) into g and
+    the drift there into q and k[i + 1].  finish(sixth_dt, sat) writes raw =
+    state + sixth_dt*(k1 + 2*k2 + 2*k3 + k4), summed in that order, projects
+    it into state and returns sup|raw - state|.  project(v, sat) clips v to
+    [0, 1], sets its levels 0..sat to 1 and takes its running minimum.
+
+    `engine` is "kernel" when ode_drift, ode_stage and ode_finish in
+    _kernel.c run the three and "python" when NumPy does; both give the same
+    result bit for bit.  Pinning, the dip-refill correction and the stop
+    rules are the caller's."""
+
+    engine: str
+    state: np.ndarray
+    g: np.ndarray
+    k: np.ndarray
+    raw: np.ndarray
+    q: np.ndarray
+    drift: Callable[[], None]
+    stage: Callable[[int, float, int], None]
+    finish: Callable[[float, int], float]
 
 
-def _drift_views(ds: np.ndarray) -> tuple:
-    """What a drift writes: ds, its levels 1.., and its address."""
-    return ds, ds[1:], ds.ctypes.data
-
-
-def _bind_drift(
-    scheme: SchemeConfig, params: SystemParams, size: int, q: np.ndarray
-) -> tuple[str, Callable[[tuple, tuple], None]]:
-    """The mean-field drift of `scheme` at `params`, bound to the join buffer q
-    (one entry less than the padded tails it reads), with its engine's name.
-
-    drift(_tail_views(sp, size), _drift_views(ds)), for contiguous float64
-    sp with q.size + 1 entries and ds with `size`, writes every entry of q
-    with the scheme's join rule, then ds[i] = lam*q[i-1] - (i*(sp[i] -
-    sp[i+1]))/beta for 1 <= i < size.  It is ode_drift in _kernel.c
-    ("kernel") when the kernel loads and _kernel_rule covers the scheme, and
-    the NumPy join rule and balance ("python") otherwise; the two agree bit
-    for bit.  The kernel's arguments are built here, once, so each drift is
-    one foreign call.
-    """
+def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int) -> _Rk4:
+    """The RK4 buffers and step pieces of `scheme` at `params` for tails of
+    `size` levels, on the compiled kernel when it loads and _kernel_rule
+    covers the scheme, in NumPy otherwise.  The kernel's arguments are built
+    here, once, so each piece is one foreign call."""
     lam, beta, rho = params.lam, params.beta, params.rho
     need, join_rule = _join_rule(scheme, rho)
-    # the kernel indexes the tails through these bounds unchecked
-    if q.size < max(size, need + 1):
-        raise ValueError(f"join buffer of {q.size} entries is too short for "
-                         f"{size} levels and a rule reading level {need}")
+    # the kernel indexes these unchecked: the padded tails hold every level
+    # the join rule and the balance read
+    width = max(size + 1, need + 2)
+    state, g = np.zeros(width), np.zeros(width)
+    k = np.zeros((4, size))
+    raw = np.empty(size)
+    q = np.empty(width - 1)
     kernel_rule = _kernel_rule(scheme)
     lib = None
     if kernel_rule is not None:
@@ -760,35 +778,76 @@ def _bind_drift(
         c_params = native.DriftParams(
             rule=code, d=d, low=low,
             high=native.NO_CAP if high == math.inf else high,
-            size=size, width=q.size + 1, lam=lam, beta=beta, rho=rho,
+            size=size, width=width, lam=lam, beta=beta, rho=rho,
             case_eps=CASE_EPS, q=q.ctypes.data_as(native.F64P),
         )
-        # the reference keeps c_params alive as long as the closure
+        # each reference keeps its object alive as long as the closures
         params_ref = ctypes.byref(c_params)
-        ode_drift = lib.ode_drift
+        s_at, g_at, raw_at, *k_at = (
+            a.ctypes.data_as(ctypes.c_void_p) for a in (state, g, raw, *k))
+        ode_drift, ode_stage, ode_finish = lib.ode_drift, lib.ode_stage, lib.ode_finish
 
-        def kernel_drift(views: tuple, k: tuple) -> None:
-            ode_drift(params_ref, views[3], k[2])
+        def kernel_drift() -> None:
+            ode_drift(params_ref, s_at, k_at[0])
 
-        return "kernel", kernel_drift
+        def kernel_stage(i: int, scale: float, sat: int) -> None:
+            ode_stage(params_ref, s_at, k_at[i], scale, sat, g_at, k_at[i + 1])
 
+        def kernel_finish(sixth_dt: float, sat: int) -> float:
+            return ode_finish(params_ref, k_at[0], sixth_dt, sat, raw_at, s_at)
+
+        return _Rk4("kernel", state, g, k, raw, q,
+                    kernel_drift, kernel_stage, kernel_finish)
+
+    s, g_head = state[:size], g[:size]
+    # what the balance reads of each padded tail and writes of each k row
+    at_state = (state, state[1:size], state[2 : size + 1])
+    at_g = (g, g[1:size], g[2 : size + 1])
+    rows = list(k)
+    k1, k2, k3, k4 = rows
+    k_tails = [row[1:] for row in rows]
     q_head = q[: size - 1]
     arrive = np.empty(size - 1)
     depart = np.empty(size - 1)
+    tmp = np.empty(size)
     idx = np.arange(1, size, dtype=np.float64)
     lam_c, beta_c = np.array(lam, dtype=np.float64), np.array(beta, dtype=np.float64)
-    subtract, multiply, divide = np.subtract, np.multiply, np.divide
+    zero, one, two = np.array(0.0), np.array(1.0), np.array(2.0)
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    absolute, fill_down, sup = np.absolute, np.minimum.accumulate, np.maximum.reduce
 
-    def python_drift(views: tuple, k: tuple) -> None:
-        padded, level, upper, _ = views
+    def balance(tail: tuple, ds: np.ndarray) -> None:
+        padded, level, upper = tail
         join_rule(padded, q)
         multiply(lam_c, q_head, out=arrive)
         subtract(level, upper, out=depart)
         multiply(idx, depart, out=depart)
         divide(depart, beta_c, out=depart)
-        subtract(arrive, depart, out=k[1])
+        subtract(arrive, depart, out=ds)
 
-    return "python", python_drift
+    def project(src: np.ndarray, dst: np.ndarray, sat: int) -> None:
+        src.clip(zero, one, out=dst)
+        dst[: sat + 1] = 1.0
+        fill_down(dst, out=dst)
+
+    def python_drift() -> None:
+        balance(at_state, k_tails[0])
+
+    def python_stage(i: int, scale: float, sat: int) -> None:
+        add(s, multiply(scale, rows[i], out=tmp), out=g_head)
+        project(g_head, g_head, sat)
+        balance(at_g, k_tails[i + 1])
+
+    def python_finish(sixth_dt: float, sat: int) -> float:
+        add(k1, multiply(two, k2, out=raw), out=raw)
+        add(raw, multiply(two, k3, out=tmp), out=raw)
+        add(raw, k4, out=raw)
+        add(s, multiply(sixth_dt, raw, out=raw), out=raw)
+        project(raw, s, sat)
+        return float(sup(absolute(subtract(raw, s, out=tmp), out=tmp)))
+
+    return _Rk4("python", state, g, k, raw, q,
+                python_drift, python_stage, python_finish)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -825,13 +884,16 @@ def integrate_ode(
     result then equals that of a run to t_end but for t, steps and the
     trajectory.
 
-    The state and the RK4 stage live in buffers zero-padded to the width the
-    scheme's join rule reads, and every vector operation of a step writes into
-    a buffer allocated once per call.  The drift (join rule plus arrival and
-    departure balance) runs in the compiled kernel (ode_drift in _kernel.c,
-    built on first use) when it loads and the scheme is not d-choices with
-    d >= 3, and otherwise in NumPy; both give the same result bit for bit,
-    and OdeResult.engine names the one that ran.
+    The step loop, pinning and release, the dip-refill correction and the
+    stop rules run here; the vector arithmetic of a step runs in one engine
+    (see _bind_ode), in buffers allocated once per call.  When the compiled
+    kernel (_kernel.c, built on first use) loads and the scheme is not
+    d-choices with d >= 3, each RK4 stage (projection of the stage state plus
+    the drift there: join rule and arrival/departure balance) is one call of
+    ode_stage, the drift at the step's start one of ode_drift and the step
+    end (RK4 combination, projection, projection distance) one of
+    ode_finish; otherwise NumPy does the same operations.  Both give the same
+    result bit for bit, and OdeResult.engine names the one that ran.
 
     Below the invite threshold the snap-to-constraint window is PIN_TOL wide,
     so configurations whose true stationary tails there fall within PIN_TOL of
@@ -851,40 +913,29 @@ def integrate_ode(
             or np.any(s0 < -1e-9) or np.any(s0 > 1.0 + 1e-9)):
         raise ValueError("s0 must be a non-increasing tail in [0, 1]")
     _check_positive("t_end", t_end)
-    lam, beta, rho = params.lam, params.beta, params.rho
     if dt is None:
-        dt = 1e-3 * beta
+        dt = 1e-3 * params.beta
     _check_positive("dt", dt)
+    if stop_residual is not None:
+        _check_positive("stop_residual", stop_residual)
     if record_every is not None:
         _check_positive("record_every", record_every)
-    need = _join_rule(scheme, rho)[0]
 
-    # Buffers.  The state and the stage state are zero-padded past the last
-    # level, so the join rule reads them in place and the next level of
-    # level i is padded[i + 1]; the padding is never written.
     size = s0.size
-    width = max(size + 1, need + 2)
-    state = np.zeros(width)
-    stage = np.zeros(width)
-    state[:size] = s0
-    s = state[:size]
-    g = stage[:size]
-    s_views = _tail_views(state, size)
-    g_views = _tail_views(stage, size)
-    q = np.empty(width - 1)
-    # the drift without the dip-refill correction, which rhs adds
-    engine, bare_drift = _bind_drift(scheme, params, size, q)
-    # k[0] stays 0: s_0 = 1 has no dynamics
-    k1, k2, k3, k4 = (np.zeros(size) for _ in range(4))
-    ks = [_drift_views(k) for k in (k1, k2, k3, k4)]
-    raw = np.empty(size)
+    ode = _bind_ode(scheme, params, size)
+    ode.state[:size] = s0
+    s, q, lam = ode.state[:size], ode.q, params.lam
+    # k1 is the drift at the step's start; level 0 of every k stays 0, as
+    # s_0 = 1 has no dynamics
+    rows = list(ode.k)
+    k1 = rows[0]
+    stage, finish = ode.stage, ode.finish
+    stages = ((0, 0.5 * dt), (1, 0.5 * dt), (2, dt))
+    sixth_dt = dt / 6.0
     tmp = np.empty(size)
     siphon_buf = np.empty(size - 1)
-    half_dt, full_dt = np.array(0.5 * dt), np.array(dt)
-    sixth_dt, two = np.array(dt / 6.0), np.array(2.0)
-    zero, one = np.array(0.0), np.array(1.0)
-    add, subtract, multiply = np.add, np.subtract, np.multiply
-    absolute, fill_down, sup = np.absolute, np.minimum.accumulate, np.maximum.reduce
+    multiply, subtract = np.multiply, np.subtract
+    absolute, sup = np.absolute, np.maximum.reduce
 
     # Saturated-prefix bookkeeping: levels whose tail has reached 1 are pinned
     # there (they are fast variables slaved to the saturation constraint; the
@@ -918,11 +969,6 @@ def integrate_ode(
     def sup_abs(v: np.ndarray) -> float:
         return float(sup(absolute(v, out=tmp)))
 
-    def project(src: np.ndarray, dst: np.ndarray) -> None:
-        src.clip(zero, one, out=dst)
-        dst[: sat + 1] = 1.0
-        fill_down(dst, out=dst)
-
     # Departures out of a pinned prefix open transient dips that fall inside
     # the invite set of the pull-family schemes, where the join weights are
     # normalised by the vanishing mass below the invite threshold.  Those dips
@@ -930,9 +976,7 @@ def integrate_ode(
     # their refill demand off the arrival stream before it reaches the
     # unsaturated levels.  Other schemes (and saturated levels at or above the
     # threshold) give dips no such priority and need no correction.
-    def rhs(views: tuple, k: tuple) -> None:
-        bare_drift(views, k)
-        ds = k[0]
+    def correct(ds: np.ndarray) -> None:
         if invite_low is not None and 0 < sat < invite_low and ds[sat] < 0.0:
             # if the whole stream cannot cover the refill demand, ds[sat]
             # stays negative and the release rule frees the level
@@ -950,7 +994,8 @@ def integrate_ode(
         """k1 at the current state, then release the pinned levels it pulls
         below 1."""
         nonlocal sat, releases
-        rhs(s_views, ks[0])
+        ode.drift()
+        correct(k1)
         while sat > 0 and k1[sat] < -RELEASE_EPS:
             sat -= 1
             releases += 1
@@ -990,18 +1035,11 @@ def integrate_ode(
         # stage states are projected so the join probabilities only ever see
         # valid tails; in smooth regions the projection is the identity and
         # this is classical RK4
-        for k_in, scale, k_out in ((k1, half_dt, ks[1]), (k2, half_dt, ks[2]),
-                                   (k3, full_dt, ks[3])):
-            add(s, multiply(scale, k_in, out=tmp), out=g)
-            project(g, g)
-            rhs(g_views, k_out)
-        # s + (dt/6) * (k1 + 2 k2 + 2 k3 + k4), summed in that order
-        add(k1, multiply(two, k2, out=raw), out=raw)
-        add(raw, multiply(two, k3, out=tmp), out=raw)
-        add(raw, k4, out=raw)
-        add(s, multiply(sixth_dt, raw, out=raw), out=raw)
-        project(raw, s)
-        last_projection = sup_abs(subtract(raw, s, out=tmp))
+        for i, scale in stages:
+            stage(i, scale, sat)
+            correct(rows[i + 1])
+        # s + (dt/6) * (k1 + 2 k2 + 2 k3 + k4), projected
+        last_projection = finish(sixth_dt, sat)
         if last_projection > max_projection:
             max_projection = last_projection
         pin()
@@ -1034,5 +1072,5 @@ def integrate_ode(
         stop_reason=stop_reason,
         pins=pins,
         releases=releases,
-        engine=engine,
+        engine=ode.engine,
     )

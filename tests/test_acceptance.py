@@ -155,7 +155,7 @@ def test_criterion_02_ode_converges_to_fixed_points():
         "2", ok,
         f"ODE terminal state within TV 1e-6 of the analytic fixed point, "
         f"3 starts x 4 schemes (worst {worst:.2e}, {steps} steps, "
-        f"stopped: {stopped}, drift engine {'/'.join(sorted(engines))}, "
+        f"stopped: {stopped}, ODE engine {'/'.join(sorted(engines))}, "
         f"{elapsed:.1f}s)",
     )
     assert worst <= tol

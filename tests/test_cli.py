@@ -497,6 +497,20 @@ class TestMainExitCodes:
         assert "must list at least one value" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("param", [
+        "stop_residual=nan", "stop_residual=0", "stop_residual=-1e-9",
+        "t_end=nan",
+    ])
+    def test_bad_ode_stop_is_validation_error(self, tmp_path, capsys, param):
+        # a NaN stop_residual once ran to t_end and wrote a bare NaN into
+        # the summary JSON
+        rc = cli.main([
+            "run", "power-of-2", "--out", str(tmp_path), "--param", param
+        ])
+        assert rc == cli.EXIT_VALIDATION
+        assert "must be positive and finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_compare_pass_fail_codes(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -396,8 +396,9 @@ def test_ode_rejects_a_non_finite_start(level, value):
 # ---------------------------------------------------------------------------
 # ODE stepper output pinned bit for bit.  Each run takes a different branch of
 # the join rules or of the hybrid integrator:
-#   pull / transfer-invite from empty: the invite-region snap to 1 (PIN_TOL)
-#     and, at rho >= high, the dip-refill correction;
+#   pull / transfer-invite from empty: at rho >= high the invite-region snap
+#     to 1 (PIN_TOL) and the dip-refill correction (which the stacked
+#     dip-absorbs runs hit too), below it neither;
 #   stacked start: pinned levels released;
 #   rho >= high: the all-servers-full rule (and, stacked at `high`, its
 #     dips-absorb-everything branch; likewise the dip branches of the other
@@ -406,7 +407,8 @@ def test_ode_rejects_a_non_finite_start(level, value):
 #     through pow(), which can differ across CPUs); an s0 shorter than
 #     high + 2; a stop on the residual; record_every.
 # t, residual and max_projection are hex floats; tail and trajectory are
-# SHA-256 digests of their bytes.
+# SHA-256 digests of their bytes.  ODE_STOPS pins why each run stopped and
+# its pin counts.
 # ---------------------------------------------------------------------------
 
 
@@ -521,6 +523,25 @@ ODE_PINNED = {
 }
 
 
+# (stop_reason, pins, releases) of each ODE_RUNS entry
+ODE_STOPS = {
+    "least-loaded-above-high": ("t_end", 5, 0),
+    "least-loaded-dip-absorbs": ("t_end", 5, 1),
+    "least-loaded-short-s0": ("t_end", 0, 0),
+    "power-of-1": ("residual", 0, 0),
+    "power-of-2": ("t_end", 0, 0),
+    "pull-dip-absorbs": ("t_end", 5, 1),
+    "pull-empty": ("t_end", 0, 0),
+    "pull-saturated": ("t_end", 5, 0),
+    "pull-saturated-dip-absorbs": ("t_end", 5, 2),
+    "pull-stacked": ("t_end", 30, 25),
+    "shedding-finite": ("t_end", 0, 0),
+    "transfer-invite-dip-absorbs": ("t_end", 5, 1),
+    "transfer-invite-empty": ("t_end", 0, 0),
+    "transfer-invite-saturated": ("t_end", 5, 0),
+}
+
+
 def _run_ode(name):
     scheme, rho, s0, t_end, kwargs = ODE_RUNS[name]
     return integrate_ode(scheme, _load(rho), s0.copy(), t_end, **kwargs)
@@ -621,6 +642,9 @@ def test_ode_result_buffers_are_copies():
     {"record_every": 0.0}, {"record_every": -1.0}, {"record_every": math.nan},
     {"record_every": math.inf}, {"dt": 0.0}, {"dt": -1e-3}, {"dt": math.nan},
     {"dt": math.inf}, {"t_end": 0.0}, {"t_end": math.nan}, {"t_end": math.inf},
+    # a NaN, zero or negative stop_residual would never stop the run early
+    {"stop_residual": math.nan}, {"stop_residual": 0.0},
+    {"stop_residual": -1e-9}, {"stop_residual": math.inf},
 ])
 def test_ode_rejects_non_positive_or_non_finite_step_arguments(kwargs):
     params = SystemParams(n=10, lam=1.0, beta=1.0, nu=1.0, mu=10.0)

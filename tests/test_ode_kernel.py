@@ -1,10 +1,12 @@
-"""The compiled mean-field drift against the NumPy join rules.
+"""The compiled mean-field RK4 pieces against their NumPy reference.
 
-integrate_ode evaluates each RK4 stage's drift (join rule plus arrival and
-departure balance) with ode_drift in _kernel.c when the kernel loads; the
-NumPy rules in mean_field are the readable oracle and the fallback.  Both do
-the same double operations in the same order, so q, ds and every ODE output
-must agree bit for bit.
+integrate_ode evaluates the drift at a step's start (join rule plus arrival
+and departure balance) with ode_drift in _kernel.c, each RK4 stage (projected
+stage state plus the drift there) with ode_stage and the step end (RK4
+combination, projection, projection distance) with ode_finish when the kernel
+loads; the NumPy code in mean_field is the readable oracle and the fallback.
+Both do the same double operations in the same order, so q, every k, the
+stage and step-end states and every ODE output must agree bit for bit.
 """
 
 import ctypes
@@ -26,7 +28,14 @@ from stickysim.core import (
     TransferToLeastLoaded,
 )
 from test_flow_kernel import _isolate_loader
-from test_mean_field import ODE_PINNED, ODE_RUNS, _run_ode, _trajectory_digest
+from test_mean_field import (
+    ODE_PINNED,
+    ODE_RUNS,
+    ODE_STOPS,
+    _empty,
+    _run_ode,
+    _trajectory_digest,
+)
 
 # the size of each struct _kernel.c exports, by its ctypes mirror
 STRUCT_SIZES = {
@@ -101,33 +110,112 @@ def _tails(rng, size, ones, lo, hi, count=150):
         yield s
 
 
+def _bound_case(monkeypatch, case, size, *salt, count=150):
+    """The RK4 pieces of DRIFT_CASES[case] at `size` levels bound on the
+    kernel and on NumPy, a generator seeded by the case, size and salt, and
+    the case's tails drawn from it."""
+    scheme, rho, ones, (lo, hi) = DRIFT_CASES[case]
+    params = SystemParams(n=100, lam=rho / 1.5, beta=1.5, nu=1.0, mu=100.0)
+    on_kernel = mf._bind_ode(scheme, params, size)
+    assert on_kernel.engine == "kernel"
+    _no_kernel(monkeypatch)
+    on_python = mf._bind_ode(scheme, params, size)
+    assert on_python.engine == "python"
+    rng = np.random.default_rng([sorted(DRIFT_CASES).index(case), size, *salt])
+    tails = _tails(rng, size, min(ones, size - 2), lo, hi, count)
+    return (on_kernel, on_python), rng, tails
+
+
 @pytest.mark.parametrize("size", [16, 6])
 @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
 def test_kernel_drift_matches_python_bit_for_bit(kernel, monkeypatch, case, size):
-    scheme, rho, ones, (lo, hi) = DRIFT_CASES[case]
-    ones = min(ones, size - 2)
-    params = SystemParams(n=100, lam=rho / 1.5, beta=1.5, nu=1.0, mu=100.0)
-    width = max(size + 1, mf._join_rule(scheme, params.rho)[0] + 2)
-    q_kernel, q_python = np.empty(width - 1), np.empty(width - 1)
-    engine, kernel_drift = mf._bind_drift(scheme, params, size, q_kernel)
-    assert engine == "kernel"
-    _no_kernel(monkeypatch)
-    engine, python_drift = mf._bind_drift(scheme, params, size, q_python)
-    assert engine == "python"
+    both, _, tails = _bound_case(monkeypatch, case, size)
+    on_kernel, on_python = both
+    for s in tails:
+        for ode in both:
+            ode.state[:size] = s
+            ode.q.fill(math.nan)
+            ode.drift()
+        assert not np.isnan(on_kernel.q).any(), "q entry left unwritten"
+        assert on_kernel.q.tobytes() == on_python.q.tobytes(), s
+        assert on_kernel.k[0].tobytes() == on_python.k[0].tobytes(), s
+        assert on_kernel.k[0][0] == 0.0
 
-    sp = np.zeros(width)
-    ds_kernel, ds_python = np.zeros(size), np.zeros(size)
-    rng = np.random.default_rng([sorted(DRIFT_CASES).index(case), size])
-    for s in _tails(rng, size, ones, lo, hi):
-        sp[:size] = s
-        q_kernel.fill(math.nan)
-        q_python.fill(math.nan)
-        kernel_drift(mf._tail_views(sp, size), mf._drift_views(ds_kernel))
-        python_drift(mf._tail_views(sp, size), mf._drift_views(ds_python))
-        assert not np.isnan(q_kernel).any(), "q entry left unwritten"
-        assert q_kernel.tobytes() == q_python.tobytes(), s
-        assert ds_kernel.tobytes() == ds_python.tobytes(), s
-        assert ds_kernel[0] == 0.0
+
+# ---------------------------------------------------------------------------
+# the stage and the step end, on the same tails pushed off [0, 1]
+# ---------------------------------------------------------------------------
+
+# the default step at beta = 1.5
+DT = 1.5e-3
+
+
+def _specials(rng, s, *ks):
+    """Put exact 0, 1 and -0.0 at random levels of s and of the matching
+    entries of every k: each k entry 0 keeps a stage or step end on that
+    value exactly, and -0.0 everywhere gives -0.0."""
+    for value, k_value in ((0.0, 0.0), (1.0, 0.0), (-0.0, -0.0)):
+        at = rng.choice(s.size, size=3, replace=False)
+        s[at] = value
+        for k in ks:
+            k[at] = k_value
+
+
+def _sats(size):
+    return sorted({0, size // 2, size - 1})
+
+
+@pytest.mark.parametrize("size", [6, 16, 280])
+@pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+def test_kernel_stage_matches_python_bit_for_bit(kernel, monkeypatch, case, size):
+    both, rng, tails = _bound_case(monkeypatch, case, size, 1, count=30)
+    on_kernel, on_python = both
+    for n, s in enumerate(tails):
+        i, scale = n % 3, (0.5 * DT, 0.5 * DT, DT)[n % 3]
+        # stage states up to 0.3 outside the tail on either side, so the
+        # projection clips both ways and its running minimum does work
+        k_in = rng.uniform(-0.3, 0.3, size) / scale
+        _specials(rng, s, k_in)
+        for sat in _sats(size):
+            for ode in both:
+                ode.state[:size] = s
+                ode.k[i] = k_in
+                ode.q.fill(math.nan)
+                ode.stage(i, scale, sat)
+            assert on_kernel.g.tobytes() == on_python.g.tobytes(), (s, sat)
+            assert on_kernel.q.tobytes() == on_python.q.tobytes(), (s, sat)
+            assert on_kernel.k.tobytes() == on_python.k.tobytes(), (s, sat)
+            g = on_kernel.g[:size]
+            assert np.all(g[: sat + 1] == 1.0)
+            assert np.all(np.diff(g) <= 0.0) and g[-1] >= 0.0
+
+
+@pytest.mark.parametrize("size", [6, 16, 280])
+@pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+def test_kernel_finish_matches_python_bit_for_bit(kernel, monkeypatch, case, size):
+    both, rng, tails = _bound_case(monkeypatch, case, size, 2, count=30)
+    on_kernel, on_python = both
+    sixth_dt = DT / 6.0
+    for n, s in enumerate(tails):
+        # step ends up to 0.3 outside the tail on either side
+        k = rng.uniform(-0.05, 0.05, (4, size)) / sixth_dt
+        _specials(rng, s, *k)
+        if n % 4 == 0:
+            # a NaN anywhere comes out of the projection as numpy's does
+            k[rng.integers(0, 4), rng.integers(1, size)] = math.nan
+        for sat in _sats(size):
+            distances = []
+            for ode in both:
+                ode.state[:size] = s
+                ode.k[:] = k
+                distances.append(ode.finish(sixth_dt, sat))
+            assert on_kernel.raw.tobytes() == on_python.raw.tobytes(), (s, sat)
+            assert on_kernel.state.tobytes() == on_python.state.tobytes(), (s, sat)
+            far_kernel, far_python = distances
+            if math.isnan(far_python):
+                assert math.isnan(far_kernel)
+            else:
+                assert far_kernel.hex() == far_python.hex(), (s, sat)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +240,37 @@ def test_pinned_runs_match_under_both_engines(kernel, monkeypatch, name, engine)
     out = _run_ode(name)
     assert out.engine == engine
     assert _pinned(out) == ODE_PINNED[name]
+    assert (out.stop_reason, out.pins, out.releases) == ODE_STOPS[name]
+
+
+def _benchmark_starts():
+    """Criterion 2's five runs at 280 levels and rho = 150: least-loaded
+    from the empty start, and pull, transfer-to-invite, least-loaded and
+    random assignment from the two-point start (every server at 150)."""
+    two_point = np.zeros(280)
+    two_point[:151] = 1.0
+    starts = {"least-loaded@empty": (TransferToLeastLoaded(160), _empty(280))}
+    for name, scheme in (("pull", PullBased(140, 160)),
+                         ("transfer-invite", TransferToInvite(140, 160)),
+                         ("least-loaded", TransferToLeastLoaded(160)),
+                         ("random", PowerOfD(1))):
+        starts[f"{name}@two-point"] = (scheme, two_point)
+    return starts
+
+
+@pytest.mark.parametrize("name", sorted(_benchmark_starts()))
+def test_wide_runs_match_under_both_engines(kernel, monkeypatch, name):
+    scheme, s0 = _benchmark_starts()[name]
+    params = SystemParams(n=100, lam=100.0, beta=1.5, nu=100.0, mu=20000.0)
+    outs = []
+    for engine in ("kernel", "python"):
+        if engine == "python":
+            _no_kernel(monkeypatch)
+        out = mf.integrate_ode(scheme, params, s0.copy(), t_end=0.6,
+                               stop_residual=1e-9, record_every=0.15)
+        assert out.engine == engine
+        outs.append(_pinned(out) + (out.stop_reason, out.pins, out.releases))
+    assert outs[0] == outs[1]
 
 
 def test_no_compiler_falls_back_to_python_drift(kernel, monkeypatch, tmp_path,
@@ -192,7 +311,18 @@ def test_struct_layout_matches_the_kernel(kernel, name):
     assert exported == ctypes.sizeof(STRUCT_SIZES[name])
 
 
-def test_bind_drift_rejects_a_short_join_buffer():
+@pytest.mark.parametrize("engine", ["kernel", "python"])
+def test_bound_buffers_cover_every_level_the_rule_reads(kernel, monkeypatch,
+                                                        engine):
+    # the kernel indexes the buffers unchecked, and PullBased(5, 12) reads
+    # up to level 13 of an 8-level tail
+    if engine == "python":
+        _no_kernel(monkeypatch)
     params = SystemParams(n=100, lam=4.0, beta=1.5, nu=1.0, mu=100.0)
-    with pytest.raises(ValueError, match="too short"):
-        mf._bind_drift(PullBased(5, 12), params, 8, np.empty(10))
+    ode = mf._bind_ode(PullBased(5, 12), params, 8)
+    assert ode.engine == engine
+    assert ode.q.size >= 13
+    assert ode.state.shape == ode.g.shape == (ode.q.size + 1,)
+    assert ode.k.shape == (4, 8) and ode.raw.shape == (8,)
+    buffers = (ode.state, ode.g, ode.k, ode.raw, ode.q)
+    assert all(b.dtype == np.float64 and b.flags.c_contiguous for b in buffers)
