@@ -6,6 +6,10 @@ exercises end to end; the reduced twin keeps the same per-server load at a
 fraction of the event volume for fast unit runs.
 """
 
+import dataclasses
+import hashlib
+
+import numpy as np
 import pytest
 
 from stickysim.core import SystemParams
@@ -13,6 +17,24 @@ from stickysim.core import SystemParams
 # verdict lines collected by the acceptance tests; echoed after the run
 # summary so they are visible without -s
 acceptance_lines: list[str] = []
+
+
+def stats_sha256(stats) -> str:
+    """SHA-256 over every field of a stats dataclass, in field order.
+
+    Arrays enter with their dtype, shape and raw bytes, scalars with their
+    type and repr (exact for floats), so two runs share a digest only when
+    every field agrees bit for bit.
+    """
+    h = hashlib.sha256()
+    for field in dataclasses.fields(stats):
+        x = getattr(stats, field.name)
+        if isinstance(x, np.ndarray):
+            part = f"{field.name}:{x.dtype.str}{x.shape}:".encode() + x.tobytes()
+        else:
+            part = f"{field.name}:{type(x).__name__}:{x!r}".encode()
+        h.update(part + b";")
+    return h.hexdigest()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import stats_sha256
 from stickysim import _native
 from stickysim.bin_sim import BinSimStats, _run_bin_sim_py, run_bin_sim
 from stickysim.core import BinBased, SystemParams
@@ -55,6 +56,30 @@ CASES = {
 }
 
 
+# SHA-256 over every stats field of each case (conftest.stats_sha256); both
+# engines must reproduce these, so a change to both at once cannot drift
+# unseen
+PINNED = {
+    "high-inf": "ee043c368fea8d4c280d896f9b9da00adf4dae8b0f8558d292a2790f6fe9b593",
+    "high-inf-drain": "ee043c368fea8d4c280d896f9b9da00adf4dae8b0f8558d292a2790f6fe9b593",
+    "low0": "b74a32b86d932039fa5d7dd8e4854ec9572a47770eca37e9c4c15e638c4068ec",
+    "m<n": "201ea59624b061766e4f3729986c69534bf2d8021d7fd6e15ca32f2c5abcc88e",
+    "m<n-drain": "7ec59fe2b6db8837795a9f9cf7a4fa44864f591316926869c9db1b0788b0f373",
+    "m=100n": "12b11f545abe682f8259ec9e41c9eeb948b71d08309d4520b121a083181b66f3",
+    "m=100n-drain": "4d15978988383875faf83fb4418253f613ba1bd82c77e91cebee090ffc4c3434",
+    "m=10n": "abe7eb0be2c08f5ffc09712d5723d9f4142396e12e37e97a0c248ff5b42b741e",
+    "m=10n-drain": "60cf6625d2b66ffd6cd09619f05d38828219678188a52b0350992c5402025bc3",
+    "m=2n": "0e4d1bd870432ad6eae1f182dfd290c48c9d31d7c85868438541cba01bf76f11",
+    "m=2n-drain": "a2026a6fd286990237786f584bb8d00f1b5720d54ccbf05f57c88f22a182b8c8",
+    "single-server": "686adb261bda2fc53e3facad3c2c355ec8f328809bd2fae9608aec35c8f82eec",
+    "single-server-drain": "3572d172ac49ee822357269709d7619e65ceb5654c6fd6a355cea7ae4f453846",
+    "small-overload": "1479f7ba40c5fb27bdf849d69f910ac0666532bbd02ca548673dbee1253a5fab",
+    "small-overload-drain": "29c2d6f3371233680618f2ae0bd37d986966188807f7683e9045b7428a7ad769",
+    "tracked": "5237167ff686f821932d626710cf47f8c177dfb75ea74ed780cfd200060c8b3f",
+    "tracked-drain": "c176803b8e06a6e7fedd1e139d79786aabb961808e22265518cb7bd9b3963210",
+}
+
+
 def _config(params, scheme, drain, tracked, seed=7, warmup=5.0, horizon=20.0):
     return SimConfig(params=params, scheme=scheme, seed=seed, warmup=warmup,
                      horizon=horizon, tracked_server=tracked,
@@ -80,8 +105,9 @@ def kernel():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_kernel_matches_reference(kernel, case):
     cfg = _config(*CASES[case])
-    stats = run_bin_sim(cfg)
-    assert_same_stats(stats, _run_bin_sim_py(cfg))
+    stats, ref = run_bin_sim(cfg), _run_bin_sim_py(cfg)
+    assert_same_stats(stats, ref)
+    assert stats_sha256(stats) == stats_sha256(ref) == PINNED[case]
     # a triggered server always holds a bin to give up: only n = 1 skips
     if cfg.params.n >= 2:
         assert stats.skipped_reallocations == 0

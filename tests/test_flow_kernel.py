@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import stats_sha256
 from stickysim import _native
 from stickysim.core import (
     PowerOfD,
@@ -68,6 +69,35 @@ CASES = {
 }
 
 
+# SHA-256 over every stats field of each case (conftest.stats_sha256); both
+# engines must reproduce these, so a change to both at once cannot drift
+# unseen
+PINNED = {
+    "d1": "e26df77f87b02370b0fce3ef088e4fca566fb1f7b15573f45efb53be1070a470",
+    "d2": "3138fb717fbf115381a4cb69d0ad8c855398f172894f51dca2d57f31b48973d4",
+    "d2-tracked": "39e2405bbef329b0c56e65368579f07963e9ff372b86676084f42d49a97795e3",
+    "d3": "e772d8164084c67487733afe873a5edcbb2062ff82203d9b8f1368621f194fcc",
+    "d=n": "388df7edf346cce99471de74d235a573c23ed9efdeb6731617b939d3a777435a",
+    "pull": "38143d0b544996389343b4ae8396180e39eeaa1dfcef499f5ddd517b5bc4b5c5",
+    "pull-high-inf": "ad536f01ac425d0862d494b954a71292adb616c8976f8f325ff0aa98941df02e",
+    "pull-low0": "965b8b925878079002c55ebb50d8dbbea6963d94e9113399fd7ac8d80b85d75f",
+    "pull-overload": "3e1fae98e00e22fa201e709b97e8cca4691eb1c7865ee1b96afa68e5e0ffb4bd",
+    "pull-overload-rho150": "c6421a185ab35dd30d78a70c99dfa26a239e98d315fd4e661001742b6caf4b7b",
+    "pull-random": "e26df77f87b02370b0fce3ef088e4fca566fb1f7b15573f45efb53be1070a470",
+    "shedding": "34471d31883856738738fa7364d32ac7aa5031a3fc6a89492cd631808cdbec6e",
+    "shedding-inf": "e26df77f87b02370b0fce3ef088e4fca566fb1f7b15573f45efb53be1070a470",
+    "small-d2": "9a8db6ab82366426dbfd97b6fb928209899080bd24d8ff57976a5bbd4164c848",
+    "small-d=n": "41ce0ec6e072509e859635675dd3c82387788c76378d9a2dc023becbaaceca04",
+    "small-pull-overload": "c6712b864a17fcaa6c789040f1a1185f20ba9ded8777b0eda5b894f93923b155",
+    "small-shedding": "fd12e51755a4dba1a85a9dc30600eaeaa0591b6b558ac0e67c3c6cb97926c83d",
+    "small-transfer-invite": "5a34cf21af096d2eda86c6e4652eaf8aeb9ace208d8e4aef448837d6908e93b3",
+    "small-transfer-least": "df0e198c3549b8540c8d242dcdf1347a69c6b6ec7c17c27e53cb528b675bb2ec",
+    "transfer-invite": "3e57a4f72c3a4c11775100a90d242cca2af490fa31abcf1c31033554ab4123d0",
+    "transfer-invite-low0": "cc6f37131d6c57b8cba06f383f7bdb0e3518a1462e93e6c49e0018ab0408e792",
+    "transfer-least": "25621154d3060b9f91bdc6621f8b146fa2253c450e90d9fdc207c2ab02a1586e",
+}
+
+
 def _config(params, scheme, tracked, seed=7):
     return SimConfig(params=params, scheme=scheme, seed=seed, warmup=5.0,
                      horizon=20.0, tracked_server=tracked)
@@ -92,7 +122,9 @@ def kernel():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_kernel_matches_reference(kernel, case):
     cfg = _config(*CASES[case])
-    assert_same_stats(run_flow_sim(cfg), _run_flow_sim_py(cfg))
+    stats, ref = run_flow_sim(cfg), _run_flow_sim_py(cfg)
+    assert_same_stats(stats, ref)
+    assert stats_sha256(stats) == stats_sha256(ref) == PINNED[case]
 
 
 def test_kernel_matches_reference_through_histogram_growth(kernel):
