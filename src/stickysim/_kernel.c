@@ -17,12 +17,11 @@
  * Uniform draws come from a block of doubles owned by the caller; when the
  * block is used up the kernel calls refill(), which overwrites it in place
  * with the next block of the same generator.  The kernel owns every growable
- * array (flow registry, histogram, series, server and bin lists) and hands
+ * array (active flows, histogram, series, server and bin lists) and hands
  * the ones the caller needs back through sim_result; sim_free releases them.
  *
- * Flow modes: 0 d=1, 1 d<n choices, 2 d>=n (least loaded), 3 pull, 4 shedding,
- * 5 transfer to invite, 6 transfer to least loaded.  high = INT64_MAX means
- * no upper threshold.
+ * flow_run's scheme modes are the MODE_* codes below.  high = INT64_MAX
+ * means no upper threshold.
  *
  * ode_drift, ode_stage and ode_finish are ports of the NumPy engine in
  * mean_field._bind_ode (the join rules _pull_rule and its siblings, the
@@ -219,13 +218,19 @@ static int level_move(ilist *levels, int64_t *level_pos, int64_t from, int64_t t
     return push(&levels[to], (int32_t)s);
 }
 
+/* flow_run's scheme modes, the codes of flow_sim._D1 ... _XFER_LEAST:
+ * d = 1, d < n choices, d >= n (least loaded), pull, shedding, transfer to
+ * invite, transfer to least loaded */
+enum { MODE_D1 = 0, MODE_D_CHOICES = 1, MODE_LEAST = 2, MODE_PULL = 3,
+       MODE_SHED = 4, MODE_XFER_INVITE = 5, MODE_XFER_LEAST = 6 };
+
 int flow_run(const sim_params *p, sim_result *r)
 {
     const int64_t n = p->n, mode = p->mode, low = p->low, high = p->high;
     const double lam_total = p->lam_total, inv_beta = p->inv_beta;
     const double t_start = p->t_start, t_stop = p->t_stop;
-    const int need_invites = mode == 3 || mode == 5;
-    const int need_levels = mode == 2 || mode == 6;
+    const int need_invites = mode == MODE_PULL || mode == MODE_XFER_INVITE;
+    const int need_levels = mode == MODE_LEAST || mode == MODE_XFER_LEAST;
 
     run_state S = {p, r, 0, 0};
     int status = RUN_NOMEM, bad = 0;
@@ -256,7 +261,7 @@ int flow_run(const sim_params *p, sim_result *r)
                 goto done;
         }
     }
-    if (mode == 1 && !(cands = malloc((size_t)p->d * sizeof *cands)))
+    if (mode == MODE_D_CHOICES && !(cands = malloc((size_t)p->d * sizeof *cands)))
         goto done;
 
     int64_t count = 0;
@@ -287,10 +292,10 @@ int flow_run(const sim_params *p, sim_result *r)
                 r->total_flows++;
             u = draw(&S, &bad);
             switch (mode) {
-            case 0:
+            case MODE_D1:
                 s = (int64_t)(u * (double)n);
                 break;
-            case 1: {
+            case MODE_D_CHOICES: {
                 int64_t nc = 1;
                 cands[0] = (int64_t)(u * (double)n);
                 while (nc < p->d) {
@@ -317,12 +322,12 @@ int flow_run(const sim_params *p, sim_result *r)
                 }
                 break;
             }
-            case 2: {
+            case MODE_LEAST: {
                 ilist *b = &levels[cur_min];
                 s = b->a[(int64_t)(u * (double)b->len)];
                 break;
             }
-            case 3:
+            case MODE_PULL:
                 if (inv_count)
                     s = invite[(int64_t)(u * (double)inv_count)];
                 else if (bel_count)
@@ -330,7 +335,7 @@ int flow_run(const sim_params *p, sim_result *r)
                 else
                     s = (int64_t)(u * (double)n);
                 break;
-            case 4:
+            case MODE_SHED:
                 s = (int64_t)(u * (double)n);
                 if (occ[s] >= high) {
                     if (started)
@@ -338,7 +343,7 @@ int flow_run(const sim_params *p, sim_result *r)
                     continue;
                 }
                 break;
-            case 5:
+            case MODE_XFER_INVITE:
                 s = (int64_t)(u * (double)n);
                 if (occ[s] >= high) {
                     if (started)
@@ -352,7 +357,7 @@ int flow_run(const sim_params *p, sim_result *r)
                         s = (int64_t)(u * (double)n);
                 }
                 break;
-            default:
+            default: /* MODE_XFER_LEAST */
                 s = (int64_t)(u * (double)n);
                 if (occ[s] >= high) {
                     if (started)
@@ -443,11 +448,13 @@ done:
 /* bin-indirected scheme                                                    */
 /* ------------------------------------------------------------------------ */
 
-/* flow registry entry; slot ids are recycled through a free stack */
+/* an active flow: its bin, that bin's move count at the flow's arrival, and
+ * whether it arrived inside the window; the flow is violated iff its bin has
+ * moved since, which is read at its departure or at the end of the run */
 typedef struct {
-    int32_t bin, pos; /* the flow's bin and its index in that bin's list */
-    uint8_t violated, in_window;
-} flow_slot;
+    int64_t moves;
+    int32_t bin, in_window;
+} bin_flow;
 
 /* bin of flow `id`: the splitmix64 output function, reduced mod m */
 static inline int64_t hash_bin(uint64_t id, uint64_t m)
@@ -482,11 +489,11 @@ int bin_run(const sim_params *p, sim_result *r)
 
     int32_t *invite = NULL, *below = NULL, *assignment = NULL;
     int64_t *invite_pos = NULL, *below_pos = NULL, *bin_pos = NULL;
+    int64_t *bin_load = NULL, *bin_moves = NULL; /* active flows, moves so far */
     int64_t inv_count = 0, bel_count = 0;
-    ilist *server_bins = NULL, *bin_flows = NULL;
-    ilist active = {0}, free_ids = {0};
-    flow_slot *flows = NULL;
-    int64_t n_slots = 0, slots_cap = 0;
+    ilist *server_bins = NULL;
+    bin_flow *active = NULL;
+    int64_t count = 0, active_cap = 0;
 
     if (init_result(&S))
         goto done;
@@ -499,8 +506,9 @@ int bin_run(const sim_params *p, sim_result *r)
     assignment = malloc((size_t)m * sizeof *assignment);
     bin_pos = malloc((size_t)m * sizeof *bin_pos);
     server_bins = calloc((size_t)n, sizeof *server_bins);
-    bin_flows = calloc((size_t)m, sizeof *bin_flows);
-    if (!assignment || !bin_pos || !server_bins || !bin_flows)
+    bin_load = calloc((size_t)m, sizeof *bin_load);
+    bin_moves = calloc((size_t)m, sizeof *bin_moves);
+    if (!assignment || !bin_pos || !server_bins || !bin_load || !bin_moves)
         goto done;
     for (int64_t b = 0; b < m; b++) {
         int64_t s = b % n;
@@ -514,7 +522,7 @@ int bin_run(const sim_params *p, sim_result *r)
     double t = 0.0, flow_int = 0.0, prev_t = 0.0;
     int started = 0;
     for (;;) {
-        double rate = lam_total + (double)active.len * inv_beta;
+        double rate = lam_total + (double)count * inv_beta;
         double u = draw(&S, &bad);
         t += -log(1.0 - u) / rate;
         if (t >= t_stop)
@@ -526,7 +534,7 @@ int bin_run(const sim_params *p, sim_result *r)
                 goto done;
         }
         if (started) {
-            flow_int += (double)active.len * (t - prev_t);
+            flow_int += (double)count * (t - prev_t);
             prev_t = t;
         }
 
@@ -538,20 +546,10 @@ int bin_run(const sim_params *p, sim_result *r)
                 r->total_flows++;
             int64_t b = hash_bin(next_id++, (uint64_t)m);
             s = assignment[b];
-            int32_t fid;
-            if (free_ids.len) {
-                fid = free_ids.a[--free_ids.len];
-            } else {
-                if (reserve((void **)&flows, &slots_cap, n_slots + 1, sizeof *flows))
-                    goto done;
-                fid = (int32_t)n_slots++;
-            }
-            flows[fid].violated = 0;
-            flows[fid].in_window = (uint8_t)started;
-            flows[fid].bin = (int32_t)b;
-            flows[fid].pos = (int32_t)bin_flows[b].len;
-            if (push(&bin_flows[b], fid) || push(&active, fid))
+            if (reserve((void **)&active, &active_cap, count + 1, sizeof *active))
                 goto done;
+            active[count++] = (bin_flow){bin_moves[b], (int32_t)b, started};
+            bin_load[b]++;
 
             o = occ[s];
             occ[s] = o + 1;
@@ -566,15 +564,15 @@ int bin_run(const sim_params *p, sim_result *r)
              * many as s holds at the trigger; default: one bin per upward
              * high -> high + 1 crossing */
             int64_t moves = p->drain ? (o >= high ? server_bins[s].len : 0) : o == high;
+            /* s holds the arriving flow's bin and drains at most the bins it
+             * held, so it always has one: only n = 1 skips, once per trigger */
+            if (moves && n == 1) {
+                if (started)
+                    r->skipped++;
+                moves = 0;
+            }
             for (int64_t k = 0; k < moves && occ[s] > high; k++) {
                 ilist *here = &server_bins[s];
-                /* s holds the arriving flow's bin and drains at most the bins
-                 * it held, so it always has one: only n = 1 skips */
-                if (n == 1) {
-                    if (started)
-                        r->skipped++;
-                    continue;
-                }
                 int32_t mb = here->a[(int64_t)(draw(&S, &bad) * (double)here->len)];
                 /* invite list, then below-high list, then any server but s */
                 u = draw(&S, &bad);
@@ -597,19 +595,11 @@ int bin_run(const sim_params *p, sim_result *r)
                 if (push(&server_bins[dest], mb))
                     goto done;
                 assignment[mb] = (int32_t)dest;
+                bin_moves[mb]++;
                 if (started)
                     r->reallocations++;
 
-                ilist *moved = &bin_flows[mb];
-                for (int64_t i = 0; i < moved->len; i++) {
-                    flow_slot *f = &flows[moved->a[i]];
-                    if (!f->violated) {
-                        f->violated = 1;
-                        if (f->in_window)
-                            r->violations++;
-                    }
-                }
-                int64_t kf = moved->len;
+                int64_t kf = bin_load[mb];
                 if (kf) {
                     int64_t o_old = occ[s], o_new = o_old - kf;
                     int64_t d_old = occ[dest], d_new = d_old + kf;
@@ -630,20 +620,15 @@ int bin_run(const sim_params *p, sim_result *r)
             }
         } else {
             /* ----- departure: uniform over active flows ----- */
-            if (active.len == 0)
+            if (count == 0)
                 continue;
-            int64_t j = (int64_t)(draw(&S, &bad) * (double)active.len);
-            int32_t fid = active.a[j];
-            active.a[j] = active.a[--active.len];
-            flow_slot *f = &flows[fid];
-            ilist *here = &bin_flows[f->bin];
-            int32_t tail = here->a[here->len - 1];
-            here->a[f->pos] = tail;
-            flows[tail].pos = f->pos;
-            here->len--;
-            if (push(&free_ids, fid))
-                goto done;
-            s = assignment[f->bin];
+            int64_t j = (int64_t)(draw(&S, &bad) * (double)count);
+            bin_flow f = active[j];
+            active[j] = active[--count];
+            bin_load[f.bin]--;
+            if (f.in_window && bin_moves[f.bin] != f.moves)
+                r->violations++;
+            s = assignment[f.bin];
             o = occ[s];
             occ[s] = o - 1;
             if (started && credit(&S, s, o, o - 1, t))
@@ -658,9 +643,12 @@ int bin_run(const sim_params *p, sim_result *r)
             goto done;
         }
     }
+    for (int64_t i = 0; i < count; i++)
+        if (active[i].in_window && bin_moves[active[i].bin] != active[i].moves)
+            r->violations++;
     status = bad ? RUN_REFILL : RUN_OK;
     r->started = started;
-    r->count = active.len;
+    r->count = count;
     r->flow_int = flow_int;
     r->prev_t = prev_t;
 
@@ -674,12 +662,9 @@ done:
     for (int64_t s = 0; server_bins && s < n; s++)
         free(server_bins[s].a);
     free(server_bins);
-    for (int64_t b = 0; bin_flows && b < m; b++)
-        free(bin_flows[b].a);
-    free(bin_flows);
-    free(active.a);
-    free(free_ids.a);
-    free(flows);
+    free(bin_load);
+    free(bin_moves);
+    free(active);
     return status;
 }
 

@@ -7,7 +7,11 @@ threshold to one above it, one uniformly random bin is taken from that server
 and re-assigned, preferring servers below the low threshold, then servers
 below the high threshold, then any other server.  Every flow active in a
 moved bin has its server changed mid-lifetime and is counted as violated, at
-most once per flow.
+most once per flow.  Two counters per bin carry this: its active flows, which
+a move shifts between the two servers, and its moves so far.  An active flow
+records its bin's move count at arrival and is violated iff the count has
+changed by its departure or the end of the run, so a move touches no
+per-flow state.
 
 The event engine is the same exact continuous-time Markov chain loop as
 flow_sim: exponential inter-event times at the total rate, uniform pick of
@@ -106,14 +110,14 @@ class BinTable:
     assignment[b] is the server currently holding bin b.  server_bins[s] is
     the list of bins at server s, with bin_pos[b] giving bin b's index there
     so a bin can be removed in O(1) by swapping with the last entry.
-    bin_flows[b] holds opaque handles of the flows active in bin b; what the
-    handles mean is up to the caller (the simulator uses flow slot indices).
+    bin_load[b] counts the flows active in bin b, all of which a move of b
+    carries along.
     """
 
     assignment: list[int]
     server_bins: list[list[int]]
     bin_pos: list[int]
-    bin_flows: list[list[int]]
+    bin_load: list[int]
 
     @classmethod
     def initial(cls, bins: int, servers: int) -> "BinTable":
@@ -128,7 +132,7 @@ class BinTable:
             assignment=[b % servers for b in range(bins)],
             server_bins=server_bins,
             bin_pos=bin_pos,
-            bin_flows=[[] for _ in range(bins)],
+            bin_load=[0] * bins,
         )
 
     @property
@@ -151,7 +155,7 @@ class BinTable:
 
     def server_load(self, server: int) -> int:
         """Active flows at a server = flows across all its bins."""
-        return sum(len(self.bin_flows[b]) for b in self.server_bins[server])
+        return sum(self.bin_load[b] for b in self.server_bins[server])
 
     def check_consistency(self) -> None:
         """Raise ValueError unless the cross-references form a bijection.
@@ -179,8 +183,8 @@ class BinTable:
         missing = [b for b, c in enumerate(seen) if c != 1]
         if missing:
             raise ValueError(f"bins not listed exactly once: {missing[:8]}")
-        if len(self.bin_flows) != self.n_bins:
-            raise ValueError("bin_flows length does not match bin count")
+        if len(self.bin_load) != self.n_bins:
+            raise ValueError("bin_load length does not match bin count")
 
 
 @dataclass(frozen=True)
@@ -189,13 +193,15 @@ class BinSimStats(SimStats):
 
     reallocations counts bin moves inside the measurement window.
     violated_flows counts flows that arrived inside the window and were in a
-    moved bin before the window closed, each at most once; it equals the
-    violations field for runs produced here, and violated_flows/total_flows
-    estimates the per-flow violation probability.
-    skipped_reallocations counts triggers with no other server to take a
-    bin, which happens only at n = 1: a trigger fires at the server holding
-    the arriving flow's bin, and the drain loop stops after as many moves as
-    the server held bins, so a triggered server always has a bin to give up.
+    moved bin before the window closed, each at most once (their bin's move
+    counter changed while they were active); it equals the violations field
+    for runs produced here, and violated_flows/total_flows estimates the
+    per-flow violation probability.
+    skipped_reallocations counts triggers inside the window with no other
+    server to take a bin, one per trigger with or without drain, which
+    happens only at n = 1: a trigger fires at the server holding the
+    arriving flow's bin, and the drain loop stops after as many moves as the
+    server held bins, so a triggered server always has a bin to give up.
     """
 
     reallocations: int = 0
@@ -309,6 +315,10 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
     table = BinTable.initial(m, n)
     assignment = table.assignment
     server_bins = table.server_bins
+    bin_load = table.bin_load
+    # moves of each bin so far; a flow is violated iff its bin's count has
+    # changed between its arrival and its departure (or the end of the run)
+    bin_moves = [0] * m
 
     occ = [0] * n
 
@@ -316,18 +326,11 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
     # occupancies by whole bins and update membership both ways
     invite, below = _threshold_lists(n, low)
 
-    # flow registry: stable slot ids recycled through a free list, so a
-    # flow's position in its bin's flow list stays valid for its whole
-    # lifetime; the table's bin_flows hold these ids and share flow_pos
-    flow_bin: list[int] = []
-    flow_pos: list[int] = []
-    table.bin_flows = bin_flows = [_SwapList(flow_pos) for _ in range(m)]
-    violated = bytearray()
+    # active flows as (bin, bin_moves[bin] at arrival, arrived inside the
+    # window) records; departures pick a uniform slot and swap-remove it.
     # violated_flows only counts flows that arrived inside the window, so it
     # can never exceed total_flows even in very short windows
-    in_window = bytearray()
-    free: list[int] = []
-    active: list[int] = []
+    active: list[tuple[int, int, bool]] = []
     count = 0
 
     # sequential flow ids feed the hash in blocks (vectorized, identical to
@@ -341,41 +344,6 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
     violated_flows = 0
     skipped = 0
     total_flows = 0
-
-    def move_one_bin(s: int, t: float) -> None:
-        """One triggered re-allocation off server s at time t."""
-        nonlocal reallocations, violated_flows, skipped
-        if n == 1:
-            if started:
-                skipped += 1
-            return
-        bins_here = server_bins[s]
-        b = bins_here[int(uniform() * len(bins_here))]
-        dest = _move_destination(uniform(), s, n, invite, below)
-        table.move(b, dest)
-        if started:
-            reallocations += 1
-        flows_here = bin_flows[b]
-        for fid in flows_here:
-            if not violated[fid]:
-                violated[fid] = 1
-                if in_window[fid]:
-                    violated_flows += 1
-        k = len(flows_here)
-        if k:
-            o_old = occ[s]
-            o_new = o_old - k
-            occ[s] = o_new
-            d_old = occ[dest]
-            d_new = d_old + k
-            occ[dest] = d_new
-            if started:
-                win.credit(s, o_old, o_new, t)
-                win.credit(dest, d_old, d_new, t)
-            invite.update(s, o_old < low, o_new < low)
-            below.update(s, o_old < high, o_new < high)
-            invite.update(dest, d_old < low, d_new < low)
-            below.update(dest, d_old < high, d_new < high)
 
     t = 0.0
     inv_beta = 1.0 / params.beta
@@ -400,20 +368,8 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
             hash_idx += 1
             next_id += 1
             s = assignment[b]
-
-            if free:
-                fid = free.pop()
-                violated[fid] = 0
-            else:
-                fid = len(flow_bin)
-                flow_bin.append(0)
-                flow_pos.append(0)
-                violated.append(0)
-                in_window.append(0)
-            in_window[fid] = 1 if started else 0
-            flow_bin[fid] = b
-            bin_flows[b].add(fid)
-            active.append(fid)
+            active.append((b, bin_moves[b], started))
+            bin_load[b] += 1
             count += 1
 
             o = occ[s]
@@ -425,30 +381,54 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
             if o + 1 == high:
                 below.drop(s)
 
+            # drain: any arrival leaving the server above high sheds bins
+            # until it is back at or below high, at most as many as it holds;
+            # default: one bin per upward high -> high + 1 crossing
             if drain:
-                # state-based variant: any arrival leaving the server above
-                # high sheds bins until it is back at or below the threshold
-                if o >= high:
-                    for _ in range(len(server_bins[s])):
-                        if occ[s] <= high:
-                            break
-                        move_one_bin(s, t)
-            elif o == high:
-                # default: one bin per upward high -> high + 1 crossing
-                move_one_bin(s, t)
+                moves = len(server_bins[s]) if o >= high else 0
+            else:
+                moves = 1 if o == high else 0
+            if moves and n == 1:
+                # no other server to take a bin: one skip per trigger
+                if started:
+                    skipped += 1
+                moves = 0
+            while moves and occ[s] > high:
+                moves -= 1
+                bins_here = server_bins[s]
+                mb = bins_here[int(uniform() * len(bins_here))]
+                dest = _move_destination(uniform(), s, n, invite, below)
+                table.move(mb, dest)
+                bin_moves[mb] += 1
+                if started:
+                    reallocations += 1
+                k = bin_load[mb]
+                if k:
+                    o_old = occ[s]
+                    o_new = o_old - k
+                    occ[s] = o_new
+                    d_old = occ[dest]
+                    d_new = d_old + k
+                    occ[dest] = d_new
+                    if started:
+                        win.credit(s, o_old, o_new, t)
+                        win.credit(dest, d_old, d_new, t)
+                    invite.update(s, o_old < low, o_new < low)
+                    below.update(s, o_old < high, o_new < high)
+                    invite.update(dest, d_old < low, d_new < low)
+                    below.update(dest, d_old < high, d_new < high)
         else:
             # ----- departure: uniform over active flows -----
             if count == 0:
                 continue
             j = int(uniform() * count)
-            fid = active[j]
+            b, moves_at_arrival, inside = active[j]
             count -= 1
-            tail_fid = active[count]
-            active[j] = tail_fid
+            active[j] = active[count]
             active.pop()
-            b = flow_bin[fid]
-            bin_flows[b].drop(fid)
-            free.append(fid)
+            bin_load[b] -= 1
+            if inside and bin_moves[b] != moves_at_arrival:
+                violated_flows += 1
             s = assignment[b]
             o = occ[s]
             occ[s] = o - 1
@@ -461,13 +441,17 @@ def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimSt
 
         if validate_table:
             table.check_consistency()
-            if sum(len(f) for f in bin_flows) != count:
-                raise ValueError("bin flow sets out of sync with flow count")
+            if sum(bin_load) != count:
+                raise ValueError("bin loads out of sync with flow count")
             if [occ[sv] for sv in range(n)] != [
                 table.server_load(sv) for sv in range(n)
             ]:
                 raise ValueError("occupancy counters out of sync with table")
 
+    violated_flows += sum(
+        1 for b, moves_at_arrival, inside in active
+        if inside and bin_moves[b] != moves_at_arrival
+    )
     return BinSimStats(
         violations=violated_flows,
         total_flows=total_flows,

@@ -119,10 +119,16 @@ class SimConfig:
             object.__setattr__(self, "warmup", DEFAULT_WARMUP_BETAS * beta)
         if self.horizon is None:
             object.__setattr__(self, "horizon", DEFAULT_HORIZON_BETAS * beta)
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
-        if self.warmup < 0:
-            raise ValueError(f"warmup must be non-negative, got {self.warmup!r}")
+        # an infinite horizon never ends; a NaN or infinite warmup never opens
+        # the window
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(
+                f"horizon must be positive and finite, got {self.horizon!r}"
+            )
+        if not (math.isfinite(self.warmup) and self.warmup >= 0):
+            raise ValueError(
+                f"warmup must be non-negative and finite, got {self.warmup!r}"
+            )
         if not 0 <= self.tracked_server < self.params.n:
             raise ValueError(
                 f"tracked_server must be in [0, {self.params.n}), "

@@ -72,7 +72,7 @@ PINNED = {
     "m=2n": "0e4d1bd870432ad6eae1f182dfd290c48c9d31d7c85868438541cba01bf76f11",
     "m=2n-drain": "a2026a6fd286990237786f584bb8d00f1b5720d54ccbf05f57c88f22a182b8c8",
     "single-server": "686adb261bda2fc53e3facad3c2c355ec8f328809bd2fae9608aec35c8f82eec",
-    "single-server-drain": "3572d172ac49ee822357269709d7619e65ceb5654c6fd6a355cea7ae4f453846",
+    "single-server-drain": "69b01e4f9c4b49659785bda4b2b11177d4afd4d7f0b2c4dfec469268bd55a4fb",
     "small-overload": "1479f7ba40c5fb27bdf849d69f910ac0666532bbd02ca548673dbee1253a5fab",
     "small-overload-drain": "29c2d6f3371233680618f2ae0bd37d986966188807f7683e9045b7428a7ad769",
     "tracked": "5237167ff686f821932d626710cf47f8c177dfb75ea74ed780cfd200060c8b3f",

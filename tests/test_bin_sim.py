@@ -70,7 +70,7 @@ def test_bin_table_round_robin_deal():
     assert t.server_bins[4] == [4, 9]
     t.check_consistency()
     assert t.server_load(0) == 0
-    t.bin_flows[5].extend([101, 102])
+    t.bin_load[5] += 2
     assert t.server_load(0) == 2
 
 
@@ -233,9 +233,20 @@ def test_run_bin_moves_never_land_on_their_origin(monkeypatch):
 
 
 def test_run_single_server_skips_every_move():
+    # at n = 1 nothing moves, so the tracked server's series steps by one
+    # flow at a time and shows every trigger: an arrival onto high + 1
+    # (default) or onto any level above high (drain).  Each trigger is one
+    # skip; drain used to count one per bin held (2,028 skips for 507
+    # triggers at m = 4, seed 1, warmup 0, horizon 50)
     params = SystemParams(n=1, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
-    stats = run_bin_sim(SimConfig(params=params,
-                                  scheme=BinBased(bins=5, low=3, high=6),
-                                  seed=2, warmup=1.0, horizon=20.0))
-    assert stats.skipped_reallocations > 0
-    assert stats.reallocations == stats.violations == 0
+    for drain in (False, True):
+        cfg = SimConfig(params=params, scheme=BinBased(bins=5, low=3, high=6),
+                        seed=2, warmup=1.0, horizon=20.0,
+                        drain_to_threshold=drain)
+        for engine in (run_bin_sim, bin_sim._run_bin_sim_py):
+            stats = engine(cfg)
+            occ = stats.series[:, 1]
+            onto = occ[1:] > 6 if drain else occ[1:] == 7
+            triggers = int(np.sum((np.diff(occ) == 1) & onto))
+            assert stats.skipped_reallocations == triggers > 0
+            assert stats.reallocations == stats.violations == 0

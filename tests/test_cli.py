@@ -542,6 +542,17 @@ class TestMainExitCodes:
         assert cli.main([]) == cli.EXIT_VALIDATION
         assert cli.main(["frobnicate"]) == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("param", ["horizon_betas=inf", "warmup_betas=nan",
+                                       "warmup_betas=inf"])
+    def test_non_finite_window_exits_one(self, tmp_path, capsys, param):
+        # an infinite horizon used to run forever, a bad warmup to end with
+        # "increase horizon"; both are rejected before any event runs
+        rc = cli.main(["run", "random-uniform", "--param", param,
+                       "--out", str(tmp_path)])
+        assert rc == cli.EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         def boom(spec):
             raise mf.NumericalError("synthetic failure")

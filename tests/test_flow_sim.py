@@ -77,6 +77,14 @@ def test_sim_config_validation(full_params):
         SimConfig(params=full_params, scheme=scheme, horizon=0.0)
     with pytest.raises(ValueError):
         SimConfig(params=full_params, scheme=scheme, warmup=-1.0)
+    # a run with an infinite horizon never ends; a NaN or infinite warmup
+    # never opens the measurement window
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            SimConfig(params=full_params, scheme=scheme, horizon=bad)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="warmup must be non-negative and finite"):
+            SimConfig(params=full_params, scheme=scheme, warmup=bad)
     with pytest.raises(ValueError):
         SimConfig(params=full_params, scheme=scheme, tracked_server=500)
     with pytest.raises(ValueError):
