@@ -1,18 +1,17 @@
 /*
- * Compiled loops of stickysim: flow_run for flow_sim.run_flow_sim, bin_run
- * for bin_sim.run_bin_sim, and the vector arithmetic of a
+ * Compiled loops of stickysim: sim_run, the event loop of flow_sim.run_flow_sim
+ * and bin_sim.run_bin_sim, and the vector arithmetic of a
  * mean_field.integrate_ode RK4 step: ode_drift, the mean-field drift (join
  * rule plus arrival/departure balance) at the step's start; ode_stage, one
  * RK4 stage (projected stage state, then the drift there); ode_finish, the
  * step end (RK4 combination, projection, projection distance).  The step loop,
  * pinning, the dip-refill correction and the stop rules stay in Python.
  *
- * The two event loops are line-for-line ports of their Python references
- * (flow_sim._run_flow_sim_py, bin_sim._run_bin_sim_py): same draw order, same
- * double arithmetic, same swap-remove/append order in every list, so a run
- * produces the same statistics bit for bit.  Build it with -ffp-contract=off
- * and never with -ffast-math: a fused multiply-add or a reordered sum changes
- * the result.
+ * sim_run is a line-for-line port of its Python reference (flow_sim._run_py):
+ * same draw order, same double arithmetic, same swap-remove/append order in
+ * every list, so a run produces the same statistics bit for bit.  Build it
+ * with -ffp-contract=off and never with -ffast-math: a fused multiply-add or a
+ * reordered sum changes the result.
  *
  * Uniform draws come from a block of doubles owned by the caller; when the
  * block is used up the kernel calls refill(), which overwrites it in place
@@ -20,8 +19,9 @@
  * array (active flows, histogram, series, server and bin lists) and hands
  * the ones the caller needs back through sim_result; sim_free releases them.
  *
- * flow_run's scheme modes are the MODE_* codes below.  high = INT64_MAX
- * means no upper threshold.
+ * sim_run's scheme modes are the MODE_* codes below; the bin scheme is
+ * MODE_BIN, the pull rule's threshold lists plus a flow -> bin -> server
+ * lookup and bin moves.  high = INT64_MAX means no upper threshold.
  *
  * ode_drift, ode_stage and ode_finish are ports of the NumPy engine in
  * mean_field._bind_ode (the join rules _pull_rule and its siblings, the
@@ -42,8 +42,8 @@ typedef int (*refill_fn)(void);
 
 typedef struct {
     int64_t n, low, high, tracked, hist_start;
-    int64_t mode, d;     /* flow_run only */
-    int64_t bins, drain; /* bin_run only */
+    int64_t mode, d;     /* d: MODE_D_CHOICES only */
+    int64_t bins, drain; /* MODE_BIN only */
     double lam_total, inv_beta, t_start, t_stop;
     double *buf;
     int64_t buf_len;
@@ -52,7 +52,7 @@ typedef struct {
 
 typedef struct {
     int64_t started, violations, total_flows, count;
-    int64_t reallocations, skipped; /* bin_run only */
+    int64_t reallocations, skipped; /* MODE_BIN only */
     double flow_int, prev_t;
     int64_t *occ;
     double *last;
@@ -218,28 +218,68 @@ static int level_move(ilist *levels, int64_t *level_pos, int64_t from, int64_t t
     return push(&levels[to], (int32_t)s);
 }
 
-/* flow_run's scheme modes, the codes of flow_sim._D1 ... _XFER_LEAST:
- * d = 1, d < n choices, d >= n (least loaded), pull, shedding, transfer to
- * invite, transfer to least loaded */
+/* scheme modes, the codes of flow_sim._D1 ... _BIN: d = 1, d < n choices,
+ * d >= n (least loaded), pull, shedding, transfer to invite, transfer to
+ * least loaded, and the bin scheme */
 enum { MODE_D1 = 0, MODE_D_CHOICES = 1, MODE_LEAST = 2, MODE_PULL = 3,
-       MODE_SHED = 4, MODE_XFER_INVITE = 5, MODE_XFER_LEAST = 6 };
+       MODE_SHED = 4, MODE_XFER_INVITE = 5, MODE_XFER_LEAST = 6, MODE_BIN = 7 };
 
-int flow_run(const sim_params *p, sim_result *r)
+/* bin of flow `id`: the splitmix64 output function, reduced mod m */
+static inline int64_t hash_bin(uint64_t id, uint64_t m)
+{
+    uint64_t z = id + UINT64_C(0x9E3779B97F4A7C15);
+    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
+    z ^= z >> 31;
+    return (int64_t)(z % m);
+}
+
+/* make s's membership of a threshold list follow a jump from `was` to `now` */
+static void set_update(int32_t *set, int64_t *pos, int64_t *count, int64_t s,
+                       int was, int now)
+{
+    if (was == now)
+        return;
+    if (now)
+        set_add(set, pos, count, s);
+    else
+        set_remove(set, pos, count, s);
+}
+
+/* gcc -O2 inlines no body this large unasked, and `bins` would then stay a
+ * run-time test in every mode */
+#if defined(__GNUC__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
+
+/* The event loop of every mode.  sim_run calls it with a constant `bins`, so
+ * the compiler emits one copy for the bin scheme and one for the flow-level
+ * modes from this one source.
+ *
+ * Active flows live in slot[]: the flow's server, or in bin mode its bin.
+ * Bin mode keeps a parallel stamp[]: the bin's move count at the flow's
+ * arrival, or -1 when the flow arrived before the window.  The flow is
+ * violated iff stamp >= 0 and its bin has moved since, which is read at its
+ * departure or at the end of the run, so a move touches no per-flow state. */
+static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
 {
     const int64_t n = p->n, mode = p->mode, low = p->low, high = p->high;
     const double lam_total = p->lam_total, inv_beta = p->inv_beta;
     const double t_start = p->t_start, t_stop = p->t_stop;
-    const int need_invites = mode == MODE_PULL || mode == MODE_XFER_INVITE;
-    const int need_levels = mode == MODE_LEAST || mode == MODE_XFER_LEAST;
+    const int need_invites = bins || mode == MODE_PULL || mode == MODE_XFER_INVITE;
+    const int need_levels = !bins && (mode == MODE_LEAST || mode == MODE_XFER_LEAST);
 
     run_state S = {p, r, 0, 0};
     int status = RUN_NOMEM, bad = 0;
 
-    int32_t *invite = NULL, *below = NULL, *slot = NULL;
-    int64_t *invite_pos = NULL, *below_pos = NULL, *level_pos = NULL;
-    int64_t *cands = NULL;
-    ilist *levels = NULL;
-    int64_t n_levels = 0, levels_cap = 0, slot_cap = 0;
+    int32_t *invite = NULL, *below = NULL, *slot = NULL, *assignment = NULL;
+    int64_t *invite_pos = NULL, *below_pos = NULL, *level_pos = NULL, *bin_pos = NULL;
+    int64_t *cands = NULL, *stamp = NULL;
+    int64_t *bin_load = NULL, *bin_moves = NULL; /* active flows, moves so far */
+    ilist *levels = NULL, *server_bins = NULL;
+    int64_t n_levels = 0, levels_cap = 0, slot_cap = 0, stamp_cap = 0;
     int64_t inv_count = 0, bel_count = 0, cur_min = 0;
 
     if (init_result(&S))
@@ -263,7 +303,26 @@ int flow_run(const sim_params *p, sim_result *r)
     }
     if (mode == MODE_D_CHOICES && !(cands = malloc((size_t)p->d * sizeof *cands)))
         goto done;
+    if (bins) {
+        /* bins dealt round-robin: bin b starts at server b mod n */
+        const int64_t m = p->bins;
+        assignment = malloc((size_t)m * sizeof *assignment);
+        bin_pos = malloc((size_t)m * sizeof *bin_pos);
+        server_bins = calloc((size_t)n, sizeof *server_bins);
+        bin_load = calloc((size_t)m, sizeof *bin_load);
+        bin_moves = calloc((size_t)m, sizeof *bin_moves);
+        if (!assignment || !bin_pos || !server_bins || !bin_load || !bin_moves)
+            goto done;
+        for (int64_t b = 0; b < m; b++) {
+            int64_t s = b % n;
+            assignment[b] = (int32_t)s;
+            bin_pos[b] = server_bins[s].len;
+            if (push(&server_bins[s], (int32_t)b))
+                goto done;
+        }
+    }
 
+    uint64_t next_id = 0;
     int64_t count = 0;
     double t = 0.0, flow_int = 0.0, prev_t = 0.0;
     int started = 0;
@@ -285,13 +344,19 @@ int flow_run(const sim_params *p, sim_result *r)
         }
 
         u = draw(&S, &bad);
-        int64_t s, o;
+        int64_t s, o, b = 0;
         if (u * rate < lam_total) {
             /* ----- arrival ----- */
             if (started)
                 r->total_flows++;
-            u = draw(&S, &bad);
-            switch (mode) {
+            /* a bin arrival's server is dictated by its static bin: no draw */
+            if (!bins)
+                u = draw(&S, &bad);
+            switch (bins ? MODE_BIN : mode) {
+            case MODE_BIN:
+                b = hash_bin(next_id++, (uint64_t)p->bins);
+                s = assignment[b];
+                break;
             case MODE_D1:
                 s = (int64_t)(u * (double)n);
                 break;
@@ -323,8 +388,8 @@ int flow_run(const sim_params *p, sim_result *r)
                 break;
             }
             case MODE_LEAST: {
-                ilist *b = &levels[cur_min];
-                s = b->a[(int64_t)(u * (double)b->len)];
+                ilist *lb = &levels[cur_min];
+                s = lb->a[(int64_t)(u * (double)lb->len)];
                 break;
             }
             case MODE_PULL:
@@ -362,8 +427,8 @@ int flow_run(const sim_params *p, sim_result *r)
                 if (occ[s] >= high) {
                     if (started)
                         r->violations++;
-                    ilist *b = &levels[cur_min];
-                    s = b->a[(int64_t)(draw(&S, &bad) * (double)b->len)];
+                    ilist *lb = &levels[cur_min];
+                    s = lb->a[(int64_t)(draw(&S, &bad) * (double)lb->len)];
                 }
                 break;
             }
@@ -372,7 +437,13 @@ int flow_run(const sim_params *p, sim_result *r)
             occ[s] = o + 1;
             if (reserve((void **)&slot, &slot_cap, count + 1, sizeof *slot))
                 goto done;
-            slot[count++] = (int32_t)s;
+            if (bins) {
+                if (reserve((void **)&stamp, &stamp_cap, count + 1, sizeof *stamp))
+                    goto done;
+                stamp[count] = started ? bin_moves[b] : -1;
+                bin_load[b]++;
+            }
+            slot[count++] = (int32_t)(bins ? b : s);
             if (started && credit(&S, s, o, o + 1, t))
                 goto done;
             if (need_invites) {
@@ -393,13 +464,84 @@ int flow_run(const sim_params *p, sim_result *r)
                     while (levels[cur_min].len == 0)
                         cur_min++;
             }
+            if (bins) {
+                /* drain: shed bins until s is back at or below high, at most as
+                 * many as s holds at the trigger; default: one bin per upward
+                 * high -> high + 1 crossing */
+                int64_t moves =
+                    p->drain ? (o >= high ? server_bins[s].len : 0) : o == high;
+                /* s holds the arriving flow's bin and drains at most the bins it
+                 * held, so it always has one: only n = 1 skips, once per trigger */
+                if (moves && n == 1) {
+                    if (started)
+                        r->skipped++;
+                    moves = 0;
+                }
+                for (int64_t k = 0; k < moves && occ[s] > high; k++) {
+                    ilist *here = &server_bins[s];
+                    int32_t mb =
+                        here->a[(int64_t)(draw(&S, &bad) * (double)here->len)];
+                    /* invite list, then below-high list, then any server but s */
+                    u = draw(&S, &bad);
+                    int64_t dest;
+                    if (inv_count) {
+                        dest = invite[(int64_t)(u * (double)inv_count)];
+                    } else if (bel_count) {
+                        dest = below[(int64_t)(u * (double)bel_count)];
+                    } else {
+                        dest = (int64_t)(u * (double)(n - 1));
+                        if (dest >= s)
+                            dest++;
+                    }
+                    int64_t bp = bin_pos[mb];
+                    int32_t tail = here->a[here->len - 1];
+                    here->a[bp] = tail;
+                    bin_pos[tail] = bp;
+                    here->len--;
+                    bin_pos[mb] = server_bins[dest].len;
+                    if (push(&server_bins[dest], mb))
+                        goto done;
+                    assignment[mb] = (int32_t)dest;
+                    bin_moves[mb]++;
+                    if (started)
+                        r->reallocations++;
+
+                    int64_t kf = bin_load[mb];
+                    if (kf) {
+                        int64_t o_old = occ[s], o_new = o_old - kf;
+                        int64_t d_old = occ[dest], d_new = d_old + kf;
+                        occ[s] = o_new;
+                        occ[dest] = d_new;
+                        if (started && (credit(&S, s, o_old, o_new, t) ||
+                                        credit(&S, dest, d_old, d_new, t)))
+                            goto done;
+                        set_update(invite, invite_pos, &inv_count, s, o_old < low,
+                                   o_new < low);
+                        set_update(below, below_pos, &bel_count, s, o_old < high,
+                                   o_new < high);
+                        set_update(invite, invite_pos, &inv_count, dest, d_old < low,
+                                   d_new < low);
+                        set_update(below, below_pos, &bel_count, dest, d_old < high,
+                                   d_new < high);
+                    }
+                }
+            }
         } else {
             /* ----- departure: uniform over active flows ----- */
             if (count == 0)
                 continue;
             int64_t j = (int64_t)(draw(&S, &bad) * (double)count);
-            s = slot[j];
+            s = slot[j]; /* in bin mode, the flow's bin */
             slot[j] = slot[--count];
+            if (bins) {
+                b = s;
+                int64_t st = stamp[j];
+                stamp[j] = stamp[count];
+                bin_load[b]--;
+                if (st >= 0 && bin_moves[b] != st)
+                    r->violations++;
+                s = assignment[b];
+            }
             o = occ[s];
             occ[s] = o - 1;
             if (started && credit(&S, s, o, o - 1, t))
@@ -424,6 +566,10 @@ int flow_run(const sim_params *p, sim_result *r)
             goto done;
         }
     }
+    if (bins)
+        for (int64_t i = 0; i < count; i++)
+            if (stamp[i] >= 0 && bin_moves[slot[i]] != stamp[i])
+                r->violations++;
     status = bad ? RUN_REFILL : RUN_OK;
     r->started = started;
     r->count = count;
@@ -438,225 +584,10 @@ done:
     free(level_pos);
     free(cands);
     free(slot);
+    free(stamp);
     for (int64_t k = 0; k < n_levels; k++)
         free(levels[k].a);
     free(levels);
-    return status;
-}
-
-/* ------------------------------------------------------------------------ */
-/* bin-indirected scheme                                                    */
-/* ------------------------------------------------------------------------ */
-
-/* an active flow: its bin, that bin's move count at the flow's arrival, and
- * whether it arrived inside the window; the flow is violated iff its bin has
- * moved since, which is read at its departure or at the end of the run */
-typedef struct {
-    int64_t moves;
-    int32_t bin, in_window;
-} bin_flow;
-
-/* bin of flow `id`: the splitmix64 output function, reduced mod m */
-static inline int64_t hash_bin(uint64_t id, uint64_t m)
-{
-    uint64_t z = id + UINT64_C(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
-    z ^= z >> 31;
-    return (int64_t)(z % m);
-}
-
-/* make s's membership of a threshold list follow a jump from `was` to `now` */
-static void set_update(int32_t *set, int64_t *pos, int64_t *count, int64_t s,
-                       int was, int now)
-{
-    if (was == now)
-        return;
-    if (now)
-        set_add(set, pos, count, s);
-    else
-        set_remove(set, pos, count, s);
-}
-
-int bin_run(const sim_params *p, sim_result *r)
-{
-    const int64_t n = p->n, m = p->bins, low = p->low, high = p->high;
-    const double lam_total = p->lam_total, inv_beta = p->inv_beta;
-    const double t_start = p->t_start, t_stop = p->t_stop;
-
-    run_state S = {p, r, 0, 0};
-    int status = RUN_NOMEM, bad = 0;
-
-    int32_t *invite = NULL, *below = NULL, *assignment = NULL;
-    int64_t *invite_pos = NULL, *below_pos = NULL, *bin_pos = NULL;
-    int64_t *bin_load = NULL, *bin_moves = NULL; /* active flows, moves so far */
-    int64_t inv_count = 0, bel_count = 0;
-    ilist *server_bins = NULL;
-    bin_flow *active = NULL;
-    int64_t count = 0, active_cap = 0;
-
-    if (init_result(&S))
-        goto done;
-    int64_t *occ = r->occ;
-    if (init_sets(n, low, &invite, &invite_pos, &inv_count, &below, &below_pos,
-                  &bel_count))
-        goto done;
-
-    /* bins dealt round-robin: bin b starts at server b mod n */
-    assignment = malloc((size_t)m * sizeof *assignment);
-    bin_pos = malloc((size_t)m * sizeof *bin_pos);
-    server_bins = calloc((size_t)n, sizeof *server_bins);
-    bin_load = calloc((size_t)m, sizeof *bin_load);
-    bin_moves = calloc((size_t)m, sizeof *bin_moves);
-    if (!assignment || !bin_pos || !server_bins || !bin_load || !bin_moves)
-        goto done;
-    for (int64_t b = 0; b < m; b++) {
-        int64_t s = b % n;
-        assignment[b] = (int32_t)s;
-        bin_pos[b] = server_bins[s].len;
-        if (push(&server_bins[s], (int32_t)b))
-            goto done;
-    }
-
-    uint64_t next_id = 0;
-    double t = 0.0, flow_int = 0.0, prev_t = 0.0;
-    int started = 0;
-    for (;;) {
-        double rate = lam_total + (double)count * inv_beta;
-        double u = draw(&S, &bad);
-        t += -log(1.0 - u) / rate;
-        if (t >= t_stop)
-            break;
-        if (!started && t >= t_start) {
-            started = 1;
-            prev_t = t_start;
-            if (open_window(&S))
-                goto done;
-        }
-        if (started) {
-            flow_int += (double)count * (t - prev_t);
-            prev_t = t;
-        }
-
-        u = draw(&S, &bad);
-        int64_t s, o;
-        if (u * rate < lam_total) {
-            /* ----- arrival: server dictated by the flow's static bin ----- */
-            if (started)
-                r->total_flows++;
-            int64_t b = hash_bin(next_id++, (uint64_t)m);
-            s = assignment[b];
-            if (reserve((void **)&active, &active_cap, count + 1, sizeof *active))
-                goto done;
-            active[count++] = (bin_flow){bin_moves[b], (int32_t)b, started};
-            bin_load[b]++;
-
-            o = occ[s];
-            occ[s] = o + 1;
-            if (started && credit(&S, s, o, o + 1, t))
-                goto done;
-            if (o + 1 == low)
-                set_remove(invite, invite_pos, &inv_count, s);
-            if (o + 1 == high)
-                set_remove(below, below_pos, &bel_count, s);
-
-            /* drain: shed bins until s is back at or below high, at most as
-             * many as s holds at the trigger; default: one bin per upward
-             * high -> high + 1 crossing */
-            int64_t moves = p->drain ? (o >= high ? server_bins[s].len : 0) : o == high;
-            /* s holds the arriving flow's bin and drains at most the bins it
-             * held, so it always has one: only n = 1 skips, once per trigger */
-            if (moves && n == 1) {
-                if (started)
-                    r->skipped++;
-                moves = 0;
-            }
-            for (int64_t k = 0; k < moves && occ[s] > high; k++) {
-                ilist *here = &server_bins[s];
-                int32_t mb = here->a[(int64_t)(draw(&S, &bad) * (double)here->len)];
-                /* invite list, then below-high list, then any server but s */
-                u = draw(&S, &bad);
-                int64_t dest;
-                if (inv_count) {
-                    dest = invite[(int64_t)(u * (double)inv_count)];
-                } else if (bel_count) {
-                    dest = below[(int64_t)(u * (double)bel_count)];
-                } else {
-                    dest = (int64_t)(u * (double)(n - 1));
-                    if (dest >= s)
-                        dest++;
-                }
-                int64_t bp = bin_pos[mb];
-                int32_t tail = here->a[here->len - 1];
-                here->a[bp] = tail;
-                bin_pos[tail] = bp;
-                here->len--;
-                bin_pos[mb] = server_bins[dest].len;
-                if (push(&server_bins[dest], mb))
-                    goto done;
-                assignment[mb] = (int32_t)dest;
-                bin_moves[mb]++;
-                if (started)
-                    r->reallocations++;
-
-                int64_t kf = bin_load[mb];
-                if (kf) {
-                    int64_t o_old = occ[s], o_new = o_old - kf;
-                    int64_t d_old = occ[dest], d_new = d_old + kf;
-                    occ[s] = o_new;
-                    occ[dest] = d_new;
-                    if (started && (credit(&S, s, o_old, o_new, t) ||
-                                    credit(&S, dest, d_old, d_new, t)))
-                        goto done;
-                    set_update(invite, invite_pos, &inv_count, s, o_old < low,
-                               o_new < low);
-                    set_update(below, below_pos, &bel_count, s, o_old < high,
-                               o_new < high);
-                    set_update(invite, invite_pos, &inv_count, dest, d_old < low,
-                               d_new < low);
-                    set_update(below, below_pos, &bel_count, dest, d_old < high,
-                               d_new < high);
-                }
-            }
-        } else {
-            /* ----- departure: uniform over active flows ----- */
-            if (count == 0)
-                continue;
-            int64_t j = (int64_t)(draw(&S, &bad) * (double)count);
-            bin_flow f = active[j];
-            active[j] = active[--count];
-            bin_load[f.bin]--;
-            if (f.in_window && bin_moves[f.bin] != f.moves)
-                r->violations++;
-            s = assignment[f.bin];
-            o = occ[s];
-            occ[s] = o - 1;
-            if (started && credit(&S, s, o, o - 1, t))
-                goto done;
-            if (o == low)
-                set_add(invite, invite_pos, &inv_count, s);
-            if (o == high)
-                set_add(below, below_pos, &bel_count, s);
-        }
-        if (bad) {
-            status = RUN_REFILL;
-            goto done;
-        }
-    }
-    for (int64_t i = 0; i < count; i++)
-        if (active[i].in_window && bin_moves[active[i].bin] != active[i].moves)
-            r->violations++;
-    status = bad ? RUN_REFILL : RUN_OK;
-    r->started = started;
-    r->count = count;
-    r->flow_int = flow_int;
-    r->prev_t = prev_t;
-
-done:
-    free(invite);
-    free(invite_pos);
-    free(below);
-    free(below_pos);
     free(assignment);
     free(bin_pos);
     for (int64_t s = 0; server_bins && s < n; s++)
@@ -664,8 +595,12 @@ done:
     free(server_bins);
     free(bin_load);
     free(bin_moves);
-    free(active);
     return status;
+}
+
+int sim_run(const sim_params *p, sim_result *r)
+{
+    return p->mode == MODE_BIN ? run(p, r, 1) : run(p, r, 0);
 }
 
 void sim_free(sim_result *r)

@@ -1,6 +1,6 @@
 """Build and load the compiled kernels.
 
-The event kernels (flow_run, bin_run) and the mean-field RK4 pieces
+The event loop of both simulators (sim_run) and the mean-field RK4 pieces
 (ode_drift, ode_stage, ode_finish) live in one C99 source file shipped next
 to this module, _kernel.c.  On first use it is compiled with the host C
 compiler into a per-user cache directory
@@ -120,8 +120,8 @@ RULE_POWER, RULE_PULL, RULE_SHEDDING, RULE_INVITE, RULE_LEAST = range(5)
 
 
 def kernel() -> ctypes.CDLL | None:
-    """The loaded kernels (flow_run, bin_run, ode_drift, ode_stage,
-    ode_finish) with signatures set, or None.
+    """The loaded kernels (sim_run, ode_drift, ode_stage, ode_finish) with
+    signatures set, or None.
 
     Built and loaded on the first call; the outcome is kept for the process,
     so a fallback warns only once.
@@ -135,9 +135,9 @@ def kernel() -> ctypes.CDLL | None:
             logger.warning("compiled kernel %s unavailable (%s); using the "
                            "pure-Python loop", _SOURCE.name, exc)
         else:
-            for entry in (lib.flow_run, lib.bin_run):
-                entry.argtypes = [ctypes.POINTER(SimParams), ctypes.POINTER(SimResult)]
-                entry.restype = ctypes.c_int
+            lib.sim_run.argtypes = [ctypes.POINTER(SimParams),
+                                    ctypes.POINTER(SimResult)]
+            lib.sim_run.restype = ctypes.c_int
             lib.sim_free.argtypes = [ctypes.POINTER(SimResult)]
             lib.sim_free.restype = None
             # the buffers go in as plain addresses, taken once per integration

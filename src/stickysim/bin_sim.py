@@ -13,42 +13,29 @@ records its bin's move count at arrival and is violated iff the count has
 changed by its departure or the end of the run, so a move touches no
 per-flow state.
 
-The event engine is the same exact continuous-time Markov chain loop as
-flow_sim: exponential inter-event times at the total rate, uniform pick of
-the departing flow, one buffered counter-based generator consumed in a fixed
-documented order.  Bin hashes come from a separate deterministic integer
-mixer, not from the random stream.
-
-As in flow_sim, the loop exists twice: a compiled C kernel (bin_run in
-_kernel.c, built on first use by _native) that run_bin_sim dispatches to,
-and the pure-Python reference _run_bin_sim_py, which is the readable oracle,
-the fallback when no C compiler is available, and the only engine that can
-re-check the bin table after every event.  Both give bit-identical
-statistics.  The reference loop runs on flow_sim's shared reference helpers
-(RngStream.uniform, _threshold_lists, _Window), moves bins with BinTable.move
-and picks their destination with _move_destination, whose branches bin_run
-follows; the move rule exists only inside the two loops.
+The bin scheme is one mode (_BIN) of flow_sim's single event loop: the pull
+rule's invite and below-high lists plus the flow -> bin -> server lookup and
+the bin moves.  Both engines of that loop run it, the compiled kernel
+(sim_run in _kernel.c, built on first use by _native) that run_bin_sim
+dispatches to, and the pure-Python reference flow_sim._run_py, which is the
+readable oracle, the fallback when no C compiler is available, and the only
+engine that can re-check the bin table after every event
+(_run_bin_sim_py(config, validate_table=True)).  Both give bit-identical
+statistics.  This module holds what the reference loop reaches for in bin
+mode: BinTable, whose move keeps the kernel's list order, _hash_block, and
+_move_destination, whose branches sim_run follows.  Bin hashes come from a
+deterministic integer mixer, not from the random stream.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BinBased
-from .flow_sim import (
-    RngStream,
-    SimConfig,
-    SimStats,
-    _BUFFER,
-    _SwapList,
-    _Window,
-    _run_kernel,
-    _threshold_lists,
-)
+from .flow_sim import _BIN, SimConfig, SimStats, _run_py, _simulate, _SwapList
 
 __all__ = [
     "BinTable",
@@ -258,7 +245,7 @@ def run_bin_sim(config: SimConfig) -> BinSimStats:
     arrival leaving a server above `high` sheds bins until the server is
     back at or below `high`, bounded by the bins it held at trigger time.
 
-    Runs the compiled kernel (bin_run in _kernel.c, built on first use) and
+    Runs the compiled kernel (sim_run in _kernel.c, built on first use) and
     falls back to the pure-Python reference loop, with one logged warning,
     when the kernel cannot be built or loaded; both give identical results.
     """
@@ -272,191 +259,29 @@ def run_bin_sim(config: SimConfig) -> BinSimStats:
             scheme.bins,
             config.params.n,
         )
-    # imported here so that importing the package loads no kernel machinery
-    from . import _native
-
-    lib = _native.kernel()
-    if lib is None:
-        return _run_bin_sim_py(config)
-    r, fields = _run_kernel(lib, lib.bin_run, config, scheme.low, scheme.high,
-                            bins=scheme.bins, drain=int(config.drain_to_threshold))
-    return BinSimStats(
-        violations=r.violations,
-        total_flows=r.total_flows,
-        reallocations=r.reallocations,
-        violated_flows=r.violations,
-        skipped_reallocations=r.skipped,
-        **fields,
-    )
+    return _bin_stats(_simulate(config, **_bin_mode(config)))
 
 
 def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimStats:
-    """Pure-Python reference event loop of run_bin_sim.
+    """run_bin_sim on the pure-Python reference loop.
 
-    The readable oracle the compiled kernel is tested against, and the
-    fallback when no kernel can be built.  validate_table re-checks the
-    bin-table bijection after every event; meant for small test runs, far
-    too slow for production sizes.
+    validate_table re-checks the bin-table bijection after every event; meant
+    for small test runs, far too slow for production sizes.
     """
+    return _bin_stats(_run_py(config, **_bin_mode(config),
+                              validate_table=validate_table))
+
+
+def _bin_mode(config: SimConfig) -> dict:
+    """The event loop's arguments for a bin-scheme config."""
     scheme = config.scheme
-    params = config.params
-    n = params.n
-    m = scheme.bins
-    low = scheme.low
-    high: int | float = scheme.high  # int < math.inf compares exactly
-    drain = config.drain_to_threshold
-    lam_total = params.lam * n
+    return {"mode": _BIN, "low": scheme.low, "high": scheme.high,
+            "bins": scheme.bins, "drain": int(config.drain_to_threshold)}
 
-    uniform = RngStream(config.seed).uniform
-    log = math.log
-    win = _Window(config)
-    t_start, t_stop = win.t_start, win.t_stop
 
-    table = BinTable.initial(m, n)
-    assignment = table.assignment
-    server_bins = table.server_bins
-    bin_load = table.bin_load
-    # moves of each bin so far; a flow is violated iff its bin's count has
-    # changed between its arrival and its departure (or the end of the run)
-    bin_moves = [0] * m
-
-    occ = [0] * n
-
-    # invite and below-high lists, as in flow_sim; bin moves jump
-    # occupancies by whole bins and update membership both ways
-    invite, below = _threshold_lists(n, low)
-
-    # active flows as (bin, bin_moves[bin] at arrival, arrived inside the
-    # window) records; departures pick a uniform slot and swap-remove it.
-    # violated_flows only counts flows that arrived inside the window, so it
-    # can never exceed total_flows even in very short windows
-    active: list[tuple[int, int, bool]] = []
-    count = 0
-
-    # sequential flow ids feed the hash in blocks (vectorized, identical to
-    # per-id hashing); ids are global and never recycled
-    next_id = 0
-    hash_buf: list[int] = []
-    hash_idx = 0
-
-    started = False
-    reallocations = 0
-    violated_flows = 0
-    skipped = 0
-    total_flows = 0
-
-    t = 0.0
-    inv_beta = 1.0 / params.beta
-    while True:
-        rate = lam_total + count * inv_beta
-        t += -log(1.0 - uniform()) / rate
-        if t >= t_stop:
-            break
-        if not started and t >= t_start:
-            started = win.open(occ)
-        if started:
-            win.advance(t, count)
-
-        if uniform() * rate < lam_total:
-            # ----- arrival: server dictated by the flow's static bin -----
-            if started:
-                total_flows += 1
-            if hash_idx == len(hash_buf):
-                hash_buf = _hash_block(next_id, _BUFFER, m)
-                hash_idx = 0
-            b = hash_buf[hash_idx]
-            hash_idx += 1
-            next_id += 1
-            s = assignment[b]
-            active.append((b, bin_moves[b], started))
-            bin_load[b] += 1
-            count += 1
-
-            o = occ[s]
-            occ[s] = o + 1
-            if started:
-                win.credit(s, o, o + 1, t)
-            if o + 1 == low:
-                invite.drop(s)
-            if o + 1 == high:
-                below.drop(s)
-
-            # drain: any arrival leaving the server above high sheds bins
-            # until it is back at or below high, at most as many as it holds;
-            # default: one bin per upward high -> high + 1 crossing
-            if drain:
-                moves = len(server_bins[s]) if o >= high else 0
-            else:
-                moves = 1 if o == high else 0
-            if moves and n == 1:
-                # no other server to take a bin: one skip per trigger
-                if started:
-                    skipped += 1
-                moves = 0
-            while moves and occ[s] > high:
-                moves -= 1
-                bins_here = server_bins[s]
-                mb = bins_here[int(uniform() * len(bins_here))]
-                dest = _move_destination(uniform(), s, n, invite, below)
-                table.move(mb, dest)
-                bin_moves[mb] += 1
-                if started:
-                    reallocations += 1
-                k = bin_load[mb]
-                if k:
-                    o_old = occ[s]
-                    o_new = o_old - k
-                    occ[s] = o_new
-                    d_old = occ[dest]
-                    d_new = d_old + k
-                    occ[dest] = d_new
-                    if started:
-                        win.credit(s, o_old, o_new, t)
-                        win.credit(dest, d_old, d_new, t)
-                    invite.update(s, o_old < low, o_new < low)
-                    below.update(s, o_old < high, o_new < high)
-                    invite.update(dest, d_old < low, d_new < low)
-                    below.update(dest, d_old < high, d_new < high)
-        else:
-            # ----- departure: uniform over active flows -----
-            if count == 0:
-                continue
-            j = int(uniform() * count)
-            b, moves_at_arrival, inside = active[j]
-            count -= 1
-            active[j] = active[count]
-            active.pop()
-            bin_load[b] -= 1
-            if inside and bin_moves[b] != moves_at_arrival:
-                violated_flows += 1
-            s = assignment[b]
-            o = occ[s]
-            occ[s] = o - 1
-            if started:
-                win.credit(s, o, o - 1, t)
-            if o == low:
-                invite.add(s)
-            if o == high:
-                below.add(s)
-
-        if validate_table:
-            table.check_consistency()
-            if sum(bin_load) != count:
-                raise ValueError("bin loads out of sync with flow count")
-            if [occ[sv] for sv in range(n)] != [
-                table.server_load(sv) for sv in range(n)
-            ]:
-                raise ValueError("occupancy counters out of sync with table")
-
-    violated_flows += sum(
-        1 for b, moves_at_arrival, inside in active
-        if inside and bin_moves[b] != moves_at_arrival
-    )
-    return BinSimStats(
-        violations=violated_flows,
-        total_flows=total_flows,
-        reallocations=reallocations,
-        violated_flows=violated_flows,
-        skipped_reallocations=skipped,
-        **win.close(occ, count),
-    )
+def _bin_stats(out: dict) -> BinSimStats:
+    """BinSimStats of one event-loop run in bin mode."""
+    reallocations = out.pop("reallocations")
+    skipped = out.pop("skipped")
+    return BinSimStats(reallocations=reallocations, violated_flows=out["violations"],
+                       skipped_reallocations=skipped, **out)

@@ -99,16 +99,18 @@ def _system_params(p: Mapping[str, object]) -> SystemParams:
     )
 
 
-def _sim_config(spec: ExperimentSpec, scheme, **extra) -> SimConfig:
+def _sim_config(spec: ExperimentSpec, scheme, seed: int | None = None,
+                drain: bool = False) -> SimConfig:
+    """The run of `scheme` at spec's system and window; seed defaults to spec's."""
     p = spec.params
     params = _system_params(p)
     return SimConfig(
         params=params,
         scheme=scheme,
-        seed=spec.seed,
+        seed=spec.seed if seed is None else seed,
         warmup=float(p["warmup_betas"]) * params.beta,
         horizon=float(p["horizon_betas"]) * params.beta,
-        **extra,
+        drain_to_threshold=drain,
     )
 
 
@@ -413,15 +415,8 @@ def _exp_bin_violation(spec: ExperimentSpec) -> _RunnerResult:
     for m in ms:
         rates = []
         for k in range(n_seeds):
-            cfg = SimConfig(
-                params=params_obj,
-                scheme=BinBased(bins=m, low=low, high=high),
-                seed=spec.seed + k,
-                warmup=float(p["warmup_betas"]) * params_obj.beta,
-                horizon=float(p["horizon_betas"]) * params_obj.beta,
-                drain_to_threshold=bool(p["drain"]),
-            )
-            st = run_bin_sim(cfg)
+            st = run_bin_sim(_sim_config(spec, BinBased(bins=m, low=low, high=high),
+                                         seed=spec.seed + k, drain=bool(p["drain"])))
             rates.append(st.violation_rate)
             rows.append([m, spec.seed + k, st.violation_rate, st.reallocations])
         means.append([m, float(np.mean(rates))])
@@ -778,7 +773,8 @@ def _read_indexed_csv(path: Path) -> tuple[np.ndarray, np.ndarray, str]:
     """Load (index, value) pairs from a CSV; value column picked by name.
 
     Prefers p_empirical, then p_theory, then the second column.  The first
-    column must be an integer index.
+    column must be a non-negative integer index with no repeats, and at
+    least one data row must follow the header.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -789,6 +785,8 @@ def _read_indexed_csv(path: Path) -> tuple[np.ndarray, np.ndarray, str]:
         rows = [r for r in reader if r]
     if len(header) < 2:
         raise ValueError(f"{path} needs at least two columns, got {header}")
+    if not rows:
+        raise ValueError(f"{path} has a header but no data rows")
     col = 1
     for wanted in ("p_empirical", "p_theory"):
         if wanted in header:
@@ -799,6 +797,11 @@ def _read_indexed_csv(path: Path) -> tuple[np.ndarray, np.ndarray, str]:
         val = np.array([float(r[col]) for r in rows])
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{path} is not an indexed numeric CSV: {exc}") from exc
+    if idx.min() < 0:
+        raise ValueError(f"{path} has a negative index {int(idx.min())}")
+    levels, counts = np.unique(idx, return_counts=True)
+    if counts.max() > 1:
+        raise ValueError(f"{path} repeats index {int(levels[counts.argmax()])}")
     return idx, val, header[col]
 
 
@@ -823,7 +826,10 @@ def compare(path_a: Path, path_b: Path, tol: float) -> CompareReport:
     Indices are aligned by value; levels present in only one file count with
     the other file's mass taken as zero.  mean_gap is the difference of the
     index-weighted means, useful when the files describe occupancy pmfs.
+    tol must be non-negative and finite.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be non-negative and finite, got {tol!r}")
     idx_a, val_a, col_a = _read_indexed_csv(path_a)
     idx_b, val_b, col_b = _read_indexed_csv(path_b)
     top = int(max(idx_a.max(), idx_b.max()))

@@ -13,17 +13,19 @@ the per-event cost constant.  All randomness comes from one buffered
 counter-based generator consumed in a fixed documented order, so a seed fully
 determines the run.
 
-The loop exists twice: a compiled C kernel (flow_run in _kernel.c, built on
-first use by _native) that run_flow_sim dispatches to, and the pure-Python
-reference _run_flow_sim_py, which is the readable oracle and the fallback
-when no C compiler is available.  Both give bit-identical statistics.  The
-reference loops of both simulators share the Python twins of the kernel's
-helpers: RngStream.uniform for draws, _SwapList and _threshold_lists for the
-invite, below-high and per-occupancy server lists, and _Window for the
-measurement window, which closes through _window_stats like the kernel.
-Each scheme's placement rule is written once per engine, as a mode branch
-of the loop (see _scheme_mode); the kernel differential tests tie the two
-together draw for draw, and the run tests tie both to mean_field's laws.
+The loop exists twice, once per engine, and each engine has one loop for
+every scheme, the bin scheme of bin_sim included (mode _BIN): a compiled C
+kernel (sim_run in _kernel.c, built on first use by _native) that
+run_flow_sim and run_bin_sim dispatch to, and the pure-Python reference
+_run_py, which is the readable oracle and the fallback when no C compiler
+is available.  Both give bit-identical statistics.  The reference loop runs
+on the Python twins of the kernel's helpers: RngStream.uniform for draws,
+_SwapList and _threshold_lists for the invite, below-high and
+per-occupancy server lists, and _Window for the measurement window, which
+closes through _window_stats like the kernel.  Each scheme's placement rule
+is written once per engine, as a mode branch of the loop (see _scheme_mode);
+the kernel differential tests tie the two together draw for draw, and the
+run tests tie both to mean_field's laws.
 """
 
 from __future__ import annotations
@@ -188,26 +190,26 @@ class SimStats:
 # ---------------------------------------------------------------------------
 
 # scheme modes shared by both engines
-_D1, _D_CHOICES, _LEAST, _PULL, _SHED, _XFER_INVITE, _XFER_LEAST = range(7)
+_D1, _D_CHOICES, _LEAST, _PULL, _SHED, _XFER_INVITE, _XFER_LEAST, _BIN = range(8)
 
 
 def _scheme_mode(scheme: SchemeConfig, n: int) -> tuple[int, int, int, int]:
-    """(mode, d, low, high) of a flow-level scheme; high may be math.inf."""
+    """(mode, low, high, d) of a flow-level scheme; high may be math.inf."""
     if isinstance(scheme, BinBased):
         raise TypeError("BinBased configs are simulated by run_bin_sim")
     if isinstance(scheme, PowerOfD):
         d = scheme.d
         # sampling all servers is exact least-loaded
         mode = _D1 if d == 1 else _D_CHOICES if d < n else _LEAST
-        return mode, d, 0, 0
+        return mode, 0, 0, d
     if isinstance(scheme, PullBased):
-        return _PULL, 0, scheme.low, scheme.high
+        return _PULL, scheme.low, scheme.high, 0
     if isinstance(scheme, Shedding):
-        return _SHED, 0, 0, scheme.high
+        return _SHED, 0, scheme.high, 0
     if isinstance(scheme, TransferToInvite):
-        return _XFER_INVITE, 0, scheme.low, scheme.high
+        return _XFER_INVITE, scheme.low, scheme.high, 0
     if isinstance(scheme, TransferToLeastLoaded):
-        return _XFER_LEAST, 0, 0, scheme.high
+        return _XFER_LEAST, 0, scheme.high, 0
     raise TypeError(f"no flow-level simulation for {scheme!r}")
 
 
@@ -263,32 +265,43 @@ def run_flow_sim(config: SimConfig) -> SimStats:
     event type, then the assignment draws (uniform server picks, d-choices
     candidates, transfer destination) or the departing-flow pick.
 
-    Runs the compiled kernel (flow_run in _kernel.c, built on first use) and
+    Runs the compiled kernel (sim_run in _kernel.c, built on first use) and
     falls back to the pure-Python reference loop, with one logged warning,
     when the kernel cannot be built or loaded; both give identical results.
     """
+    return _flow_stats(_simulate(config, *_scheme_mode(config.scheme,
+                                                       config.params.n)))
+
+
+def _flow_stats(out: dict) -> SimStats:
+    """SimStats of one event-loop run of a flow-level mode."""
+    del out["reallocations"], out["skipped"]
+    return SimStats(**out)
+
+
+def _simulate(config: SimConfig, mode: int, low: int, high: int | float,
+              d: int = 0, bins: int = 0, drain: int = 0) -> dict:
+    """One event-loop run: the compiled kernel, else the reference loop."""
     # imported here so that importing the package loads no kernel machinery
     from . import _native
 
     lib = _native.kernel()
     if lib is None:
-        return _run_flow_sim_py(config)
-    mode, d, low, high = _scheme_mode(config.scheme, config.params.n)
-    r, fields = _run_kernel(lib, lib.flow_run, config, low, high, mode=mode, d=d)
-    return SimStats(violations=r.violations, total_flows=r.total_flows, **fields)
+        return _run_py(config, mode, low, high, d, bins, drain)
+    return _run_kernel(lib, config, mode, low, high, d, bins, drain)
 
 
-def _run_kernel(lib, entry, config: SimConfig, low: int, high: int | float,
-                **scheme_fields: int):
-    """Run one compiled event loop on config's draws and close its window.
+def _run_kernel(lib, config: SimConfig, mode: int, low: int, high: int | float,
+                d: int, bins: int, drain: int) -> dict:
+    """Run the compiled event loop sim_run on config's draws; close its window.
 
-    `entry` is a kernel function of `lib` (flow_run or bin_run); it reads
-    config's system and window and the given thresholds, plus the
-    scheme-specific SimParams fields.  Draws come from the same Philox stream
-    as the reference loops, one float64 block at a time through a refill
-    callback; an exception raised there stops the kernel and is re-raised
-    here.  Returns the kernel's SimResult, for its counters, and the SimStats
-    array fields from _window_stats.
+    sim_run reads config's system and window, the mode and thresholds, plus
+    the mode-specific fields: d for d-choices, bins and drain for bin mode.
+    Draws come from the same Philox stream as the reference loop, one
+    float64 block at a time through a refill callback; an exception raised
+    there stops the kernel and is re-raised here.  Returns what _run_py returns: the
+    counters under SimResult's names and the SimStats array fields from
+    _window_stats.
     """
     from . import _native as native
 
@@ -312,16 +325,16 @@ def _run_kernel(lib, entry, config: SimConfig, low: int, high: int | float,
 
     callback = native.REFILL(refill)
     p = native.SimParams(
-        n=n, low=low, high=native.NO_CAP if high == math.inf else high,
+        n=n, mode=mode, low=low, high=native.NO_CAP if high == math.inf else high,
         tracked=config.tracked_server, hist_start=_HIST_START,
         lam_total=params.lam * n, inv_beta=1.0 / params.beta,
         t_start=t_start, t_stop=t_stop,
         buf=buf.ctypes.data_as(native.F64P), buf_len=_BUFFER,
-        refill=callback, **scheme_fields,
+        refill=callback, d=d, bins=bins, drain=drain,
     )
     r = native.SimResult()
     try:
-        status = entry(p, r)
+        status = lib.sim_run(p, r)
         if failure:
             raise failure[0]
         if status:
@@ -330,12 +343,15 @@ def _run_kernel(lib, entry, config: SimConfig, low: int, high: int | float,
         def take(ptr, size):
             return np.ctypeslib.as_array(ptr, (size,)).tolist() if size else []
 
-        fields = _window_stats(
-            bool(r.started), t_start, t_stop,
-            take(r.occ, n), take(r.last, n), take(r.hist, r.hist_len),
-            r.count, r.flow_int, r.prev_t, take(r.series, 2 * r.series_rows),
-        )
-        return r, fields
+        return {
+            "violations": r.violations, "total_flows": r.total_flows,
+            "reallocations": r.reallocations, "skipped": r.skipped,
+            **_window_stats(
+                bool(r.started), t_start, t_stop,
+                take(r.occ, n), take(r.last, n), take(r.hist, r.hist_len),
+                r.count, r.flow_int, r.prev_t, take(r.series, 2 * r.series_rows),
+            ),
+        }
     finally:
         lib.sim_free(r)
 
@@ -453,16 +469,29 @@ class _Window:
 
 
 def _run_flow_sim_py(config: SimConfig) -> SimStats:
-    """Pure-Python reference event loop of run_flow_sim.
+    """run_flow_sim on the pure-Python reference loop."""
+    return _flow_stats(_run_py(config, *_scheme_mode(config.scheme,
+                                                     config.params.n)))
+
+
+def _run_py(config: SimConfig, mode: int, low: int, high: int | float,
+            d: int = 0, bins: int = 0, drain: int = 0,
+            validate_table: bool = False) -> dict:
+    """Pure-Python reference event loop of every mode, sim_run's twin.
 
     The readable oracle the compiled kernel is tested against, and the
-    fallback when no kernel can be built.
+    fallback when no kernel can be built.  Returns the counters under
+    SimResult's names (violations, total_flows, reallocations, skipped) and
+    the SimStats array fields from _window_stats.  Mode _BIN runs the bin
+    scheme on `bins` bins; it reaches bin_sim's BinTable, _hash_block and
+    _move_destination through that module.  validate_table (bin mode only)
+    re-checks the bin-table bijection after every event; meant for small
+    test runs, far too slow for production sizes.
     """
     params = config.params
     n = params.n
-    mode, d, low, high = _scheme_mode(config.scheme, n)
     lam_total = params.lam * n
-    need_invites = mode in (_PULL, _XFER_INVITE)
+    need_invites = mode in (_PULL, _XFER_INVITE, _BIN)
     need_levels = mode in (_LEAST, _XFER_LEAST)
 
     uniform = RngStream(config.seed).uniform
@@ -472,6 +501,8 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
 
     occ = [0] * n
 
+    # invite and below-high lists; bin moves jump occupancies by whole bins
+    # and update membership both ways
     if need_invites:
         invite, below = _threshold_lists(n, low)
     # per-occupancy server buckets with a running minimum for least-loaded
@@ -479,15 +510,38 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
         level_pos = list(range(n))
         levels = [_SwapList(level_pos, range(n))]
         cur_min = 0
+    if bins:
+        # imported here: bin_sim imports this module
+        from . import bin_sim
 
-    # active flows: slot i holds the server of one active flow; departures
-    # pick a uniform slot and swap-remove it
+        move_destination = bin_sim._move_destination
+        table = bin_sim.BinTable.initial(bins, n)
+        assignment = table.assignment
+        server_bins = table.server_bins
+        bin_load = table.bin_load
+        # moves of each bin so far
+        bin_moves = [0] * bins
+        # sequential flow ids feed the hash in blocks (vectorized, identical
+        # to per-id hashing); ids are global and never recycled
+        next_id = 0
+        hash_buf: list[int] = []
+        hash_idx = 0
+
+    # active flows: slot i holds the server of one active flow, in bin mode
+    # its bin; departures pick a uniform slot and swap-remove it.  Bin mode
+    # keeps a parallel stamp: the bin's move count at the flow's arrival, or
+    # -1 when it arrived before the window.  The flow is violated iff stamp
+    # >= 0 and its bin has moved since, read at its departure or at the end
+    # of the run, so violations never exceed total_flows
     slot: list[int] = []
+    stamp: list[int] = []
     count = 0
 
     started = False
     violations = 0
     total_flows = 0
+    reallocations = 0
+    skipped = 0
 
     t = 0.0
     inv_beta = 1.0 / params.beta
@@ -505,9 +559,19 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
             # ----- arrival -----
             if started:
                 total_flows += 1
-            u = uniform()
+            # a bin arrival's server is dictated by its static bin: no draw
+            if not bins:
+                u = uniform()
 
-            if mode == _D1:
+            if bins:
+                if hash_idx == len(hash_buf):
+                    hash_buf = bin_sim._hash_block(next_id, _BUFFER, bins)
+                    hash_idx = 0
+                b = hash_buf[hash_idx]
+                hash_idx += 1
+                next_id += 1
+                s = assignment[b]
+            elif mode == _D1:
                 s = int(u * n)
             elif mode == _D_CHOICES:
                 cands = [int(u * n)]
@@ -570,7 +634,12 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
 
             o = occ[s]
             occ[s] = o + 1
-            slot.append(s)
+            if bins:
+                slot.append(b)
+                stamp.append(bin_moves[b] if started else -1)
+                bin_load[b] += 1
+            else:
+                slot.append(s)
             count += 1
             if started:
                 win.credit(s, o, o + 1, t)
@@ -587,6 +656,44 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
                 if not levels[o] and o == cur_min:
                     while not levels[cur_min]:
                         cur_min += 1
+
+            if bins:
+                # drain: any arrival leaving the server above high sheds bins
+                # until it is back at or below high, at most as many as it
+                # holds; default: one bin per upward high -> high + 1 crossing
+                if drain:
+                    moves = len(server_bins[s]) if o >= high else 0
+                else:
+                    moves = 1 if o == high else 0
+                if moves and n == 1:
+                    # no other server to take a bin: one skip per trigger
+                    if started:
+                        skipped += 1
+                    moves = 0
+                while moves and occ[s] > high:
+                    moves -= 1
+                    bins_here = server_bins[s]
+                    mb = bins_here[int(uniform() * len(bins_here))]
+                    dest = move_destination(uniform(), s, n, invite, below)
+                    table.move(mb, dest)
+                    bin_moves[mb] += 1
+                    if started:
+                        reallocations += 1
+                    k = bin_load[mb]
+                    if k:
+                        o_old = occ[s]
+                        o_new = o_old - k
+                        occ[s] = o_new
+                        d_old = occ[dest]
+                        d_new = d_old + k
+                        occ[dest] = d_new
+                        if started:
+                            win.credit(s, o_old, o_new, t)
+                            win.credit(dest, d_old, d_new, t)
+                        invite.update(s, o_old < low, o_new < low)
+                        below.update(s, o_old < high, o_new < high)
+                        invite.update(dest, d_old < low, d_new < low)
+                        below.update(dest, d_old < high, d_new < high)
         else:
             # ----- departure: uniform over active flows -----
             if count == 0:
@@ -596,6 +703,15 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
             count -= 1
             slot[j] = slot[count]
             slot.pop()
+            if bins:
+                b = s
+                moves_at_arrival = stamp[j]
+                stamp[j] = stamp[count]
+                stamp.pop()
+                bin_load[b] -= 1
+                if moves_at_arrival >= 0 and bin_moves[b] != moves_at_arrival:
+                    violations += 1
+                s = assignment[b]
             o = occ[s]
             occ[s] = o - 1
             if started:
@@ -614,5 +730,18 @@ def _run_flow_sim_py(config: SimConfig) -> SimStats:
                     while not levels[cur_min]:
                         cur_min += 1
 
-    return SimStats(violations=violations, total_flows=total_flows,
-                    **win.close(occ, count))
+        if validate_table:
+            table.check_consistency()
+            if sum(bin_load) != count:
+                raise ValueError("bin loads out of sync with flow count")
+            if occ != [table.server_load(sv) for sv in range(n)]:
+                raise ValueError("occupancy counters out of sync with table")
+
+    if bins:
+        violations += sum(1 for b, moves_at_arrival in zip(slot, stamp)
+                          if moves_at_arrival >= 0 and bin_moves[b] != moves_at_arrival)
+    return {
+        "violations": violations, "total_flows": total_flows,
+        "reallocations": reallocations, "skipped": skipped,
+        **win.close(occ, count),
+    }

@@ -1,10 +1,10 @@
 """The compiled bin-event kernel against the pure-Python reference loop.
 
-run_bin_sim runs bin_run in _kernel.c through ctypes; _run_bin_sim_py is the
-readable oracle.  Both consume the same Philox uniforms in the same order,
-hash flows to bins with the same splitmix64 mixer and keep every list in the
-same swap-remove/append order, so every BinSimStats field must agree bit for
-bit.
+run_bin_sim runs sim_run in _kernel.c through ctypes; _run_bin_sim_py runs
+the readable oracle, flow_sim._run_py, in bin mode.  Both consume the same
+Philox uniforms in the same order, hash flows to bins with the same
+splitmix64 mixer and keep every list in the same swap-remove/append order,
+so every BinSimStats field must agree bit for bit.
 """
 
 import dataclasses

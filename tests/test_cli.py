@@ -434,6 +434,37 @@ class TestCompare:
         with pytest.raises(ValueError, match="two columns"):
             cli.compare(a, a, tol=0.1)
 
+    def test_header_only_file_rejected(self, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_text("level,p_empirical\n")
+        with pytest.raises(ValueError, match=r"a\.csv has a header but no data rows"):
+            cli.compare(a, a, tol=0.1)
+
+    def test_negative_index_rejected(self, tmp_path):
+        # fancy indexing used to wrap level -1 onto the top level: TV = 0
+        a = tmp_path / "a.csv"
+        neg = tmp_path / "neg.csv"
+        self._write(a, ["level", "p_empirical"], [[0, 0.5], [1, 0.5]])
+        self._write(neg, ["level", "p_empirical"], [[-1, 0.5], [0, 0.5]])
+        with pytest.raises(ValueError, match=r"neg\.csv has a negative index -1"):
+            cli.compare(a, neg, tol=0.1)
+
+    def test_repeated_index_rejected(self, tmp_path):
+        # a repeated level used to overwrite the first silently
+        a = tmp_path / "a.csv"
+        rep = tmp_path / "rep.csv"
+        self._write(a, ["level", "p_empirical"], [[0, 0.5], [1, 0.5]])
+        self._write(rep, ["level", "p_empirical"], [[0, 0.2], [1, 0.5], [0, 0.3]])
+        with pytest.raises(ValueError, match=r"rep\.csv repeats index 0"):
+            cli.compare(a, rep, tol=0.1)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_bad_tolerance_rejected(self, tmp_path, tol):
+        a = tmp_path / "a.csv"
+        self._write(a, ["level", "p_empirical"], [[0, 0.5], [1, 0.5]])
+        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+            cli.compare(a, a, tol=tol)
+
 
 class TestMainExitCodes:
     def test_list(self, capsys):
@@ -527,6 +558,25 @@ class TestMainExitCodes:
         a.write_text("level,p\nx,0.5\n")
         rc = cli.main(["compare", str(a), str(a), "--tol", "0.1"])
         assert rc == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("rows", ["-1,0.5\n0,0.5\n", "0,0.5\n0,0.5\n", ""])
+    def test_compare_bad_index_column_is_validation_error(self, tmp_path, capsys,
+                                                          rows):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("level,p\n0,0.5\n1,0.5\n")
+        b.write_text("level,p\n" + rows)
+        rc = cli.main(["compare", str(a), str(b), "--tol", "0.1"])
+        assert rc == cli.EXIT_VALIDATION
+        assert "b.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_compare_bad_tolerance_is_validation_error(self, tmp_path, capsys, tol):
+        a = tmp_path / "a.csv"
+        a.write_text("level,p\n0,0.5\n1,0.5\n")
+        rc = cli.main(["compare", str(a), str(a), f"--tol={tol}"])
+        assert rc == cli.EXIT_VALIDATION
+        assert "tolerance must be non-negative" in capsys.readouterr().err
 
     def test_compare_rejects_extra_args(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -1,8 +1,9 @@
 """The compiled flow-event kernel against the pure-Python reference loop.
 
-run_flow_sim runs flow_run in _kernel.c through ctypes; _run_flow_sim_py is the
-readable oracle.  Both consume the same Philox uniforms in the same order with
-the same double arithmetic, so every SimStats field must agree bit for bit.
+run_flow_sim runs sim_run in _kernel.c through ctypes; _run_flow_sim_py runs
+the readable oracle, flow_sim._run_py.  Both consume the same Philox uniforms
+in the same order with the same double arithmetic, so every SimStats field
+must agree bit for bit.
 """
 
 import dataclasses
