@@ -1,11 +1,13 @@
 /*
  * Compiled loops of stickysim: sim_run, the event loop of flow_sim.run_flow_sim
- * and bin_sim.run_bin_sim, and the vector arithmetic of a
+ * and bin_sim.run_bin_sim, and the float arithmetic of a
  * mean_field.integrate_ode RK4 step: ode_drift, the mean-field drift (join
- * rule plus arrival/departure balance) at the step's start; ode_stage, one
- * RK4 stage (projected stage state, then the drift there); ode_finish, the
- * step end (RK4 combination, projection, projection distance).  The step loop,
- * pinning, the dip-refill correction and the stop rules stay in Python.
+ * rule plus arrival/departure balance) at the step's start, with the
+ * dip-refill correction applied and its sup-norm returned for the stop rule;
+ * ode_step, the three RK4 stages (projected stage state, then the corrected
+ * drift there) and the step end (RK4 combination, projection, projection
+ * distance).  The step loop, pinning and release and the stop rules stay in
+ * Python, so a step is two foreign calls.
  *
  * sim_run is a line-for-line port of its Python reference (flow_sim._run_py):
  * same draw order, same double arithmetic, same swap-remove/append order in
@@ -23,11 +25,12 @@
  * MODE_BIN, the pull rule's threshold lists plus a flow -> bin -> server
  * lookup and bin moves.  high = INT64_MAX means no upper threshold.
  *
- * ode_drift, ode_stage and ode_finish are ports of the NumPy engine in
- * mean_field._bind_ode (the join rules _pull_rule and its siblings, the
- * balance, numpy's clip and np.minimum.accumulate down to NaN and -0.0),
- * with the same double operations in the same order, so every RK4 step agrees
- * bit for bit.
+ * ode_drift and ode_step are ports of the NumPy engine in mean_field._bind_ode
+ * (the join rules _pull_rule and its siblings, the balance, the correction,
+ * numpy's clip, np.minimum.accumulate and np.maximum.reduce down to NaN and
+ * -0.0, and numpy's pairwise sum for the correction's one reduction), with
+ * the same double operations in the same order, so every RK4 step agrees bit
+ * for bit.
  *
  * The SIZEOF_* constants export the size of every struct shared with
  * _native.py, so a test can compare each with its ctypes mirror.
@@ -756,7 +759,7 @@ static void least_rule(const drift_params *p, const double *sp, double *q, int64
 /* Drift of the occupancy tail at the padded tail sp: writes every entry of
  * p->q with the scheme's join rule, then ds[i] = lam*q[i-1] -
  * (i*(sp[i] - sp[i+1]))/beta for 1 <= i < size; ds[0] is left alone. */
-void ode_drift(const drift_params *p, const double *sp, double *ds)
+static void drift(const drift_params *p, const double *sp, double *ds)
 {
     double *q = p->q;
     const int64_t nq = p->width - 1;
@@ -788,6 +791,91 @@ void ode_drift(const drift_params *p, const double *sp, double *ds)
         ds[i] = lam * q[i - 1] - (double)i * (sp[i] - sp[i + 1]) / beta;
 }
 
+/* numpy's pairwise summation of a[0..n-1]: a plain loop below 8 terms, eight
+ * accumulators up to 128, otherwise the two halves split at a multiple of 8 */
+static double pairwise(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
+/* a[0..n-1].sum() as numpy reduces it: the identity 0.0 plus the pairwise sum;
+ * exported so that a test can compare it with numpy directly */
+double ode_sum(const double *a, int64_t n)
+{
+    return 0.0 + pairwise(a, n);
+}
+
+/* the larger of acc and x as np.maximum.reduce folds them: a NaN wins */
+static inline double nan_max(double acc, double x)
+{
+    return acc >= x || isnan(acc) ? acc : x;
+}
+
+/* Constants of one integration, bound once by mean_field._bind_ode: the
+ * stage scales dt/2 and dt, the step end's dt/6, and the invite threshold
+ * below which a pinned level's dips are refilled first (0: no such level). */
+typedef struct {
+    double half_dt, dt, sixth_dt;
+    int64_t invite_low;
+} step_consts;
+
+/* The dip-refill correction of a drift ds whose join buffer is p->q: when
+ * 0 < sat < invite_low and ds[sat] < 0, the refill demand -ds[sat] is
+ * covered as far as lam*sum(q[sat..size-2]) allows, and each level above sat
+ * gives up the same share of its arrivals. */
+static void correct(const drift_params *p, const step_consts *c, int64_t sat,
+                    double *ds)
+{
+    if (!(0 < sat && sat < c->invite_low && ds[sat] < 0.0))
+        return;
+    const int64_t size = p->size;
+    const double *q = p->q;
+    const double deficit = -ds[sat];
+    const double visible = p->lam * ode_sum(q + sat, size - 1 - sat);
+    /* Python's min(deficit, visible): the first unless the second is smaller */
+    const double cover = visible < deficit ? visible : deficit;
+    if (cover > 0.0) {
+        ds[sat] += cover;
+        const double share = p->lam * (cover / visible);
+        for (int64_t j = sat + 1; j < size; j++)
+            ds[j] = ds[j] - share * q[j - 1];
+    }
+}
+
+/* The drift k1 at the padded tail s, corrected, into p->q and k1; returns
+ * sup|k1| as np.maximum.reduce takes it (a NaN wins). */
+double ode_drift(const drift_params *p, const step_consts *c, int64_t sat,
+                 const double *s, double *k1)
+{
+    drift(p, s, k1);
+    correct(p, c, sat, k1);
+    double sup = fabs(k1[0]);
+    for (int64_t i = 1; i < p->size; i++)
+        sup = nan_max(sup, fabs(k1[i]));
+    return sup;
+}
+
 /* numpy's clip to [0, 1]: NaN and -0.0 come out unchanged */
 static double clip_unit(double x)
 {
@@ -808,27 +896,30 @@ static void project(const double *src, double *v, int64_t size, int64_t sat)
             v[i] = v[i - 1];
 }
 
-/* One RK4 stage: g = project(s + scale*k_in) on the first size levels of the
- * padded stage tail g, then the drift there into p->q and k_out. */
-void ode_stage(const drift_params *p, const double *s, const double *k_in,
-               double scale, int64_t sat, double *g, double *k_out)
+/* One RK4 step from the padded tail s, whose corrected drift ode_drift left
+ * in k1, the first row of the size-wide block k.  Stage i = 1, 2, 3 writes
+ * g = project(s + scale_i*k_i) with scales dt/2, dt/2, dt on the first size
+ * levels of the padded stage tail g, then the corrected drift there into p->q
+ * and k_{i+1}.  The step end writes raw = s + sixth_dt*(k1 + 2*k2 + 2*k3 +
+ * k4), summed in that order, and s = project(raw).  Returns sup|raw - s| as
+ * np.maximum.reduce takes it (a NaN wins). */
+double ode_step(const drift_params *p, const step_consts *c, int64_t sat, double *s,
+                double *g, double *k, double *raw)
 {
     const int64_t size = p->size;
-    for (int64_t i = 0; i < size; i++)
-        g[i] = s[i] + scale * k_in[i];
-    project(g, g, size, sat);
-    ode_drift(p, g, k_out);
-}
+    const double scales[3] = {c->half_dt, c->half_dt, c->dt};
+    for (int stage = 0; stage < 3; stage++) {
+        const double scale = scales[stage], *k_in = k + stage * size;
+        double *k_out = k + (stage + 1) * size;
+        for (int64_t i = 0; i < size; i++)
+            g[i] = s[i] + scale * k_in[i];
+        project(g, g, size, sat);
+        drift(p, g, k_out);
+        correct(p, c, sat, k_out);
+    }
 
-/* The end of an RK4 step: raw = s + sixth_dt*(k1 + 2*k2 + 2*k3 + k4), summed
- * in that order, with k1..k4 the rows of the size-wide block k; then s =
- * project(raw).  Returns sup|raw - s| as np.maximum.reduce takes it (a NaN
- * wins). */
-double ode_finish(const drift_params *p, const double *k, double sixth_dt,
-                  int64_t sat, double *raw, double *s)
-{
-    const int64_t size = p->size;
     const double *k1 = k, *k2 = k + size, *k3 = k + 2 * size, *k4 = k + 3 * size;
+    const double sixth_dt = c->sixth_dt;
     for (int64_t i = 0; i < size; i++) {
         double r = k1[i] + 2.0 * k2[i];
         r = r + 2.0 * k3[i];
@@ -837,14 +928,12 @@ double ode_finish(const drift_params *p, const double *k, double sixth_dt,
     }
     project(raw, s, size, sat);
     double dist = fabs(raw[0] - s[0]);
-    for (int64_t i = 1; i < size; i++) {
-        double d = fabs(raw[i] - s[i]);
-        if (!(dist >= d || isnan(dist)))
-            dist = d;
-    }
+    for (int64_t i = 1; i < size; i++)
+        dist = nan_max(dist, fabs(raw[i] - s[i]));
     return dist;
 }
 
 const int64_t SIZEOF_SIM_PARAMS = sizeof(sim_params);
 const int64_t SIZEOF_SIM_RESULT = sizeof(sim_result);
 const int64_t SIZEOF_DRIFT_PARAMS = sizeof(drift_params);
+const int64_t SIZEOF_STEP_CONSTS = sizeof(step_consts);

@@ -1,9 +1,11 @@
 """Build and load the compiled kernels.
 
-The event loop of both simulators (sim_run) and the mean-field RK4 pieces
-(ode_drift, ode_stage, ode_finish) live in one C99 source file shipped next
-to this module, _kernel.c.  On first use it is compiled with the host C
-compiler into a per-user cache directory
+The event loop of both simulators (sim_run) and the mean-field RK4 kernels
+(ode_drift, the corrected drift at a step's start and its sup-norm; ode_step,
+the three stages with their corrections and the step end; both read
+DriftParams and StepConsts) live in one C99 source file shipped next to this
+module, _kernel.c.  On first use it is compiled with the host C compiler into
+a per-user cache directory
 (``$XDG_CACHE_HOME/stickysim``, else ``~/.cache/stickysim``), under a name
 keyed by the SHA-256 of the source and the compile flags, and loaded with
 ctypes.  Nothing here runs at package import.
@@ -115,13 +117,20 @@ class DriftParams(ctypes.Structure):
     ]
 
 
+class StepConsts(ctypes.Structure):
+    _fields_ = [
+        ("half_dt", _F64), ("dt", _F64), ("sixth_dt", _F64),
+        ("invite_low", _I64),
+    ]
+
+
 # ode_drift's join-rule codes
 RULE_POWER, RULE_PULL, RULE_SHEDDING, RULE_INVITE, RULE_LEAST = range(5)
 
 
 def kernel() -> ctypes.CDLL | None:
-    """The loaded kernels (sim_run, ode_drift, ode_stage, ode_finish) with
-    signatures set, or None.
+    """The loaded kernels (sim_run, ode_drift, ode_step) with signatures set,
+    or None.
 
     Built and loaded on the first call; the outcome is kept for the process,
     so a fallback warns only once.
@@ -142,12 +151,10 @@ def kernel() -> ctypes.CDLL | None:
             lib.sim_free.restype = None
             # the buffers go in as plain addresses, taken once per integration
             ptr = ctypes.c_void_p
-            lib.ode_drift.argtypes = [ptr] * 3
-            lib.ode_drift.restype = None
-            lib.ode_stage.argtypes = [ptr, ptr, ptr, _F64, _I64, ptr, ptr]
-            lib.ode_stage.restype = None
-            lib.ode_finish.argtypes = [ptr, ptr, _F64, _I64, ptr, ptr]
-            lib.ode_finish.restype = _F64
+            lib.ode_drift.argtypes = [ptr, ptr, _I64, ptr, ptr]
+            lib.ode_drift.restype = _F64
+            lib.ode_step.argtypes = [ptr, ptr, _I64, ptr, ptr, ptr, ptr]
+            lib.ode_step.restype = _F64
             logger.info("compiled kernel %s loaded from %s", _SOURCE.name, path)
         _loaded.append(lib)
     return _loaded[0]

@@ -773,8 +773,8 @@ def _read_indexed_csv(path: Path) -> tuple[np.ndarray, np.ndarray, str]:
     """Load (index, value) pairs from a CSV; value column picked by name.
 
     Prefers p_empirical, then p_theory, then the second column.  The first
-    column must be a non-negative integer index with no repeats, and at
-    least one data row must follow the header.
+    column must be a non-negative integer index with no repeats, every value
+    must be finite, and at least one data row must follow the header.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -802,6 +802,11 @@ def _read_indexed_csv(path: Path) -> tuple[np.ndarray, np.ndarray, str]:
     levels, counts = np.unique(idx, return_counts=True)
     if counts.max() > 1:
         raise ValueError(f"{path} repeats index {int(levels[counts.argmax()])}")
+    bad = ~np.isfinite(val)
+    if bad.any():
+        at = int(bad.argmax())
+        raise ValueError(f"{path} has a non-finite {header[col]} {float(val[at])!r} at "
+                         f"index {int(idx[at])}")
     return idx, val, header[col]
 
 
@@ -832,13 +837,14 @@ def compare(path_a: Path, path_b: Path, tol: float) -> CompareReport:
         raise ValueError(f"tolerance must be non-negative and finite, got {tol!r}")
     idx_a, val_a, col_a = _read_indexed_csv(path_a)
     idx_b, val_b, col_b = _read_indexed_csv(path_b)
-    top = int(max(idx_a.max(), idx_b.max()))
-    a = np.zeros(top + 1)
-    a[idx_a] = val_a
-    b = np.zeros(top + 1)
-    b[idx_b] = val_b
+    # one entry per level present in either file, so memory follows the rows
+    # and not the largest level
+    levels = np.union1d(idx_a, idx_b)
+    a = np.zeros(levels.size)
+    a[np.searchsorted(levels, idx_a)] = val_a
+    b = np.zeros(levels.size)
+    b[np.searchsorted(levels, idx_b)] = val_b
     tv = 0.5 * float(np.abs(a - b).sum())
-    levels = np.arange(top + 1)
     gap = abs(float(levels @ a) - float(levels @ b))
     return CompareReport(
         tv_distance=tv, mean_gap=gap, tolerance=tol, column_a=col_a, column_b=col_b

@@ -696,8 +696,8 @@ class OdeResult:
     saturated prefix (those pinned at the start included) and `releases` the
     levels freed from it, both up to the stop, so pins - releases is the
     length of the prefix pinned at the end.  `engine` names what ran the
-    vector arithmetic of each step (the drift, the RK4 stages and the step
-    end): "kernel" for ode_drift, ode_stage and ode_finish in _kernel.c,
+    float arithmetic of each step (the corrected drift, the RK4 stages and
+    the step end): "kernel" for ode_drift and ode_step in _kernel.c,
     "python" for NumPy; both give the same result bit for bit."""
 
     t: float
@@ -715,10 +715,15 @@ class OdeResult:
         return FlowDistribution.from_tail(self.tail)
 
 
+def _invite_low(scheme: SchemeConfig) -> int | None:
+    """The invite threshold of the pull-family schemes, None for the rest."""
+    return scheme.low if isinstance(scheme, (PullBased, TransferToInvite)) else None
+
+
 @dataclass(frozen=True)
 class _Rk4:
     """The buffers of a fixed-step RK4 integration of the mean-field ODE and
-    the three pieces of a step that run on them, for one engine.
+    the two calls of a step that run on them, for one engine.
 
     `state` and `g` are the current and the stage tail, zero-padded past
     their `size` levels to the width the join rule reads (the padding is never
@@ -726,18 +731,27 @@ class _Rk4:
     0; `raw` is the step end before projection; `q` is the join buffer, one
     entry shorter than the padded tails.
 
-    drift() writes every entry of q with the scheme's join rule at state, then
-    k1[i] = lam*q[i-1] - (i*(state[i] - state[i+1]))/beta for 1 <= i < size.
-    stage(i, scale, sat) writes project(state + scale*k[i], sat) into g and
-    the drift there into q and k[i + 1].  finish(sixth_dt, sat) writes raw =
-    state + sixth_dt*(k1 + 2*k2 + 2*k3 + k4), summed in that order, projects
-    it into state and returns sup|raw - state|.  project(v, sat) clips v to
-    [0, 1], sets its levels 0..sat to 1 and takes its running minimum.
+    drift(sat) writes every entry of q with the scheme's join rule at state,
+    then k1[i] = lam*q[i-1] - (i*(state[i] - state[i+1]))/beta for
+    1 <= i < size, applies the dip-refill correction at the pinned prefix
+    0..sat to k1 and returns sup|k1| (NaN if any entry is NaN).  step(sat)
+    runs the three RK4 stages from state: stage i = 1, 2, 3 writes
+    project(state + scale_i*k_i, sat) into g, with scales dt/2, dt/2, dt,
+    then the drift there into q and k_{i+1}, corrected as k1 is.  It then
+    writes raw = state + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), summed in that
+    order, projects it into state and returns sup|raw - state|.  project(v,
+    sat) clips v to [0, 1], sets its levels 0..sat to 1 and takes its running
+    minimum.
 
-    `engine` is "kernel" when ode_drift, ode_stage and ode_finish in
-    _kernel.c run the three and "python" when NumPy does; both give the same
-    result bit for bit.  Pinning, the dip-refill correction and the stop
-    rules are the caller's."""
+    The correction: below the invite threshold of the pull-family schemes, a
+    pinned level sat (0 < sat < low) whose drift is negative has its refill
+    demand -k[sat] covered from the arrivals headed for levels sat and up, as
+    far as lam*sum(q[sat:size-1]) allows, each of them giving up the same
+    share.
+
+    `engine` is "kernel" when ode_drift and ode_step in _kernel.c run the
+    two and "python" when NumPy does; both give the same result bit for
+    bit.  Pinning, release and the stop rules are the caller's."""
 
     engine: str
     state: np.ndarray
@@ -745,18 +759,20 @@ class _Rk4:
     k: np.ndarray
     raw: np.ndarray
     q: np.ndarray
-    drift: Callable[[], None]
-    stage: Callable[[int, float, int], None]
-    finish: Callable[[float, int], float]
+    drift: Callable[[int], float]
+    step: Callable[[int], float]
 
 
-def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int) -> _Rk4:
-    """The RK4 buffers and step pieces of `scheme` at `params` for tails of
-    `size` levels, on the compiled kernel when it loads and _kernel_rule
-    covers the scheme, in NumPy otherwise.  The kernel's arguments are built
-    here, once, so each piece is one foreign call."""
+def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
+              dt: float) -> _Rk4:
+    """The RK4 buffers and step calls of `scheme` at `params` for tails of
+    `size` levels and steps of `dt`, on the compiled kernel when it loads and
+    _kernel_rule covers the scheme, in NumPy otherwise.  The kernel's
+    arguments are built here, once, so each call is one foreign call."""
     lam, beta, rho = params.lam, params.beta, params.rho
     need, join_rule = _join_rule(scheme, rho)
+    invite_low = _invite_low(scheme)
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     # the kernel indexes these unchecked: the padded tails hold every level
     # the join rule and the balance read
     width = max(size + 1, need + 2)
@@ -781,23 +797,21 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int) -> _Rk4:
             size=size, width=width, lam=lam, beta=beta, rho=rho,
             case_eps=CASE_EPS, q=q.ctypes.data_as(native.F64P),
         )
+        c_consts = native.StepConsts(half_dt=half_dt, dt=dt, sixth_dt=sixth_dt,
+                                     invite_low=invite_low or 0)
         # each reference keeps its object alive as long as the closures
-        params_ref = ctypes.byref(c_params)
-        s_at, g_at, raw_at, *k_at = (
-            a.ctypes.data_as(ctypes.c_void_p) for a in (state, g, raw, *k))
-        ode_drift, ode_stage, ode_finish = lib.ode_drift, lib.ode_stage, lib.ode_finish
+        params_ref, consts_ref = ctypes.byref(c_params), ctypes.byref(c_consts)
+        s_at, g_at, k_at, raw_at = (
+            a.ctypes.data_as(ctypes.c_void_p) for a in (state, g, k, raw))
+        ode_drift, ode_step = lib.ode_drift, lib.ode_step
 
-        def kernel_drift() -> None:
-            ode_drift(params_ref, s_at, k_at[0])
+        def kernel_drift(sat: int) -> float:
+            return ode_drift(params_ref, consts_ref, sat, s_at, k_at)
 
-        def kernel_stage(i: int, scale: float, sat: int) -> None:
-            ode_stage(params_ref, s_at, k_at[i], scale, sat, g_at, k_at[i + 1])
+        def kernel_step(sat: int) -> float:
+            return ode_step(params_ref, consts_ref, sat, s_at, g_at, k_at, raw_at)
 
-        def kernel_finish(sixth_dt: float, sat: int) -> float:
-            return ode_finish(params_ref, k_at[0], sixth_dt, sat, raw_at, s_at)
-
-        return _Rk4("kernel", state, g, k, raw, q,
-                    kernel_drift, kernel_stage, kernel_finish)
+        return _Rk4("kernel", state, g, k, raw, q, kernel_drift, kernel_step)
 
     s, g_head = state[:size], g[:size]
     # what the balance reads of each padded tail and writes of each k row
@@ -806,10 +820,12 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int) -> _Rk4:
     rows = list(k)
     k1, k2, k3, k4 = rows
     k_tails = [row[1:] for row in rows]
+    stages = ((0, half_dt), (1, half_dt), (2, dt))
     q_head = q[: size - 1]
     arrive = np.empty(size - 1)
     depart = np.empty(size - 1)
     tmp = np.empty(size)
+    siphon_buf = np.empty(size - 1)
     idx = np.arange(1, size, dtype=np.float64)
     lam_c, beta_c = np.array(lam, dtype=np.float64), np.array(beta, dtype=np.float64)
     zero, one, two = np.array(0.0), np.array(1.0), np.array(2.0)
@@ -825,20 +841,46 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int) -> _Rk4:
         divide(depart, beta_c, out=depart)
         subtract(arrive, depart, out=ds)
 
+    # Departures out of a pinned prefix open transient dips that fall inside
+    # the invite set of the pull-family schemes, where the join weights are
+    # normalised by the vanishing mass below the invite threshold.  Those dips
+    # are then refilled arbitrarily fast, so on the slow timescale they siphon
+    # their refill demand off the arrival stream before it reaches the
+    # unsaturated levels.  Other schemes (and saturated levels at or above the
+    # threshold) give dips no such priority and need no correction.
+    def correct(ds: np.ndarray, sat: int) -> None:
+        if invite_low is not None and 0 < sat < invite_low and ds[sat] < 0.0:
+            # if the whole stream cannot cover the refill demand, ds[sat]
+            # stays negative and the release rule frees the level
+            deficit = -float(ds[sat])
+            visible = lam * float(q[sat : size - 1].sum())
+            cover = min(deficit, visible)
+            if cover > 0.0:
+                ds[sat] += cover
+                scale = cover / visible
+                siphon = siphon_buf[: size - 1 - sat]
+                multiply(lam * scale, q[sat : size - 1], out=siphon)
+                subtract(ds[sat + 1 :], siphon, out=ds[sat + 1 :])
+
     def project(src: np.ndarray, dst: np.ndarray, sat: int) -> None:
         src.clip(zero, one, out=dst)
         dst[: sat + 1] = 1.0
         fill_down(dst, out=dst)
 
-    def python_drift() -> None:
+    def python_drift(sat: int) -> float:
         balance(at_state, k_tails[0])
+        correct(k1, sat)
+        return float(sup(absolute(k1, out=tmp)))
 
-    def python_stage(i: int, scale: float, sat: int) -> None:
-        add(s, multiply(scale, rows[i], out=tmp), out=g_head)
-        project(g_head, g_head, sat)
-        balance(at_g, k_tails[i + 1])
-
-    def python_finish(sixth_dt: float, sat: int) -> float:
+    def python_step(sat: int) -> float:
+        # stage states are projected so the join probabilities only ever see
+        # valid tails; in smooth regions the projection is the identity and
+        # this is classical RK4
+        for i, scale in stages:
+            add(s, multiply(scale, rows[i], out=tmp), out=g_head)
+            project(g_head, g_head, sat)
+            balance(at_g, k_tails[i + 1])
+            correct(rows[i + 1], sat)
         add(k1, multiply(two, k2, out=raw), out=raw)
         add(raw, multiply(two, k3, out=tmp), out=raw)
         add(raw, k4, out=raw)
@@ -846,8 +888,7 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int) -> _Rk4:
         project(raw, s, sat)
         return float(sup(absolute(subtract(raw, s, out=tmp), out=tmp)))
 
-    return _Rk4("python", state, g, k, raw, q,
-                python_drift, python_stage, python_finish)
+    return _Rk4("python", state, g, k, raw, q, python_drift, python_step)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -884,15 +925,17 @@ def integrate_ode(
     result then equals that of a run to t_end but for t, steps and the
     trajectory.
 
-    The step loop, pinning and release, the dip-refill correction and the
-    stop rules run here; the vector arithmetic of a step runs in one engine
-    (see _bind_ode), in buffers allocated once per call.  When the compiled
-    kernel (_kernel.c, built on first use) loads and the scheme is not
-    d-choices with d >= 3, each RK4 stage (projection of the stage state plus
-    the drift there: join rule and arrival/departure balance) is one call of
-    ode_stage, the drift at the step's start one of ode_drift and the step
-    end (RK4 combination, projection, projection distance) one of
-    ode_finish; otherwise NumPy does the same operations.  Both give the same
+    The step loop runs here and owns the hybrid system's discrete state:
+    pinning and release, the residual and stationary stop rules and the
+    trajectory.  The float arithmetic of a step runs in one engine (see
+    _Rk4 and _bind_ode), in buffers allocated once per call, as two calls:
+    the drift at the step's start (join rule, arrival/departure balance and
+    dip-refill correction, returning the sup|k1| the stop rule reads) and
+    the step (three projected stages, each with its corrected drift, then
+    the RK4 combination, its projection and the projection distance).  When
+    the compiled kernel (_kernel.c, built on first use) loads and the scheme
+    is not d-choices with d >= 3, they are one call each of ode_drift and
+    ode_step; otherwise NumPy does the same operations.  Both give the same
     result bit for bit, and OdeResult.engine names the one that ran.
 
     Below the invite threshold the snap-to-constraint window is PIN_TOL wide,
@@ -922,29 +965,16 @@ def integrate_ode(
         _check_positive("record_every", record_every)
 
     size = s0.size
-    ode = _bind_ode(scheme, params, size)
+    ode = _bind_ode(scheme, params, size, dt)
     ode.state[:size] = s0
-    s, q, lam = ode.state[:size], ode.q, params.lam
-    # k1 is the drift at the step's start; level 0 of every k stays 0, as
-    # s_0 = 1 has no dynamics
-    rows = list(ode.k)
-    k1 = rows[0]
-    stage, finish = ode.stage, ode.finish
-    stages = ((0, 0.5 * dt), (1, 0.5 * dt), (2, dt))
-    sixth_dt = dt / 6.0
-    tmp = np.empty(size)
-    siphon_buf = np.empty(size - 1)
-    multiply, subtract = np.multiply, np.subtract
-    absolute, sup = np.absolute, np.maximum.reduce
+    s, k1, step_rk4 = ode.state[:size], ode.k[0], ode.step
 
     # Saturated-prefix bookkeeping: levels whose tail has reached 1 are pinned
     # there (they are fast variables slaved to the saturation constraint; the
     # scheme's saturated-case dynamics only apply when the tail is exactly 1).
     # A pinned level is released as soon as its drift at the constraint turns
     # negative, i.e. the sliding mode can no longer hold it.
-    invite_low = (
-        scheme.low if isinstance(scheme, (PullBased, TransferToInvite)) else None
-    )
+    invite_low = _invite_low(scheme)
 
     def may_pin(level: int, value: float) -> bool:
         if value >= 1.0 - 1e-12:
@@ -966,39 +996,15 @@ def integrate_ode(
             pins += 1
             s[sat] = 1.0
 
-    def sup_abs(v: np.ndarray) -> float:
-        return float(sup(absolute(v, out=tmp)))
-
-    # Departures out of a pinned prefix open transient dips that fall inside
-    # the invite set of the pull-family schemes, where the join weights are
-    # normalised by the vanishing mass below the invite threshold.  Those dips
-    # are then refilled arbitrarily fast, so on the slow timescale they siphon
-    # their refill demand off the arrival stream before it reaches the
-    # unsaturated levels.  Other schemes (and saturated levels at or above the
-    # threshold) give dips no such priority and need no correction.
-    def correct(ds: np.ndarray) -> None:
-        if invite_low is not None and 0 < sat < invite_low and ds[sat] < 0.0:
-            # if the whole stream cannot cover the refill demand, ds[sat]
-            # stays negative and the release rule frees the level
-            deficit = -float(ds[sat])
-            visible = lam * float(q[sat : size - 1].sum())
-            cover = min(deficit, visible)
-            if cover > 0.0:
-                ds[sat] += cover
-                scale = cover / visible
-                siphon = siphon_buf[: size - 1 - sat]
-                multiply(lam * scale, q[sat : size - 1], out=siphon)
-                subtract(ds[sat + 1 :], siphon, out=ds[sat + 1 :])
-
-    def drift() -> None:
-        """k1 at the current state, then release the pinned levels it pulls
-        below 1."""
+    def drift() -> float:
+        """k1 at the current state, corrected, then release the pinned
+        levels it pulls below 1; returns sup|k1|."""
         nonlocal sat, releases
-        ode.drift()
-        correct(k1)
+        sup_k1 = ode.drift(sat)
         while sat > 0 and k1[sat] < -RELEASE_EPS:
             sat -= 1
             releases += 1
+        return sup_k1
 
     n_steps = max(1, math.ceil(t_end / dt))
     record_stride = (
@@ -1010,7 +1016,7 @@ def integrate_ode(
     stop_reason = "t_end"
     t = 0.0
     pin()
-    drift()
+    sup_k1 = drift()
     # A step reads nothing but the loop state (s, sat, k1), so once a step
     # leaves it and the pin counters unchanged bit for bit, every later step
     # repeats it.  Only a step whose sup|k1| repeats the previous one is
@@ -1021,7 +1027,6 @@ def integrate_ode(
     step = 0
     while step < n_steps:
         if stop_residual is not None:
-            sup_k1 = sup_abs(k1)
             if sup_k1 < stop_residual:
                 stop_reason = "residual"
                 break
@@ -1032,14 +1037,8 @@ def integrate_ode(
                     break
                 saved = (step, state)
             last_sup = sup_k1
-        # stage states are projected so the join probabilities only ever see
-        # valid tails; in smooth regions the projection is the identity and
-        # this is classical RK4
-        for i, scale in stages:
-            stage(i, scale, sat)
-            correct(rows[i + 1])
-        # s + (dt/6) * (k1 + 2 k2 + 2 k3 + k4), projected
-        last_projection = finish(sixth_dt, sat)
+        # s + (dt/6) * (k1 + 2 k2 + 2 k3 + k4) from projected stages, projected
+        last_projection = step_rk4(sat)
         if last_projection > max_projection:
             max_projection = last_projection
         pin()
@@ -1049,7 +1048,7 @@ def integrate_ode(
             frozen = s.copy()
             frozen.flags.writeable = False
             trajectory.append((t, frozen))
-        drift()
+        sup_k1 = drift()
 
     # large repairs during a saturation transient are the hybrid dynamics
     # sliding along the constraint set, so only a repair that persists at the
@@ -1065,7 +1064,7 @@ def integrate_ode(
     return OdeResult(
         t=t,
         tail=tail,
-        residual=sup_abs(k1),
+        residual=sup_k1,
         max_projection=max_projection,
         steps=step,
         trajectory=tuple(trajectory),

@@ -458,6 +458,30 @@ class TestCompare:
         with pytest.raises(ValueError, match=r"rep\.csv repeats index 0"):
             cli.compare(a, rep, tol=0.1)
 
+    def test_huge_index_aligns_on_the_rows(self, tmp_path):
+        # a dense array up to level 10**12 would need 8 TB per file
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        top = 10**12
+        self._write(a, ["level", "p_empirical"], [[0, 0.5], [top, 0.5]])
+        self._write(b, ["level", "p_empirical"], [[0, 0.25], [1, 0.25], [top, 0.5]])
+        report = cli.compare(a, b, tol=0.3)
+        # TV = (|0.5 - 0.25| + |0 - 0.25| + |0.5 - 0.5|) / 2; the means are
+        # top/2 and 0.25 + top/2, both exact doubles
+        assert report.tv_distance == 0.25
+        assert report.mean_gap == 0.25
+        assert report.passed
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        a = tmp_path / "a.csv"
+        bad = tmp_path / "bad.csv"
+        self._write(a, ["level", "p_empirical"], [[0, 0.5], [1, 0.5]])
+        self._write(bad, ["level", "p_empirical"], [[0, 0.5], [1, value]])
+        with pytest.raises(ValueError,
+                           match=rf"bad\.csv has a non-finite p_empirical .* at index 1"):
+            cli.compare(a, bad, tol=0.1)
+
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_bad_tolerance_rejected(self, tmp_path, tol):
         a = tmp_path / "a.csv"
@@ -569,6 +593,18 @@ class TestMainExitCodes:
         rc = cli.main(["compare", str(a), str(b), "--tol", "0.1"])
         assert rc == cli.EXIT_VALIDATION
         assert "b.csv" in capsys.readouterr().err
+
+    def test_compare_non_finite_value_is_validation_error(self, tmp_path, capsys):
+        # it used to print "FAIL: TV=nan" and exit with the threshold code
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("level,p\n0,0.5\n1,0.5\n")
+        b.write_text("level,p\n0,nan\n1,0.5\n")
+        rc = cli.main(["compare", str(a), str(b), "--tol", "0.1"])
+        assert rc == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "b.csv has a non-finite p nan at index 0" in captured.err
+        assert "FAIL" not in captured.out
 
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_compare_bad_tolerance_is_validation_error(self, tmp_path, capsys, tol):

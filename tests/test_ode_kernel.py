@@ -1,12 +1,14 @@
-"""The compiled mean-field RK4 pieces against their NumPy reference.
+"""The compiled mean-field RK4 kernels against their NumPy reference.
 
-integrate_ode evaluates the drift at a step's start (join rule plus arrival
-and departure balance) with ode_drift in _kernel.c, each RK4 stage (projected
-stage state plus the drift there) with ode_stage and the step end (RK4
-combination, projection, projection distance) with ode_finish when the kernel
-loads; the NumPy code in mean_field is the readable oracle and the fallback.
-Both do the same double operations in the same order, so q, every k, the
-stage and step-end states and every ODE output must agree bit for bit.
+integrate_ode makes two calls per step when the kernel loads: ode_drift in
+_kernel.c evaluates the drift at the step's start (join rule, arrival and
+departure balance, dip-refill correction) and returns its sup-norm, and
+ode_step runs the three RK4 stages (projected stage state plus the corrected
+drift there) and the step end (RK4 combination, projection, projection
+distance).  The NumPy code in mean_field is the readable oracle and the
+fallback.  Both do the same double operations in the same order, so q, every
+k, the stage and step-end states, the returned norms and every ODE output
+must agree bit for bit.
 """
 
 import ctypes
@@ -42,6 +44,7 @@ STRUCT_SIZES = {
     "SIZEOF_SIM_PARAMS": _native.SimParams,
     "SIZEOF_SIM_RESULT": _native.SimResult,
     "SIZEOF_DRIFT_PARAMS": _native.DriftParams,
+    "SIZEOF_STEP_CONSTS": _native.StepConsts,
 }
 
 
@@ -51,13 +54,17 @@ def kernel():
         pytest.skip("compiled kernel unavailable (no C compiler)")
 
 
+# the default step at beta = 1.5
+DT = 1.5e-3
+
+
 def _no_kernel(monkeypatch):
     # the process-wide load outcome, as if the build had failed
     monkeypatch.setattr(_native, "_loaded", [None])
 
 
 # ---------------------------------------------------------------------------
-# the drift itself, on random valid tails in every branch of every rule
+# the drift itself, on random tails in every branch of every rule
 # ---------------------------------------------------------------------------
 
 # (scheme, rho, ones, (lo, hi)): the tail is 1 on levels 0..ones and falls
@@ -116,38 +123,28 @@ def _bound_case(monkeypatch, case, size, *salt, count=150):
     the case's tails drawn from it."""
     scheme, rho, ones, (lo, hi) = DRIFT_CASES[case]
     params = SystemParams(n=100, lam=rho / 1.5, beta=1.5, nu=1.0, mu=100.0)
-    on_kernel = mf._bind_ode(scheme, params, size)
+    on_kernel = mf._bind_ode(scheme, params, size, DT)
     assert on_kernel.engine == "kernel"
     _no_kernel(monkeypatch)
-    on_python = mf._bind_ode(scheme, params, size)
+    on_python = mf._bind_ode(scheme, params, size, DT)
     assert on_python.engine == "python"
     rng = np.random.default_rng([sorted(DRIFT_CASES).index(case), size, *salt])
     tails = _tails(rng, size, min(ones, size - 2), lo, hi, count)
     return (on_kernel, on_python), rng, tails
 
 
-@pytest.mark.parametrize("size", [16, 6])
-@pytest.mark.parametrize("case", sorted(DRIFT_CASES))
-def test_kernel_drift_matches_python_bit_for_bit(kernel, monkeypatch, case, size):
-    both, _, tails = _bound_case(monkeypatch, case, size)
-    on_kernel, on_python = both
-    for s in tails:
-        for ode in both:
-            ode.state[:size] = s
-            ode.q.fill(math.nan)
-            ode.drift()
-        assert not np.isnan(on_kernel.q).any(), "q entry left unwritten"
-        assert on_kernel.q.tobytes() == on_python.q.tobytes(), s
-        assert on_kernel.k[0].tobytes() == on_python.k[0].tobytes(), s
-        assert on_kernel.k[0][0] == 0.0
+def _sats(size, case):
+    """Pinned prefixes 0..sat to try: none, the whole tail, the middle, the
+    tail's prefix of ones, and levels 1 and low - 1 under the invite
+    threshold, where the dip-refill correction acts."""
+    scheme, _, ones, _ = DRIFT_CASES[case]
+    low = mf._invite_low(scheme) or 0
+    return sorted({sat for sat in (0, size - 1, size // 2, ones, 1, low - 1)
+                   if 0 <= sat < size})
 
 
-# ---------------------------------------------------------------------------
-# the stage and the step end, on the same tails pushed off [0, 1]
-# ---------------------------------------------------------------------------
-
-# the default step at beta = 1.5
-DT = 1.5e-3
+def _same_float(a, b):
+    return math.isnan(a) and math.isnan(b) or a.hex() == b.hex()
 
 
 def _specials(rng, s, *ks):
@@ -161,30 +158,81 @@ def _specials(rng, s, *ks):
             k[at] = k_value
 
 
-def _sats(size):
-    return sorted({0, size // 2, size - 1})
+def _roughen(rng, s, nan):
+    """Push a third of the levels of s above 0 off [0, 1] by up to 0.3 and,
+    with `nan`, make one of them NaN."""
+    at = rng.choice(np.arange(1, s.size), size=max(1, s.size // 3), replace=False)
+    s[at] += rng.choice([-0.3, 0.3], at.size) * rng.random(at.size)
+    if nan:
+        s[rng.choice(at)] = math.nan
+
+
+@pytest.mark.parametrize("size", [16, 6, 280])
+@pytest.mark.parametrize("case", sorted(DRIFT_CASES))
+def test_kernel_drift_matches_python_bit_for_bit(kernel, monkeypatch, case, size):
+    # valid tails, then every other one off [0, 1] with -0.0 entries, and
+    # every fourth with a NaN
+    both, rng, tails = _bound_case(monkeypatch, case, size)
+    on_kernel, on_python = both
+    sats = _sats(size, case)
+    for n, s in enumerate(tails):
+        if n % 2:
+            _specials(rng, s)
+            _roughen(rng, s, nan=n % 4 == 1)
+        for sat in sats:
+            sups = []
+            for ode in both:
+                ode.state[:size] = s
+                ode.q.fill(math.nan)
+                with np.errstate(all="ignore"):
+                    sups.append(ode.drift(sat))
+            if not np.isnan(s).any():
+                assert not np.isnan(on_kernel.q).any(), "q entry left unwritten"
+            assert on_kernel.q.tobytes() == on_python.q.tobytes(), (s, sat)
+            assert on_kernel.k[0].tobytes() == on_python.k[0].tobytes(), (s, sat)
+            assert on_kernel.k[0][0] == 0.0
+            assert _same_float(*sups), (s, sat)
+            assert _same_float(sups[0], float(np.abs(on_kernel.k[0]).max()))
+
+
+# ---------------------------------------------------------------------------
+# whole RK4 steps: the stages and the step end
+# ---------------------------------------------------------------------------
+
+
+def _steps_agree(both, size, s, k1, sat):
+    """Run step(sat) from state s and drift k1 on both engines, every output
+    buffer poisoned first, assert that they agree bit for bit and return the
+    projection distance."""
+    distances = []
+    for ode in both:
+        ode.state[:size] = s
+        ode.k[0] = k1
+        for buf in (ode.g[:size], ode.q, ode.k[1:], ode.raw):
+            buf.fill(math.nan)
+        with np.errstate(all="ignore"):
+            distances.append(ode.step(sat))
+    on_kernel, on_python = both
+    for name in ("g", "q", "k", "raw", "state"):
+        ours, theirs = getattr(on_kernel, name), getattr(on_python, name)
+        assert ours.tobytes() == theirs.tobytes(), (name, s, sat)
+    assert _same_float(*distances), (s, sat)
+    return distances[0]
 
 
 @pytest.mark.parametrize("size", [6, 16, 280])
 @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
 def test_kernel_stage_matches_python_bit_for_bit(kernel, monkeypatch, case, size):
+    # the three stages of a step: first stage states up to 0.3 outside the
+    # tail on either side, so the projection clips both ways and its running
+    # minimum does work; each stage's corrected drift goes into the next k row
     both, rng, tails = _bound_case(monkeypatch, case, size, 1, count=30)
-    on_kernel, on_python = both
-    for n, s in enumerate(tails):
-        i, scale = n % 3, (0.5 * DT, 0.5 * DT, DT)[n % 3]
-        # stage states up to 0.3 outside the tail on either side, so the
-        # projection clips both ways and its running minimum does work
-        k_in = rng.uniform(-0.3, 0.3, size) / scale
-        _specials(rng, s, k_in)
-        for sat in _sats(size):
-            for ode in both:
-                ode.state[:size] = s
-                ode.k[i] = k_in
-                ode.q.fill(math.nan)
-                ode.stage(i, scale, sat)
-            assert on_kernel.g.tobytes() == on_python.g.tobytes(), (s, sat)
-            assert on_kernel.q.tobytes() == on_python.q.tobytes(), (s, sat)
-            assert on_kernel.k.tobytes() == on_python.k.tobytes(), (s, sat)
+    on_kernel = both[0]
+    for s in tails:
+        k1 = rng.uniform(-0.3, 0.3, size) / (0.5 * DT)
+        _specials(rng, s, k1)
+        for sat in _sats(size, case):
+            _steps_agree(both, size, s, k1, sat)
             g = on_kernel.g[:size]
             assert np.all(g[: sat + 1] == 1.0)
             assert np.all(np.diff(g) <= 0.0) and g[-1] >= 0.0
@@ -193,29 +241,73 @@ def test_kernel_stage_matches_python_bit_for_bit(kernel, monkeypatch, case, size
 @pytest.mark.parametrize("size", [6, 16, 280])
 @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
 def test_kernel_finish_matches_python_bit_for_bit(kernel, monkeypatch, case, size):
+    # the step end: tails off [0, 1] with -0.0 entries, and a NaN in every
+    # fourth tail or drift, which comes out of every projection as numpy's
+    # does
     both, rng, tails = _bound_case(monkeypatch, case, size, 2, count=30)
-    on_kernel, on_python = both
-    sixth_dt = DT / 6.0
+    on_kernel = both[0]
     for n, s in enumerate(tails):
-        # step ends up to 0.3 outside the tail on either side
-        k = rng.uniform(-0.05, 0.05, (4, size)) / sixth_dt
-        _specials(rng, s, *k)
-        if n % 4 == 0:
-            # a NaN anywhere comes out of the projection as numpy's does
-            k[rng.integers(0, 4), rng.integers(1, size)] = math.nan
-        for sat in _sats(size):
-            distances = []
-            for ode in both:
-                ode.state[:size] = s
-                ode.k[:] = k
-                distances.append(ode.finish(sixth_dt, sat))
-            assert on_kernel.raw.tobytes() == on_python.raw.tobytes(), (s, sat)
-            assert on_kernel.state.tobytes() == on_python.state.tobytes(), (s, sat)
-            far_kernel, far_python = distances
-            if math.isnan(far_python):
-                assert math.isnan(far_kernel)
-            else:
-                assert far_kernel.hex() == far_python.hex(), (s, sat)
+        k1 = rng.uniform(-0.05, 0.05, size) / (DT / 6.0)
+        _specials(rng, s, k1)
+        _roughen(rng, s, nan=n % 4 == 0)
+        if n % 4 == 2:
+            k1[rng.integers(1, size)] = math.nan
+        for sat in _sats(size, case):
+            far = _steps_agree(both, size, s, k1, sat)
+            gap = np.abs(on_kernel.raw - on_kernel.state[:size])
+            assert _same_float(far, float(gap.max()))
+
+
+# the cases whose invite threshold leaves room for a pinned level below it
+CORRECTED = sorted(case for case, (scheme, *_) in DRIFT_CASES.items()
+                   if (mf._invite_low(scheme) or 0) >= 2)
+
+
+@pytest.mark.parametrize("size", [6, 16, 280])
+@pytest.mark.parametrize("case", CORRECTED)
+def test_kernel_correction_matches_python_bit_for_bit(kernel, monkeypatch, case,
+                                                      size):
+    # the dip-refill correction's branch: levels 0..sat at 1 with
+    # 0 < sat < low and the level above below 1, so departures make k1[sat]
+    # negative; the correction fires on every tail and changes k1
+    both, rng, tails = _bound_case(monkeypatch, case, size, 3, count=30)
+    on_kernel, on_python = both
+    low = DRIFT_CASES[case][0].low
+    fired = 0
+    for s in tails:
+        sat = int(rng.integers(1, min(low, size - 1)))
+        s[: sat + 1] = 1.0
+        s[sat + 1 :] *= rng.uniform(0.0, 0.99)
+        on_kernel.state[:size] = s
+        on_kernel.drift(0)
+        uncorrected = on_kernel.k[0].copy()
+        assert uncorrected[sat] < 0.0
+        sups = []
+        for ode in both:
+            ode.state[:size] = s
+            sups.append(ode.drift(sat))
+        assert on_kernel.k[0].tobytes() == on_python.k[0].tobytes(), (s, sat)
+        assert _same_float(*sups), (s, sat)
+        fired += on_kernel.k[0].tobytes() != uncorrected.tobytes()
+        _steps_agree(both, size, s, on_kernel.k[0].copy(), sat)
+    assert fired == 30
+
+
+def test_kernel_sum_matches_numpy_bit_for_bit(kernel):
+    # the correction's sum of q, at every length to 300 and past numpy's
+    # 128-term blocks, from offsets that change the data's alignment
+    ode_sum = _native.kernel().ode_sum
+    ode_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
+    ode_sum.restype = ctypes.c_double
+    rng = np.random.default_rng(20)
+    base = rng.standard_normal(2100) * np.exp(rng.uniform(-30, 30, 2100))
+    base[rng.choice(base.size, 60, replace=False)] = -0.0
+    for data in (base, np.abs(base), np.full(2100, -0.0)):
+        for offset in (0, 1, 3, 8):
+            for n in [*range(1, 301), 1000, 2048 - offset]:
+                a = data[offset : offset + n]
+                ours = ode_sum(a.ctypes.data, n)
+                assert ours.hex() == float(np.add.reduce(a)).hex(), (offset, n)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +411,7 @@ def test_bound_buffers_cover_every_level_the_rule_reads(kernel, monkeypatch,
     if engine == "python":
         _no_kernel(monkeypatch)
     params = SystemParams(n=100, lam=4.0, beta=1.5, nu=1.0, mu=100.0)
-    ode = mf._bind_ode(PullBased(5, 12), params, 8)
+    ode = mf._bind_ode(PullBased(5, 12), params, 8, DT)
     assert ode.engine == engine
     assert ode.q.size >= 13
     assert ode.state.shape == ode.g.shape == (ode.q.size + 1,)
