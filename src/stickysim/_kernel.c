@@ -633,6 +633,7 @@ typedef struct {
     int64_t size;  /* tail levels: ds has `size` entries */
     int64_t width; /* padded tail length: sp has `width`, q `width - 1` */
     double lam, beta, rho, case_eps;
+    double half_dt, dt, sixth_dt; /* ode_step's stage scales and step-end factor */
     double *q;
 } drift_params;
 
@@ -832,22 +833,14 @@ static inline double nan_max(double acc, double x)
     return acc >= x || isnan(acc) ? acc : x;
 }
 
-/* Constants of one integration, bound once by mean_field._bind_ode: the
- * stage scales dt/2 and dt, the step end's dt/6, and the invite threshold
- * below which a pinned level's dips are refilled first (0: no such level). */
-typedef struct {
-    double half_dt, dt, sixth_dt;
-    int64_t invite_low;
-} step_consts;
-
 /* The dip-refill correction of a drift ds whose join buffer is p->q: when
- * 0 < sat < invite_low and ds[sat] < 0, the refill demand -ds[sat] is
- * covered as far as lam*sum(q[sat..size-2]) allows, and each level above sat
- * gives up the same share of its arrivals. */
-static void correct(const drift_params *p, const step_consts *c, int64_t sat,
-                    double *ds)
+ * 0 < sat < low and ds[sat] < 0, the refill demand -ds[sat] is covered as far
+ * as lam*sum(q[sat..size-2]) allows, and each level above sat gives up the
+ * same share of its arrivals.  low is the invite threshold of the pull and
+ * invite rules and 0 for the rest, which therefore take no correction. */
+static void correct(const drift_params *p, int64_t sat, double *ds)
 {
-    if (!(0 < sat && sat < c->invite_low && ds[sat] < 0.0))
+    if (!(0 < sat && sat < p->low && ds[sat] < 0.0))
         return;
     const int64_t size = p->size;
     const double *q = p->q;
@@ -865,11 +858,10 @@ static void correct(const drift_params *p, const step_consts *c, int64_t sat,
 
 /* The drift k1 at the padded tail s, corrected, into p->q and k1; returns
  * sup|k1| as np.maximum.reduce takes it (a NaN wins). */
-double ode_drift(const drift_params *p, const step_consts *c, int64_t sat,
-                 const double *s, double *k1)
+double ode_drift(const drift_params *p, int64_t sat, const double *s, double *k1)
 {
     drift(p, s, k1);
-    correct(p, c, sat, k1);
+    correct(p, sat, k1);
     double sup = fabs(k1[0]);
     for (int64_t i = 1; i < p->size; i++)
         sup = nan_max(sup, fabs(k1[i]));
@@ -903,11 +895,11 @@ static void project(const double *src, double *v, int64_t size, int64_t sat)
  * and k_{i+1}.  The step end writes raw = s + sixth_dt*(k1 + 2*k2 + 2*k3 +
  * k4), summed in that order, and s = project(raw).  Returns sup|raw - s| as
  * np.maximum.reduce takes it (a NaN wins). */
-double ode_step(const drift_params *p, const step_consts *c, int64_t sat, double *s,
-                double *g, double *k, double *raw)
+double ode_step(const drift_params *p, int64_t sat, double *s, double *g, double *k,
+                double *raw)
 {
     const int64_t size = p->size;
-    const double scales[3] = {c->half_dt, c->half_dt, c->dt};
+    const double scales[3] = {p->half_dt, p->half_dt, p->dt};
     for (int stage = 0; stage < 3; stage++) {
         const double scale = scales[stage], *k_in = k + stage * size;
         double *k_out = k + (stage + 1) * size;
@@ -915,11 +907,11 @@ double ode_step(const drift_params *p, const step_consts *c, int64_t sat, double
             g[i] = s[i] + scale * k_in[i];
         project(g, g, size, sat);
         drift(p, g, k_out);
-        correct(p, c, sat, k_out);
+        correct(p, sat, k_out);
     }
 
     const double *k1 = k, *k2 = k + size, *k3 = k + 2 * size, *k4 = k + 3 * size;
-    const double sixth_dt = c->sixth_dt;
+    const double sixth_dt = p->sixth_dt;
     for (int64_t i = 0; i < size; i++) {
         double r = k1[i] + 2.0 * k2[i];
         r = r + 2.0 * k3[i];
@@ -936,4 +928,3 @@ double ode_step(const drift_params *p, const step_consts *c, int64_t sat, double
 const int64_t SIZEOF_SIM_PARAMS = sizeof(sim_params);
 const int64_t SIZEOF_SIM_RESULT = sizeof(sim_result);
 const int64_t SIZEOF_DRIFT_PARAMS = sizeof(drift_params);
-const int64_t SIZEOF_STEP_CONSTS = sizeof(step_consts);

@@ -2,13 +2,13 @@
 
 The event loop of both simulators (sim_run) and the mean-field RK4 kernels
 (ode_drift, the corrected drift at a step's start and its sup-norm; ode_step,
-the three stages with their corrections and the step end; both read
-DriftParams and StepConsts) live in one C99 source file shipped next to this
-module, _kernel.c.  On first use it is compiled with the host C compiler into
-a per-user cache directory
-(``$XDG_CACHE_HOME/stickysim``, else ``~/.cache/stickysim``), under a name
-keyed by the SHA-256 of the source and the compile flags, and loaded with
-ctypes.  Nothing here runs at package import.
+the three stages with their corrections and the step end; both read one
+DriftParams bound per integration) live in one C99 source file shipped next
+to this module, _kernel.c.  On first use it is compiled with the host C
+compiler into a per-user cache directory (``$XDG_CACHE_HOME/stickysim``, else
+``~/.cache/stickysim``), under a name keyed by the SHA-256 of the source and
+the compile flags, and loaded with ctypes.  Nothing here runs at package
+import.
 
 When no compiler is found, or the build or the load fails, ``kernel`` logs
 one warning and returns None; callers then run their pure-Python reference
@@ -113,14 +113,8 @@ class DriftParams(ctypes.Structure):
         ("rule", _I64), ("d", _I64), ("low", _I64), ("high", _I64),
         ("size", _I64), ("width", _I64),
         ("lam", _F64), ("beta", _F64), ("rho", _F64), ("case_eps", _F64),
-        ("q", F64P),
-    ]
-
-
-class StepConsts(ctypes.Structure):
-    _fields_ = [
         ("half_dt", _F64), ("dt", _F64), ("sixth_dt", _F64),
-        ("invite_low", _I64),
+        ("q", F64P),
     ]
 
 
@@ -151,9 +145,9 @@ def kernel() -> ctypes.CDLL | None:
             lib.sim_free.restype = None
             # the buffers go in as plain addresses, taken once per integration
             ptr = ctypes.c_void_p
-            lib.ode_drift.argtypes = [ptr, ptr, _I64, ptr, ptr]
+            lib.ode_drift.argtypes = [ptr, _I64, ptr, ptr]
             lib.ode_drift.restype = _F64
-            lib.ode_step.argtypes = [ptr, ptr, _I64, ptr, ptr, ptr, ptr]
+            lib.ode_step.argtypes = [ptr, _I64, ptr, ptr, ptr, ptr]
             lib.ode_step.restype = _F64
             logger.info("compiled kernel %s loaded from %s", _SOURCE.name, path)
         _loaded.append(lib)

@@ -734,8 +734,10 @@ class _Rk4:
     drift(sat) writes every entry of q with the scheme's join rule at state,
     then k1[i] = lam*q[i-1] - (i*(state[i] - state[i+1]))/beta for
     1 <= i < size, applies the dip-refill correction at the pinned prefix
-    0..sat to k1 and returns sup|k1| (NaN if any entry is NaN).  step(sat)
-    runs the three RK4 stages from state: stage i = 1, 2, 3 writes
+    0..sat to k1 and returns sup|k1| (NaN if any entry is NaN); the NumPy
+    engine bound without `residual` skips that reduction and returns NaN.
+
+    step(sat) runs the three RK4 stages from state: stage i = 1, 2, 3 writes
     project(state + scale_i*k_i, sat) into g, with scales dt/2, dt/2, dt,
     then the drift there into q and k_{i+1}, corrected as k1 is.  It then
     writes raw = state + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), summed in that
@@ -764,11 +766,13 @@ class _Rk4:
 
 
 def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
-              dt: float) -> _Rk4:
+              dt: float, residual: bool = True) -> _Rk4:
     """The RK4 buffers and step calls of `scheme` at `params` for tails of
     `size` levels and steps of `dt`, on the compiled kernel when it loads and
     _kernel_rule covers the scheme, in NumPy otherwise.  The kernel's
-    arguments are built here, once, so each call is one foreign call."""
+    arguments are built here, once, so each call is one foreign call.  The
+    kernel's drift returns sup|k1| at no extra cost; NumPy's only with
+    `residual`."""
     lam, beta, rho = params.lam, params.beta, params.rho
     need, join_rule = _join_rule(scheme, rho)
     invite_low = _invite_low(scheme)
@@ -795,21 +799,20 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
             rule=code, d=d, low=low,
             high=native.NO_CAP if high == math.inf else high,
             size=size, width=width, lam=lam, beta=beta, rho=rho,
-            case_eps=CASE_EPS, q=q.ctypes.data_as(native.F64P),
+            case_eps=CASE_EPS, half_dt=half_dt, dt=dt, sixth_dt=sixth_dt,
+            q=q.ctypes.data_as(native.F64P),
         )
-        c_consts = native.StepConsts(half_dt=half_dt, dt=dt, sixth_dt=sixth_dt,
-                                     invite_low=invite_low or 0)
         # each reference keeps its object alive as long as the closures
-        params_ref, consts_ref = ctypes.byref(c_params), ctypes.byref(c_consts)
+        params_ref = ctypes.byref(c_params)
         s_at, g_at, k_at, raw_at = (
             a.ctypes.data_as(ctypes.c_void_p) for a in (state, g, k, raw))
         ode_drift, ode_step = lib.ode_drift, lib.ode_step
 
         def kernel_drift(sat: int) -> float:
-            return ode_drift(params_ref, consts_ref, sat, s_at, k_at)
+            return ode_drift(params_ref, sat, s_at, k_at)
 
         def kernel_step(sat: int) -> float:
-            return ode_step(params_ref, consts_ref, sat, s_at, g_at, k_at, raw_at)
+            return ode_step(params_ref, sat, s_at, g_at, k_at, raw_at)
 
         return _Rk4("kernel", state, g, k, raw, q, kernel_drift, kernel_step)
 
@@ -870,7 +873,7 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
     def python_drift(sat: int) -> float:
         balance(at_state, k_tails[0])
         correct(k1, sat)
-        return float(sup(absolute(k1, out=tmp)))
+        return float(sup(absolute(k1, out=tmp))) if residual else math.nan
 
     def python_step(sat: int) -> float:
         # stage states are projected so the join probabilities only ever see
@@ -965,7 +968,7 @@ def integrate_ode(
         _check_positive("record_every", record_every)
 
     size = s0.size
-    ode = _bind_ode(scheme, params, size, dt)
+    ode = _bind_ode(scheme, params, size, dt, residual=stop_residual is not None)
     ode.state[:size] = s0
     s, k1, step_rk4 = ode.state[:size], ode.k[0], ode.step
 
@@ -998,7 +1001,8 @@ def integrate_ode(
 
     def drift() -> float:
         """k1 at the current state, corrected, then release the pinned
-        levels it pulls below 1; returns sup|k1|."""
+        levels it pulls below 1; returns sup|k1| for the stop rule (NaN on
+        the NumPy engine when there is no stop residual to compare)."""
         nonlocal sat, releases
         sup_k1 = ode.drift(sat)
         while sat > 0 and k1[sat] < -RELEASE_EPS:
@@ -1064,7 +1068,7 @@ def integrate_ode(
     return OdeResult(
         t=t,
         tail=tail,
-        residual=sup_k1,
+        residual=float(np.absolute(k1).max()),
         max_projection=max_projection,
         steps=step,
         trajectory=tuple(trajectory),
