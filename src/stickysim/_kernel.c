@@ -15,11 +15,13 @@
  * with -ffp-contract=off and never with -ffast-math: a fused multiply-add or a
  * reordered sum changes the result.
  *
- * Uniform draws come from a block of doubles owned by the caller; when the
- * block is used up the kernel calls refill(), which overwrites it in place
- * with the next block of the same generator.  The kernel owns every growable
- * array (active flows, histogram, series, server and bin lists) and hands
- * the ones the caller needs back through sim_result; sim_free releases them.
+ * Uniform draws come from the kernel's own copy of numpy's Philox4x64-10,
+ * keyed by sim_params.key (the key of numpy.random.Philox(seed)) with its
+ * counter starting at zero, and converted as Generator.random does, so the
+ * kernel draws the same doubles as the reference loop's RngStream without
+ * calling back into Python.  The kernel owns every growable array (active
+ * flows, histogram, series, server and bin lists) and hands the ones the
+ * caller needs back through sim_result; sim_free releases them.
  *
  * sim_run's scheme modes are the MODE_* codes below; the bin scheme is
  * MODE_BIN, the pull rule's threshold lists plus a flow -> bin -> server
@@ -41,16 +43,18 @@
 #include <stdlib.h>
 #include <string.h>
 
-typedef int (*refill_fn)(void);
+/* Philox's rounds need the high half of a 64x64-bit product; without the
+ * 128-bit type the build fails and the callers run the Python loop */
+#ifndef __SIZEOF_INT128__
+#error "sim_run's Philox needs unsigned __int128"
+#endif
 
 typedef struct {
     int64_t n, low, high, tracked, hist_start;
     int64_t mode, d;     /* d: MODE_D_CHOICES only */
     int64_t bins, drain; /* MODE_BIN only */
     double lam_total, inv_beta, t_start, t_stop;
-    double *buf;
-    int64_t buf_len;
-    refill_fn refill;
+    uint64_t key[2]; /* the Philox key of the run's seed */
 } sim_params;
 
 typedef struct {
@@ -65,7 +69,7 @@ typedef struct {
     int64_t series_rows;
 } sim_result;
 
-enum { RUN_OK = 0, RUN_NOMEM = 1, RUN_REFILL = 2 };
+enum { RUN_OK = 0, RUN_NOMEM = 1 };
 
 typedef struct {
     int32_t *a;
@@ -96,22 +100,52 @@ static int push(ilist *l, int32_t v)
     return 0;
 }
 
+/* uniforms per block: whole Philox outputs of four words each */
+#define DRAW_BLOCK 512
+
 typedef struct {
     const sim_params *p;
     sim_result *r;
     int64_t bi, series_cap;
+    uint64_t ctr[4]; /* Philox counter of the last output made */
+    double block[DRAW_BLOCK];
 } run_state;
 
-/* next uniform; a refill failure sets *bad, and the run stops after the event */
-static inline double draw(run_state *S, int *bad)
+/* The next block of uniforms, as numpy's Philox makes them: pre-increment
+ * the 256-bit counter, run 10 rounds of Philox4x64 on it, bumping the key
+ * between rounds, and map each output word x to (x >> 11) * 2^-53. */
+static void fill_block(run_state *S)
 {
-    const sim_params *p = S->p;
-    if (S->bi == p->buf_len) {
-        if (p->refill())
-            *bad = 1;
-        S->bi = 0;
+    const uint64_t M0 = UINT64_C(0xD2E7470EE14C6C93), M1 = UINT64_C(0xCA5A826395121157);
+    const uint64_t W0 = UINT64_C(0x9E3779B97F4A7C15), W1 = UINT64_C(0xBB67AE8584CAA73B);
+    uint64_t *ctr = S->ctr;
+    for (int i = 0; i < DRAW_BLOCK; i += 4) {
+        if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0)
+            ++ctr[3];
+        uint64_t x0 = ctr[0], x1 = ctr[1], x2 = ctr[2], x3 = ctr[3];
+        uint64_t k0 = S->p->key[0], k1 = S->p->key[1];
+        for (int round = 0; round < 10; round++, k0 += W0, k1 += W1) {
+            unsigned __int128 a = (unsigned __int128)M0 * x0;
+            unsigned __int128 b = (unsigned __int128)M1 * x2;
+            x0 = (uint64_t)(b >> 64) ^ x1 ^ k0;
+            x1 = (uint64_t)b;
+            x2 = (uint64_t)(a >> 64) ^ x3 ^ k1;
+            x3 = (uint64_t)a;
+        }
+        S->block[i] = (double)(x0 >> 11) * 0x1p-53;
+        S->block[i + 1] = (double)(x1 >> 11) * 0x1p-53;
+        S->block[i + 2] = (double)(x2 >> 11) * 0x1p-53;
+        S->block[i + 3] = (double)(x3 >> 11) * 0x1p-53;
     }
-    return p->buf[S->bi++];
+    S->bi = 0;
+}
+
+/* next uniform in [0, 1) */
+static inline double draw(run_state *S)
+{
+    if (S->bi == DRAW_BLOCK)
+        fill_block(S);
+    return S->block[S->bi++];
 }
 
 /* zeroed occupancies, last-change times and starting histogram */
@@ -274,8 +308,8 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
     const int need_invites = bins || mode == MODE_PULL || mode == MODE_XFER_INVITE;
     const int need_levels = !bins && (mode == MODE_LEAST || mode == MODE_XFER_LEAST);
 
-    run_state S = {p, r, 0, 0};
-    int status = RUN_NOMEM, bad = 0;
+    run_state S = {.p = p, .r = r, .bi = DRAW_BLOCK};
+    int status = RUN_NOMEM;
 
     int32_t *invite = NULL, *below = NULL, *slot = NULL, *assignment = NULL;
     int64_t *invite_pos = NULL, *below_pos = NULL, *level_pos = NULL, *bin_pos = NULL;
@@ -331,7 +365,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
     int started = 0;
     for (;;) {
         double rate = lam_total + (double)count * inv_beta;
-        double u = draw(&S, &bad);
+        double u = draw(&S);
         t += -log(1.0 - u) / rate;
         if (t >= t_stop)
             break;
@@ -346,7 +380,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
             prev_t = t;
         }
 
-        u = draw(&S, &bad);
+        u = draw(&S);
         int64_t s, o, b = 0;
         if (u * rate < lam_total) {
             /* ----- arrival ----- */
@@ -354,7 +388,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                 r->total_flows++;
             /* a bin arrival's server is dictated by its static bin: no draw */
             if (!bins)
-                u = draw(&S, &bad);
+                u = draw(&S);
             switch (bins ? MODE_BIN : mode) {
             case MODE_BIN:
                 b = hash_bin(next_id++, (uint64_t)p->bins);
@@ -367,7 +401,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                 int64_t nc = 1;
                 cands[0] = (int64_t)(u * (double)n);
                 while (nc < p->d) {
-                    int64_t c = (int64_t)(draw(&S, &bad) * (double)n), seen = 0;
+                    int64_t c = (int64_t)(draw(&S) * (double)n), seen = 0;
                     for (int64_t k = 0; k < nc; k++)
                         seen |= cands[k] == c;
                     if (!seen)
@@ -384,7 +418,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                     } else if (oc == best) {
                         /* reservoir pick over ties: replace with prob 1/nb */
                         nb++;
-                        if (draw(&S, &bad) * (double)nb < 1.0)
+                        if (draw(&S) * (double)nb < 1.0)
                             s = c;
                     }
                 }
@@ -416,7 +450,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                 if (occ[s] >= high) {
                     if (started)
                         r->violations++;
-                    u = draw(&S, &bad);
+                    u = draw(&S);
                     if (inv_count)
                         s = invite[(int64_t)(u * (double)inv_count)];
                     else if (bel_count)
@@ -431,7 +465,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                     if (started)
                         r->violations++;
                     ilist *lb = &levels[cur_min];
-                    s = lb->a[(int64_t)(draw(&S, &bad) * (double)lb->len)];
+                    s = lb->a[(int64_t)(draw(&S) * (double)lb->len)];
                 }
                 break;
             }
@@ -483,9 +517,9 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                 for (int64_t k = 0; k < moves && occ[s] > high; k++) {
                     ilist *here = &server_bins[s];
                     int32_t mb =
-                        here->a[(int64_t)(draw(&S, &bad) * (double)here->len)];
+                        here->a[(int64_t)(draw(&S) * (double)here->len)];
                     /* invite list, then below-high list, then any server but s */
-                    u = draw(&S, &bad);
+                    u = draw(&S);
                     int64_t dest;
                     if (inv_count) {
                         dest = invite[(int64_t)(u * (double)inv_count)];
@@ -533,7 +567,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
             /* ----- departure: uniform over active flows ----- */
             if (count == 0)
                 continue;
-            int64_t j = (int64_t)(draw(&S, &bad) * (double)count);
+            int64_t j = (int64_t)(draw(&S) * (double)count);
             s = slot[j]; /* in bin mode, the flow's bin */
             slot[j] = slot[--count];
             if (bins) {
@@ -564,16 +598,12 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                         cur_min++;
             }
         }
-        if (bad) {
-            status = RUN_REFILL;
-            goto done;
-        }
     }
     if (bins)
         for (int64_t i = 0; i < count; i++)
             if (stamp[i] >= 0 && bin_moves[slot[i]] != stamp[i])
                 r->violations++;
-    status = bad ? RUN_REFILL : RUN_OK;
+    status = RUN_OK;
     r->started = started;
     r->count = count;
     r->flow_int = flow_int;

@@ -1,18 +1,20 @@
 """Build and load the compiled kernels.
 
-The event loop of both simulators (sim_run) and the mean-field RK4 kernels
-(ode_drift, the corrected drift at a step's start and its sup-norm; ode_step,
-the three stages with their corrections and the step end; both read one
-DriftParams bound per integration) live in one C99 source file shipped next
-to this module, _kernel.c.  On first use it is compiled with the host C
-compiler into a per-user cache directory (``$XDG_CACHE_HOME/stickysim``, else
-``~/.cache/stickysim``), under a name keyed by the SHA-256 of the source and
-the compile flags, and loaded with ctypes.  Nothing here runs at package
-import.
+The event loop of both simulators (sim_run, which makes its uniforms with
+its own copy of numpy's Philox from the key in SimParams) and the mean-field
+RK4 kernels (ode_drift, the corrected drift at a step's start and its
+sup-norm; ode_step, the three stages with their corrections and the step
+end; both read one DriftParams bound per integration) live in one C99 source
+file shipped next to this module, _kernel.c.  On first use it is compiled
+with the host C compiler into a per-user cache directory
+(``$XDG_CACHE_HOME/stickysim``, else ``~/.cache/stickysim``), under a name
+keyed by the SHA-256 of the source and the compile flags, and loaded with
+ctypes.  Nothing here runs at package import.
 
-When no compiler is found, or the build or the load fails, ``kernel`` logs
-one warning and returns None; callers then run their pure-Python reference
-code, which produces the same results.
+When no compiler is found, or the build or the load fails (a compiler
+without ``unsigned __int128``, which Philox's products need, fails the
+build), ``kernel`` logs one warning and returns None; callers then run their
+pure-Python reference code, which produces the same results.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ def _build(source: Path) -> Path:
 # kernel binding (mirrors the structs in _kernel.c)
 # ---------------------------------------------------------------------------
 
-REFILL = ctypes.CFUNCTYPE(ctypes.c_int)
 _I64 = ctypes.c_int64
 _F64 = ctypes.c_double
 F64P = ctypes.POINTER(_F64)
@@ -92,8 +93,7 @@ class SimParams(ctypes.Structure):
         ("hist_start", _I64), ("mode", _I64), ("d", _I64), ("bins", _I64),
         ("drain", _I64),
         ("lam_total", _F64), ("inv_beta", _F64), ("t_start", _F64),
-        ("t_stop", _F64),
-        ("buf", F64P), ("buf_len", _I64), ("refill", REFILL),
+        ("t_stop", _F64), ("key", ctypes.c_uint64 * 2),
     ]
 
 
@@ -126,8 +126,9 @@ def kernel() -> ctypes.CDLL | None:
     """The loaded kernels (sim_run, ode_drift, ode_step) with signatures set,
     or None.
 
-    Built and loaded on the first call; the outcome is kept for the process,
-    so a fallback warns only once.
+    None of them calls back into Python, so each runs with the GIL released
+    for the whole call.  Built and loaded on the first call; the outcome is
+    kept for the process, so a fallback warns only once.
     """
     if not _loaded:
         try:

@@ -5,8 +5,7 @@ re-running one writes byte-identical CSVs.  Floats are serialized with repr
 (shortest round trip) and rows are written with plain newlines, which keeps
 outputs diffable across platforms.  Summaries go to JSON next to the CSVs
 and include the package version, the seed, wall-clock time, and every
-tolerance the experiment used.  Sweep points run sequentially; nothing here
-is worth a thread pool until profiles say otherwise.
+tolerance the experiment used.  Sweep points run one after another.
 
 Exit codes: 0 success, 1 validation error (bad arguments, unknown
 experiment, malformed files), 2 numerical failure from the solvers,
@@ -287,7 +286,7 @@ def _exp_shedding(spec: ExperimentSpec) -> _RunnerResult:
 def _exp_transfer_invite(spec: ExperimentSpec) -> _RunnerResult:
     p = spec.params
     params = _system_params(p)
-    low, high = int(p["low"]), int(p["high"])
+    low, high = int(p["low"]), _high(p)
     theory, diag = mf.solve_transfer_invite_fixed_point(params.rho, low, high)
     eps_theory = float(theory.p[high]) if theory.p.size > high else 0.0
     return _run_sim_vs_theory(
@@ -301,7 +300,7 @@ def _exp_transfer_invite(spec: ExperimentSpec) -> _RunnerResult:
 def _exp_transfer_least(spec: ExperimentSpec) -> _RunnerResult:
     p = spec.params
     params = _system_params(p)
-    high = int(p["high"])
+    high = _high(p)
     theory = mf.solve_least_loaded_fixed_point(params.rho, high)
     eps_theory = float(theory.p[high]) if theory.p.size > high else 0.0
     return _run_sim_vs_theory(
@@ -379,7 +378,7 @@ def _exp_tradeoff_shedding(spec: ExperimentSpec) -> _RunnerResult:
 def _exp_bin_occupancy(spec: ExperimentSpec) -> _RunnerResult:
     p = spec.params
     params = _system_params(p)
-    low, high = int(p["low"]), int(p["high"])
+    low, high = int(p["low"]), _high(p)
     m = _list_param(p, "bins", lambda v: _bin_count(v, params.n))[0]
     theory, _ = mf.solve_transfer_invite_fixed_point(params.rho, low, high)
     cfg = _sim_config(spec, BinBased(bins=m, low=low, high=high))
@@ -407,7 +406,7 @@ def _exp_bin_occupancy(spec: ExperimentSpec) -> _RunnerResult:
 def _exp_bin_violation(spec: ExperimentSpec) -> _RunnerResult:
     p = spec.params
     params_obj = _system_params(p)
-    low, high = int(p["low"]), int(p["high"])
+    low, high = int(p["low"]), _high(p)
     ms = _list_param(p, "bins", lambda v: _bin_count(v, params_obj.n))
     n_seeds = int(p["seeds"])
     rows = []
@@ -646,21 +645,24 @@ def list_experiments(filter_text: str | None = None) -> list[tuple[str, str, str
 # ---------------------------------------------------------------------------
 
 
-def _coerce(default: object, raw: str) -> object:
-    """Parse an override string against the default's type."""
+def _coerce(default: object, raw: str, key: str = "") -> object:
+    """Parse an override string against the default's type.
+
+    An int `high` also takes inf, the schemes' "no upper threshold".
+    """
+    word = raw.strip().lower()
     if isinstance(default, bool):
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
+        if word in ("1", "true", "yes", "on"):
             return True
-        if low in ("0", "false", "no", "off"):
+        if word in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
     if isinstance(default, int):
+        if key == "high" and word in ("inf", "infinity"):
+            return math.inf
         return int(raw)
     if isinstance(default, float):
-        if raw.strip().lower() in ("inf", "infinity"):
-            return math.inf
-        return float(raw)
+        return float(raw)  # float() itself reads inf and infinity
     return raw
 
 
@@ -684,7 +686,7 @@ def build_spec(
             raise ValueError(
                 f"unknown parameter {key!r} for {name}; valid: {valid}"
             )
-        params[key] = _coerce(params[key], raw)
+        params[key] = _coerce(params[key], raw, key)
 
     if config_file is not None:
         parser = configparser.ConfigParser()

@@ -9,9 +9,11 @@ the next event from the total rate and then picks the event type.
 
 Statistics are time weighted: every server carries the time of its last
 occupancy change, and the histogram is credited on each change, which keeps
-the per-event cost constant.  All randomness comes from one buffered
-counter-based generator consumed in a fixed documented order, so a seed fully
-determines the run.
+the per-event cost constant.  All randomness comes from one Philox stream
+per run, numpy's Philox(seed) read through Generator.random, consumed in a
+fixed documented order, so a seed fully determines the run: the reference
+loop reads it through RngStream and the kernel makes the same doubles with
+its own copy of the generator.
 
 The loop exists twice, once per engine, and each engine has one loop for
 every scheme, the bin scheme of bin_sim included (mode _BIN): a compiled C
@@ -297,11 +299,10 @@ def _run_kernel(lib, config: SimConfig, mode: int, low: int, high: int | float,
 
     sim_run reads config's system and window, the mode and thresholds, plus
     the mode-specific fields: d for d-choices, bins and drain for bin mode.
-    Draws come from the same Philox stream as the reference loop, one
-    float64 block at a time through a refill callback; an exception raised
-    there stops the kernel and is re-raised here.  Returns what _run_py returns: the
-    counters under SimResult's names and the SimStats array fields from
-    _window_stats.
+    It draws from its own copy of the Philox stream of the reference loop,
+    keyed by the key numpy derives from config.seed.  Returns what _run_py
+    returns: the counters under SimResult's names and the SimStats array
+    fields from _window_stats.
     """
     from . import _native as native
 
@@ -309,35 +310,16 @@ def _run_kernel(lib, config: SimConfig, mode: int, low: int, high: int | float,
     n = params.n
     t_start = float(config.warmup)
     t_stop = t_start + float(config.horizon)
-
-    gen = np.random.Generator(np.random.Philox(config.seed))
-    buf = np.empty(_BUFFER, dtype=np.float64)
-    gen.random(out=buf)
-    failure: list[BaseException] = []
-
-    def refill() -> int:
-        try:
-            gen.random(out=buf)
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            failure.append(exc)
-            return 1
-        return 0
-
-    callback = native.REFILL(refill)
     p = native.SimParams(
         n=n, mode=mode, low=low, high=native.NO_CAP if high == math.inf else high,
         tracked=config.tracked_server, hist_start=_HIST_START,
         lam_total=params.lam * n, inv_beta=1.0 / params.beta,
-        t_start=t_start, t_stop=t_stop,
-        buf=buf.ctypes.data_as(native.F64P), buf_len=_BUFFER,
-        refill=callback, d=d, bins=bins, drain=drain,
+        t_start=t_start, t_stop=t_stop, d=d, bins=bins, drain=drain,
+        key=tuple(np.random.Philox(config.seed).state["state"]["key"].tolist()),
     )
     r = native.SimResult()
     try:
-        status = lib.sim_run(p, r)
-        if failure:
-            raise failure[0]
-        if status:
+        if lib.sim_run(p, r):
             raise MemoryError("event kernel ran out of memory")
 
         def take(ptr, size):

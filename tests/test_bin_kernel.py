@@ -169,28 +169,6 @@ def test_kernel_matches_reference_when_window_is_empty(kernel):
             engine(cfg)
 
 
-def test_refill_failure_is_reraised(kernel, monkeypatch):
-    real = np.random.Generator
-
-    class FailingRefill:
-        """Generator whose first block works and whose refills raise."""
-
-        def __init__(self, bit_generator):
-            self.gen = real(bit_generator)
-            self.blocks = 0
-
-        def random(self, *args, **kwargs):
-            self.blocks += 1
-            if self.blocks > 1:
-                raise RuntimeError("refill failed")
-            return self.gen.random(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "Generator", FailingRefill)
-    cfg = _config(*CASES["m=10n"])
-    with pytest.raises(RuntimeError, match="refill failed"):
-        run_bin_sim(cfg)
-
-
 def test_no_compiler_falls_back_to_reference(monkeypatch, tmp_path, caplog):
     cfg = _config(*CASES["m<n-drain"])
     expected = run_bin_sim(cfg)

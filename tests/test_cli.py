@@ -57,6 +57,9 @@ class TestCoerce:
         assert cli._coerce(1.5, "inf") == math.inf
         assert cli._coerce(1.5, "Infinity") == math.inf
         assert cli._coerce("x,y", "a,b") == "a,b"
+        # an int high also takes the schemes' "no upper threshold"
+        assert cli._coerce(160, "inf", "high") == math.inf
+        assert cli._coerce(160, " Infinity ", "high") == math.inf
 
     @pytest.mark.parametrize("raw,expect", [
         ("1", True), ("true", True), ("YES", True), ("on", True),
@@ -70,6 +73,8 @@ class TestCoerce:
             cli._coerce(False, "maybe")
         with pytest.raises(ValueError):
             cli._coerce(1, "abc")
+        with pytest.raises(ValueError):
+            cli._coerce(500, "inf", "n")
         with pytest.raises(ValueError):
             cli._coerce(1.5, "abc")
 
@@ -525,6 +530,26 @@ class TestMainExitCodes:
         payload = json.loads((tmp_path / "delay-tails_summary.json").read_text())
         assert payload["params"]["high"] == 158
         assert payload["params"]["chi_values"] == "0,50"
+
+    def test_run_accepts_infinite_high(self, tmp_path, capsys):
+        # high = inf is shedding with no threshold: nothing is ever shed
+        rc = cli.main([
+            "run", "shedding", "--out", str(tmp_path), "--n", "4",
+            "--warmup_betas", "1", "--horizon_betas", "2", "--high", "inf",
+        ])
+        assert rc == cli.EXIT_OK, capsys.readouterr().err
+        payload = json.loads((tmp_path / "shedding_summary.json").read_text())
+        assert payload["params"]["high"] == math.inf
+        assert payload["violation_rate"] == 0.0
+
+    def test_infinite_non_threshold_is_validation_error(self, tmp_path, capsys):
+        rc = cli.main([
+            "run", "shedding", "--out", str(tmp_path), "--n", "inf",
+            "--warmup_betas", "1", "--horizon_betas", "2",
+        ])
+        assert rc == cli.EXIT_VALIDATION
+        assert "invalid literal for int()" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_experiment_is_validation_error(self, tmp_path, capsys):
         rc = cli.main(["run", "nope", "--out", str(tmp_path)])

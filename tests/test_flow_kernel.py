@@ -67,6 +67,14 @@ CASES = {
     "small-shedding": (SMALL, Shedding(6), 2),
     "small-transfer-invite": (SMALL, TransferToInvite(3, 6), 2),
     "small-transfer-least": (SMALL, TransferToLeastLoaded(6), 2),
+    # the kernel keys its own Philox copy from numpy's seeding of each seed,
+    # at either end of 64 bits and past it; d = 2's tie draws shift where
+    # the many draw-block boundaries fall within an event
+    "d2-seed0": (MID, PowerOfD(2), 0, 0),
+    "d2-seed2^32+1": (MID, PowerOfD(2), 0, 2**32 + 1),
+    "d2-seed2^63-1": (MID, PowerOfD(2), 0, 2**63 - 1),
+    "d2-seed2^64+5": (MID, PowerOfD(2), 0, 2**64 + 5),
+    "d2-seed2^100+3": (MID, PowerOfD(2), 0, 2**100 + 3),
 }
 
 
@@ -76,6 +84,11 @@ CASES = {
 PINNED = {
     "d1": "e26df77f87b02370b0fce3ef088e4fca566fb1f7b15573f45efb53be1070a470",
     "d2": "3138fb717fbf115381a4cb69d0ad8c855398f172894f51dca2d57f31b48973d4",
+    "d2-seed0": "da4163c97af8f21fea4e5d0927fab1ed240b36d7aff2e8a4b5c95f0ed63877fe",
+    "d2-seed2^100+3": "3fa660c8761829c2a760d9af26c95da5b2ea64372c61852ba0c140c4d2b30f3c",
+    "d2-seed2^32+1": "0c3d36b9ed9010b0b624ac582edbee40b8fde868485b2ce171073372cdd31c4b",
+    "d2-seed2^63-1": "f0fc4a122986639ed0fa7d3c67f2f4c00901aebc666a69b29d96b7fbbf0efab9",
+    "d2-seed2^64+5": "9a566d32068c14698007125bd7f2239ba1d5e9ab646724d61b0d383dca885ff7",
     "d2-tracked": "39e2405bbef329b0c56e65368579f07963e9ff372b86676084f42d49a97795e3",
     "d3": "e772d8164084c67487733afe873a5edcbb2062ff82203d9b8f1368621f194fcc",
     "d=n": "388df7edf346cce99471de74d235a573c23ed9efdeb6731617b939d3a777435a",
