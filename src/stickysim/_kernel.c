@@ -652,9 +652,9 @@ void sim_free(sim_result *r)
 /* mean-field drift                                                         */
 /* ------------------------------------------------------------------------ */
 
-/* Join rules: 0 d choices (d = 1 or 2), 1 pull, 2 shedding, 3 transfer to
- * invite, 4 transfer to least loaded.  high = INT64_MAX means no upper
- * threshold. */
+/* Join rules (mean_field.RULE_*): 0 d choices, 1 pull, 2 shedding,
+ * 3 transfer to invite, 4 transfer to least loaded.  high = INT64_MAX means
+ * no upper threshold. */
 enum { RULE_POWER = 0, RULE_PULL = 1, RULE_SHEDDING = 2, RULE_INVITE = 3,
        RULE_LEAST = 4 };
 
@@ -796,13 +796,20 @@ static void drift(const drift_params *p, const double *sp, double *ds)
     const int64_t nq = p->width - 1;
 
     if (p->rule == RULE_POWER) {
-        if (p->d == 1) {
-            tail_diff(sp, q, 0, nq);
-        } else {
-            /* sp**2 as numpy computes it: one rounded product */
+        /* sp**d as d - 1 rounded products, left to right, as
+         * mean_field._power_of_d_rule takes it (unlike pow, a product rounds
+         * the same on every host): q[j] = sp[j]**d one pass per product, so
+         * each pass vectorizes, then the differences in place */
+        double last = sp[nq];
+        memcpy(q, sp, (size_t)nq * sizeof *q);
+        for (int64_t k = 1; k < p->d; k++) {
             for (int64_t j = 0; j < nq; j++)
-                q[j] = sp[j] * sp[j] - sp[j + 1] * sp[j + 1];
+                q[j] *= sp[j];
+            last *= sp[nq];
         }
+        for (int64_t j = 0; j < nq - 1; j++)
+            q[j] -= q[j + 1];
+        q[nq - 1] -= last;
     } else if (p->rule == RULE_SHEDDING) {
         int64_t top = p->high < nq ? p->high : nq;
         tail_diff(sp, q, 0, top);

@@ -4,9 +4,10 @@ The event loop of both simulators (sim_run, which makes its uniforms with
 its own copy of numpy's Philox from the key in SimParams) and the mean-field
 RK4 kernels (ode_drift, the corrected drift at a step's start and its
 sup-norm; ode_step, the three stages with their corrections and the step
-end; both read one DriftParams bound per integration) live in one C99 source
-file shipped next to this module, _kernel.c.  On first use it is compiled
-with the host C compiler into a per-user cache directory
+end; both read one DriftParams bound per integration, whose rule code is one
+of mean_field's RULE_* and covers every mean-field scheme) live in one C99
+source file shipped next to this module, _kernel.c.  On first use it is
+compiled with the host C compiler into a per-user cache directory
 (``$XDG_CACHE_HOME/stickysim``, else ``~/.cache/stickysim``), under a name
 keyed by the SHA-256 of the source and the compile flags, and loaded with
 ctypes.  Nothing here runs at package import.
@@ -116,10 +117,6 @@ class DriftParams(ctypes.Structure):
         ("half_dt", _F64), ("dt", _F64), ("sixth_dt", _F64),
         ("q", F64P),
     ]
-
-
-# ode_drift's join-rule codes
-RULE_POWER, RULE_PULL, RULE_SHEDDING, RULE_INVITE, RULE_LEAST = range(5)
 
 
 def kernel() -> ctypes.CDLL | None:

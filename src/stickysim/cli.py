@@ -723,12 +723,25 @@ def _json_default(v: object):
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
+def _spell_non_finite(v: object) -> object:
+    """v with every non-finite float, at any depth, replaced by the string
+    the CLI reads it back from: "inf", "-inf" or "nan".  JSON has no
+    literal for them."""
+    if isinstance(v, dict):
+        return {k: _spell_non_finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_spell_non_finite(x) for x in v]
+    if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+        return str(float(v))
+    return v
+
+
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
     """Execute one experiment; write its CSVs and summary JSON.
 
     Returns the paths written.  CSV bytes depend only on (params, seed);
     the summary additionally records wall-clock time and the package
-    version.
+    version, and spells each non-finite float as a string.
     """
     if spec.name not in _BY_NAME:
         raise ValueError(f"unknown experiment {spec.name!r}")
@@ -760,7 +773,8 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
     payload.update(summary)
     spath = spec.out_dir / f"{spec.name}_summary.json"
     with open(spath, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_spell_non_finite(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False, default=_json_default)
         fh.write("\n")
     written.append(spath)
     return written

@@ -106,24 +106,29 @@ def _padded_tail(s: np.ndarray, need: int) -> np.ndarray:
 # and join_probs calls it on a freshly padded copy.
 JoinRule = Callable[[np.ndarray, np.ndarray], None]
 
+# the compiled drift's rule codes (the RULE_* enum in _kernel.c)
+RULE_POWER, RULE_PULL, RULE_SHEDDING, RULE_INVITE, RULE_LEAST = range(5)
 
-def _power_of_d_rule(d: int) -> tuple[int, JoinRule]:
-    # a 0-d float64 exponent skips the per-call scalar conversion; the
-    # powers equal sp**d bit for bit
-    exponent = np.array(float(d))
+
+def _power_of_d_rule(d: int) -> JoinRule:
+    # sp**d as d - 1 rounded products, left to right, as the kernel takes it:
+    # a product rounds the same on every host, while np.power's last bit
+    # depends on the numpy build
     powers = None
 
     def rule(sp: np.ndarray, q: np.ndarray) -> None:
         nonlocal powers
         if powers is None or powers.size != sp.size:
             powers = np.empty(sp.size)
-        np.power(sp, exponent, out=powers)
+        np.copyto(powers, sp)
+        for _ in range(d - 1):
+            np.multiply(powers, sp, out=powers)
         np.subtract(powers[:-1], powers[1:], out=q)
 
-    return 0, rule
+    return rule
 
 
-def _shedding_rule(high: int | float) -> tuple[int, JoinRule]:
+def _shedding_rule(high: int | float) -> JoinRule:
     finite_high = high != math.inf
 
     def rule(sp: np.ndarray, q: np.ndarray) -> None:
@@ -131,7 +136,7 @@ def _shedding_rule(high: int | float) -> tuple[int, JoinRule]:
         if finite_high:
             q[high:] = 0.0
 
-    return (high if finite_high else 0), rule
+    return rule
 
 
 def _fill_saturated(sp: np.ndarray, q: np.ndarray, high: int, rho: float) -> None:
@@ -151,7 +156,7 @@ def _fill_saturated(sp: np.ndarray, q: np.ndarray, high: int, rho: float) -> Non
     np.multiply((rho - dip) / rho, band, out=band)
 
 
-def _pull_rule(low: int, high: int | float, rho: float) -> tuple[int, JoinRule]:
+def _pull_rule(low: int, high: int | float, rho: float) -> JoinRule:
     finite_high = high != math.inf
 
     def rule(sp: np.ndarray, q: np.ndarray) -> None:
@@ -185,10 +190,10 @@ def _pull_rule(low: int, high: int | float, rho: float) -> tuple[int, JoinRule]:
 
         _fill_saturated(sp, q, high, rho)
 
-    return max(low, high if finite_high else 0), rule
+    return rule
 
 
-def _transfer_invite_rule(low: int, high: int, rho: float) -> tuple[int, JoinRule]:
+def _transfer_invite_rule(low: int, high: int, rho: float) -> JoinRule:
     def rule(sp: np.ndarray, q: np.ndarray) -> None:
         q.fill(0.0)
         s_low = sp[low]
@@ -219,10 +224,10 @@ def _transfer_invite_rule(low: int, high: int, rho: float) -> tuple[int, JoinRul
 
         _fill_saturated(sp, q, high, rho)
 
-    return max(low, high), rule
+    return rule
 
 
-def _least_loaded_rule(high: int, rho: float) -> tuple[int, JoinRule]:
+def _least_loaded_rule(high: int, rho: float) -> JoinRule:
     below = np.empty(0, dtype=bool)
 
     def rule(sp: np.ndarray, q: np.ndarray) -> None:
@@ -257,48 +262,36 @@ def _least_loaded_rule(high: int, rho: float) -> tuple[int, JoinRule]:
         q[m - 1] = dip / rho
         q[m] = (rho - dip) / rho
 
-    return high, rule
+    return rule
 
 
-def _kernel_rule(scheme: SchemeConfig) -> tuple[int, int, int, int | float] | None:
-    """The compiled drift's rule code and (d, low, high) for `scheme`, or None
-    where the drift stays in Python: d-choices with d >= 3, whose powers
-    numpy may round differently from C (an SVML build of np.power differs
-    from libm pow on about 5% of inputs)."""
-    from . import _native as native
-
+def _join_rule(
+    scheme: SchemeConfig, rho: float
+) -> tuple[JoinRule, int, tuple[int, int, int, int | float]]:
+    """The scheme's join rule bound to its thresholds and the load, the top
+    level it reads, and the same rule as the compiled drift's (code, d, low,
+    high).  low is the invite threshold, 0 for the schemes that invite
+    nobody; the dip-refill correction and the invite-region pinning act
+    only below it."""
     if isinstance(scheme, PowerOfD):
-        return (native.RULE_POWER, scheme.d, 0, 0) if scheme.d <= 2 else None
-    if isinstance(scheme, PullBased):
-        return native.RULE_PULL, 0, scheme.low, scheme.high
-    if isinstance(scheme, Shedding):
-        return native.RULE_SHEDDING, 0, 0, scheme.high
-    if isinstance(scheme, TransferToInvite):
-        return native.RULE_INVITE, 0, scheme.low, scheme.high
-    if isinstance(scheme, TransferToLeastLoaded):
-        return native.RULE_LEAST, 0, 0, scheme.high
-    return None
-
-
-def _join_rule(scheme: SchemeConfig, rho: float) -> tuple[int, JoinRule]:
-    """The scheme's join rule bound to its thresholds and the load, with the
-    top level it reads."""
-    if isinstance(scheme, PowerOfD):
-        return _power_of_d_rule(scheme.d)
-    if isinstance(scheme, PullBased):
-        return _pull_rule(scheme.low, scheme.high, rho)
-    if isinstance(scheme, Shedding):
-        return _shedding_rule(scheme.high)
-    if isinstance(scheme, TransferToInvite):
-        return _transfer_invite_rule(scheme.low, scheme.high, rho)
-    if isinstance(scheme, TransferToLeastLoaded):
-        return _least_loaded_rule(scheme.high, rho)
-    if isinstance(scheme, BinBased):
+        rule, code = _power_of_d_rule(scheme.d), RULE_POWER
+    elif isinstance(scheme, PullBased):
+        rule, code = _pull_rule(scheme.low, scheme.high, rho), RULE_PULL
+    elif isinstance(scheme, Shedding):
+        rule, code = _shedding_rule(scheme.high), RULE_SHEDDING
+    elif isinstance(scheme, TransferToInvite):
+        rule, code = _transfer_invite_rule(scheme.low, scheme.high, rho), RULE_INVITE
+    elif isinstance(scheme, TransferToLeastLoaded):
+        rule, code = _least_loaded_rule(scheme.high, rho), RULE_LEAST
+    elif isinstance(scheme, BinBased):
         raise UnsupportedConfigError(
             "bin-based scheme has no single-server mean-field dynamics; "
             "compare against the transfer-to-invite fixed point instead"
         )
-    raise TypeError(f"unknown scheme config: {scheme!r}")
+    else:
+        raise TypeError(f"unknown scheme config: {scheme!r}")
+    d, low, high = (getattr(scheme, name, 0) for name in ("d", "low", "high"))
+    return rule, max(low, 0 if high == math.inf else high), (code, d, low, high)
 
 
 def join_probs(scheme: SchemeConfig, s: np.ndarray, rho: float) -> np.ndarray:
@@ -309,7 +302,7 @@ def join_probs(scheme: SchemeConfig, s: np.ndarray, rho: float) -> np.ndarray:
     cover the scheme's thresholds.  Raises UnsupportedConfigError for the
     bin scheme and TypeError for an unknown config.
     """
-    need, rule = _join_rule(scheme, rho)
+    rule, need, _ = _join_rule(scheme, rho)
     sp = _padded_tail(s, need)
     q = np.zeros(sp.size - 1)
     rule(sp, q)
@@ -381,10 +374,7 @@ def shedding_fixed_point(rho: float, high: int | float) -> FlowDistribution:
         if not isinstance(high, int) or high < 1:
             raise ValueError(f"high must be a positive int or math.inf, got {high!r}")
         top = high
-    k = np.arange(top + 1)
-    logs = k * math.log(rho) - log_factorial(k)
-    w = np.exp(logs - logs.max())
-    return FlowDistribution(w / w.sum())
+    return FlowDistribution(_window_weights(rho, 0, top))
 
 
 def power_of_d_tail_bound(rho: float, d: int, i: int) -> float:
@@ -715,11 +705,6 @@ class OdeResult:
         return FlowDistribution.from_tail(self.tail)
 
 
-def _invite_low(scheme: SchemeConfig) -> int | None:
-    """The invite threshold of the pull-family schemes, None for the rest."""
-    return scheme.low if isinstance(scheme, (PullBased, TransferToInvite)) else None
-
-
 @dataclass(frozen=True)
 class _Rk4:
     """The buffers of a fixed-step RK4 integration of the mean-field ODE and
@@ -745,17 +730,19 @@ class _Rk4:
     sat) clips v to [0, 1], sets its levels 0..sat to 1 and takes its running
     minimum.
 
-    The correction: below the invite threshold of the pull-family schemes, a
-    pinned level sat (0 < sat < low) whose drift is negative has its refill
-    demand -k[sat] covered from the arrivals headed for levels sat and up, as
-    far as lam*sum(q[sat:size-1]) allows, each of them giving up the same
-    share.
+    The correction: `low` is the invite threshold of the pull-family schemes
+    and 0 for the schemes that invite nobody.  A pinned level sat
+    (0 < sat < low) whose drift is negative has its refill demand -k[sat]
+    covered from the arrivals headed for levels sat and up, as far as
+    lam*sum(q[sat:size-1]) allows, each of them giving up the same share.
 
     `engine` is "kernel" when ode_drift and ode_step in _kernel.c run the
     two and "python" when NumPy does; both give the same result bit for
-    bit.  Pinning, release and the stop rules are the caller's."""
+    bit, for every scheme.  Pinning, release and the stop rules are the
+    caller's; the caller pins in the invite region below `low`."""
 
     engine: str
+    low: int
     state: np.ndarray
     g: np.ndarray
     k: np.ndarray
@@ -768,14 +755,17 @@ class _Rk4:
 def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
               dt: float, residual: bool = True) -> _Rk4:
     """The RK4 buffers and step calls of `scheme` at `params` for tails of
-    `size` levels and steps of `dt`, on the compiled kernel when it loads and
-    _kernel_rule covers the scheme, in NumPy otherwise.  The kernel's
-    arguments are built here, once, so each call is one foreign call.  The
-    kernel's drift returns sup|k1| at no extra cost; NumPy's only with
-    `residual`."""
+    `size` levels and steps of `dt`, on the compiled kernel when it loads, in
+    NumPy otherwise.  The kernel's arguments are built here, once, so each
+    call is one foreign call.  The kernel's drift returns sup|k1| at no extra
+    cost; NumPy's only with `residual`."""
+    # imported here so that importing the package loads no kernel machinery
+    import ctypes
+
+    from . import _native as native
+
     lam, beta, rho = params.lam, params.beta, params.rho
-    need, join_rule = _join_rule(scheme, rho)
-    invite_low = _invite_low(scheme)
+    join_rule, need, (code, d, low, high) = _join_rule(scheme, rho)
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     # the kernel indexes these unchecked: the padded tails hold every level
     # the join rule and the balance read
@@ -784,17 +774,8 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
     k = np.zeros((4, size))
     raw = np.empty(size)
     q = np.empty(width - 1)
-    kernel_rule = _kernel_rule(scheme)
-    lib = None
-    if kernel_rule is not None:
-        # imported here so that importing the package loads no kernel machinery
-        import ctypes
-
-        from . import _native as native
-
-        lib = native.kernel()
+    lib = native.kernel()
     if lib is not None:
-        code, d, low, high = kernel_rule
         c_params = native.DriftParams(
             rule=code, d=d, low=low,
             high=native.NO_CAP if high == math.inf else high,
@@ -814,7 +795,7 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
         def kernel_step(sat: int) -> float:
             return ode_step(params_ref, sat, s_at, g_at, k_at, raw_at)
 
-        return _Rk4("kernel", state, g, k, raw, q, kernel_drift, kernel_step)
+        return _Rk4("kernel", low, state, g, k, raw, q, kernel_drift, kernel_step)
 
     s, g_head = state[:size], g[:size]
     # what the balance reads of each padded tail and writes of each k row
@@ -852,7 +833,7 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
     # unsaturated levels.  Other schemes (and saturated levels at or above the
     # threshold) give dips no such priority and need no correction.
     def correct(ds: np.ndarray, sat: int) -> None:
-        if invite_low is not None and 0 < sat < invite_low and ds[sat] < 0.0:
+        if 0 < sat < low and ds[sat] < 0.0:
             # if the whole stream cannot cover the refill demand, ds[sat]
             # stays negative and the release rule frees the level
             deficit = -float(ds[sat])
@@ -891,7 +872,7 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
         project(raw, s, sat)
         return float(sup(absolute(subtract(raw, s, out=tmp), out=tmp)))
 
-    return _Rk4("python", state, g, k, raw, q, python_drift, python_step)
+    return _Rk4("python", low, state, g, k, raw, q, python_drift, python_step)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -936,10 +917,10 @@ def integrate_ode(
     dip-refill correction, returning the sup|k1| the stop rule reads) and
     the step (three projected stages, each with its corrected drift, then
     the RK4 combination, its projection and the projection distance).  When
-    the compiled kernel (_kernel.c, built on first use) loads and the scheme
-    is not d-choices with d >= 3, they are one call each of ode_drift and
-    ode_step; otherwise NumPy does the same operations.  Both give the same
-    result bit for bit, and OdeResult.engine names the one that ran.
+    the compiled kernel (_kernel.c, built on first use) loads, they are one
+    call each of ode_drift and ode_step, for every scheme; otherwise NumPy
+    does the same operations.  Both give the same result bit for bit, and
+    OdeResult.engine names the one that ran.
 
     Below the invite threshold the snap-to-constraint window is PIN_TOL wide,
     so configurations whose true stationary tails there fall within PIN_TOL of
@@ -977,14 +958,12 @@ def integrate_ode(
     # scheme's saturated-case dynamics only apply when the tail is exactly 1).
     # A pinned level is released as soon as its drift at the constraint turns
     # negative, i.e. the sliding mode can no longer hold it.
-    invite_low = _invite_low(scheme)
-
     def may_pin(level: int, value: float) -> bool:
         if value >= 1.0 - 1e-12:
             return True
         # slaved dip in the invite region: relaxation to 1 is asymptotic and
         # arbitrarily stiff, so snap once the remaining distance is negligible
-        if invite_low is not None and level < invite_low:
+        if level < ode.low:
             return value >= 1.0 - PIN_TOL
         return False
 

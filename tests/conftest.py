@@ -1,4 +1,5 @@
-"""Shared fixtures: the reference parameter set and a reduced twin.
+"""Shared fixtures: the reference parameter set and a reduced twin, and the
+compiled-kernel gate and loader isolation the kernel tests share.
 
 The reference configuration (500 servers, offered load 150 per server,
 processing capacity 200 flows per server) is what the acceptance suite
@@ -12,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from stickysim import _native
 from stickysim.core import SystemParams
 
 # verdict lines collected by the acceptance tests; echoed after the run
@@ -35,6 +37,22 @@ def stats_sha256(stats) -> str:
             part = f"{field.name}:{type(x).__name__}:{x!r}".encode()
         h.update(part + b";")
     return h.hexdigest()
+
+
+def isolate_loader(monkeypatch, tmp_path, compiler):
+    """A fresh kernel loader for one test: `compiler` stands in for the
+    host's C compiler (None: there is none), the build cache is tmp_path,
+    and no load has been tried yet."""
+    monkeypatch.setattr(_native, "compiler", lambda: compiler)
+    monkeypatch.setattr(_native, "cache_dir", lambda: tmp_path)
+    monkeypatch.setattr(_native, "_loaded", [])
+
+
+@pytest.fixture
+def kernel():
+    """Skip the test when the compiled kernel cannot be built or loaded."""
+    if _native.kernel() is None:
+        pytest.skip("compiled kernel unavailable (no C compiler)")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

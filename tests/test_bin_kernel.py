@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import stats_sha256
+from conftest import isolate_loader, stats_sha256
 from stickysim import _native
 from stickysim.bin_sim import BinSimStats, _run_bin_sim_py, run_bin_sim
 from stickysim.core import BinBased, SystemParams
@@ -96,12 +96,6 @@ def assert_same_stats(a: BinSimStats, b: BinSimStats) -> None:
             assert type(x) is type(y) and x == y, field.name
 
 
-@pytest.fixture
-def kernel():
-    if _native.kernel() is None:
-        pytest.skip("compiled kernel unavailable (no C compiler)")
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_kernel_matches_reference(kernel, case):
     cfg = _config(*CASES[case])
@@ -172,9 +166,7 @@ def test_kernel_matches_reference_when_window_is_empty(kernel):
 def test_no_compiler_falls_back_to_reference(monkeypatch, tmp_path, caplog):
     cfg = _config(*CASES["m<n-drain"])
     expected = run_bin_sim(cfg)
-    monkeypatch.setattr(_native, "compiler", lambda: None)
-    monkeypatch.setattr(_native, "cache_dir", lambda: tmp_path)
-    monkeypatch.setattr(_native, "_loaded", [])
+    isolate_loader(monkeypatch, tmp_path, None)
     caplog.clear()
     with caplog.at_level(logging.WARNING):
         first = run_bin_sim(cfg)

@@ -241,6 +241,24 @@ class TestRunExperiment:
         assert (payload["ode_pins"], payload["ode_releases"]) == (res.pins, res.releases)
         assert payload["ode_engine"] == res.engine in ("kernel", "python")
 
+    def test_power_of_3_runs_on_the_kernel_under_the_bound(self, kernel, tmp_path,
+                                                           capsys):
+        rc = cli.main(["run", "power-of-2", "--out", str(tmp_path),
+                       "--param", "d=3", "--n", "20", "--t_end", "5"])
+        assert rc == cli.EXIT_OK, capsys.readouterr().err
+        payload = json.loads((tmp_path / "power-of-2_summary.json").read_text())
+        assert payload["params"]["d"] == 3
+        assert payload["ode_engine"] == "kernel"
+        assert payload["worst_tail_excess_over_bound"] <= 1e-6
+
+    def test_summary_spells_non_finite_floats_as_strings(self):
+        payload = {"a": [math.inf, (np.float64(-math.inf), 2.5)],
+                   "b": {"c": math.nan, "d": np.float32(math.inf)},
+                   "e": True, "f": 0.1, "g": "inf"}
+        assert cli._spell_non_finite(payload) == {
+            "a": ["inf", ["-inf", 2.5]], "b": {"c": "nan", "d": "inf"},
+            "e": True, "f": 0.1, "g": "inf"}
+
     @pytest.mark.parametrize("name,low,high", [
         ("pull-thresholds", 2, 5), ("pull-tight", 3, 4), ("transfer-invite", 2, 5),
     ])
@@ -538,9 +556,17 @@ class TestMainExitCodes:
             "--warmup_betas", "1", "--horizon_betas", "2", "--high", "inf",
         ])
         assert rc == cli.EXIT_OK, capsys.readouterr().err
-        payload = json.loads((tmp_path / "shedding_summary.json").read_text())
-        assert payload["params"]["high"] == math.inf
+        raw = (tmp_path / "shedding_summary.json").read_text()
+        payload = json.loads(raw)
+        # JSON has no infinity: the summary spells it as the CLI reads it,
+        # and a strict parser accepts the file
+        assert payload["params"]["high"] == "inf"
         assert payload["violation_rate"] == 0.0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        assert json.loads(raw, parse_constant=reject) == payload
 
     def test_infinite_non_threshold_is_validation_error(self, tmp_path, capsys):
         rc = cli.main([

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import stats_sha256
+from conftest import isolate_loader, stats_sha256
 from stickysim import _native
 from stickysim.core import (
     PowerOfD,
@@ -127,12 +127,6 @@ def assert_same_stats(a: SimStats, b: SimStats) -> None:
             assert type(x) is type(y) and x == y, field.name
 
 
-@pytest.fixture
-def kernel():
-    if _native.kernel() is None:
-        pytest.skip("compiled kernel unavailable (no C compiler)")
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_kernel_matches_reference(kernel, case):
     cfg = _config(*CASES[case])
@@ -164,16 +158,10 @@ def test_kernel_matches_reference_when_window_is_empty(kernel):
             engine(cfg)
 
 
-def _isolate_loader(monkeypatch, tmp_path, compiler):
-    monkeypatch.setattr(_native, "compiler", lambda: compiler)
-    monkeypatch.setattr(_native, "cache_dir", lambda: tmp_path)
-    monkeypatch.setattr(_native, "_loaded", [])
-
-
 def test_no_compiler_falls_back_to_reference(monkeypatch, tmp_path, caplog):
     cfg = _config(*CASES["transfer-invite"])
     expected = run_flow_sim(cfg)
-    _isolate_loader(monkeypatch, tmp_path, None)
+    isolate_loader(monkeypatch, tmp_path, None)
     with caplog.at_level(logging.WARNING, logger="stickysim._native"):
         first = run_flow_sim(cfg)
         second = run_flow_sim(cfg)
@@ -190,7 +178,7 @@ def test_failed_build_falls_back_and_leaves_no_partial_file(monkeypatch, tmp_pat
                            text=True).stdout.strip()
     if not false:
         pytest.skip("no false(1) to stand in for a failing compiler")
-    _isolate_loader(monkeypatch, tmp_path, false)
+    isolate_loader(monkeypatch, tmp_path, false)
     cfg = _config(*CASES["d2"])
     with caplog.at_level(logging.WARNING, logger="stickysim._native"):
         stats = run_flow_sim(cfg)
@@ -203,13 +191,13 @@ def test_build_lands_in_cache_keyed_by_source_and_flags(monkeypatch, tmp_path):
     cc = _native.compiler()
     if cc is None:
         pytest.skip("no C compiler")
-    _isolate_loader(monkeypatch, tmp_path, cc)
+    isolate_loader(monkeypatch, tmp_path, cc)
     assert _native.kernel() is not None
     built = sorted(p.name for p in tmp_path.iterdir())
     assert len(built) == 1
     assert built[0].startswith("_kernel-") and built[0].endswith(".so")
     # a second process-level load reuses the cached library without a compiler
-    _isolate_loader(monkeypatch, tmp_path, None)
+    isolate_loader(monkeypatch, tmp_path, None)
     assert _native.kernel() is not None
 
 

@@ -403,8 +403,8 @@ def test_ode_rejects_a_non_finite_start(level, value):
 #   rho >= high: the all-servers-full rule (and, stacked at `high`, its
 #     dips-absorb-everything branch; likewise the dip branches of the other
 #     rules);
-#   least-loaded at m >= high; finite-high shedding; d = 1 and 2 (d >= 3 goes
-#     through pow(), which can differ across CPUs); an s0 shorter than
+#   least-loaded at m >= high; finite-high shedding; d = 1, 2 and 3 (whose
+#     powers are products, so they pin on every host); an s0 shorter than
 #     high + 2; a stop on the residual; record_every.
 # t, residual and max_projection are hex floats; tail and trajectory are
 # SHA-256 digests of their bytes.  ODE_STOPS pins why each run stopped and
@@ -446,6 +446,7 @@ ODE_RUNS = {
         TransferToLeastLoaded(4), 3.0, _stacked(16, 5), 0.5, {}),
     "power-of-1": (PowerOfD(1), 3.0, _empty(20), 20.0, {"stop_residual": 1e-4}),
     "power-of-2": (PowerOfD(2), 5.3, _empty(20), 1.0, {"record_every": 0.25}),
+    "power-of-3": (PowerOfD(3), 5.3, _empty(20), 1.0, {}),
 }
 
 # (t, steps, residual, max_projection, sha256(tail), sha256(trajectory))
@@ -520,6 +521,11 @@ ODE_PINNED = {
         "dc97b223ba7f53f3701f1afe335b1e835724bff3674a3bf65478d5cfa4d2a08b",
         "1d957c697c8f5fbb807bf53760204c0b9d2607753c122e49fc4199a0940a3fbc",
     ),
+    "power-of-3": (
+        "0x1.0020c49ba5de6p+0", 667, "0x1.03372a4a82b42p+0", "0x0.0p+0",
+        "bf36bae7221a9dbb74e8a397e3e54d863ec2e9ad14d67c22e508979a1b9f4834",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
 }
 
 
@@ -530,6 +536,7 @@ ODE_STOPS = {
     "least-loaded-short-s0": ("t_end", 0, 0),
     "power-of-1": ("residual", 0, 0),
     "power-of-2": ("t_end", 0, 0),
+    "power-of-3": ("t_end", 0, 0),
     "pull-dip-absorbs": ("t_end", 5, 1),
     "pull-empty": ("t_end", 0, 0),
     "pull-saturated": ("t_end", 5, 0),
@@ -656,12 +663,12 @@ def test_ode_rejects_non_positive_or_non_finite_step_arguments(kwargs):
 @pytest.mark.parametrize("scheme", [
     PowerOfD(1), PowerOfD(2), Shedding(6), Shedding(math.inf),
     PullBased(3, 6), PullBased(3, math.inf), TransferToInvite(3, 6),
-    TransferToLeastLoaded(6),
+    TransferToLeastLoaded(6), PowerOfD(3),
 ])
 def test_join_rule_writes_every_entry(scheme):
     # integrate_ode hands the rule a reused q buffer: whatever it held must
     # not leak into the result
-    need, rule = mf._join_rule(scheme, 5.0)
+    rule, need, _ = mf._join_rule(scheme, 5.0)
     rng = np.random.default_rng(4)
     tails = [np.sort(rng.random(10))[::-1] for _ in range(20)]
     tails += [_stacked(10, top) for top in (2, 3, 6, 9)]

@@ -18,7 +18,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import isolate_loader
 from stickysim import _native
 from stickysim import mean_field as mf
 from stickysim.core import (
@@ -29,7 +32,6 @@ from stickysim.core import (
     TransferToInvite,
     TransferToLeastLoaded,
 )
-from test_flow_kernel import _isolate_loader
 from test_mean_field import (
     ODE_PINNED,
     ODE_RUNS,
@@ -45,12 +47,6 @@ STRUCT_SIZES = {
     "SIZEOF_SIM_RESULT": _native.SimResult,
     "SIZEOF_DRIFT_PARAMS": _native.DriftParams,
 }
-
-
-@pytest.fixture
-def kernel():
-    if _native.kernel() is None:
-        pytest.skip("compiled kernel unavailable (no C compiler)")
 
 
 # the default step at beta = 1.5
@@ -95,7 +91,14 @@ DRIFT_CASES = {
     "shedding-inf": (Shedding(math.inf), 6.0, 3, (0.0, 1.0)),
     "d1": (PowerOfD(1), 6.0, 3, (0.0, 1.0)),
     "d2": (PowerOfD(2), 6.0, 3, (0.0, 1.0)),
+    "d3": (PowerOfD(3), 6.0, 3, (0.0, 1.0)),
+    "d5": (PowerOfD(5), 6.0, 3, (0.0, 1.0)),
 }
+
+
+def _invite_low(scheme):
+    # the `low` of the compiled rule: the invite threshold, 0 for the rest
+    return mf._join_rule(scheme, 1.0)[2][2]
 
 
 def _tails(rng, size, ones, lo, hi, count=150):
@@ -137,7 +140,7 @@ def _sats(size, case):
     tail's prefix of ones, and levels 1 and low - 1 under the invite
     threshold, where the dip-refill correction acts."""
     scheme, _, ones, _ = DRIFT_CASES[case]
-    low = mf._invite_low(scheme) or 0
+    low = _invite_low(scheme)
     return sorted({sat for sat in (0, size - 1, size // 2, ones, 1, low - 1)
                    if 0 <= sat < size})
 
@@ -262,7 +265,7 @@ def test_kernel_finish_matches_python_bit_for_bit(kernel, monkeypatch, case, siz
 
 # the cases whose invite threshold leaves room for a pinned level below it
 CORRECTED = sorted(case for case, (scheme, *_) in DRIFT_CASES.items()
-                   if (mf._invite_low(scheme) or 0) >= 2)
+                   if _invite_low(scheme) >= 2)
 
 
 @pytest.mark.parametrize("size", [6, 16, 280])
@@ -294,6 +297,59 @@ def test_kernel_correction_matches_python_bit_for_bit(kernel, monkeypatch, case,
         assert math.isfinite(_steps_agree(both, size, s, on_kernel.k[0].copy(),
                                           sat))
     assert fired == 30
+
+
+_LEVELS = st.integers(0, 45)
+_HIGHS = st.integers(1, 45)
+# every scheme the mean-field layer supports, thresholds on either side of
+# the tail's length
+_SCHEMES = st.one_of(
+    st.builds(PowerOfD, st.integers(1, 6)),
+    st.builds(lambda low, gap: PullBased(low, low + gap), _LEVELS,
+              _HIGHS | st.just(math.inf)),
+    st.builds(Shedding, _HIGHS | st.just(math.inf)),
+    st.builds(lambda low, gap: TransferToInvite(low, low + gap), _LEVELS, _HIGHS),
+    st.builds(TransferToLeastLoaded, _HIGHS),
+)
+
+
+@st.composite
+def _tail_and_sat(draw):
+    """A valid tail of 2 to 40 levels (1 on levels 0..ones, then
+    non-increasing values in [0, 1]) and a pinned prefix 0..sat."""
+    size = draw(st.integers(2, 40))
+    ones = draw(st.integers(0, size - 1))
+    rest = draw(st.lists(st.floats(0.0, 1.0), min_size=size - ones - 1,
+                         max_size=size - ones - 1))
+    s = np.ones(size)
+    s[ones + 1:] = sorted(rest, reverse=True)
+    return s, draw(st.integers(0, size - 1))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scheme=_SCHEMES, rho=st.floats(0.05, 60.0), tail_sat=_tail_and_sat())
+def test_kernel_drift_and_step_match_python_on_drawn_cases(kernel, scheme, rho,
+                                                           tail_sat):
+    # drift(sat), then step(sat) from there, on both engines
+    s, sat = tail_sat
+    size = s.size
+    params = SystemParams(n=100, lam=rho / 1.5, beta=1.5, nu=1.0, mu=100.0)
+    on_kernel = mf._bind_ode(scheme, params, size, DT)
+    with pytest.MonkeyPatch.context() as patch:
+        _no_kernel(patch)
+        on_python = mf._bind_ode(scheme, params, size, DT)
+    assert (on_kernel.engine, on_python.engine) == ("kernel", "python")
+    for ode in (on_kernel, on_python):
+        ode.state[:size] = s
+    for call, written in (("drift", ("q", "k")),
+                          ("step", ("q", "k", "state", "g", "raw"))):
+        with np.errstate(all="ignore"):
+            outs = [getattr(ode, call)(sat) for ode in (on_kernel, on_python)]
+        assert _same_float(*outs), call
+        for name in written:
+            ours, theirs = getattr(on_kernel, name), getattr(on_python, name)
+            assert ours.tobytes() == theirs.tobytes(), (call, name)
 
 
 def test_kernel_sum_matches_numpy_bit_for_bit(kernel):
@@ -371,7 +427,7 @@ def test_wide_runs_match_under_both_engines(kernel, monkeypatch, name):
 def test_no_compiler_falls_back_to_python_drift(kernel, monkeypatch, tmp_path,
                                                 caplog):
     expected = _run_ode("pull-stacked")
-    _isolate_loader(monkeypatch, tmp_path, None)
+    isolate_loader(monkeypatch, tmp_path, None)
     with caplog.at_level(logging.WARNING, logger="stickysim._native"):
         first = _run_ode("pull-stacked")
         second = _run_ode("pull-stacked")
@@ -383,15 +439,19 @@ def test_no_compiler_falls_back_to_python_drift(kernel, monkeypatch, tmp_path,
     assert _pinned(first) == _pinned(second) == _pinned(expected)
 
 
-def test_power_of_3_keeps_the_python_rule(monkeypatch, tmp_path):
-    _isolate_loader(monkeypatch, tmp_path, None)
-    s0 = np.zeros(20)
-    s0[0] = 1.0
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
+def test_power_of_d_runs_on_the_kernel_at_every_d(kernel, monkeypatch, d):
+    # sp**d is d - 1 rounded products in both engines, so no d falls back
     params = SystemParams(n=100, lam=5.0, beta=1.0, nu=1.0, mu=100.0)
-    out = mf.integrate_ode(PowerOfD(3), params, s0, t_end=0.5)
-    assert out.engine == "python"
-    # the kernel was not even looked for
-    assert _native._loaded == []
+    outs = []
+    for engine in ("kernel", "python"):
+        if engine == "python":
+            _no_kernel(monkeypatch)
+        out = mf.integrate_ode(PowerOfD(d), params, _empty(20), t_end=0.5,
+                               record_every=0.25)
+        assert out.engine == engine
+        outs.append(_pinned(out))
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
