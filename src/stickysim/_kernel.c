@@ -962,6 +962,104 @@ double ode_step(const drift_params *p, int64_t sat, double *s, double *g, double
     return dist;
 }
 
+/* ------------------------------------------------------------------------ */
+/* mean-field step loop                                                     */
+/* ------------------------------------------------------------------------ */
+
+/* why ode_run returned: the index of its name in mean_field.STOP_REASONS */
+enum { STOP_NONE = 0, STOP_RESIDUAL = 1, STOP_STATIONARY = 2 };
+
+/* The state of one integration's step loop, carried from one ode_run call to
+ * the next.  Levels 0..sat are the pinned prefix; pins and releases count the
+ * levels that joined and left it.  The stationary stop keeps the state and k1
+ * of step saved_step in `saved` (2 x size), with its sat, pins and releases. */
+typedef struct {
+    double pin_tol, release_eps; /* mean_field.PIN_TOL and RELEASE_EPS */
+    double stop_residual;        /* > 0: both early stops are on */
+    double *saved;
+    int64_t step, sat, pins, releases;
+    int64_t saved_step, saved_sat, saved_pins, saved_releases;
+    double t, sup_k1, last_sup, max_projection, last_projection;
+} ode_loop;
+
+/* may `level`, at tail value v, join the pinned prefix?  At 1 it may; in the
+ * invite region below low the relaxation to 1 is asymptotic and arbitrarily
+ * stiff, so it may once it is within pin_tol of 1 */
+static int may_pin(const drift_params *p, const ode_loop *L, int64_t level, double v)
+{
+    return v >= 1.0 - 1e-12 || (level < p->low && v >= 1.0 - L->pin_tol);
+}
+
+/* pin every level above the prefix that may join it, setting it to 1 */
+static void pin(const drift_params *p, ode_loop *L, double *s)
+{
+    while (L->sat + 1 < p->size && may_pin(p, L, L->sat + 1, s[L->sat + 1])) {
+        L->sat++;
+        L->pins++;
+        s[L->sat] = 1.0;
+    }
+}
+
+/* k1 at s, corrected, and its sup-norm; then release every pinned level whose
+ * drift pulls it below 1 */
+static void drift_and_release(const drift_params *p, ode_loop *L, const double *s,
+                              double *k1)
+{
+    L->sup_k1 = ode_drift(p, L->sat, s, k1);
+    while (L->sat > 0 && k1[L->sat] < -L->release_eps) {
+        L->sat--;
+        L->releases++;
+    }
+}
+
+/* The step loop of mean_field.integrate_ode, as its NumPy engine runs it,
+ * from step L->step until step `until` or an early stop.  At step 0 it first
+ * pins the start and takes its drift.  Before each step, with stop_residual
+ * set, it stops on sup|k1| < stop_residual, or when the state, k1, sat, pins
+ * and releases equal those of the step before bit for bit (they are saved
+ * only when sup|k1| repeats, so an ordinary step copies nothing).  A step is
+ * ode_step, then pinning, t += dt, and the drift with its releases.  Returns
+ * the STOP_* code; STOP_NONE means step `until` was reached. */
+int64_t ode_run(const drift_params *p, ode_loop *L, double *s, double *g, double *k,
+                double *raw, int64_t until)
+{
+    const int64_t size = p->size;
+    const size_t row = (size_t)size * sizeof *s;
+    const int early = L->stop_residual > 0.0;
+    if (L->step == 0) {
+        pin(p, L, s);
+        drift_and_release(p, L, s, k);
+    }
+    while (L->step < until) {
+        if (early) {
+            if (L->sup_k1 < L->stop_residual)
+                return STOP_RESIDUAL;
+            if (L->sup_k1 == L->last_sup) {
+                if (L->saved_step == L->step - 1 && L->saved_sat == L->sat &&
+                    L->saved_pins == L->pins && L->saved_releases == L->releases &&
+                    !memcmp(L->saved, s, row) && !memcmp(L->saved + size, k, row))
+                    return STOP_STATIONARY;
+                L->saved_step = L->step;
+                L->saved_sat = L->sat;
+                L->saved_pins = L->pins;
+                L->saved_releases = L->releases;
+                memcpy(L->saved, s, row);
+                memcpy(L->saved + size, k, row);
+            }
+            L->last_sup = L->sup_k1;
+        }
+        L->last_projection = ode_step(p, L->sat, s, g, k, raw);
+        if (L->last_projection > L->max_projection)
+            L->max_projection = L->last_projection;
+        pin(p, L, s);
+        L->t += p->dt;
+        L->step++;
+        drift_and_release(p, L, s, k);
+    }
+    return STOP_NONE;
+}
+
 const int64_t SIZEOF_SIM_PARAMS = sizeof(sim_params);
 const int64_t SIZEOF_SIM_RESULT = sizeof(sim_result);
 const int64_t SIZEOF_DRIFT_PARAMS = sizeof(drift_params);
+const int64_t SIZEOF_ODE_LOOP = sizeof(ode_loop);

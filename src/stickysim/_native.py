@@ -119,6 +119,18 @@ class DriftParams(ctypes.Structure):
     ]
 
 
+class OdeLoop(ctypes.Structure):
+    _fields_ = [
+        ("pin_tol", _F64), ("release_eps", _F64), ("stop_residual", _F64),
+        ("saved", F64P),
+        ("step", _I64), ("sat", _I64), ("pins", _I64), ("releases", _I64),
+        ("saved_step", _I64), ("saved_sat", _I64), ("saved_pins", _I64),
+        ("saved_releases", _I64),
+        ("t", _F64), ("sup_k1", _F64), ("last_sup", _F64),
+        ("max_projection", _F64), ("last_projection", _F64),
+    ]
+
+
 def kernel() -> ctypes.CDLL | None:
     """The loaded kernels (sim_run, ode_drift, ode_step) with signatures set,
     or None.
@@ -147,6 +159,8 @@ def kernel() -> ctypes.CDLL | None:
             lib.ode_drift.restype = _F64
             lib.ode_step.argtypes = [ptr, _I64, ptr, ptr, ptr, ptr]
             lib.ode_step.restype = _F64
+            lib.ode_run.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, _I64]
+            lib.ode_run.restype = _I64
             logger.info("compiled kernel %s loaded from %s", _SOURCE.name, path)
         _loaded.append(lib)
     return _loaded[0]

@@ -673,6 +673,13 @@ def fixed_point(scheme: SchemeConfig, rho: float) -> FlowDistribution:
 # ---------------------------------------------------------------------------
 
 
+# why a run of the step loop returned: the STOP_* codes of ode_run in
+# _kernel.c, each the index of its OdeResult.stop_reason in STOP_REASONS;
+# STOP_NONE means no early stop fired
+STOP_NONE, STOP_RESIDUAL, STOP_STATIONARY = range(3)
+STOP_REASONS = ("t_end", "residual", "stationary")
+
+
 @dataclass(frozen=True)
 class OdeResult:
     """Terminal state of a mean-field integration plus bookkeeping.
@@ -686,9 +693,9 @@ class OdeResult:
     saturated prefix (those pinned at the start included) and `releases` the
     levels freed from it, both up to the stop, so pins - releases is the
     length of the prefix pinned at the end.  `engine` names what ran the
-    float arithmetic of each step (the corrected drift, the RK4 stages and
-    the step end): "kernel" for ode_drift and ode_step in _kernel.c,
-    "python" for NumPy; both give the same result bit for bit."""
+    step loop: "kernel" for ode_run in _kernel.c, one call for the whole
+    integration or one per record stride, "python" for the same loop in
+    Python around NumPy; both give the same result bit for bit."""
 
     t: float
     tail: np.ndarray
@@ -707,20 +714,24 @@ class OdeResult:
 
 @dataclass(frozen=True)
 class _Rk4:
-    """The buffers of a fixed-step RK4 integration of the mean-field ODE and
-    the two calls of a step that run on them, for one engine.
+    """The buffers of a fixed-step RK4 integration of the mean-field ODE,
+    the loop state, and the step loop and the two calls of a step that run
+    on them, for one engine.
 
     `state` and `g` are the current and the stage tail, zero-padded past
     their `size` levels to the width the join rule reads (the padding is never
     written); `k` holds k1..k4 as rows of `size` entries, whose level 0 stays
     0; `raw` is the step end before projection; `q` is the join buffer, one
-    entry shorter than the padded tails.
+    entry shorter than the padded tails.  `loop` (a _native.OdeLoop) is the
+    loop state run carries from call to call: step, t, the pinned prefix
+    0..sat with its pins and releases counts, the last sup|k1|, the largest
+    and the last projection distance, and the stationary stop's saved step,
+    whose state and k1 are the two rows of `saved`.
 
     drift(sat) writes every entry of q with the scheme's join rule at state,
     then k1[i] = lam*q[i-1] - (i*(state[i] - state[i+1]))/beta for
     1 <= i < size, applies the dip-refill correction at the pinned prefix
-    0..sat to k1 and returns sup|k1| (NaN if any entry is NaN); the NumPy
-    engine bound without `residual` skips that reduction and returns NaN.
+    0..sat to k1 and returns sup|k1| (NaN if any entry is NaN).
 
     step(sat) runs the three RK4 stages from state: stage i = 1, 2, 3 writes
     project(state + scale_i*k_i, sat) into g, with scales dt/2, dt/2, dt,
@@ -730,35 +741,47 @@ class _Rk4:
     sat) clips v to [0, 1], sets its levels 0..sat to 1 and takes its running
     minimum.
 
+    run(until) runs the step loop from step loop.step to step `until` or an
+    early stop, and returns the STOP_* code of its return.  At step 0 it
+    first pins the start and takes its drift.  A step is step(sat), pinning,
+    t += dt, then drift(sat) and releases.  Pinning moves each level above
+    the prefix into it, at exactly 1, once it reaches 1 or, below the invite
+    threshold `low`, comes within PIN_TOL of 1; a pinned level is released
+    when its corrected drift falls below -RELEASE_EPS.  With a stop
+    residual, before each step the loop stops on sup|k1| < stop_residual, or
+    when the state, k1, sat, pins and releases equal the previous step's bit
+    for bit.
+
     The correction: `low` is the invite threshold of the pull-family schemes
     and 0 for the schemes that invite nobody.  A pinned level sat
     (0 < sat < low) whose drift is negative has its refill demand -k[sat]
     covered from the arrivals headed for levels sat and up, as far as
     lam*sum(q[sat:size-1]) allows, each of them giving up the same share.
 
-    `engine` is "kernel" when ode_drift and ode_step in _kernel.c run the
-    two and "python" when NumPy does; both give the same result bit for
-    bit, for every scheme.  Pinning, release and the stop rules are the
-    caller's; the caller pins in the invite region below `low`."""
+    `engine` is "kernel" when ode_drift, ode_step and ode_run in _kernel.c
+    run the three and "python" when NumPy and the loop in _bind_ode do; both
+    give the same result bit for bit, for every scheme."""
 
     engine: str
-    low: int
     state: np.ndarray
     g: np.ndarray
     k: np.ndarray
     raw: np.ndarray
     q: np.ndarray
+    saved: np.ndarray
+    loop: object
     drift: Callable[[int], float]
     step: Callable[[int], float]
+    run: Callable[[int], int]
 
 
 def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
-              dt: float, residual: bool = True) -> _Rk4:
-    """The RK4 buffers and step calls of `scheme` at `params` for tails of
-    `size` levels and steps of `dt`, on the compiled kernel when it loads, in
-    NumPy otherwise.  The kernel's arguments are built here, once, so each
-    call is one foreign call.  The kernel's drift returns sup|k1| at no extra
-    cost; NumPy's only with `residual`."""
+              dt: float, stop_residual: float | None = None) -> _Rk4:
+    """The RK4 buffers, loop state and calls of `scheme` at `params` for
+    tails of `size` levels and steps of `dt`, stopping early on
+    `stop_residual` when it is given, on the compiled kernel when it loads,
+    in NumPy otherwise.  The kernel's arguments are built here, once, so
+    each call is one foreign call."""
     # imported here so that importing the package loads no kernel machinery
     import ctypes
 
@@ -774,6 +797,14 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
     k = np.zeros((4, size))
     raw = np.empty(size)
     q = np.empty(width - 1)
+    saved = np.empty((2, size))
+    # a stop residual of 0 turns both early stops off
+    loop = native.OdeLoop(
+        pin_tol=PIN_TOL, release_eps=RELEASE_EPS,
+        stop_residual=0.0 if stop_residual is None else stop_residual,
+        saved=saved.ctypes.data_as(native.F64P), saved_step=-1, last_sup=math.nan,
+    )
+    buffers = (state, g, k, raw, q, saved, loop)
     lib = native.kernel()
     if lib is not None:
         c_params = native.DriftParams(
@@ -784,10 +815,10 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
             q=q.ctypes.data_as(native.F64P),
         )
         # each reference keeps its object alive as long as the closures
-        params_ref = ctypes.byref(c_params)
+        params_ref, loop_ref = ctypes.byref(c_params), ctypes.byref(loop)
         s_at, g_at, k_at, raw_at = (
             a.ctypes.data_as(ctypes.c_void_p) for a in (state, g, k, raw))
-        ode_drift, ode_step = lib.ode_drift, lib.ode_step
+        ode_drift, ode_step, ode_run = lib.ode_drift, lib.ode_step, lib.ode_run
 
         def kernel_drift(sat: int) -> float:
             return ode_drift(params_ref, sat, s_at, k_at)
@@ -795,7 +826,10 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
         def kernel_step(sat: int) -> float:
             return ode_step(params_ref, sat, s_at, g_at, k_at, raw_at)
 
-        return _Rk4("kernel", low, state, g, k, raw, q, kernel_drift, kernel_step)
+        def kernel_run(until: int) -> int:
+            return ode_run(params_ref, loop_ref, s_at, g_at, k_at, raw_at, until)
+
+        return _Rk4("kernel", *buffers, kernel_drift, kernel_step, kernel_run)
 
     s, g_head = state[:size], g[:size]
     # what the balance reads of each padded tail and writes of each k row
@@ -854,7 +888,7 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
     def python_drift(sat: int) -> float:
         balance(at_state, k_tails[0])
         correct(k1, sat)
-        return float(sup(absolute(k1, out=tmp))) if residual else math.nan
+        return float(sup(absolute(k1, out=tmp)))
 
     def python_step(sat: int) -> float:
         # stage states are projected so the join probabilities only ever see
@@ -872,7 +906,68 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
         project(raw, s, sat)
         return float(sup(absolute(subtract(raw, s, out=tmp), out=tmp)))
 
-    return _Rk4("python", low, state, g, k, raw, q, python_drift, python_step)
+    # Saturated-prefix bookkeeping: levels whose tail has reached 1 are pinned
+    # there (they are fast variables slaved to the saturation constraint; the
+    # scheme's saturated-case dynamics only apply when the tail is exactly 1).
+    # A pinned level is released as soon as its drift at the constraint turns
+    # negative, i.e. the sliding mode can no longer hold it.
+    def may_pin(level: int, value: float) -> bool:
+        if value >= 1.0 - 1e-12:
+            return True
+        # slaved dip in the invite region: relaxation to 1 is asymptotic and
+        # arbitrarily stiff, so snap once the remaining distance is negligible
+        return level < low and value >= 1.0 - PIN_TOL
+
+    def pin() -> None:
+        # a level that climbed to 1 joins the pinned prefix; its saturated-case
+        # drift is then evaluated with the tail exactly at 1
+        while loop.sat + 1 < size and may_pin(loop.sat + 1, float(s[loop.sat + 1])):
+            loop.sat += 1
+            loop.pins += 1
+            s[loop.sat] = 1.0
+
+    def drift_and_release() -> None:
+        loop.sup_k1 = python_drift(loop.sat)
+        while loop.sat > 0 and k1[loop.sat] < -RELEASE_EPS:
+            loop.sat -= 1
+            loop.releases += 1
+
+    def python_run(until: int) -> int:
+        if loop.step == 0:
+            pin()
+            drift_and_release()
+        while loop.step < until:
+            if stop_residual is not None:
+                if loop.sup_k1 < stop_residual:
+                    return STOP_RESIDUAL
+                # A step reads nothing but the loop state (s, sat, k1), so
+                # once a step leaves it and the pin counters unchanged bit for
+                # bit, every later step repeats it.  Only a step whose sup|k1|
+                # repeats the previous one is compared with (and saved for)
+                # the next, so an ordinary step copies nothing.
+                if loop.sup_k1 == loop.last_sup:
+                    now = (loop.step, loop.sat, loop.pins, loop.releases)
+                    before = (loop.saved_step + 1, loop.saved_sat, loop.saved_pins,
+                              loop.saved_releases)
+                    if (now == before and saved[0].tobytes() == s.tobytes()
+                            and saved[1].tobytes() == k1.tobytes()):
+                        return STOP_STATIONARY
+                    (loop.saved_step, loop.saved_sat, loop.saved_pins,
+                     loop.saved_releases) = now
+                    saved[0], saved[1] = s, k1
+                loop.last_sup = loop.sup_k1
+            # s + (dt/6) * (k1 + 2 k2 + 2 k3 + k4) from projected stages,
+            # projected
+            loop.last_projection = python_step(loop.sat)
+            if loop.last_projection > loop.max_projection:
+                loop.max_projection = loop.last_projection
+            pin()
+            loop.t += dt
+            loop.step += 1
+            drift_and_release()
+        return STOP_NONE
+
+    return _Rk4("python", *buffers, python_drift, python_step, python_run)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -909,18 +1004,15 @@ def integrate_ode(
     result then equals that of a run to t_end but for t, steps and the
     trajectory.
 
-    The step loop runs here and owns the hybrid system's discrete state:
-    pinning and release, the residual and stationary stop rules and the
-    trajectory.  The float arithmetic of a step runs in one engine (see
-    _Rk4 and _bind_ode), in buffers allocated once per call, as two calls:
-    the drift at the step's start (join rule, arrival/departure balance and
-    dip-refill correction, returning the sup|k1| the stop rule reads) and
-    the step (three projected stages, each with its corrected drift, then
-    the RK4 combination, its projection and the projection distance).  When
-    the compiled kernel (_kernel.c, built on first use) loads, they are one
-    call each of ode_drift and ode_step, for every scheme; otherwise NumPy
-    does the same operations.  Both give the same result bit for bit, and
-    OdeResult.engine names the one that ran.
+    The step loop owns the hybrid system's discrete state: pinning and
+    release and the residual and stationary stop rules (see _Rk4 and
+    _bind_ode); the trajectory is recorded here.  Its buffers are allocated
+    once per call.  When the compiled kernel (_kernel.c, built on first use)
+    loads, one ode_run call runs the whole loop, every step's arithmetic
+    included, or one call per record stride with record_every, for every
+    scheme; otherwise the same loop runs in Python around NumPy.  Both give
+    the same result bit for bit, and OdeResult.engine names the one that
+    ran.
 
     Below the invite threshold the snap-to-constraint window is PIN_TOL wide,
     so configurations whose true stationary tails there fall within PIN_TOL of
@@ -949,110 +1041,46 @@ def integrate_ode(
         _check_positive("record_every", record_every)
 
     size = s0.size
-    ode = _bind_ode(scheme, params, size, dt, residual=stop_residual is not None)
+    ode = _bind_ode(scheme, params, size, dt, stop_residual)
     ode.state[:size] = s0
-    s, k1, step_rk4 = ode.state[:size], ode.k[0], ode.step
-
-    # Saturated-prefix bookkeeping: levels whose tail has reached 1 are pinned
-    # there (they are fast variables slaved to the saturation constraint; the
-    # scheme's saturated-case dynamics only apply when the tail is exactly 1).
-    # A pinned level is released as soon as its drift at the constraint turns
-    # negative, i.e. the sliding mode can no longer hold it.
-    def may_pin(level: int, value: float) -> bool:
-        if value >= 1.0 - 1e-12:
-            return True
-        # slaved dip in the invite region: relaxation to 1 is asymptotic and
-        # arbitrarily stiff, so snap once the remaining distance is negligible
-        if level < ode.low:
-            return value >= 1.0 - PIN_TOL
-        return False
-
-    sat = pins = releases = 0
-
-    def pin() -> None:
-        # a level that climbed to 1 joins the pinned prefix; its saturated-case
-        # drift is then evaluated with the tail exactly at 1
-        nonlocal sat, pins
-        while sat + 1 < size and may_pin(sat + 1, float(s[sat + 1])):
-            sat += 1
-            pins += 1
-            s[sat] = 1.0
-
-    def drift() -> float:
-        """k1 at the current state, corrected, then release the pinned
-        levels it pulls below 1; returns sup|k1| for the stop rule (NaN on
-        the NumPy engine when there is no stop residual to compare)."""
-        nonlocal sat, releases
-        sup_k1 = ode.drift(sat)
-        while sat > 0 and k1[sat] < -RELEASE_EPS:
-            sat -= 1
-            releases += 1
-        return sup_k1
+    s, loop = ode.state[:size], ode.loop
 
     n_steps = max(1, math.ceil(t_end / dt))
-    record_stride = (
-        max(1, round(record_every / dt)) if record_every is not None else None
+    # one run for the whole integration, or one per record stride
+    stride = (
+        max(1, round(record_every / dt)) if record_every is not None else n_steps
     )
     trajectory: list[tuple[float, np.ndarray]] = []
-    max_projection = 0.0
-    last_projection = 0.0
-    stop_reason = "t_end"
-    t = 0.0
-    pin()
-    sup_k1 = drift()
-    # A step reads nothing but the loop state (s, sat, k1), so once a step
-    # leaves it and the pin counters unchanged bit for bit, every later step
-    # repeats it.  Only a step whose sup|k1| repeats the previous one is
-    # compared with (and saved for) the next, so an ordinary step makes no
-    # extra NumPy call.
-    last_sup = math.nan
-    saved: tuple | None = None
-    step = 0
-    while step < n_steps:
-        if stop_residual is not None:
-            if sup_k1 < stop_residual:
-                stop_reason = "residual"
-                break
-            if sup_k1 == last_sup:
-                state = (sat, pins, releases, s.tobytes(), k1.tobytes())
-                if saved == (step - 1, state):
-                    stop_reason = "stationary"
-                    break
-                saved = (step, state)
-            last_sup = sup_k1
-        # s + (dt/6) * (k1 + 2 k2 + 2 k3 + k4) from projected stages, projected
-        last_projection = step_rk4(sat)
-        if last_projection > max_projection:
-            max_projection = last_projection
-        pin()
-        t += dt
-        step += 1
-        if record_stride is not None and step % record_stride == 0:
+    stop = STOP_NONE
+    while loop.step < n_steps:
+        stop = ode.run(min(n_steps, (loop.step // stride + 1) * stride))
+        if stop != STOP_NONE:
+            break
+        if record_every is not None and loop.step % stride == 0:
             frozen = s.copy()
             frozen.flags.writeable = False
-            trajectory.append((t, frozen))
-        sup_k1 = drift()
+            trajectory.append((loop.t, frozen))
 
     # large repairs during a saturation transient are the hybrid dynamics
     # sliding along the constraint set, so only a repair that persists at the
     # terminal step marks a numerically untrustworthy run
-    if last_projection > PROJECTION_TOL:
+    if loop.last_projection > PROJECTION_TOL:
         raise NumericalError(
-            f"projection distance {last_projection:g} at the terminal step "
+            f"projection distance {loop.last_projection:g} at the terminal step "
             f"exceeds {PROJECTION_TOL:g}; reduce dt"
         )
 
     tail = s.copy()
     tail.flags.writeable = False
     return OdeResult(
-        t=t,
+        t=loop.t,
         tail=tail,
-        residual=float(np.absolute(k1).max()),
-        max_projection=max_projection,
-        steps=step,
+        residual=float(np.absolute(ode.k[0]).max()),
+        max_projection=loop.max_projection,
+        steps=loop.step,
         trajectory=tuple(trajectory),
-        stop_reason=stop_reason,
-        pins=pins,
-        releases=releases,
+        stop_reason=STOP_REASONS[stop],
+        pins=loop.pins,
+        releases=loop.releases,
         engine=ode.engine,
     )

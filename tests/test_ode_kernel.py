@@ -1,20 +1,23 @@
 """The compiled mean-field RK4 kernels against their NumPy reference.
 
-integrate_ode makes two calls per step when the kernel loads: ode_drift in
-_kernel.c evaluates the drift at the step's start (join rule, arrival and
-departure balance, dip-refill correction) and returns its sup-norm, and
-ode_step runs the three RK4 stages (projected stage state plus the corrected
-drift there) and the step end (RK4 combination, projection, projection
-distance).  The NumPy code in mean_field is the readable oracle and the
-fallback.  Both do the same double operations in the same order, so q, every
-k, the stage and step-end states, the returned norms and every ODE output
-must agree bit for bit.
+When the kernel loads, integrate_ode makes one call of ode_run in _kernel.c
+for the whole integration, or one per record stride: it runs the step loop
+(pinning, release, the residual and stationary stop rules) around the two
+calls of a step.  ode_drift evaluates the drift at the step's start (join
+rule, arrival and departure balance, dip-refill correction) and returns its
+sup-norm, and ode_step runs the three RK4 stages (projected stage state plus
+the corrected drift there) and the step end (RK4 combination, projection,
+projection distance).  The NumPy code and the Python loop in mean_field are
+the readable oracle and the fallback.  Both do the same double operations in
+the same order, so q, every k, the stage and step-end states, the returned
+norms and every ODE output must agree bit for bit.
 """
 
 import ctypes
 import hashlib
 import logging
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -36,7 +39,9 @@ from test_mean_field import (
     ODE_PINNED,
     ODE_RUNS,
     ODE_STOPS,
+    STALL,
     _empty,
+    _load,
     _run_ode,
     _trajectory_digest,
 )
@@ -46,6 +51,7 @@ STRUCT_SIZES = {
     "SIZEOF_SIM_PARAMS": _native.SimParams,
     "SIZEOF_SIM_RESULT": _native.SimResult,
     "SIZEOF_DRIFT_PARAMS": _native.DriftParams,
+    "SIZEOF_ODE_LOOP": _native.OdeLoop,
 }
 
 
@@ -121,8 +127,9 @@ def _tails(rng, size, ones, lo, hi, count=150):
 
 def _bound_case(monkeypatch, case, size, *salt, count=150):
     """The RK4 pieces of DRIFT_CASES[case] at `size` levels bound on the
-    kernel and on NumPy, a generator seeded by the case, size and salt, and
-    the case's tails drawn from it."""
+    kernel and on NumPy, a generator seeded by the case's name, size and
+    salt, and the case's tails drawn from it.  The name's CRC-32 seeds it, so
+    a new case draws no other case's tails anew."""
     scheme, rho, ones, (lo, hi) = DRIFT_CASES[case]
     params = SystemParams(n=100, lam=rho / 1.5, beta=1.5, nu=1.0, mu=100.0)
     on_kernel = mf._bind_ode(scheme, params, size, DT)
@@ -130,7 +137,7 @@ def _bound_case(monkeypatch, case, size, *salt, count=150):
     _no_kernel(monkeypatch)
     on_python = mf._bind_ode(scheme, params, size, DT)
     assert on_python.engine == "python"
-    rng = np.random.default_rng([sorted(DRIFT_CASES).index(case), size, *salt])
+    rng = np.random.default_rng([zlib.crc32(case.encode()), size, *salt])
     tails = _tails(rng, size, min(ones, size - 2), lo, hi, count)
     return (on_kernel, on_python), rng, tails
 
@@ -409,19 +416,116 @@ def _benchmark_starts():
     return starts
 
 
-@pytest.mark.parametrize("name", sorted(_benchmark_starts()))
-def test_wide_runs_match_under_both_engines(kernel, monkeypatch, name):
-    scheme, s0 = _benchmark_starts()[name]
-    params = SystemParams(n=100, lam=100.0, beta=1.5, nu=100.0, mu=20000.0)
+def _under_both_engines(monkeypatch, run):
+    """run() on the kernel, then on NumPy and the Python loop."""
     outs = []
     for engine in ("kernel", "python"):
         if engine == "python":
             _no_kernel(monkeypatch)
-        out = mf.integrate_ode(scheme, params, s0.copy(), t_end=0.6,
-                               stop_residual=1e-9, record_every=0.15)
+        out = run()
         assert out.engine == engine
-        outs.append(_pinned(out) + (out.stop_reason, out.pins, out.releases))
-    assert outs[0] == outs[1]
+        outs.append(out)
+    return outs
+
+
+def _outcome(out):
+    """What integrate_ode returns, but for the trajectory."""
+    return _pinned(out)[:5] + (out.stop_reason, out.pins, out.releases)
+
+
+def _same_run(ours, theirs):
+    assert _outcome(ours) == _outcome(theirs)
+    assert (_trajectory_digest(ours.trajectory)
+            == _trajectory_digest(theirs.trajectory))
+
+
+# how each of criterion 2's runs stops at stop_residual = 1e-9
+BENCHMARK_STOPS = {
+    "least-loaded@empty": ("stationary", 33170),
+    "least-loaded@two-point": ("residual", 13309),
+    "pull@two-point": ("residual", 13266),
+    "random@two-point": ("residual", 12434),
+    "transfer-invite@two-point": ("residual", 13266),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_benchmark_starts()))
+def test_wide_runs_match_under_both_engines(kernel, monkeypatch, name):
+    # the whole runs of criterion 2, each to where it stops by itself, with
+    # a frame every 100 steps
+    scheme, s0 = _benchmark_starts()[name]
+    params = SystemParams(n=100, lam=100.0, beta=1.5, nu=100.0, mu=20000.0)
+    on_kernel, on_python = _under_both_engines(monkeypatch, lambda: mf.integrate_ode(
+        scheme, params, s0.copy(), t_end=90.0, stop_residual=1e-9,
+        record_every=0.15))
+    _same_run(on_kernel, on_python)
+    assert (on_kernel.stop_reason, on_kernel.steps) == BENCHMARK_STOPS[name]
+    assert len(on_kernel.trajectory) == on_kernel.steps // 100
+
+
+def test_compiled_loop_matches_python_on_the_stall(kernel, monkeypatch):
+    # the stationary stop, whose saved step and stopping step straddle the
+    # end of a call when the record stride lands on the stop: the saved copy
+    # carries over, and the stop's own step is recorded once
+    scheme, params = STALL
+    whole = mf.integrate_ode(scheme, params, _empty(100), t_end=60.0,
+                             stop_residual=1e-9)
+    assert (whole.stop_reason, whole.steps) == ("stationary", 32227)
+    on_kernel, on_python = _under_both_engines(monkeypatch, lambda: mf.integrate_ode(
+        scheme, params, _empty(100), t_end=60.0, stop_residual=1e-9,
+        record_every=whole.t))
+    _same_run(on_kernel, on_python)
+    assert _outcome(on_kernel) == _outcome(whole)
+    [(t, frame)] = on_kernel.trajectory
+    assert t == whole.t and frame.tobytes() == whole.tail.tobytes()
+
+
+@pytest.mark.parametrize("engine", ["kernel", "python"])
+def test_terminal_projection_error_under_both_engines(kernel, monkeypatch, engine):
+    if engine == "python":
+        _no_kernel(monkeypatch)
+    with pytest.raises(mf.NumericalError) as err:
+        mf.integrate_ode(TransferToInvite(3, 5), _load(7.0), _empty(16), 2.0)
+    assert str(err.value) == ("projection distance 0.0012219 at the terminal step "
+                              "exceeds 1e-06; reduce dt")
+
+
+@pytest.mark.parametrize("stride", [1, 7, None])
+def test_record_strides_split_the_loop_without_changing_it(kernel, monkeypatch,
+                                                           stride):
+    # pull-dip-absorbs pins and releases over 334 steps: a frame after every
+    # step, every 7th step (7 does not divide 334, so the last call ends
+    # between frames), or none; each stride gives the unrecorded run's
+    # result, and its frames are every stride-th frame of stride 1
+    scheme, rho, s0, t_end, _ = ODE_RUNS["pull-dip-absorbs"]
+
+    def run(step):
+        every = None if step is None else step * DT
+        return mf.integrate_ode(scheme, _load(rho), s0.copy(), t_end,
+                                record_every=every)
+
+    on_kernel, on_python = _under_both_engines(monkeypatch, lambda: run(stride))
+    _same_run(on_kernel, on_python)
+    assert _pinned(on_kernel)[:5] == ODE_PINNED["pull-dip-absorbs"][:5]
+    every_step = run(1).trajectory
+    assert len(every_step) == on_kernel.steps == 334
+    picked = every_step[stride - 1 :: stride] if stride else ()
+    assert _trajectory_digest(on_kernel.trajectory) == _trajectory_digest(picked)
+
+
+def test_a_stop_on_a_record_step_records_it_once(kernel, monkeypatch):
+    # power-of-1 stops on its residual at step 8408 = 8 * 1051: the call to
+    # step 8408 returns, its frame is recorded, and the next call stops
+    # before any step
+    scheme, rho, s0, t_end, kwargs = ODE_RUNS["power-of-1"]
+    on_kernel, on_python = _under_both_engines(monkeypatch, lambda: mf.integrate_ode(
+        scheme, _load(rho), s0.copy(), t_end, record_every=1051 * DT, **kwargs))
+    _same_run(on_kernel, on_python)
+    assert _pinned(on_kernel)[:5] == ODE_PINNED["power-of-1"][:5]
+    assert (on_kernel.stop_reason, on_kernel.steps) == ("residual", 8408)
+    assert len(on_kernel.trajectory) == 8
+    t, frame = on_kernel.trajectory[-1]
+    assert t == on_kernel.t and frame.tobytes() == on_kernel.tail.tobytes()
 
 
 def test_no_compiler_falls_back_to_python_drift(kernel, monkeypatch, tmp_path,
