@@ -1,13 +1,15 @@
 /*
  * Compiled loops of stickysim: sim_run, the event loop of flow_sim.run_flow_sim
- * and bin_sim.run_bin_sim, and the float arithmetic of a
- * mean_field.integrate_ode RK4 step: ode_drift, the mean-field drift (join
- * rule plus arrival/departure balance) at the step's start, with the
- * dip-refill correction applied and its sup-norm returned for the stop rule;
- * ode_step, the three RK4 stages (projected stage state, then the corrected
- * drift there) and the step end (RK4 combination, projection, projection
- * distance).  The step loop, pinning and release and the stop rules stay in
- * Python, so a step is two foreign calls.
+ * and bin_sim.run_bin_sim, and ode_run, the step loop of
+ * mean_field.integrate_ode.  ode_run owns the hybrid system's discrete state
+ * (pinning and release of the saturated prefix, the residual and stationary
+ * stop rules) in an ode_loop carried from call to call, so an integration is
+ * one foreign call, or one per record stride.  Each step is ode_drift, the
+ * mean-field drift (join rule plus arrival/departure balance) at the step's
+ * start, with the dip-refill correction applied and its sup-norm returned for
+ * the stop rule, and ode_step, the three RK4 stages (projected stage state,
+ * then the corrected drift there) and the step end (RK4 combination,
+ * projection, projection distance).
  *
  * sim_run is a line-for-line port of its Python reference (flow_sim._run_py):
  * same draw order, same double arithmetic, same swap-remove/append order in
@@ -32,7 +34,8 @@
  * numpy's clip, np.minimum.accumulate and np.maximum.reduce down to NaN and
  * -0.0, and numpy's pairwise sum for the correction's one reduction), with
  * the same double operations in the same order, so every RK4 step agrees bit
- * for bit.
+ * for bit; ode_run is a port of the Python step loop there, down to t
+ * accumulated one dt at a time, so whole integrations agree too.
  *
  * The SIZEOF_* constants export the size of every struct shared with
  * _native.py, so a test can compare each with its ctypes mirror.

@@ -2,15 +2,18 @@
 
 The event loop of both simulators (sim_run, which makes its uniforms with
 its own copy of numpy's Philox from the key in SimParams) and the mean-field
-RK4 kernels (ode_drift, the corrected drift at a step's start and its
-sup-norm; ode_step, the three stages with their corrections and the step
-end; both read one DriftParams bound per integration, whose rule code is one
-of mean_field's RULE_* and covers every mean-field scheme) live in one C99
-source file shipped next to this module, _kernel.c.  On first use it is
-compiled with the host C compiler into a per-user cache directory
-(``$XDG_CACHE_HOME/stickysim``, else ``~/.cache/stickysim``), under a name
-keyed by the SHA-256 of the source and the compile flags, and loaded with
-ctypes.  Nothing here runs at package import.
+RK4 kernels live in one C99 source file shipped next to this module,
+_kernel.c.  ode_run runs an integration's whole step loop (pinning, release,
+the residual and stationary stop rules) in one call, carrying its state in
+an OdeLoop from call to call; each step is ode_drift, the corrected drift at
+the step's start and its sup-norm, and ode_step, the three stages with
+their corrections and the step end.  All three read one DriftParams bound
+per integration, whose rule code is one of mean_field's RULE_* and covers
+every mean-field scheme.  On first use the file is compiled with the host
+C compiler into a per-user cache directory (``$XDG_CACHE_HOME/stickysim``,
+else ``~/.cache/stickysim``), under a name keyed by the SHA-256 of the
+source and the compile flags, and loaded with ctypes.  Nothing here runs at
+package import.
 
 When no compiler is found, or the build or the load fails (a compiler
 without ``unsigned __int128``, which Philox's products need, fails the
@@ -132,8 +135,8 @@ class OdeLoop(ctypes.Structure):
 
 
 def kernel() -> ctypes.CDLL | None:
-    """The loaded kernels (sim_run, ode_drift, ode_step) with signatures set,
-    or None.
+    """The loaded kernels (sim_run, and ode_run with the ode_drift and
+    ode_step it calls) with signatures set, or None.
 
     None of them calls back into Python, so each runs with the GIL released
     for the whole call.  Built and loaded on the first call; the outcome is

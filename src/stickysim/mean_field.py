@@ -742,9 +742,9 @@ class _Rk4:
     minimum.
 
     run(until) runs the step loop from step loop.step to step `until` or an
-    early stop, and returns the STOP_* code of its return.  At step 0 it
-    first pins the start and takes its drift.  A step is step(sat), pinning,
-    t += dt, then drift(sat) and releases.  Pinning moves each level above
+    early stop, and returns the STOP_* code that says which it was.  At step
+    0 it first pins the start and takes its drift.  A step is step(sat),
+    pinning, t += dt, then drift(sat) and releases.  Pinning moves each level above
     the prefix into it, at exactly 1, once it reaches 1 or, below the invite
     threshold `low`, comes within PIN_TOL of 1; a pinned level is released
     when its corrected drift falls below -RELEASE_EPS.  With a stop
