@@ -38,7 +38,8 @@
  * accumulated one dt at a time, so whole integrations agree too.
  *
  * The SIZEOF_* constants export the size of every struct shared with
- * _native.py, so a test can compare each with its ctypes mirror.
+ * _native.py, and MODE_CODES, RULE_CODES, STOP_CODES and NO_CAP the codes
+ * the Python modules copy, so a test can compare each with its mirror.
  */
 
 #include <math.h>
@@ -1066,3 +1067,12 @@ const int64_t SIZEOF_SIM_PARAMS = sizeof(sim_params);
 const int64_t SIZEOF_SIM_RESULT = sizeof(sim_result);
 const int64_t SIZEOF_DRIFT_PARAMS = sizeof(drift_params);
 const int64_t SIZEOF_ODE_LOOP = sizeof(ode_loop);
+
+/* each enum in declaration order, and the `high` that means no threshold */
+const int64_t MODE_CODES[] = {MODE_D1, MODE_D_CHOICES, MODE_LEAST, MODE_PULL,
+                              MODE_SHED, MODE_XFER_INVITE, MODE_XFER_LEAST,
+                              MODE_BIN};
+const int64_t RULE_CODES[] = {RULE_POWER, RULE_PULL, RULE_SHEDDING, RULE_INVITE,
+                              RULE_LEAST};
+const int64_t STOP_CODES[] = {STOP_NONE, STOP_RESIDUAL, STOP_STATIONARY};
+const int64_t NO_CAP = INT64_MAX;

@@ -15,16 +15,17 @@ per-flow state.
 
 The bin scheme is one mode (_BIN) of flow_sim's single event loop: the pull
 rule's invite and below-high lists plus the flow -> bin -> server lookup and
-the bin moves.  Both engines of that loop run it, the compiled kernel
-(sim_run in _kernel.c, built on first use by _native) that run_bin_sim
-dispatches to, and the pure-Python reference flow_sim._run_py, which is the
-readable oracle, the fallback when no C compiler is available, and the only
-engine that can re-check the bin table after every event
-(_run_bin_sim_py(config, validate_table=True)).  Both give bit-identical
-statistics.  This module holds what the reference loop reaches for in bin
-mode: BinTable, whose move keeps the kernel's list order, _hash_block, and
-_move_destination, whose branches sim_run follows.  Bin hashes come from a
-deterministic integer mixer, not from the random stream.
+the bin moves.  run_bin_sim enters that loop through flow_sim._run like
+every other scheme, so it runs on the compiled kernel (sim_run in _kernel.c,
+built on first use by _native) when one loads and on the pure-Python
+reference flow_sim._run_py otherwise.  The reference loop is the readable
+oracle and the only engine that can re-check the bin table after every
+event (flow_sim._run_py(config, validate_table=True)).  Both give
+bit-identical statistics.  This module holds what the reference loop
+reaches for in bin mode: BinTable, whose move keeps the kernel's list
+order, _hash_block, and _move_destination, whose branches sim_run follows.
+Bin hashes come from a deterministic integer mixer, not from the random
+stream.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BinBased
-from .flow_sim import _BIN, SimConfig, SimStats, _run_py, _simulate, _SwapList
+from .flow_sim import SimConfig, SimStats, _run, _SwapList
 
 __all__ = [
     "BinTable",
@@ -259,24 +260,7 @@ def run_bin_sim(config: SimConfig) -> BinSimStats:
             scheme.bins,
             config.params.n,
         )
-    return _bin_stats(_simulate(config, **_bin_mode(config)))
-
-
-def _run_bin_sim_py(config: SimConfig, validate_table: bool = False) -> BinSimStats:
-    """run_bin_sim on the pure-Python reference loop.
-
-    validate_table re-checks the bin-table bijection after every event; meant
-    for small test runs, far too slow for production sizes.
-    """
-    return _bin_stats(_run_py(config, **_bin_mode(config),
-                              validate_table=validate_table))
-
-
-def _bin_mode(config: SimConfig) -> dict:
-    """The event loop's arguments for a bin-scheme config."""
-    scheme = config.scheme
-    return {"mode": _BIN, "low": scheme.low, "high": scheme.high,
-            "bins": scheme.bins, "drain": int(config.drain_to_threshold)}
+    return _bin_stats(_run(config))
 
 
 def _bin_stats(out: dict) -> BinSimStats:

@@ -17,17 +17,18 @@ its own copy of the generator.
 
 The loop exists twice, once per engine, and each engine has one loop for
 every scheme, the bin scheme of bin_sim included (mode _BIN): a compiled C
-kernel (sim_run in _kernel.c, built on first use by _native) that
-run_flow_sim and run_bin_sim dispatch to, and the pure-Python reference
-_run_py, which is the readable oracle and the fallback when no C compiler
-is available.  Both give bit-identical statistics.  The reference loop runs
-on the Python twins of the kernel's helpers: RngStream.uniform for draws,
-_SwapList and _threshold_lists for the invite, below-high and
-per-occupancy server lists, and _Window for the measurement window, which
-closes through _window_stats like the kernel.  Each scheme's placement rule
-is written once per engine, as a mode branch of the loop (see _scheme_mode);
-the kernel differential tests tie the two together draw for draw, and the
-run tests tie both to mean_field's laws.
+kernel (sim_run in _kernel.c, built on first use by _native) and the
+pure-Python reference _run_py, which is the readable oracle.  run_flow_sim
+and run_bin_sim both enter through _run, which takes the kernel when
+_native.kernel() loads one and the reference loop otherwise; both give
+bit-identical statistics.  The reference loop runs on the Python twins of
+the kernel's helpers: RngStream.uniform for draws, _SwapList and
+_threshold_lists for the invite, below-high and per-occupancy server lists,
+and _Window for the measurement window, which closes through _window_stats
+like the kernel.  Each scheme's placement rule is written once per engine,
+as a mode branch of the loop, and _loop_args is the one dispatch from a
+config to its mode; the kernel differential tests tie the two engines
+together draw for draw, and the run tests tie both to mean_field's laws.
 """
 
 from __future__ import annotations
@@ -195,24 +196,27 @@ class SimStats:
 _D1, _D_CHOICES, _LEAST, _PULL, _SHED, _XFER_INVITE, _XFER_LEAST, _BIN = range(8)
 
 
-def _scheme_mode(scheme: SchemeConfig, n: int) -> tuple[int, int, int, int]:
-    """(mode, low, high, d) of a flow-level scheme; high may be math.inf."""
+def _loop_args(config: SimConfig) -> tuple[int, int, int | float, int, int, int]:
+    """The event loop's (mode, low, high, d, bins, drain) for config's
+    scheme, the bin scheme included; high may be math.inf."""
+    scheme = config.scheme
     if isinstance(scheme, BinBased):
-        raise TypeError("BinBased configs are simulated by run_bin_sim")
+        return (_BIN, scheme.low, scheme.high, 0, scheme.bins,
+                int(config.drain_to_threshold))
     if isinstance(scheme, PowerOfD):
         d = scheme.d
         # sampling all servers is exact least-loaded
-        mode = _D1 if d == 1 else _D_CHOICES if d < n else _LEAST
-        return mode, 0, 0, d
+        mode = _D1 if d == 1 else _D_CHOICES if d < config.params.n else _LEAST
+        return mode, 0, 0, d, 0, 0
     if isinstance(scheme, PullBased):
-        return _PULL, scheme.low, scheme.high, 0
+        return _PULL, scheme.low, scheme.high, 0, 0, 0
     if isinstance(scheme, Shedding):
-        return _SHED, 0, scheme.high, 0
+        return _SHED, 0, scheme.high, 0, 0, 0
     if isinstance(scheme, TransferToInvite):
-        return _XFER_INVITE, scheme.low, scheme.high, 0
+        return _XFER_INVITE, scheme.low, scheme.high, 0, 0, 0
     if isinstance(scheme, TransferToLeastLoaded):
-        return _XFER_LEAST, 0, scheme.high, 0
-    raise TypeError(f"no flow-level simulation for {scheme!r}")
+        return _XFER_LEAST, 0, scheme.high, 0, 0, 0
+    raise TypeError(f"no simulation for {scheme!r}")
 
 
 def _window_stats(
@@ -271,43 +275,36 @@ def run_flow_sim(config: SimConfig) -> SimStats:
     falls back to the pure-Python reference loop, with one logged warning,
     when the kernel cannot be built or loaded; both give identical results.
     """
-    return _flow_stats(_simulate(config, *_scheme_mode(config.scheme,
-                                                       config.params.n)))
-
-
-def _flow_stats(out: dict) -> SimStats:
-    """SimStats of one event-loop run of a flow-level mode."""
+    if isinstance(config.scheme, BinBased):
+        raise TypeError("BinBased configs are simulated by run_bin_sim")
+    out = _run(config)
     del out["reallocations"], out["skipped"]
     return SimStats(**out)
 
 
-def _simulate(config: SimConfig, mode: int, low: int, high: int | float,
-              d: int = 0, bins: int = 0, drain: int = 0) -> dict:
+def _run(config: SimConfig) -> dict:
     """One event-loop run: the compiled kernel, else the reference loop."""
     # imported here so that importing the package loads no kernel machinery
     from . import _native
 
     lib = _native.kernel()
-    if lib is None:
-        return _run_py(config, mode, low, high, d, bins, drain)
-    return _run_kernel(lib, config, mode, low, high, d, bins, drain)
+    return _run_py(config) if lib is None else _run_kernel(lib, config)
 
 
-def _run_kernel(lib, config: SimConfig, mode: int, low: int, high: int | float,
-                d: int, bins: int, drain: int) -> dict:
+def _run_kernel(lib, config: SimConfig) -> dict:
     """Run the compiled event loop sim_run on config's draws; close its window.
 
-    sim_run reads config's system and window, the mode and thresholds, plus
-    the mode-specific fields: d for d-choices, bins and drain for bin mode.
-    It draws from its own copy of the Philox stream of the reference loop,
-    keyed by the key numpy derives from config.seed.  Returns what _run_py
-    returns: the counters under SimResult's names and the SimStats array
-    fields from _window_stats.
+    sim_run reads config's system and window and the loop arguments
+    _loop_args gives its scheme.  It draws from its own copy of the Philox
+    stream of the reference loop, keyed by the key numpy derives from
+    config.seed.  Returns what _run_py returns: the counters under
+    SimResult's names and the SimStats array fields from _window_stats.
     """
     from . import _native as native
 
     params = config.params
     n = params.n
+    mode, low, high, d, bins, drain = _loop_args(config)
     t_start = float(config.warmup)
     t_stop = t_start + float(config.horizon)
     p = native.SimParams(
@@ -450,28 +447,22 @@ class _Window:
                              self.prev_t, self.series)
 
 
-def _run_flow_sim_py(config: SimConfig) -> SimStats:
-    """run_flow_sim on the pure-Python reference loop."""
-    return _flow_stats(_run_py(config, *_scheme_mode(config.scheme,
-                                                     config.params.n)))
+def _run_py(config: SimConfig, validate_table: bool = False) -> dict:
+    """Pure-Python reference event loop of every scheme, sim_run's twin.
 
-
-def _run_py(config: SimConfig, mode: int, low: int, high: int | float,
-            d: int = 0, bins: int = 0, drain: int = 0,
-            validate_table: bool = False) -> dict:
-    """Pure-Python reference event loop of every mode, sim_run's twin.
-
-    The readable oracle the compiled kernel is tested against, and the
-    fallback when no kernel can be built.  Returns the counters under
-    SimResult's names (violations, total_flows, reallocations, skipped) and
-    the SimStats array fields from _window_stats.  Mode _BIN runs the bin
-    scheme on `bins` bins; it reaches bin_sim's BinTable, _hash_block and
-    _move_destination through that module.  validate_table (bin mode only)
-    re-checks the bin-table bijection after every event; meant for small
-    test runs, far too slow for production sizes.
+    The readable oracle the compiled kernel is tested against, and what _run
+    takes whenever _native.kernel() reports no kernel.  Returns the counters
+    under SimResult's names (violations, total_flows, reallocations,
+    skipped) and the SimStats array fields from _window_stats.  A bin config
+    (mode _BIN) reaches bin_sim's BinTable, _hash_block and
+    _move_destination through that module.  validate_table (bin configs
+    only, set by calling this directly) re-checks the bin-table bijection
+    after every event; meant for small test runs, far too slow for
+    production sizes.
     """
     params = config.params
     n = params.n
+    mode, low, high, d, bins, drain = _loop_args(config)
     lam_total = params.lam * n
     need_invites = mode in (_PULL, _XFER_INVITE, _BIN)
     need_levels = mode in (_LEAST, _XFER_LEAST)

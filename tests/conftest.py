@@ -1,5 +1,6 @@
-"""Shared fixtures: the reference parameter set and a reduced twin, and the
-compiled-kernel gate and loader isolation the kernel tests share.
+"""Shared fixtures: the reference parameter set and a reduced twin, the
+compiled-kernel gate, loader isolation and the reference-engine switch the
+kernel tests share, and the hypothesis profile of every property test.
 
 The reference configuration (500 servers, offered load 150 per server,
 processing capacity 200 flows per server) is what the acceptance suite
@@ -12,9 +13,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stickysim import _native
 from stickysim.core import SystemParams
+
+# every property test draws the same examples on every run, with no per
+# example time limit; each test sets its own max_examples
+settings.register_profile("stickysim", derandomize=True, deadline=None)
+settings.load_profile("stickysim")
 
 # verdict lines collected by the acceptance tests; echoed after the run
 # summary so they are visible without -s
@@ -37,6 +44,31 @@ def stats_sha256(stats) -> str:
             part = f"{field.name}:{type(x).__name__}:{x!r}".encode()
         h.update(part + b";")
     return h.hexdigest()
+
+
+def assert_same_stats(a, b) -> None:
+    """Assert that two stats dataclasses agree in every field, bit for bit."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape, field.name
+            assert x.tobytes() == y.tobytes(), field.name
+        else:
+            assert type(x) is type(y) and x == y, field.name
+
+
+def without_kernel(call, *args, **kwargs):
+    """call(*args, **kwargs) with the kernel loader reporting no kernel.
+
+    Every engine then takes its pure-Python reference path, as it does when
+    no kernel can be built; the loader's outcome is restored afterwards.
+    """
+    saved = _native._loaded
+    _native._loaded = [None]
+    try:
+        return call(*args, **kwargs)
+    finally:
+        _native._loaded = saved
 
 
 def isolate_loader(monkeypatch, tmp_path, compiler):

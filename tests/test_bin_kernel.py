@@ -1,24 +1,24 @@
 """The compiled bin-event kernel against the pure-Python reference loop.
 
-run_bin_sim runs sim_run in _kernel.c through ctypes; _run_bin_sim_py runs
+run_bin_sim runs sim_run in _kernel.c through ctypes when the kernel loads;
+under conftest.without_kernel the loader reports none and the same call runs
 the readable oracle, flow_sim._run_py, in bin mode.  Both consume the same
 Philox uniforms in the same order, hash flows to bins with the same
 splitmix64 mixer and keep every list in the same swap-remove/append order,
 so every BinSimStats field must agree bit for bit.
 """
 
-import dataclasses
+import functools
 import logging
 import math
 
-import numpy as np
 import pytest
 
-from conftest import isolate_loader, stats_sha256
+from conftest import assert_same_stats, isolate_loader, stats_sha256, without_kernel
 from stickysim import _native
-from stickysim.bin_sim import BinSimStats, _run_bin_sim_py, run_bin_sim
+from stickysim.bin_sim import _bin_stats, run_bin_sim
 from stickysim.core import BinBased, SystemParams
-from stickysim.flow_sim import SimConfig
+from stickysim.flow_sim import SimConfig, _run_py
 
 # rho = 30 at n = 50: ~75k events, several draw-block refills per run
 MID = SystemParams(n=50, lam=30.0, beta=1.0, nu=1.0, mu=200.0)
@@ -86,20 +86,10 @@ def _config(params, scheme, drain, tracked, seed=7, warmup=5.0, horizon=20.0):
                      drain_to_threshold=drain)
 
 
-def assert_same_stats(a: BinSimStats, b: BinSimStats) -> None:
-    for field in dataclasses.fields(BinSimStats):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
-            assert x.shape == y.shape, field.name
-            assert x.tobytes() == y.tobytes(), field.name
-        else:
-            assert type(x) is type(y) and x == y, field.name
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_kernel_matches_reference(kernel, case):
     cfg = _config(*CASES[case])
-    stats, ref = run_bin_sim(cfg), _run_bin_sim_py(cfg)
+    stats, ref = run_bin_sim(cfg), without_kernel(run_bin_sim, cfg)
     assert_same_stats(stats, ref)
     assert stats_sha256(stats) == stats_sha256(ref) == PINNED[case]
     # a triggered server always holds a bin to give up: only n = 1 skips
@@ -114,7 +104,7 @@ def test_kernel_matches_reference_on_the_self_move_config(kernel):
                   horizon=50.0)
     stats = run_bin_sim(cfg)
     assert stats.reallocations > 0
-    assert_same_stats(stats, _run_bin_sim_py(cfg))
+    assert_same_stats(stats, without_kernel(run_bin_sim, cfg))
 
 
 def test_single_server_kernel_skips_every_move(kernel):
@@ -130,7 +120,7 @@ def test_kernel_matches_reference_through_histogram_growth_by_moves(kernel):
     stats = run_bin_sim(cfg)
     assert stats.reallocations >= 1
     assert stats.occupancy_hist.size > 1024
-    assert_same_stats(stats, _run_bin_sim_py(cfg))
+    assert_same_stats(stats, without_kernel(run_bin_sim, cfg))
 
 
 def test_kernel_matches_reference_through_multi_doubling_histogram_growth(kernel):
@@ -138,7 +128,7 @@ def test_kernel_matches_reference_through_multi_doubling_histogram_growth(kernel
                   horizon=0.5)
     stats = run_bin_sim(cfg)
     assert stats.occupancy_hist.size > 2048
-    assert_same_stats(stats, _run_bin_sim_py(cfg))
+    assert_same_stats(stats, without_kernel(run_bin_sim, cfg))
 
 
 def test_kernel_matches_reference_past_a_hash_block_and_draw_refills(kernel):
@@ -147,18 +137,18 @@ def test_kernel_matches_reference_past_a_hash_block_and_draw_refills(kernel):
     cfg = _config(MID, BinBased(10 * N, 25, 33), True, 0, horizon=60.0)
     stats = run_bin_sim(cfg)
     assert stats.total_flows > 1 << 16
-    assert_same_stats(stats, _run_bin_sim_py(cfg))
+    assert_same_stats(stats, without_kernel(run_bin_sim, cfg))
 
 
 def test_validate_table_runs_the_reference_with_the_same_result(kernel):
     cfg = _config(SMALL, BinBased(40, 3, 6), True, 0)
-    assert_same_stats(_run_bin_sim_py(cfg, validate_table=True), run_bin_sim(cfg))
+    assert_same_stats(_bin_stats(_run_py(cfg, validate_table=True)), run_bin_sim(cfg))
 
 
 def test_kernel_matches_reference_when_window_is_empty(kernel):
     cfg = SimConfig(params=SMALL, scheme=BinBased(40, 3, 6), warmup=1000.0,
                     horizon=1e-9)
-    for engine in (run_bin_sim, _run_bin_sim_py):
+    for engine in (run_bin_sim, functools.partial(without_kernel, run_bin_sim)):
         with pytest.raises(ValueError, match="measurement window"):
             engine(cfg)
 

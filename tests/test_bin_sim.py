@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import without_kernel
 from stickysim import bin_sim
 from stickysim.bin_sim import (
     BinSimStats,
     BinTable,
+    _bin_stats,
     _hash_block,
     _move_destination,
     hash_flow_to_bin,
     run_bin_sim,
 )
 from stickysim.core import BinBased, PullBased, SystemParams, total_variation
-from stickysim.flow_sim import SimConfig
+from stickysim.flow_sim import SimConfig, _run_py
 from stickysim.mean_field import shedding_fixed_point
 
 
@@ -135,7 +137,7 @@ def test_run_rejects_flow_level_scheme(bin_params):
 def test_run_with_table_validation(bin_params):
     cfg = SimConfig(params=bin_params, scheme=BinBased(bins=60, low=2, high=5),
                     seed=8, warmup=2.0, horizon=10.0)
-    stats = bin_sim._run_bin_sim_py(cfg, validate_table=True)
+    stats = _bin_stats(_run_py(cfg, validate_table=True))
     assert stats.occupancy_hist.sum() == pytest.approx(1.0, abs=1e-12)
     assert stats.reallocations > 0
     assert stats.violations == stats.violated_flows
@@ -224,9 +226,9 @@ def test_run_bin_moves_never_land_on_their_origin(monkeypatch):
     # loop, which test_bin_kernel holds the kernel to on this same config
     monkeypatch.setattr(bin_sim, "_move_destination", spy)
     params = SystemParams(n=4, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
-    stats = bin_sim._run_bin_sim_py(SimConfig(params=params,
-                                  scheme=BinBased(bins=40, low=3, high=6),
-                                  seed=1, warmup=0.0, horizon=50.0))
+    stats = without_kernel(run_bin_sim, SimConfig(
+        params=params, scheme=BinBased(bins=40, low=3, high=6), seed=1,
+        warmup=0.0, horizon=50.0))
     assert stats.reallocations == len(calls) > 0
     assert any(open_servers == 0 for _, _, open_servers in calls)
     assert all(origin != dest for origin, dest, _ in calls)
@@ -243,8 +245,7 @@ def test_run_single_server_skips_every_move():
         cfg = SimConfig(params=params, scheme=BinBased(bins=5, low=3, high=6),
                         seed=2, warmup=1.0, horizon=20.0,
                         drain_to_threshold=drain)
-        for engine in (run_bin_sim, bin_sim._run_bin_sim_py):
-            stats = engine(cfg)
+        for stats in (run_bin_sim(cfg), without_kernel(run_bin_sim, cfg)):
             occ = stats.series[:, 1]
             onto = occ[1:] > 6 if drain else occ[1:] == 7
             triggers = int(np.sum((np.diff(occ) == 1) & onto))

@@ -180,7 +180,7 @@ def test_from_tail_rejects_increasing():
         lambda w: sum(w) > 1e-6
     )
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_tail_round_trip_property(weights):
     p = np.asarray(weights, dtype=np.float64)
     p = p / p.sum()
@@ -222,7 +222,7 @@ def test_total_variation_accepts_distributions():
     w1=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20).filter(lambda w: sum(w) > 1e-6),
     w2=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20).filter(lambda w: sum(w) > 1e-6),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_total_variation_is_metric_like(w1, w2):
     p = np.asarray(w1) / sum(w1)
     q = np.asarray(w2) / sum(w2)

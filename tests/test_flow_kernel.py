@@ -1,12 +1,15 @@
 """The compiled flow-event kernel against the pure-Python reference loop.
 
-run_flow_sim runs sim_run in _kernel.c through ctypes; _run_flow_sim_py runs
+run_flow_sim runs sim_run in _kernel.c through ctypes when the kernel loads;
+under conftest.without_kernel the loader reports none and the same call runs
 the readable oracle, flow_sim._run_py.  Both consume the same Philox uniforms
 in the same order with the same double arithmetic, so every SimStats field
-must agree bit for bit.
+must agree bit for bit.  Generated small configs of every mode, the bin
+scheme's included, hold the two engines to that on corners the pinned cases
+miss.
 """
 
-import dataclasses
+import functools
 import logging
 import math
 import os
@@ -14,12 +17,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import isolate_loader, stats_sha256
+from conftest import assert_same_stats, isolate_loader, stats_sha256, without_kernel
 from stickysim import _native
+from stickysim.bin_sim import run_bin_sim
 from stickysim.core import (
+    BinBased,
     PowerOfD,
     PullBased,
     Shedding,
@@ -27,7 +33,7 @@ from stickysim.core import (
     TransferToInvite,
     TransferToLeastLoaded,
 )
-from stickysim.flow_sim import SimConfig, SimStats, _run_flow_sim_py, run_flow_sim
+from stickysim.flow_sim import SimConfig, run_flow_sim
 
 SRC = Path(_native.__file__).with_name("_kernel.c")
 
@@ -117,20 +123,10 @@ def _config(params, scheme, tracked, seed=7):
                      horizon=20.0, tracked_server=tracked)
 
 
-def assert_same_stats(a: SimStats, b: SimStats) -> None:
-    for field in dataclasses.fields(SimStats):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
-            assert x.shape == y.shape, field.name
-            assert x.tobytes() == y.tobytes(), field.name
-        else:
-            assert type(x) is type(y) and x == y, field.name
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_kernel_matches_reference(kernel, case):
     cfg = _config(*CASES[case])
-    stats, ref = run_flow_sim(cfg), _run_flow_sim_py(cfg)
+    stats, ref = run_flow_sim(cfg), without_kernel(run_flow_sim, cfg)
     assert_same_stats(stats, ref)
     assert stats_sha256(stats) == stats_sha256(ref) == PINNED[case]
 
@@ -140,7 +136,7 @@ def test_kernel_matches_reference_through_histogram_growth(kernel):
                     horizon=6.0, tracked_server=1)
     stats = run_flow_sim(cfg)
     assert stats.occupancy_hist.size > 1024
-    assert_same_stats(stats, _run_flow_sim_py(cfg))
+    assert_same_stats(stats, without_kernel(run_flow_sim, cfg))
 
 
 def test_kernel_matches_reference_through_multi_doubling_histogram_growth(kernel):
@@ -148,14 +144,68 @@ def test_kernel_matches_reference_through_multi_doubling_histogram_growth(kernel
                     horizon=0.5)
     stats = run_flow_sim(cfg)
     assert stats.occupancy_hist.size > 2048
-    assert_same_stats(stats, _run_flow_sim_py(cfg))
+    assert_same_stats(stats, without_kernel(run_flow_sim, cfg))
 
 
 def test_kernel_matches_reference_when_window_is_empty(kernel):
     cfg = SimConfig(params=SMALL, scheme=PowerOfD(1), warmup=1000.0, horizon=1e-9)
-    for engine in (run_flow_sim, _run_flow_sim_py):
+    for engine in (run_flow_sim, functools.partial(without_kernel, run_flow_sim)):
         with pytest.raises(ValueError, match="measurement window"):
             engine(cfg)
+
+
+_LEVELS = st.integers(0, 8)
+_HIGHS = st.integers(1, 8)
+_CAPS = _HIGHS | st.just(math.inf)
+
+
+@st.composite
+def _small_configs(draw):
+    """A small config of any scheme: n from 1 to 12, d from 1 to n,
+    thresholds from 0 to 16 or infinite under loads up to 80, so that
+    overload is common, 1 to 3n bins with drain on and off, short windows
+    (some with no event in them) and any tracked server."""
+    n = draw(st.integers(1, 12))
+    drain = draw(st.booleans())
+    scheme = draw(st.one_of(
+        # d = 1 and d = n are other modes: a second branch favours 1 < d < n
+        st.builds(PowerOfD, st.integers(1, n)),
+        st.builds(PowerOfD, st.integers(min(2, n), n)),
+        st.builds(lambda low, gap: PullBased(low, low + gap), _LEVELS, _CAPS),
+        st.builds(Shedding, _CAPS),
+        st.builds(lambda low, gap: TransferToInvite(low, low + gap), _LEVELS, _HIGHS),
+        st.builds(TransferToLeastLoaded, _HIGHS),
+        st.builds(lambda bins, low, gap: BinBased(bins, low, low + gap),
+                  st.integers(1, 3 * n), _LEVELS, _CAPS),
+    ))
+    params = SystemParams(n=n, lam=draw(st.floats(0.5, 40.0)),
+                          beta=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                          nu=1.0, mu=1000.0)
+    return SimConfig(
+        params=params, scheme=scheme, seed=draw(st.integers(0, 2**64)),
+        warmup=draw(st.floats(0.0, 3.0)), horizon=draw(st.floats(0.01, 4.0)),
+        tracked_server=draw(st.integers(0, n - 1)),
+        drain_to_threshold=drain and isinstance(scheme, BinBased),
+    )
+
+
+@settings(max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_small_configs())
+# the only d-choices config at n <= 3, which the draws above miss
+@example(cfg=SimConfig(params=SystemParams(n=3, lam=4.0, beta=1.0, nu=1.0, mu=1000.0),
+                       scheme=PowerOfD(2), seed=1, warmup=1.0, horizon=4.0))
+def test_kernel_matches_reference_on_drawn_configs(kernel, cfg):
+    run = run_bin_sim if isinstance(cfg.scheme, BinBased) else run_flow_sim
+    try:
+        stats = run(cfg)
+    except ValueError as err:
+        # an empty window: the reference loop fails with the same words
+        with pytest.raises(ValueError) as ref_err:
+            without_kernel(run, cfg)
+        assert str(ref_err.value) == str(err)
+        return
+    assert_same_stats(stats, without_kernel(run, cfg))
 
 
 def test_no_compiler_falls_back_to_reference(monkeypatch, tmp_path, caplog):
@@ -184,7 +234,7 @@ def test_failed_build_falls_back_and_leaves_no_partial_file(monkeypatch, tmp_pat
         stats = run_flow_sim(cfg)
     assert any("failed" in r.getMessage() for r in caplog.records)
     assert list(tmp_path.iterdir()) == []
-    assert_same_stats(stats, _run_flow_sim_py(cfg))
+    assert_same_stats(stats, without_kernel(run_flow_sim, cfg))
 
 
 def test_build_lands_in_cache_keyed_by_source_and_flags(monkeypatch, tmp_path):

@@ -6,11 +6,13 @@ laws at reduced scale; tests/test_flow_kernel.py ties the compiled kernel to
 the Python loop draw for draw.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import without_kernel
 from stickysim.core import (
     BinBased,
     PowerOfD,
@@ -21,13 +23,7 @@ from stickysim.core import (
     TransferToLeastLoaded,
     total_variation,
 )
-from stickysim.flow_sim import (
-    RngStream,
-    SimConfig,
-    SimStats,
-    _run_flow_sim_py,
-    run_flow_sim,
-)
+from stickysim.flow_sim import RngStream, SimConfig, SimStats, run_flow_sim
 from stickysim.mean_field import (
     jsq_fixed_point,
     jsq_two_level_mass,
@@ -212,7 +208,10 @@ def test_series_tracks_one_server(small_params):
     assert np.all(np.abs(nonzero) == 1.0)
 
 
-@pytest.mark.parametrize("engine", [run_flow_sim, _run_flow_sim_py])
+@pytest.mark.parametrize("engine", [
+    run_flow_sim,
+    pytest.param(functools.partial(without_kernel, run_flow_sim), id="python"),
+])
 def test_run_low_zero_still_enforces_high(engine):
     # low = 0 invites nobody, so the high threshold alone must steer
     # arrivals; random dispatch would spend ~0.21 of server-time above 12

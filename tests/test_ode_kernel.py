@@ -14,6 +14,7 @@ norms and every ODE output must agree bit for bit.
 """
 
 import ctypes
+import functools
 import hashlib
 import logging
 import math
@@ -24,8 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import isolate_loader
-from stickysim import _native
+from conftest import isolate_loader, without_kernel
+from stickysim import _native, flow_sim
 from stickysim import mean_field as mf
 from stickysim.core import (
     PowerOfD,
@@ -54,14 +55,21 @@ STRUCT_SIZES = {
     "SIZEOF_ODE_LOOP": _native.OdeLoop,
 }
 
+# each code array _kernel.c exports, by the Python names of its entries in
+# enum order; NO_CAP is one int64, which reads as a one-entry array
+MIRRORED_CODES = {
+    "MODE_CODES": (flow_sim._D1, flow_sim._D_CHOICES, flow_sim._LEAST,
+                   flow_sim._PULL, flow_sim._SHED, flow_sim._XFER_INVITE,
+                   flow_sim._XFER_LEAST, flow_sim._BIN),
+    "RULE_CODES": (mf.RULE_POWER, mf.RULE_PULL, mf.RULE_SHEDDING, mf.RULE_INVITE,
+                   mf.RULE_LEAST),
+    "STOP_CODES": (mf.STOP_NONE, mf.STOP_RESIDUAL, mf.STOP_STATIONARY),
+    "NO_CAP": (_native.NO_CAP,),
+}
+
 
 # the default step at beta = 1.5
 DT = 1.5e-3
-
-
-def _no_kernel(monkeypatch):
-    # the process-wide load outcome, as if the build had failed
-    monkeypatch.setattr(_native, "_loaded", [None])
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +133,7 @@ def _tails(rng, size, ones, lo, hi, count=150):
         yield s
 
 
-def _bound_case(monkeypatch, case, size, *salt, count=150):
+def _bound_case(case, size, *salt, count=150):
     """The RK4 pieces of DRIFT_CASES[case] at `size` levels bound on the
     kernel and on NumPy, a generator seeded by the case's name, size and
     salt, and the case's tails drawn from it.  The name's CRC-32 seeds it, so
@@ -133,10 +141,8 @@ def _bound_case(monkeypatch, case, size, *salt, count=150):
     scheme, rho, ones, (lo, hi) = DRIFT_CASES[case]
     params = SystemParams(n=100, lam=rho / 1.5, beta=1.5, nu=1.0, mu=100.0)
     on_kernel = mf._bind_ode(scheme, params, size, DT)
-    assert on_kernel.engine == "kernel"
-    _no_kernel(monkeypatch)
-    on_python = mf._bind_ode(scheme, params, size, DT)
-    assert on_python.engine == "python"
+    on_python = without_kernel(mf._bind_ode, scheme, params, size, DT)
+    assert (on_kernel.engine, on_python.engine) == ("kernel", "python")
     rng = np.random.default_rng([zlib.crc32(case.encode()), size, *salt])
     tails = _tails(rng, size, min(ones, size - 2), lo, hi, count)
     return (on_kernel, on_python), rng, tails
@@ -178,10 +184,10 @@ def _roughen(rng, s, nan):
 
 @pytest.mark.parametrize("size", [16, 6, 280])
 @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
-def test_kernel_drift_matches_python_bit_for_bit(kernel, monkeypatch, case, size):
+def test_kernel_drift_matches_python_bit_for_bit(kernel, case, size):
     # valid tails, then every other one off [0, 1] with -0.0 entries, and
     # every fourth with a NaN
-    both, rng, tails = _bound_case(monkeypatch, case, size)
+    both, rng, tails = _bound_case(case, size)
     on_kernel, on_python = both
     sats = _sats(size, case)
     for n, s in enumerate(tails):
@@ -233,11 +239,11 @@ def _steps_agree(both, size, s, k1, sat):
 
 @pytest.mark.parametrize("size", [6, 16, 280])
 @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
-def test_kernel_stage_matches_python_bit_for_bit(kernel, monkeypatch, case, size):
+def test_kernel_stage_matches_python_bit_for_bit(kernel, case, size):
     # the three stages of a step: first stage states up to 0.3 outside the
     # tail on either side, so the projection clips both ways and its running
     # minimum does work; each stage's corrected drift goes into the next k row
-    both, rng, tails = _bound_case(monkeypatch, case, size, 1, count=30)
+    both, rng, tails = _bound_case(case, size, 1, count=30)
     on_kernel = both[0]
     for s in tails:
         k1 = rng.uniform(-0.3, 0.3, size) / (0.5 * DT)
@@ -251,11 +257,11 @@ def test_kernel_stage_matches_python_bit_for_bit(kernel, monkeypatch, case, size
 
 @pytest.mark.parametrize("size", [6, 16, 280])
 @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
-def test_kernel_finish_matches_python_bit_for_bit(kernel, monkeypatch, case, size):
+def test_kernel_finish_matches_python_bit_for_bit(kernel, case, size):
     # the step end: tails off [0, 1] with -0.0 entries, and a NaN in every
     # fourth tail or drift, which comes out of every projection as numpy's
     # does; the other tails give a finite distance
-    both, rng, tails = _bound_case(monkeypatch, case, size, 2, count=30)
+    both, rng, tails = _bound_case(case, size, 2, count=30)
     on_kernel = both[0]
     for n, s in enumerate(tails):
         k1 = rng.uniform(-0.05, 0.05, size) / (DT / 6.0)
@@ -277,12 +283,11 @@ CORRECTED = sorted(case for case, (scheme, *_) in DRIFT_CASES.items()
 
 @pytest.mark.parametrize("size", [6, 16, 280])
 @pytest.mark.parametrize("case", CORRECTED)
-def test_kernel_correction_matches_python_bit_for_bit(kernel, monkeypatch, case,
-                                                      size):
+def test_kernel_correction_matches_python_bit_for_bit(kernel, case, size):
     # the dip-refill correction's branch: levels 0..sat at 1 with
     # 0 < sat < low and the level above below 1, so departures make k1[sat]
     # negative; the correction fires on every tail and changes k1
-    both, rng, tails = _bound_case(monkeypatch, case, size, 3, count=30)
+    both, rng, tails = _bound_case(case, size, 3, count=30)
     on_kernel, on_python = both
     low = DRIFT_CASES[case][0].low
     fired = 0
@@ -333,7 +338,7 @@ def _tail_and_sat(draw):
     return s, draw(st.integers(0, size - 1))
 
 
-@settings(max_examples=300, derandomize=True, deadline=None,
+@settings(max_examples=300,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(scheme=_SCHEMES, rho=st.floats(0.05, 60.0), tail_sat=_tail_and_sat())
 def test_kernel_drift_and_step_match_python_on_drawn_cases(kernel, scheme, rho,
@@ -343,9 +348,7 @@ def test_kernel_drift_and_step_match_python_on_drawn_cases(kernel, scheme, rho,
     size = s.size
     params = SystemParams(n=100, lam=rho / 1.5, beta=1.5, nu=1.0, mu=100.0)
     on_kernel = mf._bind_ode(scheme, params, size, DT)
-    with pytest.MonkeyPatch.context() as patch:
-        _no_kernel(patch)
-        on_python = mf._bind_ode(scheme, params, size, DT)
+    on_python = without_kernel(mf._bind_ode, scheme, params, size, DT)
     assert (on_kernel.engine, on_python.engine) == ("kernel", "python")
     for ode in (on_kernel, on_python):
         ode.state[:size] = s
@@ -392,10 +395,8 @@ def _pinned(out):
 
 @pytest.mark.parametrize("engine", ["kernel", "python"])
 @pytest.mark.parametrize("name", sorted(ODE_RUNS))
-def test_pinned_runs_match_under_both_engines(kernel, monkeypatch, name, engine):
-    if engine == "python":
-        _no_kernel(monkeypatch)
-    out = _run_ode(name)
+def test_pinned_runs_match_under_both_engines(kernel, name, engine):
+    out = _run_ode(name) if engine == "kernel" else without_kernel(_run_ode, name)
     assert out.engine == engine
     assert _pinned(out) == ODE_PINNED[name]
     assert (out.stop_reason, out.pins, out.releases) == ODE_STOPS[name]
@@ -416,24 +417,15 @@ def _benchmark_starts():
     return starts
 
 
-def _under_both_engines(monkeypatch, run):
-    """run() on the kernel, then on NumPy and the Python loop."""
-    outs = []
-    for engine in ("kernel", "python"):
-        if engine == "python":
-            _no_kernel(monkeypatch)
-        out = run()
-        assert out.engine == engine
-        outs.append(out)
-    return outs
-
-
 def _outcome(out):
     """What integrate_ode returns, but for the trajectory."""
     return _pinned(out)[:5] + (out.stop_reason, out.pins, out.releases)
 
 
 def _same_run(ours, theirs):
+    """ours, from the kernel, and theirs, from NumPy and the Python loop,
+    agree in everything integrate_ode returns."""
+    assert (ours.engine, theirs.engine) == ("kernel", "python")
     assert _outcome(ours) == _outcome(theirs)
     assert (_trajectory_digest(ours.trajectory)
             == _trajectory_digest(theirs.trajectory))
@@ -450,20 +442,23 @@ BENCHMARK_STOPS = {
 
 
 @pytest.mark.parametrize("name", sorted(_benchmark_starts()))
-def test_wide_runs_match_under_both_engines(kernel, monkeypatch, name):
+def test_wide_runs_match_under_both_engines(kernel, name):
     # the whole runs of criterion 2, each to where it stops by itself, with
     # a frame every 100 steps
     scheme, s0 = _benchmark_starts()[name]
     params = SystemParams(n=100, lam=100.0, beta=1.5, nu=100.0, mu=20000.0)
-    on_kernel, on_python = _under_both_engines(monkeypatch, lambda: mf.integrate_ode(
-        scheme, params, s0.copy(), t_end=90.0, stop_residual=1e-9,
-        record_every=0.15))
+
+    def run():
+        return mf.integrate_ode(scheme, params, s0.copy(), t_end=90.0,
+                                stop_residual=1e-9, record_every=0.15)
+
+    on_kernel, on_python = run(), without_kernel(run)
     _same_run(on_kernel, on_python)
     assert (on_kernel.stop_reason, on_kernel.steps) == BENCHMARK_STOPS[name]
     assert len(on_kernel.trajectory) == on_kernel.steps // 100
 
 
-def test_compiled_loop_matches_python_on_the_stall(kernel, monkeypatch):
+def test_compiled_loop_matches_python_on_the_stall(kernel):
     # the stationary stop, whose saved step and stopping step straddle the
     # end of a call when the record stride lands on the stop: the saved copy
     # carries over, and the stop's own step is recorded once
@@ -471,9 +466,12 @@ def test_compiled_loop_matches_python_on_the_stall(kernel, monkeypatch):
     whole = mf.integrate_ode(scheme, params, _empty(100), t_end=60.0,
                              stop_residual=1e-9)
     assert (whole.stop_reason, whole.steps) == ("stationary", 32227)
-    on_kernel, on_python = _under_both_engines(monkeypatch, lambda: mf.integrate_ode(
-        scheme, params, _empty(100), t_end=60.0, stop_residual=1e-9,
-        record_every=whole.t))
+
+    def run():
+        return mf.integrate_ode(scheme, params, _empty(100), t_end=60.0,
+                                stop_residual=1e-9, record_every=whole.t)
+
+    on_kernel, on_python = run(), without_kernel(run)
     _same_run(on_kernel, on_python)
     assert _outcome(on_kernel) == _outcome(whole)
     [(t, frame)] = on_kernel.trajectory
@@ -481,18 +479,35 @@ def test_compiled_loop_matches_python_on_the_stall(kernel, monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ["kernel", "python"])
-def test_terminal_projection_error_under_both_engines(kernel, monkeypatch, engine):
-    if engine == "python":
-        _no_kernel(monkeypatch)
+def test_a_state_repeated_after_a_gap_is_not_stationary(kernel, engine):
+    # the loop at step 5 with a repeated sup|k1| and a saved copy of step 3
+    # that equals the current state, k1, sat and pin counters: a cycle of
+    # period 2, not a fixed point, so the loop saves step 5 and steps on
+    params = SystemParams(n=100, lam=4.0, beta=1.5, nu=1.0, mu=100.0)
+    bind = functools.partial(mf._bind_ode, PullBased(5, 8), params, 16, DT, 1e-9)
+    ode = bind() if engine == "kernel" else without_kernel(bind)
+    assert ode.engine == engine
+    ode.state[:16] = np.linspace(1.0, 0.0, 16)
+    loop = ode.loop
+    loop.sup_k1 = loop.last_sup = ode.drift(0)
+    loop.step, loop.saved_step = 5, 3
+    ode.saved[0], ode.saved[1] = ode.state[:16], ode.k[0]
+    assert ode.run(6) == mf.STOP_NONE
+    assert (loop.step, loop.saved_step) == (6, 5)
+
+
+@pytest.mark.parametrize("engine", ["kernel", "python"])
+def test_terminal_projection_error_under_both_engines(kernel, engine):
+    run = functools.partial(mf.integrate_ode, TransferToInvite(3, 5), _load(7.0),
+                            _empty(16), 2.0)
     with pytest.raises(mf.NumericalError) as err:
-        mf.integrate_ode(TransferToInvite(3, 5), _load(7.0), _empty(16), 2.0)
+        run() if engine == "kernel" else without_kernel(run)
     assert str(err.value) == ("projection distance 0.0012219 at the terminal step "
                               "exceeds 1e-06; reduce dt")
 
 
 @pytest.mark.parametrize("stride", [1, 7, None])
-def test_record_strides_split_the_loop_without_changing_it(kernel, monkeypatch,
-                                                           stride):
+def test_record_strides_split_the_loop_without_changing_it(kernel, stride):
     # pull-dip-absorbs pins and releases over 334 steps: a frame after every
     # step, every 7th step (7 does not divide 334, so the last call ends
     # between frames), or none; each stride gives the unrecorded run's
@@ -504,7 +519,7 @@ def test_record_strides_split_the_loop_without_changing_it(kernel, monkeypatch,
         return mf.integrate_ode(scheme, _load(rho), s0.copy(), t_end,
                                 record_every=every)
 
-    on_kernel, on_python = _under_both_engines(monkeypatch, lambda: run(stride))
+    on_kernel, on_python = run(stride), without_kernel(run, stride)
     _same_run(on_kernel, on_python)
     assert _pinned(on_kernel)[:5] == ODE_PINNED["pull-dip-absorbs"][:5]
     every_step = run(1).trajectory
@@ -513,13 +528,17 @@ def test_record_strides_split_the_loop_without_changing_it(kernel, monkeypatch,
     assert _trajectory_digest(on_kernel.trajectory) == _trajectory_digest(picked)
 
 
-def test_a_stop_on_a_record_step_records_it_once(kernel, monkeypatch):
+def test_a_stop_on_a_record_step_records_it_once(kernel):
     # power-of-1 stops on its residual at step 8408 = 8 * 1051: the call to
     # step 8408 returns, its frame is recorded, and the next call stops
     # before any step
     scheme, rho, s0, t_end, kwargs = ODE_RUNS["power-of-1"]
-    on_kernel, on_python = _under_both_engines(monkeypatch, lambda: mf.integrate_ode(
-        scheme, _load(rho), s0.copy(), t_end, record_every=1051 * DT, **kwargs))
+
+    def run():
+        return mf.integrate_ode(scheme, _load(rho), s0.copy(), t_end,
+                                record_every=1051 * DT, **kwargs)
+
+    on_kernel, on_python = run(), without_kernel(run)
     _same_run(on_kernel, on_python)
     assert _pinned(on_kernel)[:5] == ODE_PINNED["power-of-1"][:5]
     assert (on_kernel.stop_reason, on_kernel.steps) == ("residual", 8408)
@@ -544,18 +563,17 @@ def test_no_compiler_falls_back_to_python_drift(kernel, monkeypatch, tmp_path,
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7])
-def test_power_of_d_runs_on_the_kernel_at_every_d(kernel, monkeypatch, d):
+def test_power_of_d_runs_on_the_kernel_at_every_d(kernel, d):
     # sp**d is d - 1 rounded products in both engines, so no d falls back
     params = SystemParams(n=100, lam=5.0, beta=1.0, nu=1.0, mu=100.0)
-    outs = []
-    for engine in ("kernel", "python"):
-        if engine == "python":
-            _no_kernel(monkeypatch)
-        out = mf.integrate_ode(PowerOfD(d), params, _empty(20), t_end=0.5,
-                               record_every=0.25)
-        assert out.engine == engine
-        outs.append(_pinned(out))
-    assert outs[0] == outs[1]
+
+    def run():
+        return mf.integrate_ode(PowerOfD(d), params, _empty(20), t_end=0.5,
+                                record_every=0.25)
+
+    on_kernel, on_python = run(), without_kernel(run)
+    assert (on_kernel.engine, on_python.engine) == ("kernel", "python")
+    assert _pinned(on_kernel) == _pinned(on_python)
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +588,20 @@ def test_struct_layout_matches_the_kernel(kernel, name):
     assert exported == ctypes.sizeof(STRUCT_SIZES[name])
 
 
+@pytest.mark.parametrize("name", sorted(MIRRORED_CODES))
+def test_mirrored_codes_match_the_kernel(kernel, name):
+    codes = MIRRORED_CODES[name]
+    exported = (ctypes.c_int64 * len(codes)).in_dll(_native.kernel(), name)
+    assert tuple(exported) == codes
+
+
 @pytest.mark.parametrize("engine", ["kernel", "python"])
-def test_bound_buffers_cover_every_level_the_rule_reads(kernel, monkeypatch,
-                                                        engine):
+def test_bound_buffers_cover_every_level_the_rule_reads(kernel, engine):
     # the kernel indexes the buffers unchecked, and PullBased(5, 12) reads
     # up to level 13 of an 8-level tail
-    if engine == "python":
-        _no_kernel(monkeypatch)
     params = SystemParams(n=100, lam=4.0, beta=1.5, nu=1.0, mu=100.0)
-    ode = mf._bind_ode(PullBased(5, 12), params, 8, DT)
+    bind = functools.partial(mf._bind_ode, PullBased(5, 12), params, 8, DT)
+    ode = bind() if engine == "kernel" else without_kernel(bind)
     assert ode.engine == engine
     assert ode.q.size >= 13
     assert ode.state.shape == ode.g.shape == (ode.q.size + 1,)
