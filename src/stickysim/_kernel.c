@@ -15,7 +15,12 @@
  * same draw order, same double arithmetic, same swap-remove/append order in
  * every list, so a run produces the same statistics bit for bit.  Build it
  * with -ffp-contract=off and never with -ffast-math: a fused multiply-add or a
- * reordered sum changes the result.
+ * reordered sum changes the result.  Every list it keeps (the invite and
+ * below-high server lists, the per-occupancy server buckets, the bins of each
+ * server) is an ilist, changed only by list_add, list_drop, list_update and
+ * list_move, the twins of _SwapList.add, .drop, .update and BinTable.move;
+ * pull_pick, the twin of flow_sim._pull_pick, is the pull rule's one pick
+ * from the first two.
  *
  * Uniform draws come from the kernel's own copy of numpy's Philox4x64-10,
  * keyed by sim_params.key (the key of numpy.random.Philox(seed)) with its
@@ -75,8 +80,13 @@ typedef struct {
 
 enum { RUN_OK = 0, RUN_NOMEM = 1 };
 
+/* A list of distinct ids with O(1) add and swap-remove: a[0..len-1] holds
+ * the members in swap-remove order and pos[x] is x's index there.  Lists
+ * that partition one population (the per-occupancy server buckets, the bins
+ * of each server) share one pos array.  The twin of flow_sim._SwapList. */
 typedef struct {
     int32_t *a;
+    int64_t *pos;
     int64_t len, cap;
 } ilist;
 
@@ -96,12 +106,54 @@ static int reserve(void **p, int64_t *cap, int64_t need, size_t elem)
     return 0;
 }
 
-static int push(ilist *l, int32_t v)
+/* append x (_SwapList.add) */
+static int list_add(ilist *l, int64_t x)
 {
     if (reserve((void **)&l->a, &l->cap, l->len + 1, sizeof *l->a))
         return -1;
-    l->a[l->len++] = v;
+    l->pos[x] = l->len;
+    l->a[l->len++] = (int32_t)x;
     return 0;
+}
+
+/* swap-remove member x: the last member takes its place (_SwapList.drop) */
+static void list_drop(ilist *l, int64_t x)
+{
+    int64_t p = l->pos[x];
+    int32_t moved = l->a[--l->len];
+    l->a[p] = moved;
+    l->pos[moved] = p;
+    l->pos[x] = -1;
+}
+
+/* make x's membership follow a jump: a member before iff `was`, after iff
+ * `now` (_SwapList.update) */
+static int list_update(ilist *l, int64_t x, int was, int now)
+{
+    if (was == now)
+        return 0;
+    if (now)
+        return list_add(l, x);
+    list_drop(l, x);
+    return 0;
+}
+
+/* move member x of `from` to the end of `to` (bin_sim.BinTable.move) */
+static int list_move(ilist *from, ilist *to, int64_t x)
+{
+    list_drop(from, x);
+    return list_add(to, x);
+}
+
+/* a uniform member of the invite list from one uniform u, else of the
+ * below-high list, else -1: the pull rule's pick (flow_sim._pull_pick) */
+static inline int64_t pull_pick(double u, const ilist *invite, const ilist *below)
+{
+    if (invite->len)
+        return invite->a[(int64_t)(u * (double)invite->len)];
+    if (below->len)
+        return below->a[(int64_t)(u * (double)below->len)];
+    return -1;
 }
 
 /* uniforms per block: whole Philox outputs of four words each */
@@ -206,64 +258,11 @@ static int credit(run_state *S, int64_t s, int64_t o, int64_t o_new, double t)
     return 0;
 }
 
-/* swap-remove s from a membership list with a position index */
-static void set_remove(int32_t *set, int64_t *pos, int64_t *count, int64_t s)
-{
-    int64_t p = pos[s];
-    int32_t moved = set[--*count];
-    set[p] = moved;
-    pos[moved] = p;
-    pos[s] = -1;
-}
-
-static void set_add(int32_t *set, int64_t *pos, int64_t *count, int64_t s)
-{
-    pos[s] = *count;
-    set[(*count)++] = (int32_t)s;
-}
-
-/* invite (occ < low) and below-high (occ < high) lists over all n servers;
- * low = 0 invites nobody: no occupancy is below zero */
-static int init_sets(int64_t n, int64_t low, int32_t **invite, int64_t **invite_pos,
-                     int64_t *inv_count, int32_t **below, int64_t **below_pos,
-                     int64_t *bel_count)
-{
-    *invite = malloc((size_t)n * sizeof **invite);
-    *invite_pos = malloc((size_t)n * sizeof **invite_pos);
-    *below = malloc((size_t)n * sizeof **below);
-    *below_pos = malloc((size_t)n * sizeof **below_pos);
-    if (!*invite || !*invite_pos || !*below || !*below_pos)
-        return -1;
-    *inv_count = low > 0 ? n : 0;
-    *bel_count = n;
-    for (int64_t s = 0; s < n; s++) {
-        (*invite)[s] = (int32_t)s;
-        (*invite_pos)[s] = low > 0 ? s : -1;
-        (*below)[s] = (int32_t)s;
-        (*below_pos)[s] = s;
-    }
-    return 0;
-}
-
-/* move s from level bucket `from` to the end of bucket `to` */
-static int level_move(ilist *levels, int64_t *level_pos, int64_t from, int64_t to,
-                      int64_t s)
-{
-    ilist *b = &levels[from];
-    int64_t p = level_pos[s];
-    int32_t moved = b->a[b->len - 1];
-    b->a[p] = moved;
-    level_pos[moved] = p;
-    b->len--;
-    level_pos[s] = levels[to].len;
-    return push(&levels[to], (int32_t)s);
-}
-
-/* scheme modes, the codes of flow_sim._D1 ... _BIN: d = 1, d < n choices,
- * d >= n (least loaded), pull, shedding, transfer to invite, transfer to
- * least loaded, and the bin scheme */
-enum { MODE_D1 = 0, MODE_D_CHOICES = 1, MODE_LEAST = 2, MODE_PULL = 3,
-       MODE_SHED = 4, MODE_XFER_INVITE = 5, MODE_XFER_LEAST = 6, MODE_BIN = 7 };
+/* scheme modes, the codes of flow_sim._D_CHOICES ... _BIN: d < n choices
+ * (d = 1 included: one uniform pick), d >= n (least loaded), pull, shedding,
+ * transfer to invite, transfer to least loaded, and the bin scheme */
+enum { MODE_D_CHOICES = 0, MODE_LEAST = 1, MODE_PULL = 2, MODE_SHED = 3,
+       MODE_XFER_INVITE = 4, MODE_XFER_LEAST = 5, MODE_BIN = 6 };
 
 /* bin of flow `id`: the splitmix64 output function, reduced mod m */
 static inline int64_t hash_bin(uint64_t id, uint64_t m)
@@ -273,18 +272,6 @@ static inline int64_t hash_bin(uint64_t id, uint64_t m)
     z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
     z ^= z >> 31;
     return (int64_t)(z % m);
-}
-
-/* make s's membership of a threshold list follow a jump from `was` to `now` */
-static void set_update(int32_t *set, int64_t *pos, int64_t *count, int64_t s,
-                       int was, int now)
-{
-    if (was == now)
-        return;
-    if (now)
-        set_add(set, pos, count, s);
-    else
-        set_remove(set, pos, count, s);
 }
 
 /* gcc -O2 inlines no body this large unasked, and `bins` would then stay a
@@ -315,32 +302,37 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
     run_state S = {.p = p, .r = r, .bi = DRAW_BLOCK};
     int status = RUN_NOMEM;
 
-    int32_t *invite = NULL, *below = NULL, *slot = NULL, *assignment = NULL;
-    int64_t *invite_pos = NULL, *below_pos = NULL, *level_pos = NULL, *bin_pos = NULL;
-    int64_t *cands = NULL, *stamp = NULL;
+    ilist invite = {0}, below = {0};
+    int32_t *slot = NULL, *assignment = NULL;
+    int64_t *level_pos = NULL, *bin_pos = NULL, *cands = NULL, *stamp = NULL;
     int64_t *bin_load = NULL, *bin_moves = NULL; /* active flows, moves so far */
     ilist *levels = NULL, *server_bins = NULL;
-    int64_t n_levels = 0, levels_cap = 0, slot_cap = 0, stamp_cap = 0;
-    int64_t inv_count = 0, bel_count = 0, cur_min = 0;
+    int64_t n_levels = 0, levels_cap = 0, slot_cap = 0, stamp_cap = 0, cur_min = 0;
 
     if (init_result(&S))
         goto done;
     int64_t *occ = r->occ;
 
-    if (need_invites && init_sets(n, low, &invite, &invite_pos, &inv_count, &below,
-                                  &below_pos, &bel_count))
-        goto done;
+    if (need_invites) {
+        /* invite (occ < low) and below-high (occ < high) lists of n empty
+         * servers; low = 0 invites nobody: no occupancy is below zero */
+        invite.pos = malloc((size_t)n * sizeof *invite.pos);
+        below.pos = malloc((size_t)n * sizeof *below.pos);
+        if (!invite.pos || !below.pos)
+            goto done;
+        for (int64_t s = 0; s < n; s++)
+            if ((low > 0 && list_add(&invite, s)) || list_add(&below, s))
+                goto done;
+    }
     if (need_levels) {
+        /* per-occupancy server buckets, all n servers at level 0 */
         level_pos = malloc((size_t)n * sizeof *level_pos);
         if (!level_pos || reserve((void **)&levels, &levels_cap, 1, sizeof *levels))
             goto done;
-        memset(&levels[0], 0, sizeof *levels);
-        n_levels = 1;
-        for (int64_t s = 0; s < n; s++) {
-            level_pos[s] = s;
-            if (push(&levels[0], (int32_t)s))
+        levels[n_levels++] = (ilist){.pos = level_pos};
+        for (int64_t s = 0; s < n; s++)
+            if (list_add(&levels[0], s))
                 goto done;
-        }
     }
     if (mode == MODE_D_CHOICES && !(cands = malloc((size_t)p->d * sizeof *cands)))
         goto done;
@@ -354,11 +346,11 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
         bin_moves = calloc((size_t)m, sizeof *bin_moves);
         if (!assignment || !bin_pos || !server_bins || !bin_load || !bin_moves)
             goto done;
+        for (int64_t s = 0; s < n; s++)
+            server_bins[s].pos = bin_pos;
         for (int64_t b = 0; b < m; b++) {
-            int64_t s = b % n;
-            assignment[b] = (int32_t)s;
-            bin_pos[b] = server_bins[s].len;
-            if (push(&server_bins[s], (int32_t)b))
+            assignment[b] = (int32_t)(b % n);
+            if (list_add(&server_bins[b % n], b))
                 goto done;
         }
     }
@@ -398,9 +390,6 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                 b = hash_bin(next_id++, (uint64_t)p->bins);
                 s = assignment[b];
                 break;
-            case MODE_D1:
-                s = (int64_t)(u * (double)n);
-                break;
             case MODE_D_CHOICES: {
                 int64_t nc = 1;
                 cands[0] = (int64_t)(u * (double)n);
@@ -434,11 +423,8 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                 break;
             }
             case MODE_PULL:
-                if (inv_count)
-                    s = invite[(int64_t)(u * (double)inv_count)];
-                else if (bel_count)
-                    s = below[(int64_t)(u * (double)bel_count)];
-                else
+                s = pull_pick(u, &invite, &below);
+                if (s < 0)
                     s = (int64_t)(u * (double)n);
                 break;
             case MODE_SHED:
@@ -455,11 +441,8 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                     if (started)
                         r->violations++;
                     u = draw(&S);
-                    if (inv_count)
-                        s = invite[(int64_t)(u * (double)inv_count)];
-                    else if (bel_count)
-                        s = below[(int64_t)(u * (double)bel_count)];
-                    else
+                    s = pull_pick(u, &invite, &below);
+                    if (s < 0)
                         s = (int64_t)(u * (double)n);
                 }
                 break;
@@ -489,17 +472,17 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                 goto done;
             if (need_invites) {
                 if (o + 1 == low)
-                    set_remove(invite, invite_pos, &inv_count, s);
+                    list_drop(&invite, s);
                 if (o + 1 == high)
-                    set_remove(below, below_pos, &bel_count, s);
+                    list_drop(&below, s);
             } else if (need_levels) {
                 if (o + 1 >= n_levels) {
                     if (reserve((void **)&levels, &levels_cap, n_levels + 1,
                                 sizeof *levels))
                         goto done;
-                    memset(&levels[n_levels++], 0, sizeof *levels);
+                    levels[n_levels++] = (ilist){.pos = level_pos};
                 }
-                if (level_move(levels, level_pos, o, o + 1, s))
+                if (list_move(&levels[o], &levels[o + 1], s))
                     goto done;
                 if (levels[o].len == 0 && o == cur_min)
                     while (levels[cur_min].len == 0)
@@ -522,25 +505,15 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                     ilist *here = &server_bins[s];
                     int32_t mb =
                         here->a[(int64_t)(draw(&S) * (double)here->len)];
-                    /* invite list, then below-high list, then any server but s */
+                    /* the pull pick, else any server but s */
                     u = draw(&S);
-                    int64_t dest;
-                    if (inv_count) {
-                        dest = invite[(int64_t)(u * (double)inv_count)];
-                    } else if (bel_count) {
-                        dest = below[(int64_t)(u * (double)bel_count)];
-                    } else {
+                    int64_t dest = pull_pick(u, &invite, &below);
+                    if (dest < 0) {
                         dest = (int64_t)(u * (double)(n - 1));
                         if (dest >= s)
                             dest++;
                     }
-                    int64_t bp = bin_pos[mb];
-                    int32_t tail = here->a[here->len - 1];
-                    here->a[bp] = tail;
-                    bin_pos[tail] = bp;
-                    here->len--;
-                    bin_pos[mb] = server_bins[dest].len;
-                    if (push(&server_bins[dest], mb))
+                    if (list_move(here, &server_bins[dest], mb))
                         goto done;
                     assignment[mb] = (int32_t)dest;
                     bin_moves[mb]++;
@@ -556,14 +529,11 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                         if (started && (credit(&S, s, o_old, o_new, t) ||
                                         credit(&S, dest, d_old, d_new, t)))
                             goto done;
-                        set_update(invite, invite_pos, &inv_count, s, o_old < low,
-                                   o_new < low);
-                        set_update(below, below_pos, &bel_count, s, o_old < high,
-                                   o_new < high);
-                        set_update(invite, invite_pos, &inv_count, dest, d_old < low,
-                                   d_new < low);
-                        set_update(below, below_pos, &bel_count, dest, d_old < high,
-                                   d_new < high);
+                        if (list_update(&invite, s, o_old < low, o_new < low) ||
+                            list_update(&below, s, o_old < high, o_new < high) ||
+                            list_update(&invite, dest, d_old < low, d_new < low) ||
+                            list_update(&below, dest, d_old < high, d_new < high))
+                            goto done;
                     }
                 }
             }
@@ -588,12 +558,11 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
             if (started && credit(&S, s, o, o - 1, t))
                 goto done;
             if (need_invites) {
-                if (o == low)
-                    set_add(invite, invite_pos, &inv_count, s);
-                if (o == high)
-                    set_add(below, below_pos, &bel_count, s);
+                if ((o == low && list_add(&invite, s)) ||
+                    (o == high && list_add(&below, s)))
+                    goto done;
             } else if (need_levels) {
-                if (level_move(levels, level_pos, o, o - 1, s))
+                if (list_move(&levels[o], &levels[o - 1], s))
                     goto done;
                 if (o - 1 < cur_min)
                     cur_min = o - 1;
@@ -614,10 +583,10 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
     r->prev_t = prev_t;
 
 done:
-    free(invite);
-    free(invite_pos);
-    free(below);
-    free(below_pos);
+    free(invite.a);
+    free(invite.pos);
+    free(below.a);
+    free(below.pos);
     free(level_pos);
     free(cands);
     free(slot);
@@ -1069,9 +1038,8 @@ const int64_t SIZEOF_DRIFT_PARAMS = sizeof(drift_params);
 const int64_t SIZEOF_ODE_LOOP = sizeof(ode_loop);
 
 /* each enum in declaration order, and the `high` that means no threshold */
-const int64_t MODE_CODES[] = {MODE_D1, MODE_D_CHOICES, MODE_LEAST, MODE_PULL,
-                              MODE_SHED, MODE_XFER_INVITE, MODE_XFER_LEAST,
-                              MODE_BIN};
+const int64_t MODE_CODES[] = {MODE_D_CHOICES, MODE_LEAST, MODE_PULL, MODE_SHED,
+                              MODE_XFER_INVITE, MODE_XFER_LEAST, MODE_BIN};
 const int64_t RULE_CODES[] = {RULE_POWER, RULE_PULL, RULE_SHEDDING, RULE_INVITE,
                               RULE_LEAST};
 const int64_t STOP_CODES[] = {STOP_NONE, STOP_RESIDUAL, STOP_STATIONARY};

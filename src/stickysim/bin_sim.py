@@ -22,8 +22,10 @@ reference flow_sim._run_py otherwise.  The reference loop is the readable
 oracle and the only engine that can re-check the bin table after every
 event (flow_sim._run_py(config, validate_table=True)).  Both give
 bit-identical statistics.  This module holds what the reference loop
-reaches for in bin mode: BinTable, whose move keeps the kernel's list
-order, _hash_block, and _move_destination, whose branches sim_run follows.
+reaches for in bin mode: BinTable, whose move is the twin of the kernel's
+list_move, _hash_block, and _move_destination: the pull rule's pick
+(flow_sim._pull_pick, the kernel's pull_pick), else a uniform server other
+than the origin, as sim_run picks a bin move's destination.
 Bin hashes come from a deterministic integer mixer, not from the random
 stream.
 """
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BinBased
-from .flow_sim import SimConfig, SimStats, _run, _SwapList
+from .flow_sim import SimConfig, SimStats, _pull_pick, _run, _SwapList
 
 __all__ = [
     "BinTable",
@@ -214,16 +216,16 @@ def _move_destination(
 ) -> int:
     """Destination server of a triggered bin move, from one uniform u.
 
-    A uniform member of the invite list if it is nonempty, else of the
-    below-high list.  When every server is at or above high, a uniform pick
-    among the other n - 1 servers: the origin is never drawn, so every
-    counted reallocation really moves its flows.  The origin is never in
-    either list (it has just passed high).  Callers ensure n >= 2.
+    The pull rule's pick (flow_sim._pull_pick): a uniform member of the
+    invite list if it is nonempty, else of the below-high list.  When every
+    server is at or above high, a uniform pick among the other n - 1
+    servers: the origin is never drawn, so every counted reallocation
+    really moves its flows.  The origin is never in either list (it has
+    just passed high).  Callers ensure n >= 2.
     """
-    if invite:
-        return invite[int(u * len(invite))]
-    if below:
-        return below[int(u * len(below))]
+    dest = _pull_pick(u, invite, below)
+    if dest >= 0:
+        return dest
     dest = int(u * (n - 1))
     return dest + 1 if dest >= origin else dest
 

@@ -362,15 +362,19 @@ def _exp_tradeoff_shedding(spec: ExperimentSpec) -> _RunnerResult:
     p = spec.params
     params = _system_params(p)
     chi = float(p["chi"])
-    h_values = list(range(int(p["h_min"]), int(p["h_max"]) + 1))
-    points = mx.tradeoff_curve(h_values, chi, params)
+    h_min, h_max = int(p["h_min"]), int(p["h_max"])
+    if h_max < h_min:
+        raise ValueError(f"h_max must be at least h_min, got h_min={h_min}, "
+                         f"h_max={h_max}")
+    points = mx.tradeoff_curve(range(h_min, h_max + 1), chi, params)
     rows = [[pt.high, pt.epsilon, pt.delay_tail, pt.improvement] for pt in points]
     tables = {"tradeoff": (["h", "epsilon", "delay_tail", "improvement"], rows)}
-    best = max(points, key=lambda pt: pt.improvement if pt.epsilon > 0 else -1)
+    # null when no threshold sheds anything: there is no trade to report
+    shedding = [pt.improvement for pt in points if pt.epsilon > 0]
     summary = {
         "chi": chi,
         "points": len(rows),
-        "max_improvement_with_positive_eps": best.improvement,
+        "max_improvement_with_positive_eps": max(shedding) if shedding else None,
     }
     return tables, summary
 
@@ -409,6 +413,8 @@ def _exp_bin_violation(spec: ExperimentSpec) -> _RunnerResult:
     low, high = int(p["low"]), _high(p)
     ms = _list_param(p, "bins", lambda v: _bin_count(v, params_obj.n))
     n_seeds = int(p["seeds"])
+    if n_seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {n_seeds}")
     rows = []
     means = []
     for m in ms:

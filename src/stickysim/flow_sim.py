@@ -22,8 +22,10 @@ pure-Python reference _run_py, which is the readable oracle.  run_flow_sim
 and run_bin_sim both enter through _run, which takes the kernel when
 _native.kernel() loads one and the reference loop otherwise; both give
 bit-identical statistics.  The reference loop runs on the Python twins of
-the kernel's helpers: RngStream.uniform for draws, _SwapList and
-_threshold_lists for the invite, below-high and per-occupancy server lists,
+the kernel's helpers: RngStream.uniform for draws, _SwapList for every list
+(the invite, below-high and per-occupancy server lists, and bin_sim's
+per-server bin lists), as the kernel's ilist with list_add, list_drop,
+list_update and list_move, _pull_pick for the pull rule's pick (pull_pick),
 and _Window for the measurement window, which closes through _window_stats
 like the kernel.  Each scheme's placement rule is written once per engine,
 as a mode branch of the loop, and _loop_args is the one dispatch from a
@@ -193,21 +195,21 @@ class SimStats:
 # ---------------------------------------------------------------------------
 
 # scheme modes shared by both engines
-_D1, _D_CHOICES, _LEAST, _PULL, _SHED, _XFER_INVITE, _XFER_LEAST, _BIN = range(8)
+_D_CHOICES, _LEAST, _PULL, _SHED, _XFER_INVITE, _XFER_LEAST, _BIN = range(7)
 
 
 def _loop_args(config: SimConfig) -> tuple[int, int, int | float, int, int, int]:
     """The event loop's (mode, low, high, d, bins, drain) for config's
-    scheme, the bin scheme included; high may be math.inf."""
+    scheme, the bin scheme included; high may be math.inf.  PowerOfD(d)
+    runs d-choices for d < n, d = 1 included, and least-loaded for d >= n:
+    sampling all servers is exact least-loaded."""
     scheme = config.scheme
     if isinstance(scheme, BinBased):
         return (_BIN, scheme.low, scheme.high, 0, scheme.bins,
                 int(config.drain_to_threshold))
     if isinstance(scheme, PowerOfD):
         d = scheme.d
-        # sampling all servers is exact least-loaded
-        mode = _D1 if d == 1 else _D_CHOICES if d < config.params.n else _LEAST
-        return mode, 0, 0, d, 0, 0
+        return _D_CHOICES if d < config.params.n else _LEAST, 0, 0, d, 0, 0
     if isinstance(scheme, PullBased):
         return _PULL, scheme.low, scheme.high, 0, 0, 0
     if isinstance(scheme, Shedding):
@@ -343,10 +345,11 @@ def _run_kernel(lib, config: SimConfig) -> dict:
 class _SwapList(list):
     """List of distinct ids with O(1) add and swap-remove.
 
-    The twin of the kernel's set_add, set_remove and set_update: the list
-    holds its members in swap-remove order and pos[x] is x's index in it, -1
-    when x is absent.  Lists that partition one population (the
-    per-occupancy server buckets, the bins of each server) share one pos.
+    The twin of the kernel's ilist, with add, drop and update the twins of
+    list_add, list_drop and list_update: the list holds its members in
+    swap-remove order and pos[x] is x's index in it, -1 when x is absent.
+    Lists that partition one population (the per-occupancy server buckets,
+    the bins of each server) share one pos.
     """
 
     __slots__ = ("pos",)
@@ -380,14 +383,25 @@ class _SwapList(list):
 def _threshold_lists(n: int, low: int) -> tuple[_SwapList, _SwapList]:
     """Invite (occ < low) and below-high (occ < high) lists of n empty servers.
 
-    The twin of the kernel's init_sets; low = 0 invites nobody: no occupancy
-    is below zero.
+    The twin of the kernel's setup of the same lists; low = 0 invites
+    nobody: no occupancy is below zero.
     """
     if low > 0:
         invite = _SwapList(list(range(n)), range(n))
     else:
         invite = _SwapList([-1] * n)
     return invite, _SwapList(list(range(n)), range(n))
+
+
+def _pull_pick(u: float, invite: list[int], below: list[int]) -> int:
+    """The pull rule's pick from one uniform u: a uniform member of the
+    invite list, else of the below-high list, else -1 (the kernel's
+    pull_pick); each caller keeps its own last resort for -1."""
+    if invite:
+        return invite[int(u * len(invite))]
+    if below:
+        return below[int(u * len(below))]
+    return -1
 
 
 class _Window:
@@ -544,8 +558,6 @@ def _run_py(config: SimConfig, validate_table: bool = False) -> dict:
                 hash_idx += 1
                 next_id += 1
                 s = assignment[b]
-            elif mode == _D1:
-                s = int(u * n)
             elif mode == _D_CHOICES:
                 cands = [int(u * n)]
                 needed = d - 1
@@ -573,11 +585,8 @@ def _run_py(config: SimConfig, validate_table: bool = False) -> dict:
                 bucket = levels[cur_min]
                 s = bucket[int(u * len(bucket))]
             elif mode == _PULL:
-                if invite:
-                    s = invite[int(u * len(invite))]
-                elif below:
-                    s = below[int(u * len(below))]
-                else:
+                s = _pull_pick(u, invite, below)
+                if s < 0:
                     s = int(u * n)
             elif mode == _SHED:
                 s = int(u * n)
@@ -591,11 +600,8 @@ def _run_py(config: SimConfig, validate_table: bool = False) -> dict:
                     if started:
                         violations += 1
                     u = uniform()
-                    if invite:
-                        s = invite[int(u * len(invite))]
-                    elif below:
-                        s = below[int(u * len(below))]
-                    else:
+                    s = _pull_pick(u, invite, below)
+                    if s < 0:
                         s = int(u * n)
             else:
                 s = int(u * n)

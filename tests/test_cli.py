@@ -603,6 +603,34 @@ class TestMainExitCodes:
         assert "must list at least one value" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("experiment, args, message", [
+        # no seed used to average an empty list into nan eps_mean rows
+        ("bin-violation", ["--param", "seeds=0"], "seeds must be at least 1, got 0"),
+        ("bin-violation", ["--param", "seeds=-3"], "seeds must be at least 1, got -3"),
+        # an empty sweep used to end in "max() arg is an empty sequence"
+        ("tradeoff-shedding", ["--h_min", "200", "--h_max", "150"],
+         "h_max must be at least h_min, got h_min=200, h_max=150"),
+    ])
+    def test_empty_sweep_is_validation_error(self, tmp_path, capsys, experiment,
+                                             args, message):
+        rc = cli.main(["run", experiment, "--out", str(tmp_path), *args])
+        assert rc == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_tradeoff_without_shedding_reports_no_best_improvement(self, tmp_path,
+                                                                   capsys):
+        # thresholds far above the load shed nothing: epsilon is 0 at every
+        # point, so there is no improvement bought with a violation
+        rc = cli.main(["run", "tradeoff-shedding", "--out", str(tmp_path),
+                       "--h_min", "2000", "--h_max", "2001"])
+        assert rc == cli.EXIT_OK, capsys.readouterr().err
+        rows = (tmp_path / "tradeoff-shedding_tradeoff.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["0.0", "0.0"]
+        payload = json.loads((tmp_path / "tradeoff-shedding_summary.json").read_text())
+        assert payload["max_improvement_with_positive_eps"] is None
+        assert payload["points"] == 2
+
     @pytest.mark.parametrize("param", [
         "stop_residual=nan", "stop_residual=0", "stop_residual=-1e-9",
         "t_end=nan",

@@ -263,6 +263,67 @@ def test_kernel_source_compiles_cleanly_with_all_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# Runs in a child process whose kernel is built with AddressSanitizer and
+# UBSan: sim_run in every mode, the bin scheme with and without drain, with
+# fewer bins than servers and on one server, a histogram that doubles, and
+# ode_run on every mean-field rule.  Any bad access aborts the child.
+SANITIZED_CHILD = """
+import math
+import numpy as np
+from stickysim import _native
+from stickysim.bin_sim import run_bin_sim
+from stickysim.core import (BinBased, PowerOfD, PullBased, Shedding, SystemParams,
+                            TransferToInvite, TransferToLeastLoaded)
+from stickysim.flow_sim import SimConfig, run_flow_sim
+from stickysim.mean_field import integrate_ode
+
+_native.FLAGS += ("-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g")
+assert _native.kernel() is not None, "sanitized kernel did not build"
+
+small = SystemParams(n=4, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
+deep = SystemParams(n=2, lam=2200.0, beta=1.0, nu=1.0, mu=10000.0)
+one = SystemParams(n=1, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
+flow = [(small, PowerOfD(1)), (small, PowerOfD(2)), (small, PowerOfD(4)),
+        (small, PullBased(3, 6)), (small, PullBased(0, math.inf)),
+        (small, Shedding(6)), (small, TransferToInvite(3, 6)),
+        (small, TransferToInvite(0, 6)), (small, TransferToLeastLoaded(6)),
+        (deep, PowerOfD(1)), (one, PowerOfD(1)), (one, PullBased(3, 6))]
+for params, scheme in flow:
+    run_flow_sim(SimConfig(params=params, scheme=scheme, seed=5, warmup=2.0,
+                           horizon=20.0))
+bins = [(small, BinBased(bins=8, low=3, high=6)), (small, BinBased(bins=2, low=3, high=6)),
+        (small, BinBased(bins=40, low=0, high=10)), (one, BinBased(bins=3, low=3, high=6))]
+for params, scheme in bins:
+    for drain in (False, True):
+        run_bin_sim(SimConfig(params=params, scheme=scheme, seed=5, warmup=2.0,
+                              horizon=20.0, drain_to_threshold=drain))
+
+load = SystemParams(n=100, lam=6.0 / 1.5, beta=1.5, nu=1.0, mu=100.0)
+s0 = np.zeros(16)
+s0[0] = 1.0
+for scheme in (PowerOfD(2), PullBased(5, 8), Shedding(8), TransferToInvite(5, 8),
+               TransferToLeastLoaded(8)):
+    out = integrate_ode(scheme, load, s0.copy(), 1.0, stop_residual=1e-9,
+                        record_every=0.25)
+    assert out.engine == "kernel", out.engine
+"""
+
+
+def test_kernel_runs_clean_under_address_and_undefined_sanitizers(tmp_path):
+    cc = _native.compiler()
+    if cc is None:
+        pytest.skip("no C compiler")
+    asan = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
+                          text=True, timeout=60).stdout.strip()
+    if not Path(asan).is_file():
+        pytest.skip("the compiler ships no AddressSanitizer runtime")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parents[1]), LD_PRELOAD=asan,
+               ASAN_OPTIONS="detect_leaks=0", XDG_CACHE_HOME=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_CHILD], capture_output=True,
+                          text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+
+
 def test_import_neither_builds_nor_loads_the_kernel():
     code = ("import sys, stickysim, stickysim.cli; "
             "print('stickysim._native' in sys.modules)")

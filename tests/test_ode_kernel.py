@@ -58,9 +58,9 @@ STRUCT_SIZES = {
 # each code array _kernel.c exports, by the Python names of its entries in
 # enum order; NO_CAP is one int64, which reads as a one-entry array
 MIRRORED_CODES = {
-    "MODE_CODES": (flow_sim._D1, flow_sim._D_CHOICES, flow_sim._LEAST,
-                   flow_sim._PULL, flow_sim._SHED, flow_sim._XFER_INVITE,
-                   flow_sim._XFER_LEAST, flow_sim._BIN),
+    "MODE_CODES": (flow_sim._D_CHOICES, flow_sim._LEAST, flow_sim._PULL,
+                   flow_sim._SHED, flow_sim._XFER_INVITE, flow_sim._XFER_LEAST,
+                   flow_sim._BIN),
     "RULE_CODES": (mf.RULE_POWER, mf.RULE_PULL, mf.RULE_SHEDDING, mf.RULE_INVITE,
                    mf.RULE_LEAST),
     "STOP_CODES": (mf.STOP_NONE, mf.STOP_RESIDUAL, mf.STOP_STATIONARY),
