@@ -35,12 +35,12 @@
  * lookup and bin moves.  high = INT64_MAX means no upper threshold.
  *
  * ode_drift and ode_step are ports of the NumPy engine in mean_field._bind_ode
- * (the join rules _pull_rule and its siblings, the balance, the correction,
- * numpy's clip, np.minimum.accumulate and np.maximum.reduce down to NaN and
- * -0.0, and numpy's pairwise sum for the correction's one reduction), with
- * the same double operations in the same order, so every RK4 step agrees bit
- * for bit; ode_run is a port of the Python step loop there, down to t
- * accumulated one dt at a time, so whole integrations agree too.
+ * (the join rules _pull_rule and its siblings, the balance, the correction
+ * with its left-to-right sum, and numpy's clip, np.minimum.accumulate and
+ * np.maximum.reduce down to NaN and -0.0), with the same double operations in
+ * the same order, so every RK4 step agrees bit for bit; ode_run is a port of
+ * the Python step loop there, down to t accumulated one dt at a time, so
+ * whole integrations agree too.
  *
  * The SIZEOF_* constants export the size of every struct shared with
  * _native.py, and MODE_CODES, RULE_CODES, STOP_CODES and NO_CAP the codes
@@ -802,41 +802,6 @@ static void drift(const drift_params *p, const double *sp, double *ds)
         ds[i] = lam * q[i - 1] - (double)i * (sp[i] - sp[i + 1]) / beta;
 }
 
-/* numpy's pairwise summation of a[0..n-1]: a plain loop below 8 terms, eight
- * accumulators up to 128, otherwise the two halves split at a multiple of 8 */
-static double pairwise(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = -0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t half = n / 2;
-    half -= half % 8;
-    return pairwise(a, half) + pairwise(a + half, n - half);
-}
-
-/* a[0..n-1].sum() as numpy reduces it: the identity 0.0 plus the pairwise sum;
- * exported so that a test can compare it with numpy directly */
-double ode_sum(const double *a, int64_t n)
-{
-    return 0.0 + pairwise(a, n);
-}
-
 /* the larger of acc and x as np.maximum.reduce folds them: a NaN wins */
 static inline double nan_max(double acc, double x)
 {
@@ -845,9 +810,10 @@ static inline double nan_max(double acc, double x)
 
 /* The dip-refill correction of a drift ds whose join buffer is p->q: when
  * 0 < sat < low and ds[sat] < 0, the refill demand -ds[sat] is covered as far
- * as lam*sum(q[sat..size-2]) allows, and each level above sat gives up the
- * same share of its arrivals.  low is the invite threshold of the pull and
- * invite rules and 0 for the rest, which therefore take no correction. */
+ * as lam*sum(q[sat..size-2]) allows, the sum taken left to right from 0.0,
+ * and each level above sat gives up the same share of its arrivals.  low is
+ * the invite threshold of the pull and invite rules and 0 for the rest, which
+ * therefore take no correction. */
 static void correct(const drift_params *p, int64_t sat, double *ds)
 {
     if (!(0 < sat && sat < p->low && ds[sat] < 0.0))
@@ -855,7 +821,10 @@ static void correct(const drift_params *p, int64_t sat, double *ds)
     const int64_t size = p->size;
     const double *q = p->q;
     const double deficit = -ds[sat];
-    const double visible = p->lam * ode_sum(q + sat, size - 1 - sat);
+    double sum = 0.0;
+    for (int64_t j = sat; j < size - 1; j++)
+        sum += q[j];
+    const double visible = p->lam * sum;
     /* Python's min(deficit, visible): the first unless the second is smaller */
     const double cover = visible < deficit ? visible : deficit;
     if (cover > 0.0) {
@@ -903,10 +872,11 @@ static void project(const double *src, double *v, int64_t size, int64_t sat)
  * g = project(s + scale_i*k_i) with scales dt/2, dt/2, dt on the first size
  * levels of the padded stage tail g, then the corrected drift there into p->q
  * and k_{i+1}.  The step end writes raw = s + sixth_dt*(k1 + 2*k2 + 2*k3 +
- * k4), summed in that order, and s = project(raw).  Returns sup|raw - s| as
+ * k4), summed in that order, and g = project(raw), sets *moved to whether g
+ * differs from s in any bit, and copies g into s.  Returns sup|raw - s| as
  * np.maximum.reduce takes it (a NaN wins). */
 double ode_step(const drift_params *p, int64_t sat, double *s, double *g, double *k,
-                double *raw)
+                double *raw, int *moved)
 {
     const int64_t size = p->size;
     const double scales[3] = {p->half_dt, p->half_dt, p->dt};
@@ -928,10 +898,21 @@ double ode_step(const drift_params *p, int64_t sat, double *s, double *g, double
         r = r + k4[i];
         raw[i] = s[i] + sixth_dt * r;
     }
-    project(raw, s, size, sat);
-    double dist = fabs(raw[0] - s[0]);
-    for (int64_t i = 1; i < size; i++)
-        dist = nan_max(dist, fabs(raw[i] - s[i]));
+    /* one pass takes the distance, compares the bits and copies: it measured
+     * faster per step than memcmp then memcpy, and far faster than a compare
+     * inside project */
+    project(raw, g, size, sat);
+    uint64_t diff = 0;
+    double dist = fabs(raw[0] - g[0]);
+    for (int64_t i = 0; i < size; i++) {
+        uint64_t now, was;
+        memcpy(&now, g + i, sizeof now);
+        memcpy(&was, s + i, sizeof was);
+        diff |= now ^ was;
+        s[i] = g[i];
+        dist = nan_max(dist, fabs(raw[i] - g[i]));
+    }
+    *moved = diff != 0;
     return dist;
 }
 
@@ -944,23 +925,24 @@ enum { STOP_NONE = 0, STOP_RESIDUAL = 1, STOP_STATIONARY = 2 };
 
 /* The state of one integration's step loop, carried from one ode_run call to
  * the next.  Levels 0..sat are the pinned prefix; pins and releases count the
- * levels that joined and left it.  The stationary stop keeps the state and k1
- * of step saved_step in `saved` (2 x size), with its sat, pins and releases. */
+ * levels that joined and left it.  quiet is 0 when the last step released a
+ * level and 1 when it released none; it is 2 when, besides, that step changed
+ * no bit of the tail and pinned nothing, and the step before released
+ * nothing. */
 typedef struct {
-    double pin_tol, release_eps; /* mean_field.PIN_TOL and RELEASE_EPS */
-    double stop_residual;        /* > 0: both early stops are on */
-    double *saved;
-    int64_t step, sat, pins, releases;
-    int64_t saved_step, saved_sat, saved_pins, saved_releases;
-    double t, sup_k1, last_sup, max_projection, last_projection;
+    double pin_tol, sat_tol, release_eps; /* mean_field.PIN_TOL, SAT_TOL and
+                                             RELEASE_EPS */
+    double stop_residual;                 /* > 0: both early stops are on */
+    int64_t step, sat, pins, releases, quiet;
+    double t, sup_k1, max_projection, last_projection;
 } ode_loop;
 
-/* may `level`, at tail value v, join the pinned prefix?  At 1 it may; in the
- * invite region below low the relaxation to 1 is asymptotic and arbitrarily
- * stiff, so it may once it is within pin_tol of 1 */
+/* may `level`, at tail value v, join the pinned prefix?  Within sat_tol of 1
+ * it may; in the invite region below low the relaxation to 1 is asymptotic
+ * and arbitrarily stiff, so it may once it is within pin_tol of 1 */
 static int may_pin(const drift_params *p, const ode_loop *L, int64_t level, double v)
 {
-    return v >= 1.0 - 1e-12 || (level < p->low && v >= 1.0 - L->pin_tol);
+    return v >= 1.0 - L->sat_tol || (level < p->low && v >= 1.0 - L->pin_tol);
 }
 
 /* pin every level above the prefix that may join it, setting it to 1 */
@@ -987,47 +969,41 @@ static void drift_and_release(const drift_params *p, ode_loop *L, const double *
 
 /* The step loop of mean_field.integrate_ode, as its NumPy engine runs it,
  * from step L->step until step `until` or an early stop.  At step 0 it first
- * pins the start and takes its drift.  Before each step, with stop_residual
- * set, it stops on sup|k1| < stop_residual, or when the state, k1, sat, pins
- * and releases equal those of the step before bit for bit (they are saved
- * only when sup|k1| repeats, so an ordinary step copies nothing).  A step is
- * ode_step, then pinning, t += dt, and the drift with its releases.  Returns
- * the STOP_* code; STOP_NONE means step `until` was reached. */
+ * pins the start and takes its drift, which sets quiet to 1 unless it
+ * released a level.  Before each step, with stop_residual set, it stops on
+ * sup|k1| < stop_residual, or on quiet == 2 with sup|k1| not NaN: k1 depends
+ * only on the tail and the prefix it was taken at, and with no release in the
+ * step before, the k1 in hand was taken at the current prefix, so every later
+ * step repeats the last one bit for bit.  A step is ode_step, then pinning,
+ * t += dt, and the drift with its releases.  Returns the STOP_* code;
+ * STOP_NONE means step `until` was reached. */
 int64_t ode_run(const drift_params *p, ode_loop *L, double *s, double *g, double *k,
                 double *raw, int64_t until)
 {
-    const int64_t size = p->size;
-    const size_t row = (size_t)size * sizeof *s;
     const int early = L->stop_residual > 0.0;
     if (L->step == 0) {
         pin(p, L, s);
         drift_and_release(p, L, s, k);
+        L->quiet = L->releases == 0;
     }
     while (L->step < until) {
         if (early) {
             if (L->sup_k1 < L->stop_residual)
                 return STOP_RESIDUAL;
-            if (L->sup_k1 == L->last_sup) {
-                if (L->saved_step == L->step - 1 && L->saved_sat == L->sat &&
-                    L->saved_pins == L->pins && L->saved_releases == L->releases &&
-                    !memcmp(L->saved, s, row) && !memcmp(L->saved + size, k, row))
-                    return STOP_STATIONARY;
-                L->saved_step = L->step;
-                L->saved_sat = L->sat;
-                L->saved_pins = L->pins;
-                L->saved_releases = L->releases;
-                memcpy(L->saved, s, row);
-                memcpy(L->saved + size, k, row);
-            }
-            L->last_sup = L->sup_k1;
+            if (L->quiet == 2 && !isnan(L->sup_k1))
+                return STOP_STATIONARY;
         }
-        L->last_projection = ode_step(p, L->sat, s, g, k, raw);
+        const int64_t pins = L->pins, releases = L->releases;
+        int moved;
+        L->last_projection = ode_step(p, L->sat, s, g, k, raw, &moved);
         if (L->last_projection > L->max_projection)
             L->max_projection = L->last_projection;
         pin(p, L, s);
         L->t += p->dt;
         L->step++;
         drift_and_release(p, L, s, k);
+        L->quiet = L->releases != releases ? 0
+                   : !moved && L->pins == pins && L->quiet ? 2 : 1;
     }
     return STOP_NONE;
 }

@@ -7,7 +7,8 @@ _kernel.c.  ode_run runs an integration's whole step loop (pinning, release,
 the residual and stationary stop rules) in one call, carrying its state in
 an OdeLoop from call to call; each step is ode_drift, the corrected drift at
 the step's start and its sup-norm, and ode_step, the three stages with
-their corrections and the step end.  All three read one DriftParams bound
+their corrections and the step end, which also reports whether the step
+changed any bit of the tail.  All three read one DriftParams bound
 per integration, whose rule code is one of mean_field's RULE_* and covers
 every mean-field scheme.  On first use the file is compiled with the host
 C compiler into a per-user cache directory (``$XDG_CACHE_HOME/stickysim``,
@@ -124,13 +125,12 @@ class DriftParams(ctypes.Structure):
 
 class OdeLoop(ctypes.Structure):
     _fields_ = [
-        ("pin_tol", _F64), ("release_eps", _F64), ("stop_residual", _F64),
-        ("saved", F64P),
+        ("pin_tol", _F64), ("sat_tol", _F64), ("release_eps", _F64),
+        ("stop_residual", _F64),
         ("step", _I64), ("sat", _I64), ("pins", _I64), ("releases", _I64),
-        ("saved_step", _I64), ("saved_sat", _I64), ("saved_pins", _I64),
-        ("saved_releases", _I64),
-        ("t", _F64), ("sup_k1", _F64), ("last_sup", _F64),
-        ("max_projection", _F64), ("last_projection", _F64),
+        ("quiet", _I64),
+        ("t", _F64), ("sup_k1", _F64), ("max_projection", _F64),
+        ("last_projection", _F64),
     ]
 
 
@@ -160,7 +160,7 @@ def kernel() -> ctypes.CDLL | None:
             ptr = ctypes.c_void_p
             lib.ode_drift.argtypes = [ptr, _I64, ptr, ptr]
             lib.ode_drift.restype = _F64
-            lib.ode_step.argtypes = [ptr, _I64, ptr, ptr, ptr, ptr]
+            lib.ode_step.argtypes = [ptr, _I64, ptr, ptr, ptr, ptr, ptr]
             lib.ode_step.restype = _F64
             lib.ode_run.argtypes = [ptr, ptr, ptr, ptr, ptr, ptr, _I64]
             lib.ode_run.restype = _I64

@@ -142,6 +142,14 @@ def _sigma_summary(diag: mf.SolveDiagnostics) -> dict[str, object]:
             "sigma_iterations": diag.iterations}
 
 
+def _transfer_violation(theory: FlowDistribution, high: int | float) -> float:
+    """The violation probability of a transfer scheme with threshold
+    `high`: every arrival at a server holding `high` or more flows is moved,
+    so it is the stationary tail P[occupancy >= high]."""
+    tail = theory.to_tail()
+    return float(tail[high]) if tail.size > high else 0.0
+
+
 def _delay_metric(params: SystemParams, chi: float):
     return lambda i: mx.delay_tail_prob(i, chi, params)
 
@@ -288,12 +296,12 @@ def _exp_transfer_invite(spec: ExperimentSpec) -> _RunnerResult:
     params = _system_params(p)
     low, high = int(p["low"]), _high(p)
     theory, diag = mf.solve_transfer_invite_fixed_point(params.rho, low, high)
-    eps_theory = float(theory.p[high]) if theory.p.size > high else 0.0
     return _run_sim_vs_theory(
         spec,
         TransferToInvite(low=low, high=high),
         theory,
-        {"violation_rate_theory": eps_theory, **_sigma_summary(diag)},
+        {"violation_rate_theory": _transfer_violation(theory, high),
+         **_sigma_summary(diag)},
     )
 
 
@@ -302,12 +310,11 @@ def _exp_transfer_least(spec: ExperimentSpec) -> _RunnerResult:
     params = _system_params(p)
     high = _high(p)
     theory = mf.solve_least_loaded_fixed_point(params.rho, high)
-    eps_theory = float(theory.p[high]) if theory.p.size > high else 0.0
     return _run_sim_vs_theory(
         spec,
         TransferToLeastLoaded(high=high),
         theory,
-        {"violation_rate_theory": eps_theory},
+        {"violation_rate_theory": _transfer_violation(theory, high)},
     )
 
 
@@ -328,8 +335,8 @@ def _exp_violation_curves(spec: ExperimentSpec) -> _RunnerResult:
             ("transfer-least", TransferToLeastLoaded(high=h), None),
         ):
             if eps_theory is None:
-                dist = mf.fixed_point(scheme, params.rho)
-                eps_theory = float(dist.p[h]) if dist.p.size > h else 0.0
+                eps_theory = _transfer_violation(
+                    mf.fixed_point(scheme, params.rho), h)
             stats = run_flow_sim(_sim_config(spec, scheme))
             rows.append(
                 [label, h, stats.violation_rate, eps_theory, stats.violations]
@@ -383,7 +390,9 @@ def _exp_bin_occupancy(spec: ExperimentSpec) -> _RunnerResult:
     p = spec.params
     params = _system_params(p)
     low, high = int(p["low"]), _high(p)
-    m = _list_param(p, "bins", lambda v: _bin_count(v, params.n))[0]
+    m, *rest = _list_param(p, "bins", lambda v: _bin_count(v, params.n))
+    if rest:
+        raise ValueError(f"bins must be one bin count, got {p['bins']!r}")
     theory, _ = mf.solve_transfer_invite_fixed_point(params.rho, low, high)
     cfg = _sim_config(spec, BinBased(bins=m, low=low, high=high))
     stats = run_bin_sim(cfg)

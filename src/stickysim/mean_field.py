@@ -9,8 +9,10 @@ loss-system load sigma.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,6 +61,8 @@ CARRIED_RESIDUAL_TOL = 1e-10
 PROJECTION_TOL = 1e-6
 # a pinned saturated level is released once its drift falls below -RELEASE_EPS
 RELEASE_EPS = 1e-9
+# a tail level within SAT_TOL of 1 has reached saturation and is pinned at 1
+SAT_TOL = 1e-12
 # inside the invite region the approach to saturation is asymptotic, so levels
 # this close to 1 are snapped onto the constraint instead of being integrated
 PIN_TOL = 1e-4
@@ -684,15 +688,16 @@ STOP_REASONS = ("t_end", "residual", "stationary")
 class OdeResult:
     """Terminal state of a mean-field integration plus bookkeeping.
 
-    `stop_reason` is "residual" when sup|ds/dt| fell below stop_residual,
-    "stationary" when a step left the state unchanged bit for bit (checked
-    only when stop_residual is given), and "t_end" when the step budget ran
-    out.  A "stationary" run has the tail, residual, max_projection, pins and
-    releases that a run to t_end would have; only t, steps and a recorded
-    trajectory are shorter.  `pins` counts levels that joined the pinned
-    saturated prefix (those pinned at the start included) and `releases` the
-    levels freed from it, both up to the stop, so pins - releases is the
-    length of the prefix pinned at the end.  `engine` names what ran the
+    `stop_reason` is "residual" when sup|ds/dt|, the `residual`, fell below
+    stop_residual, "stationary" when every later step would repeat the last
+    one bit for bit (checked only when stop_residual is given; see _Rk4),
+    and "t_end" when the step budget ran out.  A "stationary" run has the
+    tail, residual, max_projection, pins and releases that a run to t_end
+    would have; only t, steps and a recorded trajectory are shorter.
+    `pins` counts levels that joined the pinned saturated prefix (those
+    pinned at the start included) and `releases` the levels freed from it,
+    both up to the stop, so pins - releases is the length of the prefix
+    pinned at the end.  `engine` names what ran the
     step loop: "kernel" for ode_run in _kernel.c, one call for the whole
     integration or one per record stride, "python" for the same loop in
     Python around NumPy; both give the same result bit for bit."""
@@ -724,9 +729,9 @@ class _Rk4:
     0; `raw` is the step end before projection; `q` is the join buffer, one
     entry shorter than the padded tails.  `loop` (a _native.OdeLoop) is the
     loop state run carries from call to call: step, t, the pinned prefix
-    0..sat with its pins and releases counts, the last sup|k1|, the largest
-    and the last projection distance, and the stationary stop's saved step,
-    whose state and k1 are the two rows of `saved`.
+    0..sat with its pins and releases counts, the stationary stop's counter
+    `quiet`, the last sup|k1|, and the largest and the last projection
+    distance.
 
     drift(sat) writes every entry of q with the scheme's join rule at state,
     then k1[i] = lam*q[i-1] - (i*(state[i] - state[i+1]))/beta for
@@ -737,26 +742,30 @@ class _Rk4:
     project(state + scale_i*k_i, sat) into g, with scales dt/2, dt/2, dt,
     then the drift there into q and k_{i+1}, corrected as k1 is.  It then
     writes raw = state + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), summed in that
-    order, projects it into state and returns sup|raw - state|.  project(v,
-    sat) clips v to [0, 1], sets its levels 0..sat to 1 and takes its running
+    order, projects it into g, copies g into state and returns sup|raw -
+    state| and whether the copy changed any bit of state.  project(v, sat)
+    clips v to [0, 1], sets its levels 0..sat to 1 and takes its running
     minimum.
 
     run(until) runs the step loop from step loop.step to step `until` or an
     early stop, and returns the STOP_* code that says which it was.  At step
     0 it first pins the start and takes its drift.  A step is step(sat),
-    pinning, t += dt, then drift(sat) and releases.  Pinning moves each level above
-    the prefix into it, at exactly 1, once it reaches 1 or, below the invite
-    threshold `low`, comes within PIN_TOL of 1; a pinned level is released
-    when its corrected drift falls below -RELEASE_EPS.  With a stop
-    residual, before each step the loop stops on sup|k1| < stop_residual, or
-    when the state, k1, sat, pins and releases equal the previous step's bit
-    for bit.
+    pinning, t += dt, then drift(sat) and releases.  Pinning moves each level
+    above the prefix into it, at exactly 1, once it comes within SAT_TOL of 1
+    or, below the invite threshold `low`, within PIN_TOL of 1; a pinned level
+    is released when its corrected drift falls below -RELEASE_EPS.  `quiet`
+    is 0 after a step (or the start's drift) that released a level and 1
+    after one that released none; it is 2 when, besides, the step changed no
+    bit of state and pinned nothing, and the step before released nothing.
+    With a stop residual, before each step the loop stops on sup|k1| <
+    stop_residual, or on quiet == 2 with sup|k1| not NaN.
 
     The correction: `low` is the invite threshold of the pull-family schemes
     and 0 for the schemes that invite nobody.  A pinned level sat
     (0 < sat < low) whose drift is negative has its refill demand -k[sat]
     covered from the arrivals headed for levels sat and up, as far as
-    lam*sum(q[sat:size-1]) allows, each of them giving up the same share.
+    lam*sum(q[sat:size-1]) allows, each of them giving up the same share; the
+    sum is taken left to right from 0.0.
 
     `engine` is "kernel" when ode_drift, ode_step and ode_run in _kernel.c
     run the three and "python" when NumPy and the loop in _bind_ode do; both
@@ -768,10 +777,9 @@ class _Rk4:
     k: np.ndarray
     raw: np.ndarray
     q: np.ndarray
-    saved: np.ndarray
     loop: object
     drift: Callable[[int], float]
-    step: Callable[[int], float]
+    step: Callable[[int], tuple[float, bool]]
     run: Callable[[int], int]
 
 
@@ -797,14 +805,12 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
     k = np.zeros((4, size))
     raw = np.empty(size)
     q = np.empty(width - 1)
-    saved = np.empty((2, size))
     # a stop residual of 0 turns both early stops off
     loop = native.OdeLoop(
-        pin_tol=PIN_TOL, release_eps=RELEASE_EPS,
+        pin_tol=PIN_TOL, sat_tol=SAT_TOL, release_eps=RELEASE_EPS,
         stop_residual=0.0 if stop_residual is None else stop_residual,
-        saved=saved.ctypes.data_as(native.F64P), saved_step=-1, last_sup=math.nan,
     )
-    buffers = (state, g, k, raw, q, saved, loop)
+    buffers = (state, g, k, raw, q, loop)
     lib = native.kernel()
     if lib is not None:
         c_params = native.DriftParams(
@@ -819,12 +825,15 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
         s_at, g_at, k_at, raw_at = (
             a.ctypes.data_as(ctypes.c_void_p) for a in (state, g, k, raw))
         ode_drift, ode_step, ode_run = lib.ode_drift, lib.ode_step, lib.ode_run
+        moved = ctypes.c_int()
+        moved_ref = ctypes.byref(moved)
 
         def kernel_drift(sat: int) -> float:
             return ode_drift(params_ref, sat, s_at, k_at)
 
-        def kernel_step(sat: int) -> float:
-            return ode_step(params_ref, sat, s_at, g_at, k_at, raw_at)
+        def kernel_step(sat: int) -> tuple[float, bool]:
+            far = ode_step(params_ref, sat, s_at, g_at, k_at, raw_at, moved_ref)
+            return far, bool(moved.value)
 
         def kernel_run(until: int) -> int:
             return ode_run(params_ref, loop_ref, s_at, g_at, k_at, raw_at, until)
@@ -871,7 +880,10 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
             # if the whole stream cannot cover the refill demand, ds[sat]
             # stays negative and the release rule frees the level
             deficit = -float(ds[sat])
-            visible = lam * float(q[sat : size - 1].sum())
+            # left to right, as the kernel sums: ndarray.sum adds in a tree of
+            # blocks, and builtin sum is compensated from Python 3.12
+            visible = lam * functools.reduce(operator.add,
+                                             q[sat : size - 1].tolist(), 0.0)
             cover = min(deficit, visible)
             if cover > 0.0:
                 ds[sat] += cover
@@ -890,7 +902,7 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
         correct(k1, sat)
         return float(sup(absolute(k1, out=tmp)))
 
-    def python_step(sat: int) -> float:
+    def python_step(sat: int) -> tuple[float, bool]:
         # stage states are projected so the join probabilities only ever see
         # valid tails; in smooth regions the projection is the identity and
         # this is classical RK4
@@ -903,8 +915,10 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
         add(raw, multiply(two, k3, out=tmp), out=raw)
         add(raw, k4, out=raw)
         add(s, multiply(sixth_dt, raw, out=raw), out=raw)
-        project(raw, s, sat)
-        return float(sup(absolute(subtract(raw, s, out=tmp), out=tmp)))
+        project(raw, g_head, sat)
+        moved = g_head.tobytes() != s.tobytes()
+        s[...] = g_head
+        return float(sup(absolute(subtract(raw, s, out=tmp), out=tmp))), moved
 
     # Saturated-prefix bookkeeping: levels whose tail has reached 1 are pinned
     # there (they are fast variables slaved to the saturation constraint; the
@@ -912,7 +926,7 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
     # A pinned level is released as soon as its drift at the constraint turns
     # negative, i.e. the sliding mode can no longer hold it.
     def may_pin(level: int, value: float) -> bool:
-        if value >= 1.0 - 1e-12:
+        if value >= 1.0 - SAT_TOL:
             return True
         # slaved dip in the invite region: relaxation to 1 is asymptotic and
         # arbitrarily stiff, so snap once the remaining distance is negligible
@@ -936,35 +950,31 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
         if loop.step == 0:
             pin()
             drift_and_release()
+            loop.quiet = int(loop.releases == 0)
         while loop.step < until:
             if stop_residual is not None:
                 if loop.sup_k1 < stop_residual:
                     return STOP_RESIDUAL
-                # A step reads nothing but the loop state (s, sat, k1), so
-                # once a step leaves it and the pin counters unchanged bit for
-                # bit, every later step repeats it.  Only a step whose sup|k1|
-                # repeats the previous one is compared with (and saved for)
-                # the next, so an ordinary step copies nothing.
-                if loop.sup_k1 == loop.last_sup:
-                    now = (loop.step, loop.sat, loop.pins, loop.releases)
-                    before = (loop.saved_step + 1, loop.saved_sat, loop.saved_pins,
-                              loop.saved_releases)
-                    if (now == before and saved[0].tobytes() == s.tobytes()
-                            and saved[1].tobytes() == k1.tobytes()):
-                        return STOP_STATIONARY
-                    (loop.saved_step, loop.saved_sat, loop.saved_pins,
-                     loop.saved_releases) = now
-                    saved[0], saved[1] = s, k1
-                loop.last_sup = loop.sup_k1
+                # A step reads nothing but s, sat and k1, and k1 depends only
+                # on s and the prefix it was taken at.  At quiet == 2 the last
+                # step changed neither s nor sat, and with no release in the
+                # step before, k1 was taken at the current prefix: every later
+                # step repeats the last one bit for bit.
+                if loop.quiet == 2 and not math.isnan(loop.sup_k1):
+                    return STOP_STATIONARY
+            pins, releases = loop.pins, loop.releases
             # s + (dt/6) * (k1 + 2 k2 + 2 k3 + k4) from projected stages,
             # projected
-            loop.last_projection = python_step(loop.sat)
+            loop.last_projection, moved = python_step(loop.sat)
             if loop.last_projection > loop.max_projection:
                 loop.max_projection = loop.last_projection
             pin()
             loop.t += dt
             loop.step += 1
             drift_and_release()
+            loop.quiet = (0 if loop.releases != releases
+                          else 2 if not moved and loop.pins == pins and loop.quiet
+                          else 1)
         return STOP_NONE
 
     return _Rk4("python", *buffers, python_drift, python_step, python_run)
@@ -997,12 +1007,12 @@ def integrate_ode(
     projection repair larger than PROJECTION_TOL at the terminal step aborts.
 
     With stop_residual given, the run stops early, either once sup|ds/dt|
-    falls below it ("residual") or once a step leaves the tail, the pinned
-    prefix, the drift and the pin counters unchanged bit for bit
-    ("stationary").  The second catches a drift that the projection cancels
-    every step, so the residual stays above stop_residual forever; the
-    result then equals that of a run to t_end but for t, steps and the
-    trajectory.
+    falls below it ("residual") or once a step changes no bit of the tail
+    and pins nothing, after a step that released no pinned level
+    ("stationary"; see _Rk4).  The second catches a drift that the
+    projection cancels every step, so the residual stays above
+    stop_residual forever; the result then equals that of a run to t_end
+    but for t, steps and the trajectory.
 
     The step loop owns the hybrid system's discrete state: pinning and
     release and the residual and stationary stop rules (see _Rk4 and
@@ -1075,7 +1085,7 @@ def integrate_ode(
     return OdeResult(
         t=loop.t,
         tail=tail,
-        residual=float(np.absolute(ode.k[0]).max()),
+        residual=loop.sup_k1,
         max_projection=loop.max_projection,
         steps=loop.step,
         trajectory=tuple(trajectory),

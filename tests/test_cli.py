@@ -274,6 +274,19 @@ class TestRunExperiment:
         assert payload["sigma_residual"] == diag.residual
         assert payload["sigma_iterations"] == diag.iterations > 0
 
+    def test_transfer_violation_theory_is_the_tail_at_high(self, tmp_path):
+        # at h = 1, far below rho = 3, every arrival finds its server holding
+        # a flow or more and is moved: the theory is P[occupancy >= 1] = 1,
+        # not the mass p[1] at the threshold alone
+        spec = cli.build_spec("violation-curves",
+                              {**TINY, "low": "2", "h_values": "1"},
+                              seed=0, out_dir=tmp_path)
+        cli.run_experiment(spec)
+        rows = (tmp_path / "violation-curves_violations.csv").read_text()
+        theory = {row.split(",")[0]: row.split(",")[3]
+                  for row in rows.splitlines()[1:]}
+        assert theory["transfer-invite"] == theory["transfer-least"] == "1.0"
+
     def test_csv_writer_formats_cells_like_the_per_cell_rule(self, tmp_path):
         import csv
 
@@ -601,6 +614,15 @@ class TestMainExitCodes:
         ])
         assert rc == cli.EXIT_VALIDATION
         assert "must list at least one value" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_bin_list_in_bin_occupancy_is_validation_error(self, tmp_path,
+                                                            capsys):
+        # a list used to run its first count and drop the rest silently
+        rc = cli.main(["run", "bin-occupancy", "--out", str(tmp_path),
+                       "--param", "bins=2n,10n"])
+        assert rc == cli.EXIT_VALIDATION
+        assert "bins must be one bin count, got '2n,10n'" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("experiment, args, message", [

@@ -162,6 +162,11 @@ def _same_float(a, b):
     return math.isnan(a) and math.isnan(b) or a.hex() == b.hex()
 
 
+def _same_step(a, b):
+    """Two step(sat) results, (projection distance, moved), agree."""
+    return _same_float(a[0], b[0]) and a[1] == b[1]
+
+
 def _specials(rng, s, *ks):
     """Put exact 0, 1 and -0.0 at random levels of s and of the matching
     entries of every k: each k entry 0 keeps a stage or step end on that
@@ -217,10 +222,12 @@ def test_kernel_drift_matches_python_bit_for_bit(kernel, case, size):
 
 def _steps_agree(both, size, s, k1, sat):
     """Run step(sat) from state s and drift k1 on both engines, every output
-    buffer poisoned first, assert that they agree bit for bit and return the
-    projection distance.  Level 0 of k2..k4 stays 0, as in integrate_ode:
-    neither engine writes it, and a NaN there would make every distance NaN."""
-    distances = []
+    buffer poisoned first, assert that they agree bit for bit, that `moved`
+    says whether the step changed a bit of the state and that g holds the
+    new state, and return the projection distance.  Level 0 of k2..k4 stays
+    0, as in integrate_ode: neither engine writes it, and a NaN there would
+    make every distance NaN."""
+    outs = []
     for ode in both:
         ode.state[:size] = s
         ode.k[0] = k1
@@ -228,13 +235,17 @@ def _steps_agree(both, size, s, k1, sat):
         for buf in (ode.g[:size], ode.q, ode.k[1:, 1:], ode.raw):
             buf.fill(math.nan)
         with np.errstate(all="ignore"):
-            distances.append(ode.step(sat))
+            outs.append(ode.step(sat))
     on_kernel, on_python = both
     for name in ("g", "q", "k", "raw", "state"):
         ours, theirs = getattr(on_kernel, name), getattr(on_python, name)
         assert ours.tobytes() == theirs.tobytes(), (name, s, sat)
-    assert _same_float(*distances), (s, sat)
-    return distances[0]
+    assert _same_step(*outs), (s, sat)
+    far, moved = outs[0]
+    now = on_kernel.state[:size].tobytes()
+    assert moved == (now != s.tobytes()), (s, sat)
+    assert on_kernel.g[:size].tobytes() == now
+    return far
 
 
 @pytest.mark.parametrize("size", [6, 16, 280])
@@ -352,31 +363,15 @@ def test_kernel_drift_and_step_match_python_on_drawn_cases(kernel, scheme, rho,
     assert (on_kernel.engine, on_python.engine) == ("kernel", "python")
     for ode in (on_kernel, on_python):
         ode.state[:size] = s
-    for call, written in (("drift", ("q", "k")),
-                          ("step", ("q", "k", "state", "g", "raw"))):
+    for call, same, written in (
+            ("drift", _same_float, ("q", "k")),
+            ("step", _same_step, ("q", "k", "state", "g", "raw"))):
         with np.errstate(all="ignore"):
             outs = [getattr(ode, call)(sat) for ode in (on_kernel, on_python)]
-        assert _same_float(*outs), call
+        assert same(*outs), call
         for name in written:
             ours, theirs = getattr(on_kernel, name), getattr(on_python, name)
             assert ours.tobytes() == theirs.tobytes(), (call, name)
-
-
-def test_kernel_sum_matches_numpy_bit_for_bit(kernel):
-    # the correction's sum of q, at every length to 300 and past numpy's
-    # 128-term blocks, from offsets that change the data's alignment
-    ode_sum = _native.kernel().ode_sum
-    ode_sum.argtypes = [ctypes.c_void_p, ctypes.c_int64]
-    ode_sum.restype = ctypes.c_double
-    rng = np.random.default_rng(20)
-    base = rng.standard_normal(2100) * np.exp(rng.uniform(-30, 30, 2100))
-    base[rng.choice(base.size, 60, replace=False)] = -0.0
-    for data in (base, np.abs(base), np.full(2100, -0.0)):
-        for offset in (0, 1, 3, 8):
-            for n in [*range(1, 301), 1000, 2048 - offset]:
-                a = data[offset : offset + n]
-                ours = ode_sum(a.ctypes.data, n)
-                assert ours.hex() == float(np.add.reduce(a)).hex(), (offset, n)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +454,8 @@ def test_wide_runs_match_under_both_engines(kernel, name):
 
 
 def test_compiled_loop_matches_python_on_the_stall(kernel):
-    # the stationary stop, whose saved step and stopping step straddle the
-    # end of a call when the record stride lands on the stop: the saved copy
+    # the stationary stop, whose last still step and stopping check straddle
+    # the end of a call when the record stride lands on the stop: `quiet`
     # carries over, and the stop's own step is recorded once
     scheme, params = STALL
     whole = mf.integrate_ode(scheme, params, _empty(100), t_end=60.0,
@@ -478,22 +473,47 @@ def test_compiled_loop_matches_python_on_the_stall(kernel):
     assert t == whole.t and frame.tobytes() == whole.tail.tobytes()
 
 
-@pytest.mark.parametrize("engine", ["kernel", "python"])
-def test_a_state_repeated_after_a_gap_is_not_stationary(kernel, engine):
-    # the loop at step 5 with a repeated sup|k1| and a saved copy of step 3
-    # that equals the current state, k1, sat and pin counters: a cycle of
-    # period 2, not a fixed point, so the loop saves step 5 and steps on
+def _still_loop(engine):
+    """The step loop of PullBased(5, 8) on 16 levels, with stop_residual
+    1e-9, bound on `engine`, whose steps of 1e-20 change no bit of a tail
+    that stays within [0.5, 1]."""
     params = SystemParams(n=100, lam=4.0, beta=1.5, nu=1.0, mu=100.0)
-    bind = functools.partial(mf._bind_ode, PullBased(5, 8), params, 16, DT, 1e-9)
+    bind = functools.partial(mf._bind_ode, PullBased(5, 8), params, 16, 1e-20,
+                             1e-9)
     ode = bind() if engine == "kernel" else without_kernel(bind)
     assert ode.engine == engine
-    ode.state[:16] = np.linspace(1.0, 0.0, 16)
+    ode.state[:16] = np.linspace(1.0, 0.5, 16)
+    return ode
+
+
+@pytest.mark.parametrize("engine", ["kernel", "python"])
+def test_a_still_step_right_after_a_release_does_not_stop(kernel, engine):
+    # the loop at step 5 as a step that released a level leaves it (quiet
+    # 0): the k1 in hand may have been taken at the longer prefix, so the
+    # still step to 6 does not stop the loop; the still step to 7 follows a
+    # step that released nothing, so the loop stops at step 7
+    ode = _still_loop(engine)
     loop = ode.loop
-    loop.sup_k1 = loop.last_sup = ode.drift(0)
-    loop.step, loop.saved_step = 5, 3
-    ode.saved[0], ode.saved[1] = ode.state[:16], ode.k[0]
-    assert ode.run(6) == mf.STOP_NONE
-    assert (loop.step, loop.saved_step) == (6, 5)
+    loop.sup_k1 = ode.drift(0)
+    loop.step, loop.quiet = 5, 0
+    before = ode.state.tobytes()
+    assert ode.run(7) == mf.STOP_NONE
+    assert (loop.step, loop.quiet) == (7, 2)
+    assert ode.run(10) == mf.STOP_STATIONARY
+    assert loop.step == 7 and ode.state.tobytes() == before
+    assert (loop.pins, loop.releases) == (0, 0)
+
+
+@pytest.mark.parametrize("engine", ["kernel", "python"])
+def test_a_nan_state_is_never_stationary(kernel, engine):
+    # the NaN levels spread down the tail and then repeat bit for bit, so
+    # quiet reaches 2, yet a NaN residual runs on to the step budget
+    ode = _still_loop(engine)
+    ode.state[8:16] = math.nan
+    with np.errstate(all="ignore"):
+        assert ode.run(40) == mf.STOP_NONE
+    assert math.isnan(ode.loop.sup_k1)
+    assert (ode.loop.step, ode.loop.quiet) == (40, 2)
 
 
 @pytest.mark.parametrize("engine", ["kernel", "python"])
