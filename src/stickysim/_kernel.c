@@ -26,9 +26,16 @@
  * keyed by sim_params.key (the key of numpy.random.Philox(seed)) with its
  * counter starting at zero, and converted as Generator.random does, so the
  * kernel draws the same doubles as the reference loop's RngStream without
- * calling back into Python.  The kernel owns every growable array (active
- * flows, histogram, series, server and bin lists) and hands the ones the
- * caller needs back through sim_result; sim_free releases them.
+ * calling back into Python.  Philox is counter-based, so block k of a run's
+ * uniforms (philox_block) depends on the key and k alone: a run that draws
+ * more than one block may start one helper thread, which fills blocks ahead
+ * into a ring the run owns, and the loop takes a block from the ring only
+ * when the helper has published that very index, else makes it itself.  The
+ * helper never calls into Python, holds every signal blocked and is joined
+ * before sim_run returns; which thread filled a block cannot change a bit of
+ * the result.  The kernel owns every growable array (active flows,
+ * histogram, series, server and bin lists) and hands the ones the caller
+ * needs back through sim_result; sim_free releases them.
  *
  * sim_run's scheme modes are the MODE_* codes below; the bin scheme is
  * MODE_BIN, the pull rule's threshold lists plus a flow -> bin -> server
@@ -47,10 +54,17 @@
  * the Python modules copy, so a test can compare each with its mirror.
  */
 
+/* pthread_sigmask, sched_yield and sysconf under -std=c99 */
+#define _POSIX_C_SOURCE 200809L
+
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 /* Philox's rounds need the high half of a 64x64-bit product; without the
  * 128-bit type the build fails and the callers run the Python loop */
@@ -158,28 +172,23 @@ static inline int64_t pull_pick(double u, const ilist *invite, const ilist *belo
 
 /* uniforms per block: whole Philox outputs of four words each */
 #define DRAW_BLOCK 512
+/* blocks the helper thread may have filled ahead of the one being read */
+#define RING 8
 
-typedef struct {
-    const sim_params *p;
-    sim_result *r;
-    int64_t bi, series_cap;
-    uint64_t ctr[4]; /* Philox counter of the last output made */
-    double block[DRAW_BLOCK];
-} run_state;
-
-/* The next block of uniforms, as numpy's Philox makes them: pre-increment
- * the 256-bit counter, run 10 rounds of Philox4x64 on it, bumping the key
- * between rounds, and map each output word x to (x >> 11) * 2^-53. */
-static void fill_block(run_state *S)
+/* Block k of a run's uniforms, as numpy's Philox makes them: numpy
+ * pre-increments a 256-bit counter from zero, so block k takes counters
+ * 128k + 1 ... 128k + 128; run 10 rounds of Philox4x64 on each, bumping the
+ * key between rounds, and map each output word x to (x >> 11) * 2^-53. */
+static void philox_block(const uint64_t key[2], int64_t k, double *out)
 {
     const uint64_t M0 = UINT64_C(0xD2E7470EE14C6C93), M1 = UINT64_C(0xCA5A826395121157);
     const uint64_t W0 = UINT64_C(0x9E3779B97F4A7C15), W1 = UINT64_C(0xBB67AE8584CAA73B);
-    uint64_t *ctr = S->ctr;
+    uint64_t ctr[4] = {(uint64_t)k << 7, (uint64_t)k >> 57, 0, 0};
     for (int i = 0; i < DRAW_BLOCK; i += 4) {
         if (++ctr[0] == 0 && ++ctr[1] == 0 && ++ctr[2] == 0)
             ++ctr[3];
         uint64_t x0 = ctr[0], x1 = ctr[1], x2 = ctr[2], x3 = ctr[3];
-        uint64_t k0 = S->p->key[0], k1 = S->p->key[1];
+        uint64_t k0 = key[0], k1 = key[1];
         for (int round = 0; round < 10; round++, k0 += W0, k1 += W1) {
             unsigned __int128 a = (unsigned __int128)M0 * x0;
             unsigned __int128 b = (unsigned __int128)M1 * x2;
@@ -188,20 +197,125 @@ static void fill_block(run_state *S)
             x2 = (uint64_t)(a >> 64) ^ x3 ^ k1;
             x3 = (uint64_t)a;
         }
-        S->block[i] = (double)(x0 >> 11) * 0x1p-53;
-        S->block[i + 1] = (double)(x1 >> 11) * 0x1p-53;
-        S->block[i + 2] = (double)(x2 >> 11) * 0x1p-53;
-        S->block[i + 3] = (double)(x3 >> 11) * 0x1p-53;
+        out[i] = (double)(x0 >> 11) * 0x1p-53;
+        out[i + 1] = (double)(x1 >> 11) * 0x1p-53;
+        out[i + 2] = (double)(x2 >> 11) * 0x1p-53;
+        out[i + 3] = (double)(x3 >> 11) * 0x1p-53;
     }
+}
+
+/* Blocks a helper thread fills ahead of the loop, block k in slot k % RING.
+ * The helper claims `claim` while it lies less than RING past `reading`
+ * (so its slot's last block is one the loop is done with), fills the slot,
+ * then publishes k in ready[].  The loop reads a slot only while ready[]
+ * holds the index it wants; the slot's next block needs `reading` past it. */
+typedef struct {
+    const uint64_t *key;
+    int64_t claim;       /* next block index nobody has claimed */
+    int64_t reading;     /* block the loop reads */
+    int stop;            /* set once, when the run ends */
+    int64_t ready[RING]; /* index published in each slot, -1 before any */
+    double slot[RING][DRAW_BLOCK];
+} ring;
+
+/* the helper: fill claimed blocks until told to stop; never waits on the
+ * loop but by yielding the CPU, and allocates nothing */
+static void *fill_ahead(void *arg)
+{
+    ring *R = arg;
+    while (!__atomic_load_n(&R->stop, __ATOMIC_ACQUIRE)) {
+        int64_t k = __atomic_load_n(&R->claim, __ATOMIC_RELAXED);
+        if (k - __atomic_load_n(&R->reading, __ATOMIC_ACQUIRE) >= RING) {
+            sched_yield();
+            continue;
+        }
+        if (!__atomic_compare_exchange_n(&R->claim, &k, k + 1, 0, __ATOMIC_RELAXED,
+                                         __ATOMIC_RELAXED))
+            continue;
+        philox_block(R->key, k, R->slot[k % RING]);
+        __atomic_store_n(&R->ready[k % RING], k, __ATOMIC_RELEASE);
+    }
+    return NULL;
+}
+
+typedef struct {
+    const sim_params *p;
+    sim_result *r;
+    int64_t bi, series_cap;
+    int64_t k;         /* index of the block being read, -1 before the first */
+    const double *cur; /* its uniforms: block[] or a ring slot */
+    ring *ring;        /* NULL while no helper runs */
+    pthread_t helper;
+    double block[DRAW_BLOCK];
+} run_state;
+
+/* start the helper on a ring whose next block is k, if the host has a
+ * second CPU and a thread can be made; else the loop fills every block */
+static void start_helper(run_state *S, int64_t k)
+{
+    if (sysconf(_SC_NPROCESSORS_ONLN) < 2)
+        return;
+    ring *R = malloc(sizeof *R);
+    if (!R)
+        return;
+    R->key = S->p->key;
+    R->claim = R->reading = k;
+    R->stop = 0;
+    for (int i = 0; i < RING; i++)
+        R->ready[i] = -1;
+    /* a signal for the process must go to a thread that runs Python */
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    int err = pthread_create(&S->helper, NULL, fill_ahead, R);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    if (err)
+        free(R);
+    else
+        S->ring = R;
+}
+
+static void stop_helper(run_state *S)
+{
+    if (!S->ring)
+        return;
+    __atomic_store_n(&S->ring->stop, 1, __ATOMIC_RELEASE);
+    pthread_join(S->helper, NULL);
+    free(S->ring);
+}
+
+/* Move to the next block: the ring's copy when the helper has published
+ * it, else one the loop makes itself, after moving the claim past it so
+ * that the helper skips it.  The helper starts at the first refill, so a
+ * run of one block never starts a thread. */
+static void refill(run_state *S)
+{
+    const int64_t k = ++S->k;
     S->bi = 0;
+    if (k == 1)
+        start_helper(S, k);
+    ring *R = S->ring;
+    if (R) {
+        __atomic_store_n(&R->reading, k, __ATOMIC_RELEASE);
+        if (__atomic_load_n(&R->ready[k % RING], __ATOMIC_ACQUIRE) == k) {
+            S->cur = R->slot[k % RING];
+            return;
+        }
+        int64_t c = __atomic_load_n(&R->claim, __ATOMIC_RELAXED);
+        while (c <= k && !__atomic_compare_exchange_n(&R->claim, &c, k + 1, 0,
+                                                      __ATOMIC_RELAXED, __ATOMIC_RELAXED))
+            ;
+    }
+    philox_block(S->p->key, k, S->block);
+    S->cur = S->block;
 }
 
 /* next uniform in [0, 1) */
 static inline double draw(run_state *S)
 {
     if (S->bi == DRAW_BLOCK)
-        fill_block(S);
-    return S->block[S->bi++];
+        refill(S);
+    return S->cur[S->bi++];
 }
 
 /* zeroed occupancies, last-change times and starting histogram */
@@ -299,7 +413,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
     const int need_invites = bins || mode == MODE_PULL || mode == MODE_XFER_INVITE;
     const int need_levels = !bins && (mode == MODE_LEAST || mode == MODE_XFER_LEAST);
 
-    run_state S = {.p = p, .r = r, .bi = DRAW_BLOCK};
+    run_state S = {.p = p, .r = r, .bi = DRAW_BLOCK, .k = -1};
     int status = RUN_NOMEM;
 
     ilist invite = {0}, below = {0};
@@ -583,6 +697,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
     r->prev_t = prev_t;
 
 done:
+    stop_helper(&S);
     free(invite.a);
     free(invite.pos);
     free(below.a);

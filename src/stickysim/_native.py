@@ -10,8 +10,11 @@ the step's start and its sup-norm, and ode_step, the three stages with
 their corrections and the step end, which also reports whether the step
 changed any bit of the tail.  All three read one DriftParams bound
 per integration, whose rule code is one of mean_field's RULE_* and covers
-every mean-field scheme.  On first use the file is compiled with the host
-C compiler into a per-user cache directory (``$XDG_CACHE_HOME/stickysim``,
+every mean-field scheme.  sim_run may start one helper thread per run, which
+only fills blocks of uniforms ahead of the loop and is joined before sim_run
+returns; no thread ever calls into Python, and the result is the same bit
+for bit whichever thread filled a block.  On first use the file is compiled
+with the host C compiler into a per-user cache directory (``$XDG_CACHE_HOME/stickysim``,
 else ``~/.cache/stickysim``), under a name keyed by the SHA-256 of the
 source and the compile flags, and loaded with ctypes.  Nothing here runs at
 package import.
@@ -36,8 +39,9 @@ from pathlib import Path
 logger = logging.getLogger(__name__)
 
 # -ffp-contract=off forbids fused multiply-add, so every double operation
-# rounds exactly as the Python reference does; no -ffast-math, no -march
-FLAGS = ("-std=c99", "-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# rounds exactly as the Python reference does; no -ffast-math, no -march.
+# -pthread: sim_run's block-filling helper thread
+FLAGS = ("-std=c99", "-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 
 _SOURCE = Path(__file__).resolve().with_name("_kernel.c")
 # the outcome of the one build-and-load attempt per process, once made
@@ -139,7 +143,9 @@ def kernel() -> ctypes.CDLL | None:
     ode_step it calls) with signatures set, or None.
 
     None of them calls back into Python, so each runs with the GIL released
-    for the whole call.  Built and loaded on the first call; the outcome is
+    for the whole call.  sim_run may run one helper thread of its own while
+    it runs (see _kernel.c); it joins it before returning, so no thread
+    outlives the call.  Built and loaded on the first call; the outcome is
     kept for the process, so a fallback warns only once.
     """
     if not _loaded:

@@ -6,21 +6,26 @@ the readable oracle, flow_sim._run_py.  Both consume the same Philox uniforms
 in the same order with the same double arithmetic, so every SimStats field
 must agree bit for bit.  Generated small configs of every mode, the bin
 scheme's included, hold the two engines to that on corners the pinned cases
-miss.
+miss.  The kernel's block-filling helper thread is held to the same: a
+ThreadSanitizer build, runs on two Python threads at once, and the pinned
+digests on one CPU.
 """
 
 import functools
+import json
 import logging
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import test_bin_kernel
 from conftest import assert_same_stats, isolate_loader, stats_sha256, without_kernel
 from stickysim import _native
 from stickysim.bin_sim import run_bin_sim
@@ -261,6 +266,150 @@ def test_kernel_source_compiles_cleanly_with_all_warnings(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# A standalone program around _kernel.c for ThreadSanitizer (its runtime
+# cannot be preloaded into the interpreter): every flow mode and the bin
+# scheme without and with drain, each run twice, ~450 blocks of uniforms per
+# run, so the helper thread fills many ring slots while the loop reads.  The
+# two runs must agree, and any race between the threads fails the program.
+TSAN_DRIVER = r"""
+#include "_kernel.c"
+
+#include <stdio.h>
+
+/* two results agree in every counter and array */
+static int same(const sim_result *a, const sim_result *b, int64_t n)
+{
+    return a->started == b->started && a->violations == b->violations &&
+           a->total_flows == b->total_flows && a->count == b->count &&
+           a->reallocations == b->reallocations && a->skipped == b->skipped &&
+           a->flow_int == b->flow_int && a->prev_t == b->prev_t &&
+           a->hist_len == b->hist_len && a->series_rows == b->series_rows &&
+           !memcmp(a->occ, b->occ, (size_t)n * sizeof *a->occ) &&
+           !memcmp(a->last, b->last, (size_t)n * sizeof *a->last) &&
+           !memcmp(a->hist, b->hist, (size_t)a->hist_len * sizeof *a->hist) &&
+           !memcmp(a->series, b->series, (size_t)(2 * a->series_rows) * sizeof *a->series);
+}
+
+int main(void)
+{
+    /* every flow mode, then the bin scheme without and with drain */
+    static const struct { int64_t mode, d, low, high, bins, drain; } cases[] = {
+        {MODE_D_CHOICES, 1, 0, NO_CAP, 0, 0}, {MODE_D_CHOICES, 2, 0, NO_CAP, 0, 0},
+        {MODE_LEAST, 0, 0, NO_CAP, 0, 0},     {MODE_PULL, 0, 25, 35, 0, 0},
+        {MODE_SHED, 0, 0, 33, 0, 0},          {MODE_XFER_INVITE, 0, 25, 35, 0, 0},
+        {MODE_XFER_LEAST, 0, 0, 33, 0, 0},    {MODE_BIN, 0, 25, 33, 100, 0},
+        {MODE_BIN, 0, 25, 33, 100, 1},
+    };
+    for (size_t i = 0; i < sizeof cases / sizeof *cases; i++) {
+        /* rho = 30 at n = 50 over 25 time units: ~450 blocks of uniforms */
+        sim_params p = {.n = 50, .low = cases[i].low, .high = cases[i].high,
+                        .hist_start = 64, .mode = cases[i].mode, .d = cases[i].d,
+                        .bins = cases[i].bins, .drain = cases[i].drain,
+                        .lam_total = 1500.0, .inv_beta = 1.0, .t_start = 5.0,
+                        .t_stop = 25.0,
+                        .key = {UINT64_C(0x243F6A8885A308D3), UINT64_C(0x13198A2E03707344)}};
+        sim_result a, b;
+        if (sim_run(&p, &a) != RUN_OK || sim_run(&p, &b) != RUN_OK) {
+            fprintf(stderr, "case %zu: sim_run failed\n", i);
+            return 1;
+        }
+        int ok = same(&a, &b, p.n);
+        sim_free(&a);
+        sim_free(&b);
+        if (!ok) {
+            fprintf(stderr, "case %zu: two runs differ\n", i);
+            return 1;
+        }
+    }
+    return 0;
+}
+"""
+
+
+def test_block_helper_runs_clean_under_thread_sanitizer(tmp_path):
+    cc = _native.compiler()
+    if cc is None:
+        pytest.skip("no C compiler")
+    tsan = subprocess.run([cc, "-print-file-name=libtsan.so"], capture_output=True,
+                          text=True, timeout=60).stdout.strip()
+    if not Path(tsan).is_file():
+        pytest.skip("the compiler ships no ThreadSanitizer runtime")
+    driver, exe = tmp_path / "driver.c", tmp_path / "driver"
+    driver.write_text(TSAN_DRIVER)
+    build = subprocess.run(
+        [cc, "-std=c99", "-fsanitize=thread", "-g", "-pthread", f"-I{SRC.parent}",
+         "-o", str(exe), str(driver), "-lm"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert build.returncode == 0, build.stderr
+    env = dict(os.environ, TSAN_OPTIONS="halt_on_error=1")
+    proc = subprocess.run([str(exe)], capture_output=True, text=True, timeout=300,
+                          env=env)
+    assert proc.returncode == 0 and "ThreadSanitizer" not in proc.stderr, \
+        proc.stderr[-4000:]
+
+
+def test_concurrent_runs_match_serial_runs(kernel):
+    """Each run owns its block ring: two runs at once on two Python threads
+    (ctypes drops the GIL around sim_run) give what each gives alone."""
+    jobs = [
+        [(run_flow_sim, _config(*CASES[c])) for c in ("d2", "pull", "transfer-least")],
+        [(run_bin_sim, test_bin_kernel._config(*test_bin_kernel.CASES[c]))
+         for c in ("m=10n", "m=2n-drain", "tracked-drain")],
+    ]
+    serial = [[run(cfg) for run, cfg in job] for job in jobs]
+    together = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def work(i):
+        start.wait()
+        together[i] = [run(cfg) for run, cfg in jobs[i]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for got, want in zip(together, serial):
+        assert got is not None and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_stats(a, b)
+
+
+# Pins itself to one CPU, so the block helper shares it with the event loop
+# and the loop makes many blocks itself, then prints the digest of every
+# pinned flow and bin case.
+ONE_CPU_CHILD = """
+import json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import test_bin_kernel as b, test_flow_kernel as f
+from conftest import stats_sha256
+from stickysim import _native
+from stickysim.bin_sim import run_bin_sim
+from stickysim.flow_sim import run_flow_sim
+assert _native.kernel() is not None, "kernel did not load"
+out = {"flow:" + c: stats_sha256(run_flow_sim(f._config(*f.CASES[c]))) for c in f.CASES}
+out.update({"bin:" + c: stats_sha256(run_bin_sim(b._config(*b.CASES[c])))
+            for c in b.CASES})
+print(json.dumps(out))
+"""
+
+
+def test_kernel_reproduces_the_pinned_digests_on_one_cpu(kernel):
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity control on this platform")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(SRC.parents[1]), str(here)]))
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD], capture_output=True,
+                          text=True, timeout=600, env=env, cwd=here)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    digests = json.loads(proc.stdout.strip().splitlines()[-1])
+    want = {f"flow:{c}": d for c, d in PINNED.items()}
+    want.update({f"bin:{c}": d for c, d in test_bin_kernel.PINNED.items()})
+    assert digests == want
 
 
 # Runs in a child process whose kernel is built with AddressSanitizer and
