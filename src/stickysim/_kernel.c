@@ -22,6 +22,13 @@
  * pull_pick, the twin of flow_sim._pull_pick, is the pull rule's one pick
  * from the first two.
  *
+ * _native.FLAGS builds it at -O3, where GCC vectorizes the ODE's per-level
+ * loops (the stage and RK4 combinations, project's clip pass, the join rules,
+ * the d-choices products and both loops of the correction) two doubles at a
+ * time.  Each lane rounds as the scalar operation does, and the correction's
+ * sum is vectorized as an in-order fold, so no result changes.  The balance
+ * in drift, the NaN-aware sups and project's running minimum stay scalar.
+ *
  * Uniform draws come from the kernel's own copy of numpy's Philox4x64-10,
  * keyed by sim_params.key (the key of numpy.random.Philox(seed)) with its
  * counter starting at zero, and converted as Generator.random does, so the
@@ -388,8 +395,8 @@ static inline int64_t hash_bin(uint64_t id, uint64_t m)
     return (int64_t)(z % m);
 }
 
-/* gcc -O2 inlines no body this large unasked, and `bins` would then stay a
- * run-time test in every mode */
+/* gcc inlines no body this large unasked, not even at -O3, and `bins` would
+ * then stay a run-time test in every mode */
 #if defined(__GNUC__)
 #define ALWAYS_INLINE inline __attribute__((always_inline))
 #else
@@ -886,8 +893,9 @@ static void drift(const drift_params *p, const double *sp, double *ds)
     if (p->rule == RULE_POWER) {
         /* sp**d as d - 1 rounded products, left to right, as
          * mean_field._power_of_d_rule takes it (unlike pow, a product rounds
-         * the same on every host): q[j] = sp[j]**d one pass per product, so
-         * each pass vectorizes, then the differences in place */
+         * the same on every host): q[j] = sp[j]**d one pass per product, then
+         * the differences in place; each product pass and the difference
+         * pass vectorizes at -O3 */
         double last = sp[nq];
         memcpy(q, sp, (size_t)nq * sizeof *q);
         for (int64_t k = 1; k < p->d; k++) {
@@ -912,6 +920,10 @@ static void drift(const drift_params *p, const double *sp, double *ds)
             least_rule(p, sp, q, nq);
     }
 
+    /* scalar at -O3: p->size is reloaded on each pass, as a store to ds may
+     * alias *p, and SSE2 has no packed int64_t-to-double conversion.  With the
+     * bound in a local and an int counter it vectorizes; ROADMAP item 2 says
+     * why that waits */
     const double lam = p->lam, beta = p->beta;
     for (int64_t i = 1; i < p->size; i++)
         ds[i] = lam * q[i - 1] - (double)i * (sp[i] - sp[i + 1]) / beta;

@@ -187,7 +187,7 @@ def _roughen(rng, s, nan):
         s[rng.choice(at)] = math.nan
 
 
-@pytest.mark.parametrize("size", [16, 6, 280])
+@pytest.mark.parametrize("size", [16, 6, 7, 280, 281])
 @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
 def test_kernel_drift_matches_python_bit_for_bit(kernel, case, size):
     # valid tails, then every other one off [0, 1] with -0.0 entries, and
@@ -248,7 +248,7 @@ def _steps_agree(both, size, s, k1, sat):
     return far
 
 
-@pytest.mark.parametrize("size", [6, 16, 280])
+@pytest.mark.parametrize("size", [6, 7, 16, 280, 281])
 @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
 def test_kernel_stage_matches_python_bit_for_bit(kernel, case, size):
     # the three stages of a step: first stage states up to 0.3 outside the
@@ -266,7 +266,7 @@ def test_kernel_stage_matches_python_bit_for_bit(kernel, case, size):
             assert np.all(np.diff(g) <= 0.0) and g[-1] >= 0.0
 
 
-@pytest.mark.parametrize("size", [6, 16, 280])
+@pytest.mark.parametrize("size", [6, 7, 16, 280, 281])
 @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
 def test_kernel_finish_matches_python_bit_for_bit(kernel, case, size):
     # the step end: tails off [0, 1] with -0.0 entries, and a NaN in every
@@ -292,7 +292,7 @@ CORRECTED = sorted(case for case, (scheme, *_) in DRIFT_CASES.items()
                    if _invite_low(scheme) >= 2)
 
 
-@pytest.mark.parametrize("size", [6, 16, 280])
+@pytest.mark.parametrize("size", [6, 7, 16, 280, 281])
 @pytest.mark.parametrize("case", CORRECTED)
 def test_kernel_correction_matches_python_bit_for_bit(kernel, case, size):
     # the dip-refill correction's branch: levels 0..sat at 1 with
@@ -613,6 +613,18 @@ def test_mirrored_codes_match_the_kernel(kernel, name):
     codes = MIRRORED_CODES[name]
     exported = (ctypes.c_int64 * len(codes)).in_dll(_native.kernel(), name)
     assert tuple(exported) == codes
+
+
+def test_compile_flags_keep_every_rounding():
+    # the engines agree bit for bit only while each double operation rounds
+    # as written: no fused multiply-add, no value-unsafe math, and no -march,
+    # which would let the build differ from host to host
+    flags = _native.FLAGS
+    assert "-ffp-contract=off" in flags
+    unsafe = ("-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+              "-fassociative-math", "-ffinite-math-only")
+    assert not set(unsafe) & set(flags)
+    assert not any(flag.startswith("-march=") for flag in flags)
 
 
 @pytest.mark.parametrize("engine", ["kernel", "python"])
