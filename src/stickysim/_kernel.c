@@ -687,9 +687,6 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                     goto done;
                 if (o - 1 < cur_min)
                     cur_min = o - 1;
-                else if (levels[o].len == 0 && o == cur_min)
-                    while (levels[cur_min].len == 0)
-                        cur_min++;
             }
         }
     }

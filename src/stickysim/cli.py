@@ -113,8 +113,8 @@ def _sim_config(spec: ExperimentSpec, scheme, seed: int | None = None,
     )
 
 
-def _high(p: Mapping[str, object], key: str = "high") -> int | float:
-    v = p[key]
+def _high(p: Mapping[str, object]) -> int | float:
+    v = p["high"]
     if v == math.inf:
         return math.inf
     return int(v)

@@ -366,8 +366,6 @@ class DelayTailConstants:
 
     @classmethod
     def from_params(cls, chi: float, params: SystemParams) -> "DelayTailConstants":
-        if not math.isfinite(chi) or chi < 0:
-            raise ValueError(f"chi must be non-negative and finite, got {chi!r}")
         rho = params.rho
         tilted = rho * math.exp(chi * params.nu / params.mu)
         log_factor = -chi * (1.0 - params.nu / params.mu) + tilted - rho

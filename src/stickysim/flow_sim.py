@@ -705,9 +705,6 @@ def _run_py(config: SimConfig, validate_table: bool = False) -> dict:
                 levels[o - 1].add(s)
                 if o - 1 < cur_min:
                     cur_min = o - 1
-                elif not levels[o] and o == cur_min:
-                    while not levels[cur_min]:
-                        cur_min += 1
 
         if validate_table:
             table.check_consistency()

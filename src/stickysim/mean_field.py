@@ -239,10 +239,10 @@ def _least_loaded_rule(high: int, rho: float) -> JoinRule:
         q.fill(0.0)
         if below.size != q.size:
             below = np.empty(q.size, dtype=bool)
+        # least-loaded level: the first m with sp[m + 1] below 1; the zero
+        # padding past the tail guarantees one
         np.less(sp[1:], 1.0 - CASE_EPS, out=below)
         m = int(below.argmax())
-        if not below[m]:
-            m = sp.size - 1
         s_high = sp[high]
 
         if m < high:
@@ -370,8 +370,7 @@ def jsq_two_level_mass(rho: int, n: int) -> float:
 
 def shedding_fixed_point(rho: float, high: int | float) -> FlowDistribution:
     """Poisson(rho) occupancy truncated at `high` and renormalized."""
-    if rho <= 0 or not math.isfinite(rho):
-        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    _check_positive("rho", rho)
     if high == math.inf:
         top = default_i_max(rho)
     else:
@@ -384,8 +383,7 @@ def shedding_fixed_point(rho: float, high: int | float) -> FlowDistribution:
 def power_of_d_tail_bound(rho: float, d: int, i: int) -> float:
     """Upper bound on the stationary tail s_i under d-choices assignment:
     1 up to floor(rho), then a doubly-geometric decay."""
-    if rho <= 0 or not math.isfinite(rho):
-        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    _check_positive("rho", rho)
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"d must be a positive integer, got {d!r}")
     if not isinstance(i, int) or i < 0:
@@ -511,8 +509,7 @@ def solve_pull_fixed_point(
     where rho sits relative to the thresholds: below `low` the system is a
     pure loss system on 0..low, between the thresholds it lives on
     low..high, and at rho >= high mass piles above the upper threshold."""
-    if rho <= 0 or not math.isfinite(rho):
-        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    _check_positive("rho", rho)
     PullBased(low, high)  # reuse threshold validation
 
     if rho < low:
@@ -554,8 +551,7 @@ def solve_transfer_invite_fixed_point(
     refill, and the support spills below the low threshold.  There, and for
     rho < low, the law splices a sigma-Poisson profile below `low` onto a
     rho-ratio profile up to `high`, with sigma matching the mean to rho."""
-    if rho <= 0 or not math.isfinite(rho):
-        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    _check_positive("rho", rho)
     TransferToInvite(low, high)
 
     if rho >= high:
@@ -608,8 +604,7 @@ def solve_least_loaded_fixed_point(rho: float, high: int) -> FlowDistribution:
     least-loaded server. Below `high` the support is a band i*..high with a
     geometric-over-factorial profile; at rho >= high the scheme behaves like
     join-shortest-queue."""
-    if rho <= 0 or not math.isfinite(rho):
-        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+    _check_positive("rho", rho)
     TransferToLeastLoaded(high)
 
     if rho >= high:

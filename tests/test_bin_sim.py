@@ -223,7 +223,7 @@ def test_run_bin_moves_never_land_on_their_origin(monkeypatch):
         return dest
 
     # the compiled kernel never calls _move_destination: spy on the reference
-    # loop, which test_bin_kernel holds the kernel to on this same config
+    # loop, which test_sim_kernel holds the kernel to on this same config
     monkeypatch.setattr(bin_sim, "_move_destination", spy)
     params = SystemParams(n=4, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
     stats = without_kernel(run_bin_sim, SimConfig(

@@ -1,5 +1,6 @@
 """CLI surface: catalog listing, spec resolution, artifacts, compare, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -402,6 +403,95 @@ class TestDeterminism:
         fa = (a / "random-uniform_series.csv").read_bytes()
         fc = (c / "random-uniform_series.csv").read_bytes()
         assert fa != fc
+
+
+# small runs of all 14 experiments (TINY: rho = 3 at n = 20) that still
+# reach every branch a table writer sees: pull in overload (high 2 < rho),
+# an infinite high, and bins without drain and with it
+_WINDOW = {"warmup_betas": "5", "horizon_betas": "20"}
+CSV_RUNS = {
+    "fig-perfect-jsq": _WINDOW,
+    "random-uniform": _WINDOW,
+    "power-of-2": {"t_end": "20"},
+    "pull-thresholds": {**_WINDOW, "low": "1", "high": "2"},
+    "pull-tight": {**_WINDOW, "low": "3", "high": "inf"},
+    "shedding": {**_WINDOW, "high": "4"},
+    "transfer-invite": {**_WINDOW, "low": "2", "high": "4"},
+    "transfer-least": {**_WINDOW, "high": "4"},
+    "violation-curves": {**_WINDOW, "low": "2", "h_values": "3,5"},
+    "delay-tails": {"high": "4", "chi_values": "0,10,40"},
+    "tradeoff-shedding": {"chi": "20", "h_min": "3", "h_max": "8"},
+    "bin-occupancy": {**_WINDOW, "bins": "10n", "low": "2", "high": "4"},
+    "bin-violation": {**_WINDOW, "bins": "2n,10n", "low": "2", "high": "4",
+                      "seeds": "2", "drain": "true"},
+    "bin-tradeoff": {**_WINDOW, "bins": "10n", "h_values": "3,5", "gap": "2",
+                     "chi": "20"},
+}
+
+# SHA-256 of every CSV the runs above write at seed 3; same-seed CSV bytes
+# only change with a stated reason, so a change to any runner or table
+# writer shows here
+CSV_PINNED = {
+    "bin-occupancy_histogram.csv":
+        "2a4447e9f2e2cc4cfb307b01369d703c90f6d19344bef56c973f3132fdc71f65",
+    "bin-occupancy_series.csv":
+        "0c9b3fa8a0affcb865a23bd28c15db952f1e076a239f2a75ab803b7094309608",
+    "bin-tradeoff_tradeoff.csv":
+        "e890275b4c85751b972b60e1cca79423d83ed65a3994bbe9b64819f5ec705a3a",
+    "bin-violation_violations.csv":
+        "cb5dcc4fbdc980e869df3ec2c40751090e7d879fa11c2232e3be85e17c169804",
+    "bin-violation_violations_mean.csv":
+        "4628003af0caa740fb3cf86ce2f64edbcba9b717f1e8042011a7c97672fdb201",
+    "delay-tails_delay_tails.csv":
+        "32540a3064ec18715e5c76a417f83dc0312ba827d83d3049f4c024057e5e24b6",
+    "fig-perfect-jsq_histogram.csv":
+        "319991af468cbe575c66cacdba260b253966b23cc411dd38ba478f992fcd6a60",
+    "fig-perfect-jsq_series.csv":
+        "40c6edd43d3a529b2695b931f7c2ad93cdca9e9e0a5ea30ccb883b9d9659b670",
+    "power-of-2_tail.csv":
+        "de02373db79b434dcfd8f6010659282506a7a69d3c775c1989d7581a2e8580ae",
+    "pull-thresholds_histogram.csv":
+        "d0753dc05c72f2f6fdf5ae94184d4c06b88b3e4ed191b48bb7a7c866f870820e",
+    "pull-thresholds_series.csv":
+        "15a4b872c2e086e36da435574504affa132e3f8045778c7a9d3c2c394cdaeb2b",
+    "pull-tight_histogram.csv":
+        "87e6199d19d5561ca08acbeb29b48e301c08c1ec3bd843511e7c3198f15b7ccb",
+    "pull-tight_series.csv":
+        "276ae539c273fa06c803e4962587f76f1822deffcdf8df6149cce041d77460ba",
+    "random-uniform_histogram.csv":
+        "aa8dc51afea75f7c249e7f1777805428a8eada3de6d75f40d8d246fdb3d1c535",
+    "random-uniform_series.csv":
+        "b1a3a436ac069cc08d927b058ca458476fc32b53a04ec384e78de1ea567a9300",
+    "shedding_histogram.csv":
+        "67f447511ed9d2e460b19a2857510698cf74b6db505e670637581fbb53897aad",
+    "shedding_series.csv":
+        "f1717b7bc03d3d38c12ecc7bd2fb051b9fb99fd872764070838aa77486a1845c",
+    "tradeoff-shedding_tradeoff.csv":
+        "2bf776de4d98b610fa8dbe0e102af866acc7a1aaa6aee8ff7551646e787c6cea",
+    "transfer-invite_histogram.csv":
+        "3894a843bbb5ea78099407f2eca0dce65f2009af71a2a1bfcfe9acdc2b4bfdfa",
+    "transfer-invite_series.csv":
+        "e8cf85e82b2845a7bd612bf06ef3f8a237a86f8c2a0eb5a7d5e7551857c6c393",
+    "transfer-least_histogram.csv":
+        "3836aa36c3a4781a4a0bd165d6469357b2ada4e89a6118beeb204f69618b07ad",
+    "transfer-least_series.csv":
+        "cde3932c1fb77525ab43783e8140fe870282e9a14d66117f538cfefaff43db57",
+    "violation-curves_violations.csv":
+        "754829a6cfc9a19a39641e6476031d1f01ddc7ae7b8dc90250d46e697a34136d",
+}
+
+
+class TestPinnedCsv:
+    def test_every_experiment_writes_its_pinned_csv_bytes(self, tmp_path):
+        assert sorted(CSV_RUNS) == sorted(n for n, _, _ in cli.list_experiments())
+        got = {}
+        for name, overrides in CSV_RUNS.items():
+            spec = cli.build_spec(name, {**TINY, **overrides}, seed=3,
+                                  out_dir=tmp_path)
+            for path in cli.run_experiment(spec):
+                if path.suffix == ".csv":
+                    got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == CSV_PINNED
 
 
 class TestCompare:

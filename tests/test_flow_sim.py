@@ -2,7 +2,7 @@
 
 Scheme rules are exercised through whole runs of the event loop, checked
 for determinism, conservation properties and agreement with the analytic
-laws at reduced scale; tests/test_flow_kernel.py ties the compiled kernel to
+laws at reduced scale; tests/test_sim_kernel.py ties the compiled kernel to
 the Python loop draw for draw.
 """
 

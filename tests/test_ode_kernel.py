@@ -598,7 +598,7 @@ def test_power_of_d_runs_on_the_kernel_at_every_d(kernel, d):
 
 # ---------------------------------------------------------------------------
 # struct layout (that importing the package loads no kernel is
-# test_flow_kernel's test_import_neither_builds_nor_loads_the_kernel)
+# test_sim_kernel's test_import_neither_builds_nor_loads_the_kernel)
 # ---------------------------------------------------------------------------
 
 

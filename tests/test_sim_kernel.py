@@ -1,14 +1,16 @@
-"""The compiled flow-event kernel against the pure-Python reference loop.
+"""The compiled event kernel against the pure-Python reference loop.
 
-run_flow_sim runs sim_run in _kernel.c through ctypes when the kernel loads;
-under conftest.without_kernel the loader reports none and the same call runs
-the readable oracle, flow_sim._run_py.  Both consume the same Philox uniforms
-in the same order with the same double arithmetic, so every SimStats field
-must agree bit for bit.  Generated small configs of every mode, the bin
-scheme's included, hold the two engines to that on corners the pinned cases
-miss.  The kernel's block-filling helper thread is held to the same: a
-ThreadSanitizer build, runs on two Python threads at once, and the pinned
-digests on one CPU.
+run_flow_sim and run_bin_sim run sim_run in _kernel.c through ctypes when
+the kernel loads; under conftest.without_kernel the loader reports none and
+the same call runs the readable oracle, flow_sim._run_py.  Both consume the
+same Philox uniforms in the same order with the same double arithmetic, hash
+flows to bins with the same splitmix64 mixer and keep every list in the same
+swap-remove/append order, so every SimStats and BinSimStats field must agree
+bit for bit.  One table of configs covers every flow mode and the bin scheme;
+generated small configs of every mode hold the two engines to that on
+corners the table misses.  The kernel's block-filling helper thread is held
+to the same: a ThreadSanitizer build, runs on two Python threads at once,
+and the pinned digests on one CPU.
 """
 
 import functools
@@ -25,10 +27,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import test_bin_kernel
 from conftest import assert_same_stats, isolate_loader, stats_sha256, without_kernel
 from stickysim import _native
-from stickysim.bin_sim import run_bin_sim
+from stickysim.bin_sim import _bin_stats, run_bin_sim
 from stickysim.core import (
     BinBased,
     PowerOfD,
@@ -38,7 +39,7 @@ from stickysim.core import (
     TransferToInvite,
     TransferToLeastLoaded,
 )
-from stickysim.flow_sim import SimConfig, run_flow_sim
+from stickysim.flow_sim import SimConfig, _run_py, run_flow_sim
 
 SRC = Path(_native.__file__).with_name("_kernel.c")
 
@@ -46,46 +47,84 @@ SRC = Path(_native.__file__).with_name("_kernel.c")
 MID = SystemParams(n=50, lam=30.0, beta=1.0, nu=1.0, mu=200.0)
 # rho = 150 at n = 20, for the overload pull band of the reference load
 HEAVY = SystemParams(n=20, lam=150.0, beta=1.0, nu=1.0, mu=800.0)
-# rho = 10 at n = 4
+# rho = 10 at n = 4: every server is often above high, so bin moves take the
+# last-resort destination branch
 SMALL = SystemParams(n=4, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
+ONE = SystemParams(n=1, lam=10.0, beta=1.0, nu=1.0, mu=40.0)
 # rho = 1200 at n = 2: occupancies pass the 1024-entry starting histogram
 HUGE = SystemParams(n=2, lam=600.0, beta=2.0, nu=1.0, mu=5000.0)
+# rho = 800 at n = 2 with one bin per server: the first move lifts the other
+# server from ~700 to ~1400 flows, past the 1024-entry starting histogram
+JUMP = SystemParams(n=2, lam=800.0, beta=1.0, nu=1.0, mu=5000.0)
 # rho = 2200 at n = 2: nothing is credited during the warmup, so the first
 # credit lands at an occupancy of ~2170 >= 2 * 1024 and the histogram has to
 # double more than once in one credit
 DEEP = SystemParams(n=2, lam=2200.0, beta=1.0, nu=1.0, mu=10000.0)
+N = MID.n
+
+
+def _config(params, scheme, tracked=0, seed=7, drain=False, warmup=5.0,
+            horizon=20.0):
+    return SimConfig(params=params, scheme=scheme, seed=seed, warmup=warmup,
+                     horizon=horizon, tracked_server=tracked,
+                     drain_to_threshold=drain)
+
+
+def _run(cfg):
+    """cfg run by the simulator of its scheme."""
+    return (run_bin_sim if isinstance(cfg.scheme, BinBased) else run_flow_sim)(cfg)
+
 
 CASES = {
-    "d1": (MID, PowerOfD(1), 0),
-    "d2": (MID, PowerOfD(2), 0),
-    "d3": (MID, PowerOfD(3), 0),
-    "d=n": (MID, PowerOfD(MID.n), 0),
-    "d2-tracked": (MID, PowerOfD(2), 17),
-    "pull": (MID, PullBased(25, 35), 0),
-    "pull-overload": (MID, PullBased(20, 27), 3),
-    "pull-overload-rho150": (HEAVY, PullBased(130, 145), 0),
-    "pull-low0": (MID, PullBased(0, 33), 0),
-    "pull-high-inf": (MID, PullBased(28, math.inf), 0),
-    "pull-random": (MID, PullBased(0, math.inf), 0),
-    "shedding": (MID, Shedding(33), 0),
-    "shedding-inf": (MID, Shedding(math.inf), 0),
-    "transfer-invite": (MID, TransferToInvite(25, 35), 0),
-    "transfer-invite-low0": (MID, TransferToInvite(0, 33), 0),
-    "transfer-least": (MID, TransferToLeastLoaded(33), 0),
-    "small-d2": (SMALL, PowerOfD(2), 2),
-    "small-d=n": (SMALL, PowerOfD(4), 2),
-    "small-pull-overload": (SMALL, PullBased(3, 6), 2),
-    "small-shedding": (SMALL, Shedding(6), 2),
-    "small-transfer-invite": (SMALL, TransferToInvite(3, 6), 2),
-    "small-transfer-least": (SMALL, TransferToLeastLoaded(6), 2),
+    # every flow-level mode
+    "d1": _config(MID, PowerOfD(1)),
+    "d2": _config(MID, PowerOfD(2)),
+    "d3": _config(MID, PowerOfD(3)),
+    "d=n": _config(MID, PowerOfD(MID.n)),
+    "d2-tracked": _config(MID, PowerOfD(2), 17),
+    "pull": _config(MID, PullBased(25, 35)),
+    "pull-overload": _config(MID, PullBased(20, 27), 3),
+    "pull-overload-rho150": _config(HEAVY, PullBased(130, 145)),
+    "pull-low0": _config(MID, PullBased(0, 33)),
+    "pull-high-inf": _config(MID, PullBased(28, math.inf)),
+    "pull-random": _config(MID, PullBased(0, math.inf)),
+    "shedding": _config(MID, Shedding(33)),
+    "shedding-inf": _config(MID, Shedding(math.inf)),
+    "transfer-invite": _config(MID, TransferToInvite(25, 35)),
+    "transfer-invite-low0": _config(MID, TransferToInvite(0, 33)),
+    "transfer-least": _config(MID, TransferToLeastLoaded(33)),
+    "small-d2": _config(SMALL, PowerOfD(2), 2),
+    "small-d=n": _config(SMALL, PowerOfD(4), 2),
+    "small-pull-overload": _config(SMALL, PullBased(3, 6), 2),
+    "small-shedding": _config(SMALL, Shedding(6), 2),
+    "small-transfer-invite": _config(SMALL, TransferToInvite(3, 6), 2),
+    "small-transfer-least": _config(SMALL, TransferToLeastLoaded(6), 2),
     # the kernel keys its own Philox copy from numpy's seeding of each seed,
     # at either end of 64 bits and past it; d = 2's tie draws shift where
     # the many draw-block boundaries fall within an event
-    "d2-seed0": (MID, PowerOfD(2), 0, 0),
-    "d2-seed2^32+1": (MID, PowerOfD(2), 0, 2**32 + 1),
-    "d2-seed2^63-1": (MID, PowerOfD(2), 0, 2**63 - 1),
-    "d2-seed2^64+5": (MID, PowerOfD(2), 0, 2**64 + 5),
-    "d2-seed2^100+3": (MID, PowerOfD(2), 0, 2**100 + 3),
+    "d2-seed0": _config(MID, PowerOfD(2), seed=0),
+    "d2-seed2^32+1": _config(MID, PowerOfD(2), seed=2**32 + 1),
+    "d2-seed2^63-1": _config(MID, PowerOfD(2), seed=2**63 - 1),
+    "d2-seed2^64+5": _config(MID, PowerOfD(2), seed=2**64 + 5),
+    "d2-seed2^100+3": _config(MID, PowerOfD(2), seed=2**100 + 3),
+    # the bin scheme
+    "m=2n": _config(MID, BinBased(2 * N, 25, 33)),
+    "m=2n-drain": _config(MID, BinBased(2 * N, 25, 33), drain=True),
+    "m=10n": _config(MID, BinBased(10 * N, 25, 33)),
+    "m=10n-drain": _config(MID, BinBased(10 * N, 25, 33), drain=True),
+    "m=100n": _config(MID, BinBased(100 * N, 25, 33)),
+    "m=100n-drain": _config(MID, BinBased(100 * N, 25, 33), drain=True),
+    "m<n": _config(MID, BinBased(N // 2, 40, 70)),
+    "m<n-drain": _config(MID, BinBased(N // 2, 40, 70), drain=True),
+    "low0": _config(MID, BinBased(10 * N, 0, 33)),
+    "high-inf": _config(MID, BinBased(10 * N, 25, math.inf)),
+    "high-inf-drain": _config(MID, BinBased(10 * N, 25, math.inf), drain=True),
+    "tracked": _config(MID, BinBased(10 * N, 25, 33), 17),
+    "tracked-drain": _config(MID, BinBased(2 * N, 25, 33), 31, drain=True),
+    "small-overload": _config(SMALL, BinBased(40, 3, 6), 2),
+    "small-overload-drain": _config(SMALL, BinBased(40, 3, 6), 1, drain=True),
+    "single-server": _config(ONE, BinBased(5, 3, 6)),
+    "single-server-drain": _config(ONE, BinBased(5, 3, 6), drain=True),
 }
 
 
@@ -120,41 +159,89 @@ PINNED = {
     "transfer-invite": "3e57a4f72c3a4c11775100a90d242cca2af490fa31abcf1c31033554ab4123d0",
     "transfer-invite-low0": "cc6f37131d6c57b8cba06f383f7bdb0e3518a1462e93e6c49e0018ab0408e792",
     "transfer-least": "25621154d3060b9f91bdc6621f8b146fa2253c450e90d9fdc207c2ab02a1586e",
+    "high-inf": "ee043c368fea8d4c280d896f9b9da00adf4dae8b0f8558d292a2790f6fe9b593",
+    "high-inf-drain": "ee043c368fea8d4c280d896f9b9da00adf4dae8b0f8558d292a2790f6fe9b593",
+    "low0": "b74a32b86d932039fa5d7dd8e4854ec9572a47770eca37e9c4c15e638c4068ec",
+    "m<n": "201ea59624b061766e4f3729986c69534bf2d8021d7fd6e15ca32f2c5abcc88e",
+    "m<n-drain": "7ec59fe2b6db8837795a9f9cf7a4fa44864f591316926869c9db1b0788b0f373",
+    "m=100n": "12b11f545abe682f8259ec9e41c9eeb948b71d08309d4520b121a083181b66f3",
+    "m=100n-drain": "4d15978988383875faf83fb4418253f613ba1bd82c77e91cebee090ffc4c3434",
+    "m=10n": "abe7eb0be2c08f5ffc09712d5723d9f4142396e12e37e97a0c248ff5b42b741e",
+    "m=10n-drain": "60cf6625d2b66ffd6cd09619f05d38828219678188a52b0350992c5402025bc3",
+    "m=2n": "0e4d1bd870432ad6eae1f182dfd290c48c9d31d7c85868438541cba01bf76f11",
+    "m=2n-drain": "a2026a6fd286990237786f584bb8d00f1b5720d54ccbf05f57c88f22a182b8c8",
+    "single-server": "686adb261bda2fc53e3facad3c2c355ec8f328809bd2fae9608aec35c8f82eec",
+    "single-server-drain": "69b01e4f9c4b49659785bda4b2b11177d4afd4d7f0b2c4dfec469268bd55a4fb",
+    "small-overload": "1479f7ba40c5fb27bdf849d69f910ac0666532bbd02ca548673dbee1253a5fab",
+    "small-overload-drain": "29c2d6f3371233680618f2ae0bd37d986966188807f7683e9045b7428a7ad769",
+    "tracked": "5237167ff686f821932d626710cf47f8c177dfb75ea74ed780cfd200060c8b3f",
+    "tracked-drain": "c176803b8e06a6e7fedd1e139d79786aabb961808e22265518cb7bd9b3963210",
 }
-
-
-def _config(params, scheme, tracked, seed=7):
-    return SimConfig(params=params, scheme=scheme, seed=seed, warmup=5.0,
-                     horizon=20.0, tracked_server=tracked)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_kernel_matches_reference(kernel, case):
-    cfg = _config(*CASES[case])
-    stats, ref = run_flow_sim(cfg), without_kernel(run_flow_sim, cfg)
+    cfg = CASES[case]
+    stats, ref = _run(cfg), without_kernel(_run, cfg)
     assert_same_stats(stats, ref)
     assert stats_sha256(stats) == stats_sha256(ref) == PINNED[case]
+    # a triggered server always holds a bin to give up: only n = 1 skips
+    if isinstance(cfg.scheme, BinBased) and cfg.params.n >= 2:
+        assert stats.skipped_reallocations == 0
 
 
-def test_kernel_matches_reference_through_histogram_growth(kernel):
-    cfg = SimConfig(params=HUGE, scheme=PowerOfD(1), seed=3, warmup=4.0,
-                    horizon=6.0, tracked_server=1)
-    stats = run_flow_sim(cfg)
+def test_kernel_matches_reference_on_the_self_move_config(kernel):
+    # the config of test_run_bin_moves_never_land_on_their_origin, where the
+    # reference loop takes the all-servers-full destination branch
+    cfg = _config(SMALL, BinBased(40, 3, 6), seed=1, warmup=0.0, horizon=50.0)
+    stats = run_bin_sim(cfg)
+    assert stats.reallocations > 0
+    assert_same_stats(stats, without_kernel(run_bin_sim, cfg))
+
+
+# a flow run passes the histogram's start by arrivals, a bin run by moves: its
+# one-bin-per-server move lifts a server by ~700 flows at once
+@pytest.mark.parametrize("cfg", [
+    _config(HUGE, PowerOfD(1), 1, seed=3, warmup=4.0, horizon=6.0),
+    _config(JUMP, BinBased(2, 0, 700), 1, seed=3, warmup=0.0, horizon=3.0),
+], ids=["flow", "bin"])
+def test_kernel_matches_reference_through_histogram_growth(kernel, cfg):
+    stats = _run(cfg)
     assert stats.occupancy_hist.size > 1024
-    assert_same_stats(stats, without_kernel(run_flow_sim, cfg))
+    if isinstance(cfg.scheme, BinBased):
+        assert stats.reallocations >= 1
+    assert_same_stats(stats, without_kernel(_run, cfg))
 
 
-def test_kernel_matches_reference_through_multi_doubling_histogram_growth(kernel):
-    cfg = SimConfig(params=DEEP, scheme=PowerOfD(1), seed=3, warmup=8.0,
-                    horizon=0.5)
-    stats = run_flow_sim(cfg)
+@pytest.mark.parametrize("scheme", [PowerOfD(1), BinBased(4, 2100, 2250)],
+                         ids=["flow", "bin"])
+def test_kernel_matches_reference_through_multi_doubling_histogram_growth(kernel,
+                                                                         scheme):
+    cfg = _config(DEEP, scheme, seed=3, warmup=8.0, horizon=0.5)
+    stats = _run(cfg)
     assert stats.occupancy_hist.size > 2048
-    assert_same_stats(stats, without_kernel(run_flow_sim, cfg))
+    assert_same_stats(stats, without_kernel(_run, cfg))
 
 
-def test_kernel_matches_reference_when_window_is_empty(kernel):
-    cfg = SimConfig(params=SMALL, scheme=PowerOfD(1), warmup=1000.0, horizon=1e-9)
-    for engine in (run_flow_sim, functools.partial(without_kernel, run_flow_sim)):
+def test_kernel_matches_reference_past_a_hash_block_and_draw_refills(kernel):
+    # > 65,536 flow ids: the reference hashes ids in blocks of 2**16 and
+    # refills its draw block several times
+    cfg = _config(MID, BinBased(10 * N, 25, 33), drain=True, horizon=60.0)
+    stats = run_bin_sim(cfg)
+    assert stats.total_flows > 1 << 16
+    assert_same_stats(stats, without_kernel(run_bin_sim, cfg))
+
+
+def test_validate_table_runs_the_reference_with_the_same_result(kernel):
+    cfg = _config(SMALL, BinBased(40, 3, 6), drain=True)
+    assert_same_stats(_bin_stats(_run_py(cfg, validate_table=True)), run_bin_sim(cfg))
+
+
+@pytest.mark.parametrize("scheme", [PowerOfD(1), BinBased(40, 3, 6)],
+                         ids=["flow", "bin"])
+def test_kernel_matches_reference_when_window_is_empty(kernel, scheme):
+    cfg = _config(SMALL, scheme, warmup=1000.0, horizon=1e-9)
+    for engine in (_run, functools.partial(without_kernel, _run)):
         with pytest.raises(ValueError, match="measurement window"):
             engine(cfg)
 
@@ -201,28 +288,38 @@ def _small_configs(draw):
 @example(cfg=SimConfig(params=SystemParams(n=3, lam=4.0, beta=1.0, nu=1.0, mu=1000.0),
                        scheme=PowerOfD(2), seed=1, warmup=1.0, horizon=4.0))
 def test_kernel_matches_reference_on_drawn_configs(kernel, cfg):
-    run = run_bin_sim if isinstance(cfg.scheme, BinBased) else run_flow_sim
     try:
-        stats = run(cfg)
+        stats = _run(cfg)
     except ValueError as err:
         # an empty window: the reference loop fails with the same words
         with pytest.raises(ValueError) as ref_err:
-            without_kernel(run, cfg)
+            without_kernel(_run, cfg)
         assert str(ref_err.value) == str(err)
         return
-    assert_same_stats(stats, without_kernel(run, cfg))
+    assert_same_stats(stats, without_kernel(_run, cfg))
 
 
-def test_no_compiler_falls_back_to_reference(monkeypatch, tmp_path, caplog):
-    cfg = _config(*CASES["transfer-invite"])
-    expected = run_flow_sim(cfg)
+# a bin run with fewer bins than servers also warns, before dispatch, once
+# per run
+@pytest.mark.parametrize("case, bin_warnings",
+                         [("transfer-invite", 0), ("m<n-drain", 2)],
+                         ids=["flow", "bin"])
+def test_no_compiler_falls_back_to_reference(monkeypatch, tmp_path, caplog, case,
+                                             bin_warnings):
+    cfg = CASES[case]
+    expected = _run(cfg)
     isolate_loader(monkeypatch, tmp_path, None)
-    with caplog.at_level(logging.WARNING, logger="stickysim._native"):
-        first = run_flow_sim(cfg)
-        second = run_flow_sim(cfg)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        first = _run(cfg)
+        second = _run(cfg)
     assert _native.kernel() is None
-    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
-    assert len(warnings) == 1 and "no C compiler" in warnings[0].getMessage()
+    native = [r for r in caplog.records if r.name == "stickysim._native"]
+    assert len(native) == 1 and native[0].levelno == logging.WARNING
+    assert "no C compiler" in native[0].getMessage()
+    rest = [r.getMessage() for r in caplog.records if r.name != "stickysim._native"]
+    assert len(rest) == bin_warnings
+    assert all("below server count" in message for message in rest)
     assert_same_stats(first, expected)
     assert_same_stats(second, expected)
 
@@ -234,7 +331,7 @@ def test_failed_build_falls_back_and_leaves_no_partial_file(monkeypatch, tmp_pat
     if not false:
         pytest.skip("no false(1) to stand in for a failing compiler")
     isolate_loader(monkeypatch, tmp_path, false)
-    cfg = _config(*CASES["d2"])
+    cfg = CASES["d2"]
     with caplog.at_level(logging.WARNING, logger="stickysim._native"):
         stats = run_flow_sim(cfg)
     assert any("failed" in r.getMessage() for r in caplog.records)
@@ -354,18 +451,15 @@ def test_block_helper_runs_clean_under_thread_sanitizer(tmp_path):
 def test_concurrent_runs_match_serial_runs(kernel):
     """Each run owns its block ring: two runs at once on two Python threads
     (ctypes drops the GIL around sim_run) give what each gives alone."""
-    jobs = [
-        [(run_flow_sim, _config(*CASES[c])) for c in ("d2", "pull", "transfer-least")],
-        [(run_bin_sim, test_bin_kernel._config(*test_bin_kernel.CASES[c]))
-         for c in ("m=10n", "m=2n-drain", "tracked-drain")],
-    ]
-    serial = [[run(cfg) for run, cfg in job] for job in jobs]
+    jobs = [[CASES[c] for c in ("d2", "pull", "transfer-least")],
+            [CASES[c] for c in ("m=10n", "m=2n-drain", "tracked-drain")]]
+    serial = [[_run(cfg) for cfg in job] for job in jobs]
     together = [None] * len(jobs)
     start = threading.Barrier(len(jobs))
 
     def work(i):
         start.wait()
-        together[i] = [run(cfg) for run, cfg in jobs[i]]
+        together[i] = [_run(cfg) for cfg in jobs[i]]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
     for t in threads:
@@ -380,20 +474,15 @@ def test_concurrent_runs_match_serial_runs(kernel):
 
 # Pins itself to one CPU, so the block helper shares it with the event loop
 # and the loop makes many blocks itself, then prints the digest of every
-# pinned flow and bin case.
+# pinned case.
 ONE_CPU_CHILD = """
-import json, os, sys
+import json, os
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-import test_bin_kernel as b, test_flow_kernel as f
 from conftest import stats_sha256
 from stickysim import _native
-from stickysim.bin_sim import run_bin_sim
-from stickysim.flow_sim import run_flow_sim
+from test_sim_kernel import CASES, _run
 assert _native.kernel() is not None, "kernel did not load"
-out = {"flow:" + c: stats_sha256(run_flow_sim(f._config(*f.CASES[c]))) for c in f.CASES}
-out.update({"bin:" + c: stats_sha256(run_bin_sim(b._config(*b.CASES[c])))
-            for c in b.CASES})
-print(json.dumps(out))
+print(json.dumps({c: stats_sha256(_run(cfg)) for c, cfg in CASES.items()}))
 """
 
 
@@ -406,10 +495,7 @@ def test_kernel_reproduces_the_pinned_digests_on_one_cpu(kernel):
     proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD], capture_output=True,
                           text=True, timeout=600, env=env, cwd=here)
     assert proc.returncode == 0, proc.stderr[-4000:]
-    digests = json.loads(proc.stdout.strip().splitlines()[-1])
-    want = {f"flow:{c}": d for c, d in PINNED.items()}
-    want.update({f"bin:{c}": d for c, d in test_bin_kernel.PINNED.items()})
-    assert digests == want
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == PINNED
 
 
 # Runs in a child process whose kernel is built with AddressSanitizer and
