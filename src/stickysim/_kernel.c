@@ -245,16 +245,25 @@ static void *fill_ahead(void *arg)
     return NULL;
 }
 
+/* run()'s state that its out-of-line paths (refill, open_window,
+ * append_series) reach through a pointer; the read position in the current
+ * block is not here but in a reader, see draw() */
 typedef struct {
     const sim_params *p;
     sim_result *r;
-    int64_t bi, series_cap;
+    int64_t series_cap;
     int64_t k;         /* index of the block being read, -1 before the first */
-    const double *cur; /* its uniforms: block[] or a ring slot */
     ring *ring;        /* NULL while no helper runs */
     pthread_t helper;
     double block[DRAW_BLOCK];
 } run_state;
+
+/* the block being read (block[] or a ring slot) and the index of its next
+ * uniform: a local of run() whose address only draw() takes */
+typedef struct {
+    const double *cur;
+    int64_t bi;
+} reader;
 
 /* start the helper on a ring whose next block is k, if the host has a
  * second CPU and a thread can be made; else the loop fills every block */
@@ -291,38 +300,52 @@ static void stop_helper(run_state *S)
     free(S->ring);
 }
 
-/* Move to the next block: the ring's copy when the helper has published
- * it, else one the loop makes itself, after moving the claim past it so
- * that the helper skips it.  The helper starts at the first refill, so a
- * run of one block never starts a thread. */
-static void refill(run_state *S)
+/* gcc inlines no body as large as run() unasked, not even at -O3, and `bins`
+ * would then stay a run-time test in every mode; NOINLINE keeps a cold path
+ * out of run()'s body */
+#if defined(__GNUC__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#define NOINLINE __attribute__((noinline))
+#else
+#define ALWAYS_INLINE inline
+#define NOINLINE
+#endif
+
+/* The next block: the ring's copy when the helper has published it, else
+ * one the loop makes itself, after moving the claim past it so that the
+ * helper skips it.  The helper starts at the first refill, so a run of one
+ * block never starts a thread.  Once per 512 draws: kept out of line so that
+ * run()'s hot path stays small. */
+static NOINLINE const double *refill(run_state *S)
 {
     const int64_t k = ++S->k;
-    S->bi = 0;
     if (k == 1)
         start_helper(S, k);
     ring *R = S->ring;
     if (R) {
         __atomic_store_n(&R->reading, k, __ATOMIC_RELEASE);
-        if (__atomic_load_n(&R->ready[k % RING], __ATOMIC_ACQUIRE) == k) {
-            S->cur = R->slot[k % RING];
-            return;
-        }
+        if (__atomic_load_n(&R->ready[k % RING], __ATOMIC_ACQUIRE) == k)
+            return R->slot[k % RING];
         int64_t c = __atomic_load_n(&R->claim, __ATOMIC_RELAXED);
         while (c <= k && !__atomic_compare_exchange_n(&R->claim, &c, k + 1, 0,
                                                       __ATOMIC_RELAXED, __ATOMIC_RELAXED))
             ;
     }
     philox_block(S->p->key, k, S->block);
-    S->cur = S->block;
+    return S->block;
 }
 
-/* next uniform in [0, 1) */
-static inline double draw(run_state *S)
+/* Next uniform in [0, 1).  refill sees S but never the reader, so the reader
+ * stays in registers: were the read position in *S, whose address refill
+ * takes, any int64_t store of the loop might alias it and every draw would
+ * go through memory. */
+static inline double draw(run_state *S, reader *d)
 {
-    if (S->bi == DRAW_BLOCK)
-        refill(S);
-    return S->cur[S->bi++];
+    if (d->bi == DRAW_BLOCK) {
+        d->cur = refill(S);
+        d->bi = 0;
+    }
+    return d->cur[d->bi++];
 }
 
 /* zeroed occupancies, last-change times and starting histogram */
@@ -354,10 +377,9 @@ static int open_window(run_state *S)
     return 0;
 }
 
-/* time-weight server s's interval at occupancy o, then log its new value */
-static int credit(run_state *S, int64_t s, int64_t o, int64_t o_new, double t)
+/* double the histogram until it covers occupancy o */
+static NOINLINE int grow_hist(sim_result *r, int64_t o)
 {
-    sim_result *r = S->r;
     while (o >= r->hist_len) {
         double *h = realloc(r->hist, (size_t)(2 * r->hist_len) * sizeof *h);
         if (!h)
@@ -366,17 +388,32 @@ static int credit(run_state *S, int64_t s, int64_t o, int64_t o_new, double t)
         r->hist = h;
         r->hist_len *= 2;
     }
+    return 0;
+}
+
+/* append the row (t, o) to the tracked server's series */
+static NOINLINE int append_series(run_state *S, double t, int64_t o)
+{
+    sim_result *r = S->r;
+    if (reserve((void **)&r->series, &S->series_cap, 2 * (r->series_rows + 1),
+                sizeof *r->series))
+        return -1;
+    r->series[2 * r->series_rows] = t;
+    r->series[2 * r->series_rows + 1] = (double)o;
+    r->series_rows++;
+    return 0;
+}
+
+/* time-weight server s's interval at occupancy o, then log its new value;
+ * inline, with the rare growth and the tracked server's append out of line */
+static inline int credit(run_state *S, int64_t s, int64_t o, int64_t o_new, double t)
+{
+    sim_result *r = S->r;
+    if (o >= r->hist_len && grow_hist(r, o))
+        return -1;
     r->hist[o] += t - r->last[s];
     r->last[s] = t;
-    if (s == S->p->tracked) {
-        if (reserve((void **)&r->series, &S->series_cap, 2 * (r->series_rows + 1),
-                    sizeof *r->series))
-            return -1;
-        r->series[2 * r->series_rows] = t;
-        r->series[2 * r->series_rows + 1] = (double)o_new;
-        r->series_rows++;
-    }
-    return 0;
+    return s == S->p->tracked ? append_series(S, t, o_new) : 0;
 }
 
 /* scheme modes, the codes of flow_sim._D_CHOICES ... _BIN: d < n choices
@@ -395,14 +432,6 @@ static inline int64_t hash_bin(uint64_t id, uint64_t m)
     return (int64_t)(z % m);
 }
 
-/* gcc inlines no body this large unasked, not even at -O3, and `bins` would
- * then stay a run-time test in every mode */
-#if defined(__GNUC__)
-#define ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define ALWAYS_INLINE inline
-#endif
-
 /* The event loop of every mode.  sim_run calls it with a constant `bins`, so
  * the compiler emits one copy for the bin scheme and one for the flow-level
  * modes from this one source.
@@ -420,7 +449,8 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
     const int need_invites = bins || mode == MODE_PULL || mode == MODE_XFER_INVITE;
     const int need_levels = !bins && (mode == MODE_LEAST || mode == MODE_XFER_LEAST);
 
-    run_state S = {.p = p, .r = r, .bi = DRAW_BLOCK, .k = -1};
+    run_state S = {.p = p, .r = r, .k = -1};
+    reader rd = {.bi = DRAW_BLOCK};
     int status = RUN_NOMEM;
 
     ilist invite = {0}, below = {0};
@@ -482,7 +512,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
     int started = 0;
     for (;;) {
         double rate = lam_total + (double)count * inv_beta;
-        double u = draw(&S);
+        double u = draw(&S, &rd);
         t += -log(1.0 - u) / rate;
         if (t >= t_stop)
             break;
@@ -497,7 +527,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
             prev_t = t;
         }
 
-        u = draw(&S);
+        u = draw(&S, &rd);
         int64_t s, o, b = 0;
         if (u * rate < lam_total) {
             /* ----- arrival ----- */
@@ -505,7 +535,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                 r->total_flows++;
             /* a bin arrival's server is dictated by its static bin: no draw */
             if (!bins)
-                u = draw(&S);
+                u = draw(&S, &rd);
             switch (bins ? MODE_BIN : mode) {
             case MODE_BIN:
                 b = hash_bin(next_id++, (uint64_t)p->bins);
@@ -515,7 +545,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                 int64_t nc = 1;
                 cands[0] = (int64_t)(u * (double)n);
                 while (nc < p->d) {
-                    int64_t c = (int64_t)(draw(&S) * (double)n), seen = 0;
+                    int64_t c = (int64_t)(draw(&S, &rd) * (double)n), seen = 0;
                     for (int64_t k = 0; k < nc; k++)
                         seen |= cands[k] == c;
                     if (!seen)
@@ -532,7 +562,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                     } else if (oc == best) {
                         /* reservoir pick over ties: replace with prob 1/nb */
                         nb++;
-                        if (draw(&S) * (double)nb < 1.0)
+                        if (draw(&S, &rd) * (double)nb < 1.0)
                             s = c;
                     }
                 }
@@ -561,7 +591,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                 if (occ[s] >= high) {
                     if (started)
                         r->violations++;
-                    u = draw(&S);
+                    u = draw(&S, &rd);
                     s = pull_pick(u, &invite, &below);
                     if (s < 0)
                         s = (int64_t)(u * (double)n);
@@ -573,7 +603,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                     if (started)
                         r->violations++;
                     ilist *lb = &levels[cur_min];
-                    s = lb->a[(int64_t)(draw(&S) * (double)lb->len)];
+                    s = lb->a[(int64_t)(draw(&S, &rd) * (double)lb->len)];
                 }
                 break;
             }
@@ -625,9 +655,9 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
                 for (int64_t k = 0; k < moves && occ[s] > high; k++) {
                     ilist *here = &server_bins[s];
                     int32_t mb =
-                        here->a[(int64_t)(draw(&S) * (double)here->len)];
+                        here->a[(int64_t)(draw(&S, &rd) * (double)here->len)];
                     /* the pull pick, else any server but s */
-                    u = draw(&S);
+                    u = draw(&S, &rd);
                     int64_t dest = pull_pick(u, &invite, &below);
                     if (dest < 0) {
                         dest = (int64_t)(u * (double)(n - 1));
@@ -662,7 +692,7 @@ static ALWAYS_INLINE int run(const sim_params *p, sim_result *r, const int bins)
             /* ----- departure: uniform over active flows ----- */
             if (count == 0)
                 continue;
-            int64_t j = (int64_t)(draw(&S) * (double)count);
+            int64_t j = (int64_t)(draw(&S, &rd) * (double)count);
             s = slot[j]; /* in bin mode, the flow's bin */
             slot[j] = slot[--count];
             if (bins) {

@@ -45,21 +45,43 @@ _LOG_FACT = np.array([0.0])  # log(k!) for k = 0 .. len-1, grown on demand
 
 
 def log_factorial(k: int | np.ndarray) -> float | np.ndarray:
-    """log(k!) via a cached lgamma table (exact per entry, no cumsum drift)."""
-    global _LOG_FACT
-    kmax = int(np.max(k))
+    """log(k!) via a cached lgamma table (exact per entry, no cumsum drift).
+
+    A scalar k gives a float, an array k an array of its shape; an empty
+    array gives an empty float array.  A negative largest k raises
+    ValueError.
+    """
+    if isinstance(k, (int, np.integer)):
+        # the scalar fast path: no array conversion, no reduction; int()
+        # also makes True an index, not a mask
+        k = int(k)
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        if k >= _LOG_FACT.size:
+            _grow_log_fact(k)
+        return float(_LOG_FACT[k])
+    idx = np.asarray(k, dtype=np.int64)
+    if idx.size == 0:
+        return np.empty(idx.shape)
+    kmax = int(idx.max())
     if kmax < 0:
         raise ValueError("k must be non-negative")
     if kmax >= _LOG_FACT.size:
-        old = _LOG_FACT.size
-        grown = np.empty(kmax + 65)
-        grown[:old] = _LOG_FACT
-        for j in range(old, grown.size):
-            grown[j] = math.lgamma(j + 1)
-        _LOG_FACT = grown
-    if np.isscalar(k):
-        return float(_LOG_FACT[int(k)])
-    return _LOG_FACT[np.asarray(k, dtype=np.int64)]
+        _grow_log_fact(kmax)
+    if idx.ndim == 0 and not isinstance(k, np.ndarray):
+        return float(_LOG_FACT[idx])  # a float scalar
+    return _LOG_FACT[idx]
+
+
+def _grow_log_fact(kmax: int) -> None:
+    """Extend the log(k!) table past kmax."""
+    global _LOG_FACT
+    old = _LOG_FACT.size
+    grown = np.empty(kmax + 65)
+    grown[:old] = _LOG_FACT
+    for j in range(old, grown.size):
+        grown[j] = math.lgamma(j + 1)
+    _LOG_FACT = grown
 
 
 def poisson_logpmf(k: int | np.ndarray, rate: float) -> float | np.ndarray:

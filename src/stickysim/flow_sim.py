@@ -231,14 +231,15 @@ def _window_stats(
     count: int,
     flow_int: float,
     prev_t: float,
-    series: list[float],
+    series: list[float] | np.ndarray,
 ) -> dict:
     """Close the measurement window and return the SimStats array fields.
 
     Credits every server's open interval up to t_stop (growing `hist` in
     place as needed), trims and normalises the histogram, and shapes the flat
-    (time, occupancy) series into rows.  Shared by every event engine, so
-    their results agree bit for bit whenever their event loops do.
+    (time, occupancy) series, a list or a float64 array, into rows.  Shared
+    by every event engine, so their results agree bit for bit whenever their
+    event loops do.
     """
     if not started:
         # the whole run ended inside warmup; measure nothing
@@ -324,13 +325,18 @@ def _run_kernel(lib, config: SimConfig) -> dict:
         def take(ptr, size):
             return np.ctypeslib.as_array(ptr, (size,)).tolist() if size else []
 
+        # a copy, since sim_free releases the kernel's buffer; with no rows
+        # the pointer is NULL
+        rows = r.series_rows
+        series = (np.ctypeslib.as_array(r.series, (2 * rows,)).copy() if rows
+                  else [])
         return {
             "violations": r.violations, "total_flows": r.total_flows,
             "reallocations": r.reallocations, "skipped": r.skipped,
             **_window_stats(
                 bool(r.started), t_start, t_stop,
                 take(r.occ, n), take(r.last, n), take(r.hist, r.hist_len),
-                r.count, r.flow_int, r.prev_t, take(r.series, 2 * r.series_rows),
+                r.count, r.flow_int, r.prev_t, series,
             ),
         }
     finally:

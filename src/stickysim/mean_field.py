@@ -603,7 +603,9 @@ def solve_least_loaded_fixed_point(rho: float, high: int) -> FlowDistribution:
     """Fixed point of uniform assignment with full-server transfers to a
     least-loaded server. Below `high` the support is a band i*..high with a
     geometric-over-factorial profile; at rho >= high the scheme behaves like
-    join-shortest-queue."""
+    join-shortest-queue.  Raises UnsupportedConfigError when the band would
+    reach occupancy 0, and NumericalError when rho lies within rounding
+    below high."""
     _check_positive("rho", rho)
     TransferToLeastLoaded(high)
 
@@ -611,21 +613,28 @@ def solve_least_loaded_fixed_point(rho: float, high: int) -> FlowDistribution:
         return jsq_fixed_point(rho)
 
     log_rho = math.log(rho)
-
-    def log_u(i: int) -> float:
-        # log of [h!/(rho^{h-i} i!)], i.e. the weight relative to level `high`
-        return log_factorial(high) - log_factorial(i) + (i - high) * log_rho
-
-    istar = next(i for i in range(high + 1) if log_u(i) > 0.0)
+    # log of [h!/(rho^{h-i} i!)] at every level i, i.e. the weight relative
+    # to level `high`; the band starts at the first level where it is above 0
+    levels = np.arange(high + 1)
+    log_u = log_factorial(high) - log_factorial(levels) + (levels - high) * log_rho
+    istar = int(np.argmax(log_u > 0.0))
+    if not log_u[istar] > 0.0:
+        # In exact arithmetic i = high - 1 always qualifies when rho < high:
+        # its log weight is log(high / rho) > 0.  Rounded, the difference of
+        # two lgamma values can swallow it when rho is within rounding of
+        # high (rho = 1.9999999999999998, high = 2), and then no level does.
+        raise NumericalError(
+            f"no level below high={high} outweighs it at rho={rho!r}: rho "
+            "is within rounding of high"
+        )
     if istar == 0:
         raise UnsupportedConfigError(
             f"support would reach occupancy 0 (rho={rho:g}, high={high}); "
             "band fixed point undefined there"
         )
 
-    band = np.arange(istar + 1, high + 1)
-    u = np.exp(log_factorial(high) - log_factorial(band) + (band - high) * log_rho)
-    a = math.exp(log_u(istar))
+    u = np.exp(log_u[istar + 1 :])
+    a = math.exp(log_u[istar])
     u_star = rho / (rho - istar) * (a - 1.0)
     total = u_star + float(u.sum())
     p = np.zeros(high + 1)

@@ -43,6 +43,25 @@ def test_log_factorial_matches_lgamma():
     assert log_factorial(1) == 0.0
 
 
+def test_log_factorial_scalars_take_the_table_entry_and_empty_arrays_work():
+    table = log_factorial(np.arange(12))
+    for k in (5, np.int64(5), np.int32(5)):
+        got = log_factorial(k)
+        assert type(got) is float and got == table[5]
+    # a bool is an int: True is 1, not a mask
+    assert type(log_factorial(True)) is float and log_factorial(True) == table[1]
+    # a float scalar still reads the entry at its integer part, as a float
+    assert type(log_factorial(5.0)) is float and log_factorial(5.0) == table[5]
+    # a scalar past the cached table grows it with exact lgamma entries
+    assert log_factorial(50_000) == math.lgamma(50_001)
+    for k in (-1, np.int64(-1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            log_factorial(k)
+    empty = log_factorial(np.array([], dtype=int))
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+    assert poisson_logpmf(np.array([], dtype=int), 2.0).shape == (0,)
+
+
 @pytest.mark.parametrize("rate", [0.3, 2.0, 150.0, 407.74])
 def test_poisson_logpmf_matches_scipy(rate):
     k = np.arange(0, 400)

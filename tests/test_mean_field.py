@@ -23,6 +23,7 @@ from stickysim.core import (
     SystemParams,
     TransferToInvite,
     TransferToLeastLoaded,
+    log_factorial,
     total_variation,
 )
 from stickysim import mean_field as mf
@@ -306,6 +307,60 @@ def test_least_loaded_reference_configuration():
     assert support[0] == 140  # lowest occupied level
     assert d.p[160] == pytest.approx(0.03772698059520348, rel=1e-9)
     assert fixed_point_residual(TransferToLeastLoaded(high=160), d, 150.0) <= 1e-8
+
+
+def _least_loaded_by_search(rho: float, high: int) -> np.ndarray:
+    """The least-loaded band law as the solver found its band start before
+    the search was vectorized: one scalar log weight per level, walked up
+    from 0.  The oracle for the vectorized search, rho < high only."""
+    log_rho = math.log(rho)
+
+    def log_u(i: int) -> float:
+        return log_factorial(high) - log_factorial(i) + (i - high) * log_rho
+
+    istar = next((i for i in range(high + 1) if log_u(i) > 0.0), None)
+    if istar is None:
+        raise NumericalError("no level qualifies")
+    if istar == 0:
+        raise UnsupportedConfigError("support would reach occupancy 0")
+    band = np.arange(istar + 1, high + 1)
+    u = np.exp(log_factorial(high) - log_factorial(band) + (band - high) * log_rho)
+    u_star = rho / (rho - istar) * (math.exp(log_u(istar)) - 1.0)
+    total = u_star + float(u.sum())
+    p = np.zeros(high + 1)
+    p[istar] = u_star / total
+    p[istar + 1 :] = u / total
+    return p
+
+
+def test_least_loaded_band_start_matches_the_level_by_level_search():
+    outcomes = set()
+    for high in (1, 2, 3, 4, 5, 9, 20, 160, 200, 400):
+        below = [np.nextafter(float(high), 0.0), high - 1e-12, high - 1e-9,
+                 high - 0.5]
+        for rho in [f * high for f in (0.05, 0.2, 0.5, 0.9, 0.99)] + below:
+            if not 0.0 < rho < high:
+                continue
+            try:
+                want = _least_loaded_by_search(rho, high)
+            except (NumericalError, UnsupportedConfigError) as exc:
+                with pytest.raises(type(exc)):
+                    solve_least_loaded_fixed_point(rho, high)
+                outcomes.add(type(exc))
+                continue
+            got = solve_least_loaded_fixed_point(rho, high).p
+            assert np.array_equal(got, want), (rho, high)
+            outcomes.add("band")
+    # the grid reaches the band law, the support at 0 and, with rho within
+    # rounding of high, no qualifying level at all
+    assert outcomes == {"band", UnsupportedConfigError, NumericalError}
+
+
+def test_least_loaded_rho_within_rounding_of_high_raises_numerical_error():
+    # exactly, level 1 qualifies (log weight log(2 / rho) > 0); rounded, the
+    # lgamma difference swallows it
+    with pytest.raises(NumericalError, match="within rounding of high"):
+        solve_least_loaded_fixed_point(np.nextafter(2.0, 0.0), 2)
 
 
 def test_least_loaded_degenerate_support_rejected():
