@@ -23,7 +23,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -74,21 +74,10 @@ class ExperimentSpec:
     out_dir: Path = Path(".")
 
 
-class _Lines:
-    """Rows of a table of ints and Python floats, already formatted as the
-    text lines csv.writer would write for them (see _number_rows)."""
-
-    __slots__ = ("lines",)
-
-    def __init__(self, lines: Iterator[str]) -> None:
-        self.lines = lines
-
-
 # rows hold str/int/float and are read once; csv.writer writes each cell as
 # its str, which for a Python float is its repr (a numpy float scalar's repr
-# differs, so rows hold Python floats).  A table of numbers alone may hand
-# over _Lines instead: no such cell ever needs quoting
-_CsvTable = tuple[Sequence[str], Iterable[Iterable[object]] | _Lines]
+# differs, so rows hold Python floats)
+_CsvTable = tuple[Sequence[str], Iterable[Iterable[object]]]
 _RunnerResult = tuple[dict[str, _CsvTable], dict[str, object]]
 _T = TypeVar("_T")
 _Runner = Callable[[ExperimentSpec], _RunnerResult]
@@ -139,23 +128,13 @@ def _histogram_table(
     emp[: empirical.size] = empirical
     th = np.zeros(size)
     th[: theory.p.size] = theory.p
-    rows = _number_rows("{},{!r},{!r}\n", range(size), emp.tolist(), th.tolist())
+    rows = zip(range(size), emp.tolist(), th.tolist())
     return ["i", "p_empirical", "p_theory"], rows
 
 
 def _series_table(series: np.ndarray) -> _CsvTable:
-    rows = _number_rows("{!r},{}\n", series[:, 0].tolist(),
-                        series[:, 1].astype(np.int64).tolist())
+    rows = zip(series[:, 0].tolist(), series[:, 1].astype(np.int64).tolist())
     return ["t", "occupancy"], rows
-
-
-def _number_rows(fmt: str, *columns: Iterable[object]) -> _Lines:
-    """The CSV lines of int and Python float columns, the bytes csv.writer
-    writes for them: fmt formats one row, each float by its repr ({!r}) and
-    each int by its str ({}), and ends it with a newline.  Formatting each
-    line with one str.format costs less than a writerow per row; the lines
-    are made as they are written, so no copy of the table is held."""
-    return _Lines(map(fmt.format, *columns))
 
 
 def _sigma_summary(diag: mf.SolveDiagnostics) -> dict[str, object]:
@@ -748,10 +727,7 @@ def _write_csv(path: Path, table: _CsvTable) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        if isinstance(rows, _Lines):
-            fh.writelines(rows.lines)
-        else:
-            writer.writerows(rows)
+        writer.writerows(rows)
 
 
 def _json_default(v: object):

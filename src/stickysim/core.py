@@ -51,15 +51,6 @@ def log_factorial(k: int | np.ndarray) -> float | np.ndarray:
     array gives an empty float array.  A negative largest k raises
     ValueError.
     """
-    if isinstance(k, (int, np.integer)):
-        # the scalar fast path: no array conversion, no reduction; int()
-        # also makes True an index, not a mask
-        k = int(k)
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        if k >= _LOG_FACT.size:
-            _grow_log_fact(k)
-        return float(_LOG_FACT[k])
     idx = np.asarray(k, dtype=np.int64)
     if idx.size == 0:
         return np.empty(idx.shape)

@@ -10,7 +10,7 @@ import pytest
 from stickysim import cli
 from stickysim import mean_field as mf
 from stickysim import metrics as mx
-from stickysim.core import FlowDistribution, PowerOfD
+from stickysim.core import PowerOfD
 
 
 # overrides that shrink any full-scale experiment to a fast toy system
@@ -309,50 +309,6 @@ class TestRunExperiment:
         new = (tmp_path / "new.csv").read_bytes()
         assert new == (tmp_path / "old.csv").read_bytes()
         assert b"-0.0,1e-300,0.3333333333333333\n" in new
-
-    @staticmethod
-    def _writer_bytes(path, header, rows):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        return path.read_bytes()
-
-    def test_number_rows_write_the_bytes_of_csv_writer(self, tmp_path):
-        # every repr form of a float: integral, short decimal, exponent with
-        # a negative and a positive power, the least subnormal, signed zero,
-        # non-finite values
-        reprs = [9.0, 0.1, 1e-05, 5e-324, 1e+16, -0.0, 1 / 3, math.inf, math.nan]
-        series = np.column_stack([reprs, np.arange(len(reprs))])
-        theory = FlowDistribution([0.5, 0.1, 1e-05, 5e-324, 0.0, 0.39999])
-        tables = {
-            "series": (cli._series_table(series),
-                       zip(series[:, 0].tolist(),
-                           series[:, 1].astype(np.int64).tolist())),
-            # the empirical histogram is longer than the law: zero padding
-            # on the law's side
-            "histogram": (cli._histogram_table(np.array(reprs), theory),
-                          zip(range(len(reprs)), reprs,
-                              theory.p.tolist() + [0.0] * 3)),
-            # a shorter one: zero padding on the empirical side
-            "short": (cli._histogram_table(np.array([1e+16, 5e-324]), theory),
-                      zip(range(6), [1e+16, 5e-324] + [0.0] * 4,
-                          theory.p.tolist())),
-            "empty": (cli._series_table(np.empty((0, 2))), []),
-        }
-        for name, (table, rows) in tables.items():
-            assert isinstance(table[1], cli._Lines)
-            cli._write_csv(tmp_path / f"{name}.csv", table)
-            got = (tmp_path / f"{name}.csv").read_bytes()
-            assert got == self._writer_bytes(tmp_path / f"{name}-writer.csv",
-                                             table[0], rows), name
-        series_bytes = (tmp_path / "series.csv").read_bytes()
-        for cell in (b"9.0,0\n", b"0.1,1\n", b"1e-05,2\n", b"5e-324,3\n",
-                     b"1e+16,4\n", b"-0.0,5\n", b"inf,7\n", b"nan,8\n"):
-            assert cell in series_bytes
-        assert (tmp_path / "empty.csv").read_bytes() == b"t,occupancy\n"
 
     def test_delay_tails_values(self, tmp_path, full_params):
         spec = cli.build_spec(
