@@ -24,10 +24,11 @@
  *
  * _native.FLAGS builds it at -O3, where GCC vectorizes the ODE's per-level
  * loops (the stage and RK4 combinations, project's clip pass, the join rules,
- * the d-choices products and both loops of the correction) two doubles at a
- * time.  Each lane rounds as the scalar operation does, and the correction's
- * sum is vectorized as an in-order fold, so no result changes.  The balance
- * in drift, the NaN-aware sups and project's running minimum stay scalar.
+ * the d-choices products, the balance in drift and both loops of the
+ * correction) two doubles at a time.  Each lane rounds as the scalar
+ * operation does, and the correction's sum is vectorized as an in-order
+ * fold, so no result changes.  The NaN-aware sups and project's running
+ * minimum stay scalar.
  *
  * Uniform draws come from the kernel's own copy of numpy's Philox4x64-10,
  * keyed by sim_params.key (the key of numpy.random.Philox(seed)) with its
@@ -947,12 +948,14 @@ static void drift(const drift_params *p, const double *sp, double *ds)
             least_rule(p, sp, q, nq);
     }
 
-    /* scalar at -O3: p->size is reloaded on each pass, as a store to ds may
-     * alias *p, and SSE2 has no packed int64_t-to-double conversion.  With the
-     * bound in a local and an int counter it vectorizes; ROADMAP item 2 says
-     * why that waits */
+    /* the balance vectorizes at -O3 only with its bound in a local, since a
+     * store to ds may alias *p, and with an int counter, since SSE2 has a
+     * packed int-to-double conversion but none from int64_t (a tail of 2^31
+     * levels would need 128 GiB of buffers); each lane's division rounds as
+     * the scalar one does */
     const double lam = p->lam, beta = p->beta;
-    for (int64_t i = 1; i < p->size; i++)
+    const int size = (int)p->size;
+    for (int i = 1; i < size; i++)
         ds[i] = lam * q[i - 1] - (double)i * (sp[i] - sp[i + 1]) / beta;
 }
 

@@ -40,10 +40,12 @@ logger = logging.getLogger(__name__)
 
 # Every double operation rounds exactly as the Python reference does.
 # -ffp-contract=off forbids fused multiply-add.  -O3 vectorizes the ODE's
-# per-level loops (SSE2, two doubles at a time) but keeps IEEE semantics: each
-# lane rounds as the scalar operation would, and a reduction is vectorized in
-# its source order (the correction's sum, as a fold-left) or not at all (the
-# NaN-aware sups).  No -ffast-math or any flag it implies, no -march.
+# per-level loops (SSE2, two doubles at a time: the stages, the join rules,
+# the drift's arrival/departure balance, the correction, the RK4 combination)
+# but keeps IEEE semantics: each lane rounds as the scalar operation would,
+# and a reduction is vectorized in its source order (the correction's sum, as
+# a fold-left) or not at all (the NaN-aware sups).  No -ffast-math or any flag
+# it implies, no -march.
 # -pthread: sim_run's block-filling helper thread
 FLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 

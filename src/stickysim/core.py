@@ -48,14 +48,15 @@ def log_factorial(k: int | np.ndarray) -> float | np.ndarray:
     """log(k!) via a cached lgamma table (exact per entry, no cumsum drift).
 
     A scalar k gives a float, an array k an array of its shape; an empty
-    array gives an empty float array.  A negative largest k raises
-    ValueError.
+    array gives an empty float array.  Any negative k raises ValueError.
     """
     idx = np.asarray(k, dtype=np.int64)
     if idx.size == 0:
         return np.empty(idx.shape)
-    kmax = int(idx.max())
-    if kmax < 0:
+    # one reduction finds both the table's reach and any negative entry: as
+    # uint64 a negative int64 reads as 2**63 or more
+    kmax = int(idx.view(np.uint64).max())
+    if kmax >= 2**63:
         raise ValueError("k must be non-negative")
     if kmax >= _LOG_FACT.size:
         _grow_log_fact(kmax)

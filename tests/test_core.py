@@ -62,6 +62,22 @@ def test_log_factorial_scalars_take_the_table_entry_and_empty_arrays_work():
     assert poisson_logpmf(np.array([], dtype=int), 2.0).shape == (0,)
 
 
+@pytest.mark.parametrize("ks", [
+    [-1, 5], [5, -1], [3, -7, 2], [-1], [[0, 4], [-2, 1]],
+    [np.iinfo(np.int64).min, 0], [np.iinfo(np.int64).max - 1, -1],
+])
+def test_log_factorial_rejects_any_negative_entry(ks):
+    # a negative entry below a non-negative maximum must not index the table
+    # from its end
+    wide = np.array(ks, dtype=np.int64)
+    narrow = wide.astype(np.int32)
+    for k in (wide, narrow) if np.array_equal(narrow, wide) else (wide,):
+        with pytest.raises(ValueError, match="non-negative"):
+            log_factorial(k)
+        with pytest.raises(ValueError, match="non-negative"):
+            poisson_logpmf(k, 2.0)
+
+
 @pytest.mark.parametrize("rate", [0.3, 2.0, 150.0, 407.74])
 def test_poisson_logpmf_matches_scipy(rate):
     k = np.arange(0, 400)

@@ -18,7 +18,10 @@ import functools
 import hashlib
 import logging
 import math
+import re
+import subprocess
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,11 +171,12 @@ def _same_step(a, b):
 
 
 def _specials(rng, s, *ks):
-    """Put exact 0, 1 and -0.0 at random levels of s and of the matching
-    entries of every k: each k entry 0 keeps a stage or step end on that
-    value exactly, and -0.0 everywhere gives -0.0."""
+    """Put exact 0, 1 and -0.0 at random levels of s (three each, or every
+    level of a shorter tail) and at the matching entries of every k: each k
+    entry 0 keeps a stage or step end on that value exactly, and -0.0
+    everywhere gives -0.0."""
     for value, k_value in ((0.0, 0.0), (1.0, 0.0), (-0.0, -0.0)):
-        at = rng.choice(s.size, size=3, replace=False)
+        at = rng.choice(s.size, size=min(3, s.size), replace=False)
         s[at] = value
         for k in ks:
             k[at] = k_value
@@ -187,7 +191,7 @@ def _roughen(rng, s, nan):
         s[rng.choice(at)] = math.nan
 
 
-@pytest.mark.parametrize("size", [16, 6, 7, 280, 281])
+@pytest.mark.parametrize("size", [16, 2, 3, 6, 7, 280, 281])
 @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
 def test_kernel_drift_matches_python_bit_for_bit(kernel, case, size):
     # valid tails, then every other one off [0, 1] with -0.0 entries, and
@@ -248,7 +252,7 @@ def _steps_agree(both, size, s, k1, sat):
     return far
 
 
-@pytest.mark.parametrize("size", [6, 7, 16, 280, 281])
+@pytest.mark.parametrize("size", [2, 3, 6, 7, 16, 280, 281])
 @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
 def test_kernel_stage_matches_python_bit_for_bit(kernel, case, size):
     # the three stages of a step: first stage states up to 0.3 outside the
@@ -266,7 +270,7 @@ def test_kernel_stage_matches_python_bit_for_bit(kernel, case, size):
             assert np.all(np.diff(g) <= 0.0) and g[-1] >= 0.0
 
 
-@pytest.mark.parametrize("size", [6, 7, 16, 280, 281])
+@pytest.mark.parametrize("size", [2, 3, 6, 7, 16, 280, 281])
 @pytest.mark.parametrize("case", sorted(DRIFT_CASES))
 def test_kernel_finish_matches_python_bit_for_bit(kernel, case, size):
     # the step end: tails off [0, 1] with -0.0 entries, and a NaN in every
@@ -292,7 +296,8 @@ CORRECTED = sorted(case for case, (scheme, *_) in DRIFT_CASES.items()
                    if _invite_low(scheme) >= 2)
 
 
-@pytest.mark.parametrize("size", [6, 7, 16, 280, 281])
+# (a 2-level tail leaves no sat with 0 < sat < size - 1)
+@pytest.mark.parametrize("size", [3, 6, 7, 16, 280, 281])
 @pytest.mark.parametrize("case", CORRECTED)
 def test_kernel_correction_matches_python_bit_for_bit(kernel, case, size):
     # the dip-refill correction's branch: levels 0..sat at 1 with
@@ -625,6 +630,38 @@ def test_compile_flags_keep_every_rounding():
               "-fassociative-math", "-ffinite-math-only")
     assert not set(unsafe) & set(flags)
     assert not any(flag.startswith("-march=") for flag in flags)
+
+
+def test_the_balance_loop_vectorizes_at_the_shipped_flags(tmp_path):
+    # drift()'s arrival/departure balance runs in every drift evaluation, and
+    # it vectorizes only with its bound in a local and an int counter; a
+    # rewrite that loses either runs it scalar again without changing a bit,
+    # so only the compiler's vectorizer report shows it
+    cc = _native.compiler()
+    if cc is None:
+        pytest.skip("no C compiler")
+    macros = subprocess.run([cc, "-dM", "-E", "-x", "c", "-"], input="",
+                            capture_output=True, text=True, timeout=60).stdout
+    if "__GNUC__" not in macros or "__clang__" in macros:
+        pytest.skip("-fopt-info-vec-optimized is GCC's report")
+    source = Path(_native.__file__).with_name("_kernel.c")
+    lines = source.read_text().splitlines()
+    body = [n for n, line in enumerate(lines, 1)
+            if "ds[i] = lam * q[i - 1] - (double)i * (sp[i] - sp[i + 1]) / beta;"
+            in line]
+    assert len(body) == 1, "the balance statement is not in _kernel.c"
+    # GCC names a loop by the line of its `for`, the line above the body
+    loop = body[0] - 1
+    assert lines[loop - 1].lstrip().startswith("for ("), lines[loop - 1]
+    proc = subprocess.run(
+        [cc, *_native.FLAGS, "-fopt-info-vec-optimized", "-o",
+         str(tmp_path / "kernel.so"), str(source), "-lm"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    vectorized = {int(m) for m in re.findall(
+        r"_kernel\.c:(\d+):\d+: optimized: loop vectorized", proc.stderr)}
+    assert loop in vectorized, proc.stderr
 
 
 @pytest.mark.parametrize("engine", ["kernel", "python"])
