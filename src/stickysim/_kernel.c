@@ -38,12 +38,14 @@
  * uniforms (philox_block) depends on the key and k alone: a run that draws
  * more than one block may start one helper thread, which fills blocks ahead
  * into a ring the run owns, and the loop takes a block from the ring only
- * when the helper has published that very index, else makes it itself.  The
- * helper never calls into Python, holds every signal blocked and is joined
- * before sim_run returns; which thread filled a block cannot change a bit of
- * the result.  The kernel owns every growable array (active flows,
- * histogram, series, server and bin lists) and hands the ones the caller
- * needs back through sim_result; sim_free releases them.
+ * when the helper has published that very index, else makes it itself.
+ * Each field of the ring has one writer, the helper its slots and their
+ * published indices, the loop its read position and the stop flag, and the
+ * loop never waits.  The helper never calls into Python, holds every signal
+ * blocked and is joined before sim_run returns; which thread filled a block
+ * cannot change a bit of the result.  The kernel owns every growable array
+ * (active flows, histogram, series, server and bin lists) and hands the ones
+ * the caller needs back through sim_result; sim_free releases them.
  *
  * sim_run's scheme modes are the MODE_* codes below; the bin scheme is
  * MODE_BIN, the pull rule's threshold lists plus a flow -> bin -> server
@@ -213,35 +215,36 @@ static void philox_block(const uint64_t key[2], int64_t k, double *out)
 }
 
 /* Blocks a helper thread fills ahead of the loop, block k in slot k % RING.
- * The helper claims `claim` while it lies less than RING past `reading`
- * (so its slot's last block is one the loop is done with), fills the slot,
- * then publishes k in ready[].  The loop reads a slot only while ready[]
- * holds the index it wants; the slot's next block needs `reading` past it. */
+ * Each field has one writer: the helper fills the slots and publishes each
+ * block's index in ready[] once it is filled; the loop writes `reading` and
+ * `stop`.  The helper fills only blocks past `reading` and less than RING
+ * past it, so it never writes the slot the loop reads. */
 typedef struct {
     const uint64_t *key;
-    int64_t claim;       /* next block index nobody has claimed */
     int64_t reading;     /* block the loop reads */
     int stop;            /* set once, when the run ends */
     int64_t ready[RING]; /* index published in each slot, -1 before any */
     double slot[RING][DRAW_BLOCK];
 } ring;
 
-/* the helper: fill claimed blocks until told to stop; never waits on the
- * loop but by yielding the CPU, and allocates nothing */
+/* the helper: fill the blocks after the loop's until told to stop, jumping
+ * to reading + 1 whenever the loop has reached its next block; never waits
+ * on the loop but by yielding the CPU, and allocates nothing */
 static void *fill_ahead(void *arg)
 {
     ring *R = arg;
+    int64_t k = 0; /* the next block to fill */
     while (!__atomic_load_n(&R->stop, __ATOMIC_ACQUIRE)) {
-        int64_t k = __atomic_load_n(&R->claim, __ATOMIC_RELAXED);
-        if (k - __atomic_load_n(&R->reading, __ATOMIC_ACQUIRE) >= RING) {
+        const int64_t reading = __atomic_load_n(&R->reading, __ATOMIC_ACQUIRE);
+        if (k <= reading) {
+            k = reading + 1;
+        } else if (k - reading >= RING) {
             sched_yield();
             continue;
         }
-        if (!__atomic_compare_exchange_n(&R->claim, &k, k + 1, 0, __ATOMIC_RELAXED,
-                                         __ATOMIC_RELAXED))
-            continue;
         philox_block(R->key, k, R->slot[k % RING]);
         __atomic_store_n(&R->ready[k % RING], k, __ATOMIC_RELEASE);
+        k++;
     }
     return NULL;
 }
@@ -276,7 +279,7 @@ static void start_helper(run_state *S, int64_t k)
     if (!R)
         return;
     R->key = S->p->key;
-    R->claim = R->reading = k;
+    R->reading = k;
     R->stop = 0;
     for (int i = 0; i < RING; i++)
         R->ready[i] = -1;
@@ -313,10 +316,10 @@ static void stop_helper(run_state *S)
 #endif
 
 /* The next block: the ring's copy when the helper has published it, else
- * one the loop makes itself, after moving the claim past it so that the
- * helper skips it.  The helper starts at the first refill, so a run of one
- * block never starts a thread.  Once per 512 draws: kept out of line so that
- * run()'s hot path stays small. */
+ * one the loop makes itself; the helper, seeing `reading` there, skips it.
+ * The helper starts at the first refill, so a run of one block never starts
+ * a thread.  Once per 512 draws: kept out of line so that run()'s hot path
+ * stays small. */
 static NOINLINE const double *refill(run_state *S)
 {
     const int64_t k = ++S->k;
@@ -327,10 +330,6 @@ static NOINLINE const double *refill(run_state *S)
         __atomic_store_n(&R->reading, k, __ATOMIC_RELEASE);
         if (__atomic_load_n(&R->ready[k % RING], __ATOMIC_ACQUIRE) == k)
             return R->slot[k % RING];
-        int64_t c = __atomic_load_n(&R->claim, __ATOMIC_RELAXED);
-        while (c <= k && !__atomic_compare_exchange_n(&R->claim, &c, k + 1, 0,
-                                                      __ATOMIC_RELAXED, __ATOMIC_RELAXED))
-            ;
     }
     philox_block(S->p->key, k, S->block);
     return S->block;

@@ -16,8 +16,10 @@ returns; no thread ever calls into Python, and the result is the same bit
 for bit whichever thread filled a block.  On first use the file is compiled
 with the host C compiler into a per-user cache directory (``$XDG_CACHE_HOME/stickysim``,
 else ``~/.cache/stickysim``), under a name keyed by the SHA-256 of the
-source and the compile flags, and loaded with ctypes.  Nothing here runs at
-package import.
+source and the compile flags, and loaded with ctypes.  Each build deletes
+the cache's other builds of the source that have gone untouched for over a
+week; a load of a cached build touches it.  Nothing here runs at package
+import.
 
 When no compiler is found, or the build or the load fails (a compiler
 without ``unsigned __int128``, which Philox's products need, fails the
@@ -27,6 +29,7 @@ pure-Python reference code, which produces the same results.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import logging
@@ -34,6 +37,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import time
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -50,6 +54,9 @@ logger = logging.getLogger(__name__)
 FLAGS = ("-std=c99", "-O3", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 
 _SOURCE = Path(__file__).resolve().with_name("_kernel.c")
+# a cached build unused this long is deleted by the next build; checkouts of
+# different sources share the cache, so their recent builds stay
+STALE_SECONDS = 7 * 24 * 3600
 # the outcome of the one build-and-load attempt per process, once made
 _loaded: list[ctypes.CDLL | None] = []
 
@@ -70,6 +77,8 @@ def _build(source: Path) -> Path:
     key = hashlib.sha256(code + "\0".join(FLAGS).encode()).hexdigest()[:24]
     target = cache_dir() / f"{source.stem}-{key}.so"
     if target.is_file():
+        with contextlib.suppress(OSError):
+            os.utime(target)  # in use: keep it from the next build's pruning
         return target
     cc = compiler()
     if cc is None:
@@ -87,6 +96,11 @@ def _build(source: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    stale = time.time() - STALE_SECONDS
+    for old in target.parent.glob(f"{source.stem}-*.so"):
+        with contextlib.suppress(OSError):
+            if old != target and old.stat().st_mtime < stale:
+                old.unlink()
     return target
 
 

@@ -267,7 +267,4 @@ def run_bin_sim(config: SimConfig) -> BinSimStats:
 
 def _bin_stats(out: dict) -> BinSimStats:
     """BinSimStats of one event-loop run in bin mode."""
-    reallocations = out.pop("reallocations")
-    skipped = out.pop("skipped")
-    return BinSimStats(reallocations=reallocations, violated_flows=out["violations"],
-                       skipped_reallocations=skipped, **out)
+    return BinSimStats(violated_flows=out["violations"], **out)

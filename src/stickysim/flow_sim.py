@@ -26,8 +26,8 @@ the kernel's helpers: RngStream.uniform for draws, _SwapList for every list
 (the invite, below-high and per-occupancy server lists, and bin_sim's
 per-server bin lists), as the kernel's ilist with list_add, list_drop,
 list_update and list_move, _pull_pick for the pull rule's pick (pull_pick),
-and _Window for the measurement window, which closes through _window_stats
-like the kernel.  Each scheme's placement rule is written once per engine,
+and _Window for the measurement window, whose close() closes the kernel's
+window too.  Each scheme's placement rule is written once per engine,
 as a mode branch of the loop, and _loop_args is the one dispatch from a
 config to its mode; the kernel differential tests tie the two engines
 together draw for draw, and the run tests tie both to mean_field's laws.
@@ -221,52 +221,6 @@ def _loop_args(config: SimConfig) -> tuple[int, int, int | float, int, int, int]
     raise TypeError(f"no simulation for {scheme!r}")
 
 
-def _window_stats(
-    started: bool,
-    t_start: float,
-    t_stop: float,
-    occ: list[int],
-    last: list[float],
-    hist: list[float],
-    count: int,
-    flow_int: float,
-    prev_t: float,
-    series: list[float] | np.ndarray,
-) -> dict:
-    """Close the measurement window and return the SimStats array fields.
-
-    Credits every server's open interval up to t_stop (growing `hist` in
-    place as needed), trims and normalises the histogram, and shapes the flat
-    (time, occupancy) series, a list or a float64 array, into rows.  Shared
-    by every event engine, so their results agree bit for bit whenever their
-    event loops do.
-    """
-    if not started:
-        # the whole run ended inside warmup; measure nothing
-        raise ValueError(
-            "simulation produced no events inside the measurement window; "
-            "increase horizon"
-        )
-    flow_int += count * (t_stop - prev_t)
-    for s, o in enumerate(occ):
-        while o >= len(hist):
-            hist.extend([0.0] * len(hist))
-        hist[o] += t_stop - last[s]
-    top = max(occ)
-    for i in range(len(hist) - 1, top, -1):
-        if hist[i] != 0.0:
-            top = i
-            break
-    hist_arr = np.asarray(hist[: top + 1], dtype=np.float64)
-    hist_arr /= hist_arr.sum()
-    horizon = t_stop - t_start
-    return {
-        "occupancy_hist": hist_arr,
-        "series": np.asarray(series, dtype=np.float64).reshape(-1, 2),
-        "mean_occ": flow_int / (horizon * len(occ)),
-    }
-
-
 def run_flow_sim(config: SimConfig) -> SimStats:
     """Simulate one run and return its measurement-window statistics.
 
@@ -281,7 +235,7 @@ def run_flow_sim(config: SimConfig) -> SimStats:
     if isinstance(config.scheme, BinBased):
         raise TypeError("BinBased configs are simulated by run_bin_sim")
     out = _run(config)
-    del out["reallocations"], out["skipped"]
+    del out["reallocations"], out["skipped_reallocations"]
     return SimStats(**out)
 
 
@@ -300,21 +254,20 @@ def _run_kernel(lib, config: SimConfig) -> dict:
     sim_run reads config's system and window and the loop arguments
     _loop_args gives its scheme.  It draws from its own copy of the Philox
     stream of the reference loop, keyed by the key numpy derives from
-    config.seed.  Returns what _run_py returns: the counters under
-    SimResult's names and the SimStats array fields from _window_stats.
+    config.seed.  Returns what _run_py returns: the counters and the
+    SimStats array fields from _Window.close, fed the kernel's window state.
     """
     from . import _native as native
 
     params = config.params
     n = params.n
     mode, low, high, d, bins, drain = _loop_args(config)
-    t_start = float(config.warmup)
-    t_stop = t_start + float(config.horizon)
+    win = _Window(config)
     p = native.SimParams(
         n=n, mode=mode, low=low, high=native.NO_CAP if high == math.inf else high,
         tracked=config.tracked_server, hist_start=_HIST_START,
         lam_total=params.lam * n, inv_beta=1.0 / params.beta,
-        t_start=t_start, t_stop=t_stop, d=d, bins=bins, drain=drain,
+        t_start=win.t_start, t_stop=win.t_stop, d=d, bins=bins, drain=drain,
         key=tuple(np.random.Philox(config.seed).state["state"]["key"].tolist()),
     )
     r = native.SimResult()
@@ -325,19 +278,20 @@ def _run_kernel(lib, config: SimConfig) -> dict:
         def take(ptr, size):
             return np.ctypeslib.as_array(ptr, (size,)).tolist() if size else []
 
+        win.started = bool(r.started)
+        win.last = take(r.last, n)
+        win.hist = take(r.hist, r.hist_len)
         # a copy, since sim_free releases the kernel's buffer; with no rows
         # the pointer is NULL
         rows = r.series_rows
-        series = (np.ctypeslib.as_array(r.series, (2 * rows,)).copy() if rows
-                  else [])
+        win.series = (np.ctypeslib.as_array(r.series, (2 * rows,)).copy() if rows
+                      else [])
+        win.flow_int = r.flow_int
+        win.prev_t = r.prev_t
         return {
             "violations": r.violations, "total_flows": r.total_flows,
-            "reallocations": r.reallocations, "skipped": r.skipped,
-            **_window_stats(
-                bool(r.started), t_start, t_stop,
-                take(r.occ, n), take(r.last, n), take(r.hist, r.hist_len),
-                r.count, r.flow_int, r.prev_t, series,
-            ),
+            "reallocations": r.reallocations, "skipped_reallocations": r.skipped,
+            **win.close(take(r.occ, n), r.count),
         }
     finally:
         lib.sim_free(r)
@@ -386,19 +340,6 @@ class _SwapList(list):
                 self.drop(x)
 
 
-def _threshold_lists(n: int, low: int) -> tuple[_SwapList, _SwapList]:
-    """Invite (occ < low) and below-high (occ < high) lists of n empty servers.
-
-    The twin of the kernel's setup of the same lists; low = 0 invites
-    nobody: no occupancy is below zero.
-    """
-    if low > 0:
-        invite = _SwapList(list(range(n)), range(n))
-    else:
-        invite = _SwapList([-1] * n)
-    return invite, _SwapList(list(range(n)), range(n))
-
-
 def _pull_pick(u: float, invite: list[int], below: list[int]) -> int:
     """The pull rule's pick from one uniform u: a uniform member of the
     invite list, else of the below-high list, else -1 (the kernel's
@@ -411,12 +352,15 @@ def _pull_pick(u: float, invite: list[int], below: list[int]) -> int:
 
 
 class _Window:
-    """Measurement-window state of one reference run.
+    """Measurement-window state of one run, and its one close.
 
     The twin of the kernel's open_window and credit: per-server last-change
     times, the time-weighted histogram (doubling from _HIST_START), the
-    tracked server's flat (time, occupancy) series and the integral of the
-    active-flow count.  close() hands them to _window_stats.
+    tracked server's flat (time, occupancy) series, a list or a float64
+    array, and the integral of the active-flow count.  The reference loop
+    fills it event by event; _run_kernel loads the kernel's at the end.
+    Both engines close it with close(), so their results agree bit for bit
+    whenever their event loops do.
     """
 
     __slots__ = ("t_start", "t_stop", "tracked", "started", "last", "hist",
@@ -461,10 +405,36 @@ class _Window:
             self.series += (t, float(o_new))
 
     def close(self, occ: list[int], count: int) -> dict:
-        """The SimStats array fields, from _window_stats."""
-        return _window_stats(self.started, self.t_start, self.t_stop, occ,
-                             self.last, self.hist, count, self.flow_int,
-                             self.prev_t, self.series)
+        """Close the window and return the SimStats array fields.
+
+        Credits every server's open interval up to t_stop (growing the
+        histogram in place as needed), trims and normalises the histogram,
+        and shapes the flat series into rows.
+        """
+        if not self.started:
+            # the whole run ended inside warmup; measure nothing
+            raise ValueError(
+                "simulation produced no events inside the measurement window; "
+                "increase horizon"
+            )
+        t_stop, hist, last = self.t_stop, self.hist, self.last
+        flow_int = self.flow_int + count * (t_stop - self.prev_t)
+        for s, o in enumerate(occ):
+            while o >= len(hist):
+                hist.extend([0.0] * len(hist))
+            hist[o] += t_stop - last[s]
+        top = max(occ)
+        for i in range(len(hist) - 1, top, -1):
+            if hist[i] != 0.0:
+                top = i
+                break
+        hist_arr = np.asarray(hist[: top + 1], dtype=np.float64)
+        hist_arr /= hist_arr.sum()
+        return {
+            "occupancy_hist": hist_arr,
+            "series": np.asarray(self.series, dtype=np.float64).reshape(-1, 2),
+            "mean_occ": flow_int / ((t_stop - self.t_start) * len(occ)),
+        }
 
 
 def _run_py(config: SimConfig, validate_table: bool = False) -> dict:
@@ -472,10 +442,10 @@ def _run_py(config: SimConfig, validate_table: bool = False) -> dict:
 
     The readable oracle the compiled kernel is tested against, and what _run
     takes whenever _native.kernel() reports no kernel.  Returns the counters
-    under SimResult's names (violations, total_flows, reallocations,
-    skipped) and the SimStats array fields from _window_stats.  A bin config
-    (mode _BIN) reaches bin_sim's BinTable, _hash_block and
-    _move_destination through that module.  validate_table (bin configs
+    (violations, total_flows, reallocations, skipped_reallocations) and the
+    SimStats array fields from _Window.close.  A bin config (mode _BIN)
+    reaches bin_sim's BinTable, _hash_block and _move_destination through
+    that module.  validate_table (bin configs
     only, set by calling this directly) re-checks the bin-table bijection
     after every event; meant for small test runs, far too slow for
     production sizes.
@@ -497,7 +467,12 @@ def _run_py(config: SimConfig, validate_table: bool = False) -> dict:
     # invite and below-high lists; bin moves jump occupancies by whole bins
     # and update membership both ways
     if need_invites:
-        invite, below = _threshold_lists(n, low)
+        # low = 0 invites nobody: no occupancy is below zero
+        if low > 0:
+            invite = _SwapList(list(range(n)), range(n))
+        else:
+            invite = _SwapList([-1] * n)
+        below = _SwapList(list(range(n)), range(n))
     # per-occupancy server buckets with a running minimum for least-loaded
     if need_levels:
         level_pos = list(range(n))
@@ -534,7 +509,7 @@ def _run_py(config: SimConfig, validate_table: bool = False) -> dict:
     violations = 0
     total_flows = 0
     reallocations = 0
-    skipped = 0
+    skipped_reallocations = 0
 
     t = 0.0
     inv_beta = 1.0 / params.beta
@@ -653,7 +628,7 @@ def _run_py(config: SimConfig, validate_table: bool = False) -> dict:
                 if moves and n == 1:
                     # no other server to take a bin: one skip per trigger
                     if started:
-                        skipped += 1
+                        skipped_reallocations += 1
                     moves = 0
                 while moves and occ[s] > high:
                     moves -= 1
@@ -724,6 +699,7 @@ def _run_py(config: SimConfig, validate_table: bool = False) -> dict:
                           if moves_at_arrival >= 0 and bin_moves[b] != moves_at_arrival)
     return {
         "violations": violations, "total_flows": total_flows,
-        "reallocations": reallocations, "skipped": skipped,
+        "reallocations": reallocations,
+        "skipped_reallocations": skipped_reallocations,
         **win.close(occ, count),
     }

@@ -39,6 +39,13 @@ def test_hash_frozen_values():
     assert hash_flow_to_bin(7, 1) == 0
 
 
+def test_hash_takes_ids_modulo_2_to_the_64():
+    for m in (1, 977, 5000, 2**40):
+        for k in (0, 1, 2**63, 2**64 - 1):
+            assert hash_flow_to_bin(2**64 + k, m) == hash_flow_to_bin(k, m)
+            assert hash_flow_to_bin(3 * 2**64 + k, m) == hash_flow_to_bin(k, m)
+
+
 def test_hash_rejects_bad_input():
     with pytest.raises(ValueError):
         hash_flow_to_bin(0, 0)

@@ -21,6 +21,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -351,6 +352,40 @@ def test_build_lands_in_cache_keyed_by_source_and_flags(monkeypatch, tmp_path):
     # a second process-level load reuses the cached library without a compiler
     isolate_loader(monkeypatch, tmp_path, None)
     assert _native.kernel() is not None
+
+
+def test_build_prunes_cached_builds_unused_for_over_a_week(monkeypatch, tmp_path):
+    cc = _native.compiler()
+    if cc is None:
+        pytest.skip("no C compiler")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    isolate_loader(monkeypatch, cache, cc)
+
+    def age(path, seconds):
+        os.utime(path, (time.time() - seconds,) * 2)
+
+    week = _native.STALE_SECONDS
+    for name, seconds in [("_kernel-old.so", week + 3600),
+                          ("_kernel-recent.so", week - 3600),
+                          ("other-old.so", week + 3600)]:
+        (cache / name).write_bytes(b"")
+        age(cache / name, seconds)
+    # a stale name that cannot be unlinked: the build ignores the OSError
+    (cache / "_kernel-dir.so").mkdir()
+    age(cache / "_kernel-dir.so", week + 3600)
+    source = tmp_path / "_kernel.c"
+    source.write_text("int first;\n")
+    first = _native._build(source)
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [first.name, "_kernel-dir.so", "_kernel-recent.so", "other-old.so"])
+    # loading a stale build from the cache touches it, so the next build of
+    # another source keeps it
+    age(first, week + 3600)
+    assert _native._build(source) == first
+    source.write_text("int second;\n")
+    second = _native._build(source)
+    assert first.is_file() and second.is_file() and first != second
 
 
 def test_kernel_source_compiles_cleanly_with_all_warnings(tmp_path):
