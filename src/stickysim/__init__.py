@@ -8,7 +8,6 @@ experiment CLI (cli).
 
 from .core import (
     BinBased,
-    DelayTailConstants,
     FlowDistribution,
     PowerOfD,
     PullBased,
@@ -17,9 +16,7 @@ from .core import (
     SystemParams,
     TransferToInvite,
     TransferToLeastLoaded,
-    ValidationReport,
     total_variation,
-    validate_params,
 )
 from .mean_field import (
     BracketError,
@@ -68,8 +65,6 @@ __all__ = [
     "__version__",
     # core
     "SystemParams",
-    "ValidationReport",
-    "validate_params",
     "FlowDistribution",
     "total_variation",
     "PowerOfD",
@@ -79,7 +74,6 @@ __all__ = [
     "TransferToLeastLoaded",
     "BinBased",
     "SchemeConfig",
-    "DelayTailConstants",
     # mean_field
     "NumericalError",
     "BracketError",

@@ -129,10 +129,6 @@ class BinTable:
     def n_bins(self) -> int:
         return len(self.assignment)
 
-    @property
-    def n_servers(self) -> int:
-        return len(self.server_bins)
-
     def move(self, b: int, dest: int) -> None:
         """Re-assign bin b to server dest.
 

@@ -60,16 +60,14 @@ EXIT_THRESHOLD = 3
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A resolved experiment invocation: name, merged parameters, artifacts.
+    """A resolved experiment invocation: name, merged parameters, seed, directory.
 
     params holds the experiment defaults overridden by config file and
-    command line, in that order.  outputs names the CSV artifacts the run
-    will produce (summary JSON is always written).
+    command line, in that order.
     """
 
     name: str
     params: Mapping[str, object]
-    outputs: tuple[str, ...]
     seed: int = 0
     out_dir: Path = Path(".")
 
@@ -487,7 +485,6 @@ class _Experiment:
     scheme: str
     description: str
     defaults: Mapping[str, object]
-    outputs: tuple[str, ...]
     runner: _Runner
 
 
@@ -497,7 +494,6 @@ _CATALOG: tuple[_Experiment, ...] = (
         "jsq",
         "flow-level join-shortest-queue: tracked-server series + histogram",
         {**_FULL, "warmup_betas": 50.0, "horizon_betas": 200.0},
-        ("histogram", "series"),
         _exp_fig_perfect_jsq,
     ),
     _Experiment(
@@ -505,7 +501,6 @@ _CATALOG: tuple[_Experiment, ...] = (
         "power-of-d",
         "uniform random assignment (d=1) vs Poisson occupancy",
         {**_FULL, "warmup_betas": 50.0, "horizon_betas": 200.0},
-        ("histogram", "series"),
         _exp_random_uniform,
     ),
     _Experiment(
@@ -513,7 +508,6 @@ _CATALOG: tuple[_Experiment, ...] = (
         "power-of-d",
         "mean-field ODE terminal tail for d choices vs doubly exponential bound",
         {**_FULL, "d": 2, "t_end": 60.0, "stop_residual": 1e-9},
-        ("tail",),
         _exp_power_of_2,
     ),
     _Experiment(
@@ -521,7 +515,6 @@ _CATALOG: tuple[_Experiment, ...] = (
         "pull",
         "pull-based thresholds (low, high): simulation vs analytic fixed point",
         {**_FULL, "low": 140, "high": 160, "warmup_betas": 50.0, "horizon_betas": 200.0},
-        ("histogram", "series"),
         _exp_pull,
     ),
     _Experiment(
@@ -529,7 +522,6 @@ _CATALOG: tuple[_Experiment, ...] = (
         "pull",
         "pull-based with a one-level band around the mean load",
         {**_FULL, "low": 150, "high": 151, "warmup_betas": 50.0, "horizon_betas": 200.0},
-        ("histogram", "series"),
         _exp_pull,
     ),
     _Experiment(
@@ -537,7 +529,6 @@ _CATALOG: tuple[_Experiment, ...] = (
         "shedding",
         "admission threshold (discard at high): simulation vs truncated Poisson",
         {**_FULL, "high": 160, "warmup_betas": 50.0, "horizon_betas": 200.0},
-        ("histogram", "series"),
         _exp_shedding,
     ),
     _Experiment(
@@ -545,7 +536,6 @@ _CATALOG: tuple[_Experiment, ...] = (
         "transfer-invite",
         "full-server transfer to inviting servers: simulation vs fixed point",
         {**_FULL, "low": 140, "high": 160, "warmup_betas": 50.0, "horizon_betas": 200.0},
-        ("histogram", "series"),
         _exp_transfer_invite,
     ),
     _Experiment(
@@ -553,7 +543,6 @@ _CATALOG: tuple[_Experiment, ...] = (
         "transfer-least",
         "full-server transfer to the least-loaded server: simulation vs fixed point",
         {**_FULL, "high": 160, "warmup_betas": 50.0, "horizon_betas": 200.0},
-        ("histogram", "series"),
         _exp_transfer_least,
     ),
     _Experiment(
@@ -567,7 +556,6 @@ _CATALOG: tuple[_Experiment, ...] = (
             "warmup_betas": 20.0,
             "horizon_betas": 60.0,
         },
-        ("violations",),
         _exp_violation_curves,
     ),
     _Experiment(
@@ -575,7 +563,6 @@ _CATALOG: tuple[_Experiment, ...] = (
         "analytic",
         "closed-form delay-tail values across chi for the analytic schemes",
         {**_FULL, "high": 160, "chi_values": ",".join(str(c) for c in range(0, 301, 10))},
-        ("delay_tails",),
         _exp_delay_tails,
     ),
     _Experiment(
@@ -583,7 +570,6 @@ _CATALOG: tuple[_Experiment, ...] = (
         "shedding",
         "violation vs delay-tail trade-off curve for the admission threshold",
         {**_FULL, "chi": 200.0, "h_min": 150, "h_max": 200},
-        ("tradeoff",),
         _exp_tradeoff_shedding,
     ),
     _Experiment(
@@ -598,7 +584,6 @@ _CATALOG: tuple[_Experiment, ...] = (
             "warmup_betas": 20.0,
             "horizon_betas": 40.0,
         },
-        ("histogram", "series"),
         _exp_bin_occupancy,
     ),
     _Experiment(
@@ -615,7 +600,6 @@ _CATALOG: tuple[_Experiment, ...] = (
             "warmup_betas": 6.0,
             "horizon_betas": 12.0,
         },
-        ("violations", "violations_mean"),
         _exp_bin_violation,
     ),
     _Experiment(
@@ -633,7 +617,6 @@ _CATALOG: tuple[_Experiment, ...] = (
             "warmup_betas": 10.0,
             "horizon_betas": 20.0,
         },
-        ("tradeoff",),
         _exp_bin_tradeoff,
     ),
 )
@@ -716,7 +699,6 @@ def build_spec(
     return ExperimentSpec(
         name=name,
         params=params,
-        outputs=exp.outputs,
         seed=seed,
         out_dir=out_dir,
     )
@@ -754,7 +736,8 @@ def _spell_non_finite(v: object) -> object:
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
     """Execute one experiment; write its CSVs and summary JSON.
 
-    Returns the paths written.  CSV bytes depend only on (params, seed);
+    Returns the paths written: one CSV per table, in the order the runner
+    returns them, then the summary.  CSV bytes depend only on (params, seed);
     the summary additionally records wall-clock time and the package
     version, and spells each non-finite float as a string.
     """
@@ -766,15 +749,10 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
     tables, summary = exp.runner(spec)
     wall = time.perf_counter() - t0
 
-    unexpected = set(tables) - set(spec.outputs)
-    if unexpected:
-        raise RuntimeError(f"runner produced undeclared outputs: {unexpected}")
     written: list[Path] = []
-    for artifact in spec.outputs:
-        if artifact not in tables:
-            continue
+    for artifact, table in tables.items():
         path = spec.out_dir / f"{spec.name}_{artifact}.csv"
-        _write_csv(path, tables[artifact])
+        _write_csv(path, table)
         written.append(path)
 
     payload: dict[str, object] = {

@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = [
     "SystemParams",
-    "ValidationReport",
-    "validate_params",
     "FlowDistribution",
     "total_variation",
     "PowerOfD",
@@ -25,7 +23,6 @@ __all__ = [
     "TransferToLeastLoaded",
     "BinBased",
     "SchemeConfig",
-    "DelayTailConstants",
     "log_factorial",
     "poisson_logpmf",
     "poisson_pmf_window",
@@ -144,40 +141,6 @@ class SystemParams:
     def rho(self) -> float:
         return self.lam * self.beta
 
-    @property
-    def utilization(self) -> float:
-        return self.rho * self.nu / self.mu
-
-    def is_stable(self) -> bool:
-        # worst-case packet load: every flow parked at an occupancy-ceil(rho) server
-        return math.ceil(self.rho) * self.nu < self.mu
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    stable: bool
-    utilization: float
-    messages: tuple[str, ...]
-
-
-def validate_params(params: SystemParams) -> ValidationReport:
-    """Constraint report for a parameter set; construction already enforces
-    positivity, so this covers the on-demand stability/utilization checks."""
-    messages: list[str] = []
-    stable = params.is_stable()
-    util = params.utilization
-    if not stable:
-        messages.append(
-            f"unstable: ceil(rho)*nu = {math.ceil(params.rho) * params.nu:g} "
-            f"is not below mu = {params.mu:g}"
-        )
-    if util >= 1.0:
-        messages.append(f"packet utilization {util:g} >= 1")
-    return ValidationReport(
-        ok=stable, stable=stable, utilization=util, messages=tuple(messages)
-    )
-
 
 # ---------------------------------------------------------------------------
 # occupancy distributions
@@ -187,8 +150,8 @@ def validate_params(params: SystemParams) -> ValidationReport:
 @dataclass(frozen=True, eq=False)
 class FlowDistribution:
     """Distribution of the number of active flows at a server, p[i] for
-    i = 0..i_max. Immutable after construction; tails are recomputed, never
-    stored alongside the pmf."""
+    i = 0..p.size - 1. Immutable after construction; tails are recomputed,
+    never stored alongside the pmf."""
 
     p: np.ndarray
 
@@ -196,8 +159,9 @@ class FlowDistribution:
         p = np.ascontiguousarray(np.asarray(self.p, dtype=np.float64))
         if p.ndim != 1 or p.size == 0:
             raise ValueError("pmf must be a non-empty 1-d array")
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-            raise ValueError("pmf entries must lie in [0, 1]")
+        # one test per entry, written so that NaN fails it
+        if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):
+            raise ValueError("pmf entries must be finite and lie in [0, 1]")
         p = np.clip(p, 0.0, 1.0)
         total = float(p.sum())
         if abs(total - 1.0) > PMF_SUM_TOL:
@@ -205,15 +169,11 @@ class FlowDistribution:
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
-    @property
-    def i_max(self) -> int:
-        return self.p.size - 1
-
     def mean(self) -> float:
         return float(np.arange(self.p.size) @ self.p)
 
     def to_tail(self) -> np.ndarray:
-        """Tail s[i] = P[occupancy >= i] for i = 0..i_max (s beyond is 0)."""
+        """Tail s[i] = P[occupancy >= i] for i = 0..p.size - 1 (s beyond is 0)."""
         s = np.cumsum(self.p[::-1])[::-1]
         s.flags.writeable = False
         return s
@@ -354,39 +314,3 @@ SchemeConfig = Union[
     TransferToLeastLoaded,
     BinBased,
 ]
-
-
-# ---------------------------------------------------------------------------
-# delay-tail constants
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DelayTailConstants:
-    """Constants for the closed-form delay-tail expressions at a given chi:
-    tilted_load = rho * exp(chi * nu / mu) (an exponentially tilted Poisson
-    rate) and tilt_factor = exp(-chi (1 - nu/mu) + tilted_load - rho).
-    log_tilt_factor is kept alongside since tilt_factor overflows for very
-    large chi."""
-
-    chi: float
-    tilted_load: float
-    tilt_factor: float
-    log_tilt_factor: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.chi) or self.chi < 0:
-            raise ValueError(f"chi must be non-negative and finite, got {self.chi!r}")
-
-    @classmethod
-    def from_params(cls, chi: float, params: SystemParams) -> "DelayTailConstants":
-        rho = params.rho
-        tilted = rho * math.exp(chi * params.nu / params.mu)
-        log_factor = -chi * (1.0 - params.nu / params.mu) + tilted - rho
-        factor = math.exp(log_factor) if log_factor < 700 else math.inf
-        return cls(
-            chi=chi,
-            tilted_load=tilted,
-            tilt_factor=factor,
-            log_tilt_factor=log_factor,
-        )

@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    DelayTailConstants,
     FlowDistribution,
     SystemParams,
     log_poisson_sum,
@@ -40,14 +39,18 @@ def _delay_cap(params: SystemParams) -> int:
     return math.floor(params.mu / params.nu)
 
 
+def _check_chi(chi: float) -> None:
+    if not math.isfinite(chi) or chi < 0:
+        raise ValueError(f"chi must be non-negative and finite, got {chi!r}")
+
+
 def delay_tail_prob(
     i: int | np.ndarray, chi: float, params: SystemParams
 ) -> float | np.ndarray:
     """Delay-tail estimate exp(-chi (1 - i nu/mu)) at occupancy i, saturating
     at 1 once i exceeds mu/nu. Boundary i == mu/nu stays on the exponential
     branch (where it equals 1 anyway)."""
-    if chi < 0 or not math.isfinite(chi):
-        raise ValueError(f"chi must be non-negative and finite, got {chi!r}")
+    _check_chi(chi)
     cap = _delay_cap(params)
     ratio = params.nu / params.mu
     if np.isscalar(i):
@@ -106,6 +109,7 @@ def delay_tail_flow_jsq(chi: float, params: SystemParams) -> float:
 def delay_tail_packet_random(chi: float, params: SystemParams) -> float:
     """Delay tail when packets (not flows) are sprayed uniformly, which loads
     every server at the average rate: exp(-chi (1 - rho nu/mu))."""
+    _check_chi(chi)
     rho = params.rho
     if rho * params.nu >= params.mu:
         raise ValueError(
@@ -135,17 +139,19 @@ def delay_tail_shedding(
     if high != math.inf and (not isinstance(high, int) or high < 1):
         raise ValueError(f"high must be a positive int or math.inf, got {high!r}")
     cap = _delay_cap(params)
-    consts = DelayTailConstants.from_params(chi, params)
+    _check_chi(chi)
+    # the exponentially tilted Poisson rate, and the log of the tilt factor
+    # (the factor itself overflows for large chi)
+    tilted = rho * math.exp(chi * params.nu / params.mu)
+    log_tilt = -chi * (1.0 - params.nu / params.mu) + tilted - rho
 
     if high == math.inf:
-        log_exp_part = consts.log_tilt_factor + log_poisson_sum(
-            consts.tilted_load, 0, cap - 1
-        )
+        log_exp_part = log_tilt + log_poisson_sum(tilted, 0, cap - 1)
         saturated = _poisson_sf(rho, cap)
         return math.exp(log_exp_part) + saturated
 
     m = min(high, cap)
-    log_exp_part = consts.log_tilt_factor + log_poisson_sum(consts.tilted_load, 0, m - 1)
+    log_exp_part = log_tilt + log_poisson_sum(tilted, 0, m - 1)
     if high - 1 >= cap:
         sat_terms = poisson_pmf_window(rho, cap, high - 1)
         sat_terms.sort()

@@ -73,7 +73,7 @@ def test_hash_uniformity_chi_square():
 
 def test_bin_table_round_robin_deal():
     t = BinTable.initial(bins=12, servers=5)
-    assert t.n_bins == 12 and t.n_servers == 5
+    assert t.n_bins == 12 and len(t.server_bins) == 5
     assert t.assignment == [b % 5 for b in range(12)]
     assert t.server_bins[0] == [0, 5, 10]
     assert t.server_bins[4] == [4, 9]

@@ -90,7 +90,6 @@ class TestBuildSpec:
         assert spec.params["seeds"] == 5
         assert spec.params["drain"] is False
         assert spec.params["n"] == 500
-        assert spec.outputs == ("violations", "violations_mean")
         assert spec.seed == 0
         assert spec.out_dir == tmp_path
 
@@ -340,29 +339,8 @@ class TestRunExperiment:
         assert b"\r" not in data
 
     def test_unknown_spec_name_rejected(self, tmp_path):
-        spec = cli.ExperimentSpec(
-            name="nope", params={}, outputs=(), seed=0, out_dir=tmp_path
-        )
+        spec = cli.ExperimentSpec(name="nope", params={}, seed=0, out_dir=tmp_path)
         with pytest.raises(ValueError, match="unknown experiment"):
-            cli.run_experiment(spec)
-
-    def test_undeclared_runner_output_rejected(self, tmp_path, monkeypatch):
-        def bad_runner(spec):
-            return {"bogus": (["a"], [[1]])}, {}
-
-        exp = cli._Experiment(
-            name="fake-exp",
-            scheme="test",
-            description="runner that writes an undeclared table",
-            defaults={},
-            outputs=("tbl",),
-            runner=bad_runner,
-        )
-        monkeypatch.setitem(cli._BY_NAME, "fake-exp", exp)
-        spec = cli.ExperimentSpec(
-            name="fake-exp", params={}, outputs=("tbl",), seed=0, out_dir=tmp_path
-        )
-        with pytest.raises(RuntimeError, match="undeclared"):
             cli.run_experiment(spec)
 
     def test_out_dir_is_created(self, tmp_path):

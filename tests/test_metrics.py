@@ -122,6 +122,16 @@ def test_packet_random_closed_form(full_params):
         delay_tail_packet_random(10.0, overloaded)
 
 
+def test_closed_forms_reject_bad_chi(full_params):
+    for chi in (-10.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="chi"):
+            delay_tail_packet_random(chi, full_params)
+        with pytest.raises(ValueError, match="chi"):
+            delay_tail_shedding(160, chi, full_params)
+        with pytest.raises(ValueError, match="chi"):
+            tradeoff_curve([150, 160], chi, full_params)
+
+
 def test_flow_jsq_equals_packet_random_at_integer_load(full_params):
     assert delay_tail_flow_jsq(200.0, full_params) == pytest.approx(
         delay_tail_packet_random(200.0, full_params), rel=1e-12
