@@ -148,10 +148,6 @@ def _transfer_violation(theory: FlowDistribution, high: int | float) -> float:
     return float(tail[high]) if tail.size > high else 0.0
 
 
-def _delay_metric(params: SystemParams, chi: float):
-    return lambda i: mx.delay_tail_prob(i, chi, params)
-
-
 def _list_param(
     p: Mapping[str, object], key: str, parse: Callable[[object], _T]
 ) -> list[_T]:
@@ -449,14 +445,15 @@ def _exp_bin_tradeoff(spec: ExperimentSpec) -> _RunnerResult:
     fixed_low = str(p["low"]).strip()
     chi = float(p["chi"])
     baseline = mx.delay_tail_shedding(math.inf, chi, params)
-    metric = _delay_metric(params, chi)
     rows = []
     for m in ms:
         for h in h_values:
             low = int(fixed_low) if fixed_low else max(0, h - gap)
             cfg = _sim_config(spec, BinBased(bins=m, low=low, high=h))
             st = run_bin_sim(cfg)
-            tail = mx.flow_average(st.distribution(), metric)
+            tail = mx.flow_average(
+                st.distribution(), lambda i: mx.delay_tail_prob(i, chi, params)
+            )
             improvement = baseline / tail if tail > 0 else math.inf
             rows.append([m, h, st.violation_rate, tail, improvement])
     tables = {

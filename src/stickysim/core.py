@@ -1,8 +1,8 @@
 """Shared value types and numeric primitives for the load-balancing models.
 
 Everything here is scheme-agnostic: system parameters, occupancy distributions
-with pmf/tail conversions, scheme configuration records, and log-space Poisson
-helpers that stay accurate at loads where direct factorials overflow.
+with pmf/tail conversions, scheme configuration records, and the log-space
+Poisson weights that stay accurate at loads where direct factorials overflow.
 """
 from __future__ import annotations
 
@@ -24,10 +24,8 @@ __all__ = [
     "BinBased",
     "SchemeConfig",
     "log_factorial",
-    "poisson_logpmf",
-    "poisson_pmf_window",
-    "poisson_cdf",
-    "log_poisson_sum",
+    "poisson_log_weights",
+    "log_sum_exp",
 ]
 
 PMF_SUM_TOL = 1e-9
@@ -35,7 +33,7 @@ TAIL_MONOTONE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# log-space Poisson helpers
+# log-space Poisson weights
 # ---------------------------------------------------------------------------
 
 _LOG_FACT = np.array([0.0])  # log(k!) for k = 0 .. len-1, grown on demand
@@ -73,43 +71,24 @@ def _grow_log_fact(kmax: int) -> None:
     _LOG_FACT = grown
 
 
-def poisson_logpmf(k: int | np.ndarray, rate: float) -> float | np.ndarray:
-    """log of the Poisson(rate) pmf at k; rate == 0 is the point mass at 0."""
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
-    if rate == 0.0:
-        if np.isscalar(k):
-            return 0.0 if k == 0 else -math.inf
-        k = np.asarray(k)
-        return np.where(k == 0, 0.0, -np.inf)
-    return k * math.log(rate) - rate - log_factorial(k)
+def poisson_log_weights(log_rate: float, lo: int, hi: int) -> np.ndarray:
+    """Log weights k*log_rate - log(k!) for k = lo..hi inclusive (empty when
+    hi < lo): the log Poisson pmf plus the rate.
+
+    Taking log(rate) keeps a rate exact where the rate itself, or e^rate,
+    would overflow a float.
+    """
+    k = np.arange(lo, hi + 1)
+    return k * log_rate - log_factorial(k)
 
 
-def poisson_pmf_window(rate: float, lo: int, hi: int) -> np.ndarray:
-    """Poisson(rate) pmf on lo..hi inclusive, each term exponentiated from logs."""
-    if hi < lo:
-        return np.zeros(0)
-    return np.exp(poisson_logpmf(np.arange(lo, hi + 1), rate))
-
-
-def poisson_cdf(rate: float, k: int) -> float:
-    """P[Poisson(rate) <= k], summing pmf terms smallest-first for stability."""
-    if k < 0:
-        return 0.0
-    terms = poisson_pmf_window(rate, 0, k)
-    terms.sort()
-    return float(min(terms.sum(), 1.0))
-
-
-def log_poisson_sum(rate: float, lo: int, hi: int) -> float:
-    """log of sum_{k=lo..hi} Poisson(rate) pmf, stable far out in either tail."""
-    if hi < lo:
+def log_sum_exp(logs: np.ndarray) -> float:
+    """log(sum(exp(logs))) with the largest term factored out, so no term
+    overflows or underflows; -inf for an empty array."""
+    if logs.size == 0:
         return -math.inf
-    logs = poisson_logpmf(np.arange(lo, hi + 1), rate)
-    m = float(np.max(logs))
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(float(np.exp(logs - m).sum()))
+    top = float(logs.max())
+    return top + math.log(float(np.exp(logs - top).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +115,11 @@ class SystemParams:
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0:
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        # the product of two valid factors can still overflow or underflow
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(
+                f"rho = lam * beta must be positive and finite, got {self.rho!r}"
+            )
 
     @property
     def rho(self) -> float:

@@ -29,6 +29,7 @@ from .core import (
     TransferToInvite,
     TransferToLeastLoaded,
     log_factorial,
+    poisson_log_weights,
 )
 
 __all__ = [
@@ -412,14 +413,12 @@ def power_of_d_tail_bound(rho: float, d: int, i: int) -> float:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """How a fixed-point load sigma was found: bisection iterations, the
-    carried-traffic residual, and the dummy-user rate of the equivalent
-    loss system (None where the regime has no such interpretation)."""
+    """How a fixed-point load sigma was found: bisection iterations and the
+    carried-traffic residual."""
 
     sigma: float
     iterations: int
     residual: float
-    dummy_user_rate: float | None
 
 
 def _bisect_carried(
@@ -454,8 +453,7 @@ def _window_weights(sigma: float, lo: int, hi: int) -> np.ndarray:
         w = np.zeros(hi - lo + 1)
         w[0] = 1.0
         return w
-    k = np.arange(lo, hi + 1)
-    logs = k * math.log(sigma) - log_factorial(k)
+    logs = poisson_log_weights(math.log(sigma), lo, hi)
     w = np.exp(logs - logs.max())
     return w / w.sum()
 
@@ -526,14 +524,8 @@ def solve_pull_fixed_point(
         span = (int(high) - low + 1) if high != math.inf else 64
 
     w, sigma, iterations, residual = _solve_window(rho, lo, hi, span)
-    dist = _embed(w, lo)
-
-    if rho < low or sigma <= 0.0:
-        dummy = None
-    else:
-        dummy = lo * float(w[0]) / sigma
-    return dist, SolveDiagnostics(
-        sigma=sigma, iterations=iterations, residual=residual, dummy_user_rate=dummy
+    return _embed(w, lo), SolveDiagnostics(
+        sigma=sigma, iterations=iterations, residual=residual
     )
 
 
@@ -569,7 +561,7 @@ def solve_transfer_invite_fixed_point(
     def log_weights(sigma: float) -> np.ndarray:
         logs = np.empty(high + 1)
         ls = math.log(sigma)
-        logs[: low + 1] = k[: low + 1] * ls - log_factorial(k[: low + 1])
+        logs[: low + 1] = poisson_log_weights(ls, 0, low)
         logs[low + 1 :] = (
             low * ls
             + (k[low + 1 :] - low) * log_rho
@@ -594,9 +586,7 @@ def solve_transfer_invite_fixed_point(
     logs = log_weights(sigma)
     w = np.exp(logs - logs.max())
     dist = FlowDistribution(w / w.sum())
-    return dist, SolveDiagnostics(
-        sigma=sigma, iterations=iterations, residual=residual, dummy_user_rate=None
-    )
+    return dist, SolveDiagnostics(sigma=sigma, iterations=iterations, residual=residual)
 
 
 def solve_least_loaded_fixed_point(rho: float, high: int) -> FlowDistribution:

@@ -13,14 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    FlowDistribution,
-    SystemParams,
-    log_poisson_sum,
-    poisson_cdf,
-    poisson_logpmf,
-    poisson_pmf_window,
-)
+from .core import FlowDistribution, SystemParams, log_sum_exp, poisson_log_weights
 
 __all__ = [
     "delay_tail_prob",
@@ -51,21 +44,24 @@ def delay_tail_prob(
     at 1 once i exceeds mu/nu. Boundary i == mu/nu stays on the exponential
     branch (where it equals 1 anyway)."""
     _check_chi(chi)
-    cap = _delay_cap(params)
-    ratio = params.nu / params.mu
     if np.isscalar(i):
         if i < 0:
             raise ValueError("occupancy must be non-negative")
-        if i <= cap:
-            return math.exp(-chi * (1.0 - i * ratio))
+        if i <= _delay_cap(params):
+            return math.exp(-chi * (1.0 - i * (params.nu / params.mu)))
         return 1.0
     i = np.asarray(i)
     if np.any(i < 0):
         raise ValueError("occupancy must be non-negative")
-    # clamp at the cap before exponentiating so saturated levels cannot
-    # overflow; np.where then returns exactly 1.0 for them anyway
-    expo = -chi * (1.0 - np.minimum(i, cap) * ratio)
-    return np.where(i <= cap, np.exp(expo), 1.0)
+    return np.exp(_log_delay_tail(i, chi, params))
+
+
+def _log_delay_tail(i: np.ndarray, chi: float, params: SystemParams) -> np.ndarray:
+    """log of delay_tail_prob at the occupancies i: the exponent up to the
+    cap, 0 above it (clamped at the cap first, so it never overflows)."""
+    cap = _delay_cap(params)
+    expo = -chi * (1.0 - np.minimum(i, cap) * (params.nu / params.mu))
+    return np.where(i <= cap, expo, 0.0)
 
 
 def flow_average(
@@ -96,8 +92,6 @@ def delay_tail_flow_jsq(chi: float, params: SystemParams) -> float:
     """Flow-averaged delay tail under join-shortest-queue flow assignment,
     whose limiting occupancy splits mass between floor(rho) and floor(rho)+1."""
     rho = params.rho
-    if rho <= 0:
-        raise ValueError("rho must be positive")
     k = math.floor(rho)
     lo_mass = k + 1 - rho
     hi_mass = rho - k
@@ -118,63 +112,43 @@ def delay_tail_packet_random(chi: float, params: SystemParams) -> float:
     return math.exp(-chi * (1.0 - rho * params.nu / params.mu))
 
 
-def _poisson_sf(rate: float, k: int) -> float:
-    """P[Poisson(rate) >= k] summed directly so small tails keep relative accuracy."""
-    if k <= 0:
-        return 1.0
-    hi = int(max(k, rate) + 12.0 * math.sqrt(rate + 1.0) + 40)
-    terms = poisson_pmf_window(rate, k, hi)
-    terms.sort()
-    return float(min(terms.sum(), 1.0))
-
-
 def delay_tail_shedding(
     high: int | float, chi: float, params: SystemParams
 ) -> float:
     """Closed-form flow-averaged delay tail for the shedding scheme at
-    threshold `high` (math.inf gives the untruncated baseline)."""
-    rho = params.rho
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    threshold `high` (math.inf gives the untruncated baseline).
+
+    A flow at a server holding i flows shares it with i - 1 others, whose
+    number has Poisson weights w_{i-1} = rho^{i-1} / (i-1)!, so the tail is
+    sum_{i<=top} w_{i-1} g(i) / sum_{i<=top} w_{i-1} for the per-occupancy
+    tail g.  Both sums are log-sum-exps of log terms, so no term exceeds its
+    Poisson mass at any chi.
+    """
     if high != math.inf and (not isinstance(high, int) or high < 1):
         raise ValueError(f"high must be a positive int or math.inf, got {high!r}")
-    cap = _delay_cap(params)
     _check_chi(chi)
-    # the exponentially tilted Poisson rate, and the log of the tilt factor
-    # (the factor itself overflows for large chi)
-    tilted = rho * math.exp(chi * params.nu / params.mu)
-    log_tilt = -chi * (1.0 - params.nu / params.mu) + tilted - rho
-
+    rho = params.rho
     if high == math.inf:
-        log_exp_part = log_tilt + log_poisson_sum(tilted, 0, cap - 1)
-        saturated = _poisson_sf(rho, cap)
-        return math.exp(log_exp_part) + saturated
-
-    m = min(high, cap)
-    log_exp_part = log_tilt + log_poisson_sum(tilted, 0, m - 1)
-    if high - 1 >= cap:
-        sat_terms = poisson_pmf_window(rho, cap, high - 1)
-        sat_terms.sort()
-        saturated = float(sat_terms.sum())
+        # far enough past the cap and rho that the cut-off mass is negligible
+        spread = 12.0 * math.sqrt(rho + 1.0) + 40
+        top = int(max(_delay_cap(params), rho) + spread) + 1
     else:
-        saturated = 0.0
-    denom = poisson_cdf(rho, high - 1)
-    return (math.exp(log_exp_part) + saturated) / denom
+        top = high
+    logs = poisson_log_weights(math.log(rho), 0, top - 1)
+    log_norm = rho if high == math.inf else log_sum_exp(logs)
+    log_tail = log_sum_exp(logs + _log_delay_tail(np.arange(1, top + 1), chi, params))
+    return min(math.exp(log_tail - log_norm), 1.0)  # rounding can pass 1
 
 
 def shedding_violation(high: int | float, params: SystemParams) -> float:
     """Stationary probability an arriving flow is discarded at threshold
     `high`: the truncated-Poisson mass at the threshold itself."""
-    rho = params.rho
-    if rho <= 0:
-        raise ValueError("rho must be positive")
     if high == math.inf:
         return 0.0
     if not isinstance(high, int) or high < 1:
         raise ValueError(f"high must be a positive int or math.inf, got {high!r}")
-    log_top = poisson_logpmf(high, rho)
-    log_total = log_poisson_sum(rho, 0, high)
-    return math.exp(log_top - log_total)
+    logs = poisson_log_weights(math.log(params.rho), 0, high)
+    return math.exp(logs[-1] - log_sum_exp(logs))
 
 
 @dataclass(frozen=True)

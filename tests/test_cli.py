@@ -415,13 +415,13 @@ CSV_PINNED = {
     "bin-occupancy_series.csv":
         "0c9b3fa8a0affcb865a23bd28c15db952f1e076a239f2a75ab803b7094309608",
     "bin-tradeoff_tradeoff.csv":
-        "e890275b4c85751b972b60e1cca79423d83ed65a3994bbe9b64819f5ec705a3a",
+        "f3a49f53f3de83781954a3edafd496fc579191fe21a1a6a540d9b10636e9acd1",
     "bin-violation_violations.csv":
         "cb5dcc4fbdc980e869df3ec2c40751090e7d879fa11c2232e3be85e17c169804",
     "bin-violation_violations_mean.csv":
         "4628003af0caa740fb3cf86ce2f64edbcba9b717f1e8042011a7c97672fdb201",
     "delay-tails_delay_tails.csv":
-        "32540a3064ec18715e5c76a417f83dc0312ba827d83d3049f4c024057e5e24b6",
+        "eab848f31f0c213e68bbd9cb5e4d354a4f77e42b876b9a66a5acec00ad645216",
     "fig-perfect-jsq_histogram.csv":
         "319991af468cbe575c66cacdba260b253966b23cc411dd38ba478f992fcd6a60",
     "fig-perfect-jsq_series.csv":
@@ -445,7 +445,7 @@ CSV_PINNED = {
     "shedding_series.csv":
         "f1717b7bc03d3d38c12ecc7bd2fb051b9fb99fd872764070838aa77486a1845c",
     "tradeoff-shedding_tradeoff.csv":
-        "2bf776de4d98b610fa8dbe0e102af866acc7a1aaa6aee8ff7551646e787c6cea",
+        "d724f4076509c798940813d65c12d9d86150c339f041734e639437a1c38698a5",
     "transfer-invite_histogram.csv":
         "3894a843bbb5ea78099407f2eca0dce65f2009af71a2a1bfcfe9acdc2b4bfdfa",
     "transfer-invite_series.csv":
@@ -617,6 +617,19 @@ class TestMainExitCodes:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 2
         assert all(tmp_path.name in line for line in out)
+
+    def test_run_tradeoff_at_a_chi_whose_tilted_rate_overflows(self, tmp_path, capsys):
+        # rho e^{chi nu/mu} at chi = 2e5 overflows a float; the curve is
+        # still written, with every delay tail a probability
+        rc = cli.main([
+            "run", "tradeoff-shedding", "--out", str(tmp_path), "--param", "chi=2e5",
+        ])
+        assert rc == cli.EXIT_OK, capsys.readouterr().err
+        lines = (tmp_path / "tradeoff-shedding_tradeoff.csv").read_text().splitlines()
+        assert lines[0] == "h,epsilon,delay_tail,improvement"
+        tails = [float(line.split(",")[2]) for line in lines[1:]]
+        assert len(tails) == 51
+        assert all(0.0 <= t <= 1.0 for t in tails)
 
     def test_run_accepts_loose_flag_overrides(self, tmp_path, capsys):
         rc = cli.main([

@@ -1,11 +1,12 @@
-"""Unit tests for parameters, distributions, scheme configs and Poisson
-helpers.  scipy.stats.poisson serves as the independent numerical oracle
+"""Unit tests for parameters, distributions, scheme configs and the Poisson
+weights.  scipy.stats.poisson serves as the independent numerical oracle
 for the hand-rolled log-space Poisson code."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +21,8 @@ from stickysim.core import (
     TransferToInvite,
     TransferToLeastLoaded,
     log_factorial,
-    log_poisson_sum,
-    poisson_cdf,
-    poisson_logpmf,
-    poisson_pmf_window,
+    log_sum_exp,
+    poisson_log_weights,
     total_variation,
 )
 
@@ -57,7 +56,6 @@ def test_log_factorial_scalars_take_the_table_entry_and_empty_arrays_work():
             log_factorial(k)
     empty = log_factorial(np.array([], dtype=int))
     assert empty.dtype == np.float64 and empty.shape == (0,)
-    assert poisson_logpmf(np.array([], dtype=int), 2.0).shape == (0,)
 
 
 @pytest.mark.parametrize("ks", [
@@ -72,46 +70,71 @@ def test_log_factorial_rejects_any_negative_entry(ks):
     for k in (wide, narrow) if np.array_equal(narrow, wide) else (wide,):
         with pytest.raises(ValueError, match="non-negative"):
             log_factorial(k)
-        with pytest.raises(ValueError, match="non-negative"):
-            poisson_logpmf(k, 2.0)
 
 
 @pytest.mark.parametrize("rate", [0.3, 2.0, 150.0, 407.74])
 def test_poisson_logpmf_matches_scipy(rate):
+    # each log weight is the log pmf plus the rate
     k = np.arange(0, 400)
-    ours = poisson_logpmf(k, rate)
+    logs = poisson_log_weights(math.log(rate), 0, 399)
     ref = scipy.stats.poisson.logpmf(k, rate)
-    assert np.allclose(ours, ref, rtol=1e-12, atol=1e-10)
+    assert np.allclose(logs - rate, ref, rtol=1e-12, atol=1e-10)
+
+
+def _window_mass(rate, lo, hi):
+    # Poisson mass of lo..hi from the log weights: their log-sum-exp less the rate
+    return math.exp(log_sum_exp(poisson_log_weights(math.log(rate), lo, hi)) - rate)
 
 
 def test_poisson_pmf_window_values():
-    w = poisson_pmf_window(2.0, 0, 3)
+    w = np.exp(poisson_log_weights(math.log(2.0), 0, 3) - 2.0)
     ref = scipy.stats.poisson.pmf([0, 1, 2, 3], 2.0)
     assert np.allclose(w, ref, rtol=1e-13)
-    assert poisson_pmf_window(2.0, 3, 2).size == 0
+    assert poisson_log_weights(math.log(2.0), 3, 2).shape == (0,)
 
 
 @pytest.mark.parametrize("rate,k", [(2.0, 0), (2.0, 5), (150.0, 150), (150.0, 40)])
 def test_poisson_cdf_matches_scipy(rate, k):
-    assert poisson_cdf(rate, k) == pytest.approx(
+    assert _window_mass(rate, 0, k) == pytest.approx(
         scipy.stats.poisson.cdf(k, rate), rel=1e-12
     )
 
 
 def test_poisson_cdf_edges():
-    assert poisson_cdf(5.0, -1) == 0.0
-    assert poisson_cdf(5.0, 1000) == pytest.approx(1.0, abs=1e-12)
-    assert poisson_cdf(5.0, 1000) <= 1.0
+    assert _window_mass(5.0, 0, -1) == 0.0
+    assert _window_mass(5.0, 0, 1000) == pytest.approx(1.0, abs=1e-12)
+    assert _window_mass(5.0, 0, 1000) <= 1.0
 
 
 def test_log_poisson_sum_deep_tail():
     # far-tail window: cdf differences underflow, survival functions do not
-    got = log_poisson_sum(150.0, 300, 320)
+    got = log_sum_exp(poisson_log_weights(math.log(150.0), 300, 320)) - 150.0
     ref = math.log(
         scipy.stats.poisson.sf(299, 150.0) - scipy.stats.poisson.sf(320, 150.0)
     )
     assert got == pytest.approx(ref, abs=1e-9)
-    assert log_poisson_sum(150.0, 5, 4) == -math.inf
+    assert log_sum_exp(poisson_log_weights(math.log(150.0), 5, 4)) == -math.inf
+
+
+def test_poisson_log_weights_sum_matches_scipy():
+    # a window's log-sum-exp is the log of its Poisson mass plus the rate,
+    # in log space, for short, cdf, whole-mass and deep-tail windows
+    for rate, lo, hi in [(2.0, 0, 3), (2.0, 0, 0), (2.0, 0, 5), (150.0, 0, 150),
+                         (150.0, 0, 40), (5.0, 0, 1000), (150.0, 300, 320)]:
+        ref = scipy.special.logsumexp(
+            scipy.stats.poisson.logpmf(np.arange(lo, hi + 1), rate)
+        ) + rate
+        got = log_sum_exp(poisson_log_weights(math.log(rate), lo, hi))
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12), (rate, lo, hi)
+    # a window reaching below 0 is rejected
+    with pytest.raises(ValueError, match="non-negative"):
+        poisson_log_weights(math.log(2.0), -1, 5)
+    # e^1000 overflows a float; the weights and their sum stay exact
+    k = np.arange(0, 801)
+    ref = k * 1000.0 - scipy.special.gammaln(k + 1)
+    logs = poisson_log_weights(1000.0, 0, 800)
+    assert np.allclose(logs, ref, rtol=1e-14, atol=0)
+    assert log_sum_exp(logs) == pytest.approx(scipy.special.logsumexp(ref), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +155,11 @@ def test_params_validation_errors():
         SystemParams(n=10, lam=1.0, beta=1.0, nu=1.0, mu=0.0)
     with pytest.raises(ValueError):
         SystemParams(n=10, lam=math.inf, beta=1.0, nu=1.0, mu=10.0)
+    # lam and beta each valid, but their product overflows to inf or rounds to 0
+    with pytest.raises(ValueError, match="rho"):
+        SystemParams(n=10, lam=1e200, beta=1e200, nu=1.0, mu=10.0)
+    with pytest.raises(ValueError, match="rho"):
+        SystemParams(n=10, lam=1e-200, beta=1e-200, nu=1.0, mu=10.0)
 
 
 # ---------------------------------------------------------------------------

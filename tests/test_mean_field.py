@@ -225,7 +225,6 @@ def test_pull_window_solver_overload_regime():
     dist, diag = solve_pull_fixed_point(rho, lo, hi)
     assert diag.sigma == pytest.approx(sigma_ref, abs=1e-7)
     assert diag.sigma == pytest.approx(8.849851652472957, rel=1e-9)  # frozen
-    assert diag.dummy_user_rate is not None and diag.dummy_user_rate > 0
     support = np.nonzero(dist.p > 1e-15)[0]
     assert support.min() == hi
     assert dist.mean() == pytest.approx(rho, abs=1e-8)

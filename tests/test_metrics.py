@@ -12,6 +12,7 @@ import pytest
 import scipy.stats
 
 from stickysim.core import FlowDistribution, SystemParams
+from stickysim.mean_field import shedding_fixed_point
 from stickysim.metrics import (
     TradeoffPoint,
     delay_tail_flow_jsq,
@@ -159,6 +160,28 @@ def test_shedding_delay_tail_unbounded_limit(full_params):
     g = delay_tail_prob(k, 200.0, full_params)
     expected = float((k * pmf * g).sum() / (k * pmf).sum())
     assert base == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("rho,mu_over_nu,chi", [
+    (150.0, 200.0, 1e3), (150.0, 200.0, 1e4), (150.0, 200.0, 1e5),
+    (150.0, 200.0, 2e5), (150.0, 200.0, 1e6),
+    # light loads, where chi <= 300 already tilts the rate past 2**53
+    (3.0, 10.0, 300.0), (0.2, 4.5, 300.0),
+])
+def test_shedding_delay_tail_is_a_probability_at_large_chi(rho, mu_over_nu, chi):
+    # the tilted rate rho e^{chi nu/mu} overflows a float from chi ~ 1.4e5 at
+    # the reference point, and long before that is too large to add to or
+    # subtract from
+    params = SystemParams(n=10, lam=rho, beta=1.0, nu=1.0, mu=mu_over_nu)
+    for high in (160, 195, 200, math.inf):
+        got = delay_tail_shedding(high, chi, params)
+        assert math.isfinite(got) and 0.0 <= got <= 1.0, f"high={high}"
+        if high != math.inf:
+            expected = flow_average(
+                shedding_fixed_point(rho, high),
+                lambda lv: delay_tail_prob(lv, chi, params),
+            )
+            assert abs(got - expected) <= 1e-12, f"high={high}"
 
 
 def test_shedding_violation_hand_fraction():
