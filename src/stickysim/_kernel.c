@@ -24,11 +24,11 @@
  *
  * _native.FLAGS builds it at -O3, where GCC vectorizes the ODE's per-level
  * loops (the stage and RK4 combinations, project's clip pass, the join rules,
- * the d-choices products, the balance in drift and both loops of the
- * correction) two doubles at a time.  Each lane rounds as the scalar
- * operation does, and the correction's sum is vectorized as an in-order
- * fold, so no result changes.  The NaN-aware sups and project's running
- * minimum stay scalar.
+ * the d-choices products and differences, the balance in drift and both
+ * loops of the correction) two doubles at a time.  Each lane rounds as the
+ * scalar operation does, and the correction's sum is vectorized as an
+ * in-order fold, so no result changes.  The NaN-aware sups and project's
+ * running minimum stay scalar.
  *
  * Uniform draws come from the kernel's own copy of numpy's Philox4x64-10,
  * keyed by sim_params.key (the key of numpy.random.Philox(seed)) with its
@@ -1013,12 +1013,13 @@ static double clip_unit(double x)
 /* v = src clipped to [0, 1], levels 0..sat set to 1, then its running
  * minimum, as mean_field's NumPy projection computes it: np.minimum keeps
  * its first argument only when that is smaller or NaN, so a tie keeps the
- * later entry (and its sign of zero) and the first NaN spreads down */
+ * later entry (and its sign of zero) and the first NaN spreads down.  The
+ * pinned prefix is all 1.0, so the minimum starts at level sat */
 static void project(const double *src, double *v, int64_t size, int64_t sat)
 {
     for (int64_t i = 0; i < size; i++)
         v[i] = i <= sat ? 1.0 : clip_unit(src[i]);
-    for (int64_t i = 1; i < size; i++)
+    for (int64_t i = sat + 1; i < size; i++)
         if (v[i - 1] < v[i] || isnan(v[i - 1]))
             v[i] = v[i - 1];
 }

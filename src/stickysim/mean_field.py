@@ -29,7 +29,6 @@ from .core import (
     TransferToInvite,
     TransferToLeastLoaded,
     log_factorial,
-    poisson_log_weights,
 )
 
 __all__ = [
@@ -378,7 +377,7 @@ def shedding_fixed_point(rho: float, high: int | float) -> FlowDistribution:
         if not isinstance(high, int) or high < 1:
             raise ValueError(f"high must be a positive int or math.inf, got {high!r}")
         top = high
-    return FlowDistribution(_window_weights(rho, 0, top))
+    return FlowDistribution(_window_weights(rho, *_level_table(0, top)))
 
 
 def power_of_d_tail_bound(rho: float, d: int, i: int) -> float:
@@ -447,13 +446,23 @@ def _bisect_carried(
     return 0.5 * (lo + hi), iterations + widen
 
 
-def _window_weights(sigma: float, lo: int, hi: int) -> np.ndarray:
-    """Normalized weights proportional to sigma^i / i! on lo..hi."""
+def _level_table(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The levels lo..hi as doubles and their log(k!): what _window_weights
+    reads, built once per solve rather than once per bisection iteration."""
+    k = np.arange(lo, hi + 1)
+    return k.astype(np.float64), log_factorial(k)
+
+
+def _window_weights(
+    sigma: float, levels: np.ndarray, log_fact: np.ndarray
+) -> np.ndarray:
+    """Normalized weights proportional to sigma^i / i! on the levels i of a
+    _level_table (or a prefix of one)."""
     if sigma <= 0.0:
-        w = np.zeros(hi - lo + 1)
+        w = np.zeros(levels.size)
         w[0] = 1.0
         return w
-    logs = poisson_log_weights(math.log(sigma), lo, hi)
+    logs = levels * math.log(sigma) - log_fact
     w = np.exp(logs - logs.max())
     return w / w.sum()
 
@@ -464,28 +473,31 @@ def _open_top(sigma: float, lo: int) -> int:
     return int(base + 12.0 * math.sqrt(base + 1.0) + 60)
 
 
-def _carried_window(sigma: float, lo: int, hi: int | float) -> tuple[float, np.ndarray]:
-    """Carried traffic sigma*(1 - w_top) + lo*w_lo of the loss system living
-    on levels lo..hi, together with the weights themselves."""
-    if hi == math.inf:
-        w = _window_weights(sigma, lo, _open_top(sigma, lo))
-        top_mass = 0.0
-    else:
-        w = _window_weights(sigma, lo, int(hi))
-        top_mass = float(w[-1])
-    return sigma * (1.0 - top_mass) + lo * float(w[0]), w
-
-
 def _solve_window(
     rho: float, lo: int, hi: int | float, span: int
 ) -> tuple[np.ndarray, float, int, float]:
-    def carried(sigma: float) -> float:
-        return _carried_window(sigma, lo, hi)[0]
-
     bracket_lo = max(0.0, rho - (hi if hi != math.inf else rho))
     bracket_hi = rho + 10.0 * span
-    sigma, iterations = _bisect_carried(carried, rho, bracket_lo, bracket_hi)
-    value, w = _carried_window(sigma, lo, hi)
+    # with an open top the carried traffic is at least sigma, so the bracket
+    # never widens and a table reaching the bracket's top covers every sigma
+    levels, log_fact = _level_table(
+        lo, int(hi) if hi != math.inf else _open_top(bracket_hi, lo))
+
+    def carried_window(sigma: float) -> tuple[float, np.ndarray]:
+        """Carried traffic sigma*(1 - w_top) + lo*w_lo of the loss system
+        living on levels lo..hi, together with the weights themselves."""
+        if hi == math.inf:
+            n = _open_top(sigma, lo) - lo + 1
+            w = _window_weights(sigma, levels[:n], log_fact[:n])
+            top_mass = 0.0
+        else:
+            w = _window_weights(sigma, levels, log_fact)
+            top_mass = float(w[-1])
+        return sigma * (1.0 - top_mass) + lo * float(w[0]), w
+
+    sigma, iterations = _bisect_carried(
+        lambda x: carried_window(x)[0], rho, bracket_lo, bracket_hi)
+    value, w = carried_window(sigma)
     residual = abs(value - rho)
     if residual > CARRIED_RESIDUAL_TOL:
         raise BracketError(
@@ -556,17 +568,17 @@ def solve_transfer_invite_fixed_point(
             return dist, diag
 
     k = np.arange(high + 1)
-    log_rho = math.log(rho)
+    # built once per solve: the Poisson levels 0..low as doubles, the
+    # rho-ratio term (k - low)*log(rho) above low, and log(k!) on both
+    head, head_fact = _level_table(0, low)
+    rise = (k[low + 1 :] - low) * math.log(rho)
+    rise_fact = log_factorial(k[low + 1 :])
 
     def log_weights(sigma: float) -> np.ndarray:
         logs = np.empty(high + 1)
         ls = math.log(sigma)
-        logs[: low + 1] = poisson_log_weights(ls, 0, low)
-        logs[low + 1 :] = (
-            low * ls
-            + (k[low + 1 :] - low) * log_rho
-            - log_factorial(k[low + 1 :])
-        )
+        logs[: low + 1] = head * ls - head_fact
+        logs[low + 1 :] = low * ls + rise - rise_fact
         return logs
 
     def mean_occ(sigma: float) -> float:
@@ -889,7 +901,9 @@ def _bind_ode(scheme: SchemeConfig, params: SystemParams, size: int,
     def project(src: np.ndarray, dst: np.ndarray, sat: int) -> None:
         src.clip(zero, one, out=dst)
         dst[: sat + 1] = 1.0
-        fill_down(dst, out=dst)
+        # the pinned prefix is all 1.0, so the running minimum starts at sat
+        tail = dst[sat:]
+        fill_down(tail, out=tail)
 
     def python_drift(sat: int) -> float:
         balance(at_state, k_tails[0])

@@ -122,21 +122,29 @@ def delay_tail_shedding(
     number has Poisson weights w_{i-1} = rho^{i-1} / (i-1)!, so the tail is
     sum_{i<=top} w_{i-1} g(i) / sum_{i<=top} w_{i-1} for the per-occupancy
     tail g.  Both sums are log-sum-exps of log terms, so no term exceeds its
-    Poisson mass at any chi.
+    Poisson mass at any chi.  The untruncated baseline sums only the levels
+    within a few spreads of rho, whatever the cap: a baseline below about
+    1e-150, whose terms peak beyond that window, can read low, down to 0.
     """
     if high != math.inf and (not isinstance(high, int) or high < 1):
         raise ValueError(f"high must be a positive int or math.inf, got {high!r}")
     _check_chi(chi)
     rho = params.rho
     if high == math.inf:
-        # far enough past the cap and rho that the cut-off mass is negligible
+        # the Poisson bulk rho +- spread, then the levels where g still
+        # rises, up to the cap but no further than rho + spread, then one
+        # more spread: every level cut off lies over 12 standard deviations
+        # from rho, and the window stays O(sqrt(rho)) long however far
+        # above rho the cap lies
         spread = 12.0 * math.sqrt(rho + 1.0) + 40
-        top = int(max(_delay_cap(params), rho) + spread) + 1
+        lo = max(0, math.floor(rho - spread))
+        top = int(max(min(_delay_cap(params), rho + spread), rho) + spread) + 1
     else:
-        top = high
-    logs = poisson_log_weights(math.log(rho), 0, top - 1)
+        lo, top = 0, high
+    logs = poisson_log_weights(math.log(rho), lo, top - 1)
     log_norm = rho if high == math.inf else log_sum_exp(logs)
-    log_tail = log_sum_exp(logs + _log_delay_tail(np.arange(1, top + 1), chi, params))
+    log_tail = log_sum_exp(
+        logs + _log_delay_tail(np.arange(lo + 1, top + 1), chi, params))
     return min(math.exp(log_tail - log_norm), 1.0)  # rounding can pass 1
 
 

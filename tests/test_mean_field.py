@@ -386,6 +386,75 @@ def test_solvers_are_deterministic():
     assert da.sigma == db.sigma
 
 
+FIXED_POINT_RUNS = {
+    "pull-below-low": (solve_pull_fixed_point, (130.0, 140, 160)),
+    "pull-window": (solve_pull_fixed_point, (150.0, 140, 160)),
+    "pull-open-window": (solve_pull_fixed_point, (150.0, 140, math.inf)),
+    "pull-overload": (solve_pull_fixed_point, (165.0, 140, 160)),
+    "pull-small-overload": (solve_pull_fixed_point, (9.0, 2, 4)),
+    "transfer-invite-window": (solve_transfer_invite_fixed_point, (150.0, 140, 160)),
+    "transfer-invite-splice": (solve_transfer_invite_fixed_point, (100.0, 140, 160)),
+    "transfer-invite-spill": (solve_transfer_invite_fixed_point, (9.3412, 9, 13)),
+    "transfer-invite-overload": (
+        solve_transfer_invite_fixed_point, (165.0, 140, 160)),
+    "least-loaded": (solve_least_loaded_fixed_point, (150.0, 160)),
+    "shedding-finite": (shedding_fixed_point, (150.0, 160)),
+    "shedding-open": (shedding_fixed_point, (150.0, math.inf)),
+}
+
+# (sha256(p), sigma.hex(), iterations) of each FIXED_POINT_RUNS entry; the
+# closed forms have no sigma
+FIXED_POINT_PINNED = {
+    "pull-below-low": (
+        "e00b19b5c6ce2d593d6a0667fed42f9eaaf299822f729bb611c33c4c48f30985",
+        "0x1.12df1f05464b4p+7", 51),
+    "pull-window": (
+        "9e149495bb5d1562ad9d0c42e3b272bc7e2e02010ac04aa06ab80d2ac1787809",
+        "0x1.2cdc5b53718e7p+7", 49),
+    "pull-open-window": (
+        "b59867626111b25800017f05c12fadbe315f0a79aa9a2bb99e65185c45732c0b",
+        "0x1.1bc521c3a071ep+7", 50),
+    "pull-overload": (
+        "836e5a3a1a6539ec3ddf4dd3b37efc10658fe701cdf0a7eebd80431688fd2024",
+        "0x1.1ae911981539cp+7", 49),
+    "pull-small-overload": (
+        "f6dc564073ae9eca7b50ce3ce79914e05a99ff9a862e2efc0ff805c36542586f",
+        "0x1.1b31fc17ba554p+3", 46),
+    "transfer-invite-window": (
+        "9e149495bb5d1562ad9d0c42e3b272bc7e2e02010ac04aa06ab80d2ac1787809",
+        "0x1.2cdc5b53718e7p+7", 49),
+    "transfer-invite-splice": (
+        "db659bb54a4bee0b31347f7a258244310561025622819cd059ae9156247a7222",
+        "0x1.90000034f4bdep+6", 49),
+    "transfer-invite-spill": (
+        "e8b98d64285548081e88b62de49a1c8898ced90883123e2226783a61b920c8da",
+        "0x1.6ec5717e44568p+3", 46),
+    "transfer-invite-overload": (
+        "836e5a3a1a6539ec3ddf4dd3b37efc10658fe701cdf0a7eebd80431688fd2024",
+        "0x1.1ae911981539cp+7", 49),
+    "least-loaded": (
+        "58708adad693c1d214a3ed8c6708a3adeb8217a9d44baf25824c07627bc82bc7",
+        None, None),
+    "shedding-finite": (
+        "4a5330b891e17c987e6ca104ec531259a1dbe1fd401aabedc1adc69359d059a2",
+        None, None),
+    "shedding-open": (
+        "90b06ebd687ecf413674ebcbb046e3578520efc24d50239b9c3b8b13e2e7fbf8",
+        None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_POINT_RUNS))
+def test_fixed_point_is_pinned_bit_for_bit(name):
+    solve, args = FIXED_POINT_RUNS[name]
+    out = solve(*args)
+    dist, diag = out if isinstance(out, tuple) else (out, None)
+    got = (hashlib.sha256(dist.p.tobytes()).hexdigest(),
+           None if diag is None else float(diag.sigma).hex(),
+           None if diag is None else diag.iterations)
+    assert got == FIXED_POINT_PINNED[name]
+
+
 # ---------------------------------------------------------------------------
 # ODE integration (small configurations; the reference scale runs in the
 # acceptance suite)

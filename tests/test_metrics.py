@@ -6,12 +6,18 @@ arithmetic is small enough to do on paper.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from stickysim.core import FlowDistribution, SystemParams
+from stickysim.core import (
+    FlowDistribution,
+    SystemParams,
+    log_sum_exp,
+    poisson_log_weights,
+)
 from stickysim.mean_field import shedding_fixed_point
 from stickysim.metrics import (
     TradeoffPoint,
@@ -182,6 +188,33 @@ def test_shedding_delay_tail_is_a_probability_at_large_chi(rho, mu_over_nu, chi)
                 lambda lv: delay_tail_prob(lv, chi, params),
             )
             assert abs(got - expected) <= 1e-12, f"high={high}"
+
+
+@pytest.mark.parametrize("chi", [1.0, 20.0, 200.0])
+def test_unbounded_shedding_delay_tail_sums_a_window_around_rho(chi):
+    # rho = 2e5 with the cap mu/nu at 3e5: the sum runs over rho -+ a few
+    # spreads, not over every level up to the cap, and still matches the sum
+    # over every level up to the cap plus a spread
+    rho, cap = 2e5, 300_000
+    params = SystemParams(n=10, lam=rho, beta=1.0, nu=1.0, mu=float(cap))
+    top = cap + int(12.0 * math.sqrt(rho + 1.0) + 40) + 1
+    k = np.arange(top)
+    log_g = np.where(k + 1 <= cap, -chi * (1.0 - np.minimum(k + 1, cap) / cap), 0.0)
+    logs = poisson_log_weights(math.log(rho), 0, top - 1) + log_g
+    full = math.exp(log_sum_exp(logs) - rho)
+    assert 1e-30 < full < 1.0
+
+    # the full sum grew log_factorial's table past every level the window
+    # reads, so the peak counts only the call's own arrays
+    tracemalloc.start()
+    try:
+        got = delay_tail_shedding(math.inf, chi, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pytest.approx(full, rel=1e-13, abs=0.0)
+    # one float array over the full window takes 2.4 MB
+    assert peak < 2**20, peak
 
 
 def test_shedding_violation_hand_fraction():

@@ -632,11 +632,31 @@ def test_compile_flags_keep_every_rounding():
     assert not any(flag.startswith("-march=") for flag in flags)
 
 
-def test_the_balance_loop_vectorizes_at_the_shipped_flags(tmp_path):
-    # drift()'s arrival/departure balance runs in every drift evaluation, and
-    # it vectorizes only with its bound in a local and an int counter; a
-    # rewrite that loses either runs it scalar again without changing a bit,
-    # so only the compiler's vectorizer report shows it
+# each per-level loop of the ODE step that GCC vectorizes at FLAGS, by the
+# text of the statement in its body; a rewrite that makes one scalar again
+# changes no bit, so only the compiler's vectorizer report shows it
+BALANCE = "ds[i] = lam * q[i - 1] - (double)i * (sp[i] - sp[i + 1]) / beta;"
+VECTORIZED_LOOPS = {
+    "stage": "g[i] = s[i] + scale * k_in[i];",
+    "rk4": "double r = k1[i] + 2.0 * k2[i];",
+    "project-clip": "v[i] = i <= sat ? 1.0 : clip_unit(src[i]);",
+    "tail-diff": "q[j] = sp[j] - sp[j + 1];",
+    "pull-invites": "q[j] = (sp[j] - sp[j + 1]) / (1.0 - s_low);",
+    "pull-band": "q[j] = rem * (sp[j] - sp[j + 1]) / (1.0 - s_high);",
+    "invite-boost-below-low": "q[j] = (sp[j] - sp[j + 1]) * boost;",
+    "invite-boost-band": "q[j] *= boost;",
+    "saturated": "q[j] = rem * (sp[j] - sp[j + 1]);",
+    "d-choices-products": "q[j] *= sp[j];",
+    "d-choices-differences": "q[j] -= q[j + 1];",
+    "correction-sum": "sum += q[j];",
+    "correction-siphon": "ds[j] = ds[j] - share * q[j - 1];",
+}
+
+
+@pytest.fixture(scope="module")
+def vectorizer_report(tmp_path_factory):
+    """_kernel.c's lines and the line numbers of the loops that GCC's
+    -fopt-info-vec-optimized report names vectorized at _native.FLAGS."""
     cc = _native.compiler()
     if cc is None:
         pytest.skip("no C compiler")
@@ -645,23 +665,37 @@ def test_the_balance_loop_vectorizes_at_the_shipped_flags(tmp_path):
     if "__GNUC__" not in macros or "__clang__" in macros:
         pytest.skip("-fopt-info-vec-optimized is GCC's report")
     source = Path(_native.__file__).with_name("_kernel.c")
-    lines = source.read_text().splitlines()
-    body = [n for n, line in enumerate(lines, 1)
-            if "ds[i] = lam * q[i - 1] - (double)i * (sp[i] - sp[i + 1]) / beta;"
-            in line]
-    assert len(body) == 1, "the balance statement is not in _kernel.c"
-    # GCC names a loop by the line of its `for`, the line above the body
-    loop = body[0] - 1
-    assert lines[loop - 1].lstrip().startswith("for ("), lines[loop - 1]
     proc = subprocess.run(
         [cc, *_native.FLAGS, "-fopt-info-vec-optimized", "-o",
-         str(tmp_path / "kernel.so"), str(source), "-lm"],
+         str(tmp_path_factory.mktemp("vec") / "kernel.so"), str(source), "-lm"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     vectorized = {int(m) for m in re.findall(
         r"_kernel\.c:(\d+):\d+: optimized: loop vectorized", proc.stderr)}
-    assert loop in vectorized, proc.stderr
+    return source.read_text().splitlines(), vectorized, proc.stderr
+
+
+def _assert_loop_vectorized(report, statement):
+    lines, vectorized, stderr = report
+    body = [n for n, line in enumerate(lines, 1) if statement in line]
+    assert len(body) == 1, f"{statement!r} is not in _kernel.c exactly once"
+    # GCC names a loop by the line of its `for`, the line above the body
+    loop = body[0] - 1
+    assert lines[loop - 1].lstrip().startswith("for ("), lines[loop - 1]
+    assert loop in vectorized, stderr
+
+
+def test_the_balance_loop_vectorizes_at_the_shipped_flags(vectorizer_report):
+    # drift()'s arrival/departure balance runs in every drift evaluation, and
+    # it vectorizes only with its bound in a local and an int counter
+    _assert_loop_vectorized(vectorizer_report, BALANCE)
+
+
+@pytest.mark.parametrize("statement", list(VECTORIZED_LOOPS.values()),
+                         ids=list(VECTORIZED_LOOPS))
+def test_each_step_loop_vectorizes_at_the_shipped_flags(vectorizer_report, statement):
+    _assert_loop_vectorized(vectorizer_report, statement)
 
 
 @pytest.mark.parametrize("engine", ["kernel", "python"])
