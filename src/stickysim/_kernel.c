@@ -59,6 +59,22 @@
  * the Python step loop there, down to t accumulated one dt at a time, so
  * whole integrations agree too.
  *
+ * For the d-choices rule, whose tail falls doubly exponentially above
+ * floor(rho), ode_run keeps the support edge in its ode_loop: the highest
+ * level that any tail of the run has held with a bit set (-0.0 and NaN
+ * count), found by a downward scan on each entry and raised after each step
+ * by scanning the levels the step can add.  Each of a step's four drift
+ * evaluations extends the support by at most one level, so every per-level
+ * loop of ode_run's drift and step, drift_below and step_below (the d - 1
+ * product passes, the differences, the balance, the sups, the stage and RK4
+ * combinations, project and the compare/copy/distance pass) stops at the
+ * edge plus that reach, clamped to size (reach_end); above it s, g, q, raw
+ * and every k row hold +0.0, as they do at full width, and each entry zeroes
+ * them there.  A NaN that reaches the bound is spread up to size, as numpy's
+ * running minimum spreads it.  The threshold rules keep the full width, and
+ * so do the exported ode_drift and ode_step, which call drift_below and
+ * step_below with the edge at the top level.
+ *
  * The SIZEOF_* constants export the size of every struct shared with
  * _native.py, and MODE_CODES, RULE_CODES, STOP_CODES and NO_CAP the codes
  * the Python modules copy, so a test can compare each with its mirror.
@@ -909,10 +925,14 @@ static void least_rule(const drift_params *p, const double *sp, double *q, int64
     q[m] = (rho - dip) / rho;
 }
 
-/* Drift of the occupancy tail at the padded tail sp: writes every entry of
- * p->q with the scheme's join rule, then ds[i] = lam*q[i-1] -
- * (i*(sp[i] - sp[i+1]))/beta for 1 <= i < size; ds[0] is left alone. */
-static void drift(const drift_params *p, const double *sp, double *ds)
+/* Drift of the occupancy tail at the padded tail sp, on the levels below
+ * `end` (see reach_end): writes p->q with the scheme's join rule, then
+ * ds[i] = lam*q[i-1] - (i*(sp[i] - sp[i+1]))/beta for 1 <= i < end; ds[0]
+ * is left alone.  The d-choices rule writes q below `end`, the other rules
+ * all of it.  Below size, `end` may stop only above the levels where sp
+ * holds a bit by two or more: there q and ds are +0.0 at every level from
+ * `end` up, as they come out at full width. */
+static void drift(const drift_params *p, const double *sp, double *ds, int64_t end)
 {
     double *q = p->q;
     const int64_t nq = p->width - 1;
@@ -922,17 +942,18 @@ static void drift(const drift_params *p, const double *sp, double *ds)
          * mean_field._power_of_d_rule takes it (unlike pow, a product rounds
          * the same on every host): q[j] = sp[j]**d one pass per product, then
          * the differences in place; each product pass and the difference
-         * pass vectorizes at -O3 */
-        double last = sp[nq];
-        memcpy(q, sp, (size_t)nq * sizeof *q);
+         * pass vectorizes at -O3.  The rule reads no threshold, so q has
+         * size entries and `end` <= nq; `last` is the power at level end */
+        double last = sp[end];
+        memcpy(q, sp, (size_t)end * sizeof *q);
         for (int64_t k = 1; k < p->d; k++) {
-            for (int64_t j = 0; j < nq; j++)
+            for (int64_t j = 0; j < end; j++)
                 q[j] *= sp[j];
-            last *= sp[nq];
+            last *= sp[end];
         }
-        for (int64_t j = 0; j < nq - 1; j++)
+        for (int64_t j = 0; j < end - 1; j++)
             q[j] -= q[j + 1];
-        q[nq - 1] -= last;
+        q[end - 1] -= last;
     } else if (p->rule == RULE_SHEDDING) {
         int64_t top = p->high < nq ? p->high : nq;
         tail_diff(sp, q, 0, top);
@@ -953,8 +974,8 @@ static void drift(const drift_params *p, const double *sp, double *ds)
      * levels would need 128 GiB of buffers); each lane's division rounds as
      * the scalar one does */
     const double lam = p->lam, beta = p->beta;
-    const int size = (int)p->size;
-    for (int i = 1; i < size; i++)
+    const int n = (int)end;
+    for (int i = 1; i < n; i++)
         ds[i] = lam * q[i - 1] - (double)i * (sp[i] - sp[i + 1]) / beta;
 }
 
@@ -991,14 +1012,49 @@ static void correct(const drift_params *p, int64_t sat, double *ds)
     }
 }
 
-/* The drift k1 at the padded tail s, corrected, into p->q and k1; returns
- * sup|k1| as np.maximum.reduce takes it (a NaN wins). */
-double ode_drift(const drift_params *p, int64_t sat, const double *s, double *k1)
+/* does x hold a bit?  -0.0 and NaN do */
+static inline int has_bits(double x)
 {
-    drift(p, s, k1);
+    return x != 0.0 || signbit(x);
+}
+
+/* the top level in (edge, from] where s holds a bit, else edge */
+static int64_t top_bit(const double *s, int64_t from, int64_t edge)
+{
+    for (int64_t i = from; i > edge; i--)
+        if (has_bits(s[i]))
+            return i;
+    return edge;
+}
+
+/* how far a d-choices step can carry the tail's support: each of its four
+ * drift evaluations (k1 at its start, k2..k4 at its stages) adds at most one
+ * level, since q[j] = sp[j]**d - sp[j + 1]**d is +0.0 wherever both are */
+enum { POWER_REACH = 4 };
+
+/* The end of the levels that a drift or a step from a tail with no bit above
+ * level `edge` runs on.  For the d-choices rule that is the edge plus the
+ * reach, clamped to size: every level from there up holds +0.0 in s, g, q,
+ * raw and every k row at full width too, and the drift reads one of them,
+ * level `end`, as padding.  Every other rule runs at full width. */
+static int64_t reach_end(const drift_params *p, int64_t edge)
+{
+    const int64_t end = edge + 1 + POWER_REACH;
+    return p->rule == RULE_POWER && end < p->size ? end : p->size;
+}
+
+/* The drift k1 at the padded tail s, with no bit above level `edge`,
+ * corrected, into p->q and k1; returns sup|k1| as np.maximum.reduce takes it
+ * (a NaN wins).  k1 is written below reach_end(p, edge); above it the full
+ * width gives +0.0, which no sup changes. */
+static double drift_below(const drift_params *p, int64_t sat, int64_t edge,
+                          const double *s, double *k1)
+{
+    const int64_t end = reach_end(p, edge);
+    drift(p, s, k1, end);
     correct(p, sat, k1);
     double sup = fabs(k1[0]);
-    for (int64_t i = 1; i < p->size; i++)
+    for (int64_t i = 1; i < end; i++)
         sup = nan_max(sup, fabs(k1[i]));
     return sup;
 }
@@ -1014,42 +1070,55 @@ static double clip_unit(double x)
  * minimum, as mean_field's NumPy projection computes it: np.minimum keeps
  * its first argument only when that is smaller or NaN, so a tie keeps the
  * later entry (and its sign of zero) and the first NaN spreads down.  The
- * pinned prefix is all 1.0, so the minimum starts at level sat */
-static void project(const double *src, double *v, int64_t size, int64_t sat)
+ * pinned prefix is all 1.0, so the minimum starts at level sat.  It runs
+ * below `end`, above which src and v hold +0.0; the minimum keeps that but
+ * for a NaN at level end - 1, which it spreads up to size.  Returns the end
+ * of the levels written: size after such a spread, else end. */
+static int64_t project(const double *src, double *v, int64_t size, int64_t sat,
+                       int64_t end)
 {
-    for (int64_t i = 0; i < size; i++)
+    for (int64_t i = 0; i < end; i++)
         v[i] = i <= sat ? 1.0 : clip_unit(src[i]);
-    for (int64_t i = sat + 1; i < size; i++)
+    for (int64_t i = sat + 1; i < end; i++)
         if (v[i - 1] < v[i] || isnan(v[i - 1]))
             v[i] = v[i - 1];
+    if (end == size || !isnan(v[end - 1]))
+        return end;
+    for (int64_t i = end; i < size; i++)
+        v[i] = v[end - 1];
+    return size;
 }
 
-/* One RK4 step from the padded tail s, whose corrected drift ode_drift left
- * in k1, the first row of the size-wide block k.  Stage i = 1, 2, 3 writes
- * g = project(s + scale_i*k_i) with scales dt/2, dt/2, dt on the first size
- * levels of the padded stage tail g, then the corrected drift there into p->q
- * and k_{i+1}.  The step end writes raw = s + sixth_dt*(k1 + 2*k2 + 2*k3 +
- * k4), summed in that order, and g = project(raw), sets *moved to whether g
- * differs from s in any bit, and copies g into s.  Returns sup|raw - s| as
- * np.maximum.reduce takes it (a NaN wins). */
-double ode_step(const drift_params *p, int64_t sat, double *s, double *g, double *k,
-                double *raw, int *moved)
+/* One RK4 step from the padded tail s, with no bit above level *edge, whose
+ * corrected drift drift_below left in k1, the first row of the size-wide block
+ * k.  Stage i = 1, 2, 3 writes g = project(s + scale_i*k_i) with scales dt/2,
+ * dt/2, dt on the first size levels of the padded stage tail g, then the
+ * corrected drift there into p->q and k_{i+1}.  The step end writes raw = s +
+ * sixth_dt*(k1 + 2*k2 + 2*k3 + k4), summed in that order, and g =
+ * project(raw), sets *moved to whether g differs from s in any bit, copies g
+ * into s and raises *edge to the top level of s that holds a bit.  Each pass
+ * runs below reach_end(p, *edge), or up to size once a NaN spreads there,
+ * and needs s, g, q, raw and every k row at +0.0 above it.  Returns
+ * sup|raw - s| as np.maximum.reduce takes it (a NaN wins). */
+static double step_below(const drift_params *p, int64_t sat, int64_t *edge, double *s,
+                         double *g, double *k, double *raw, int *moved)
 {
     const int64_t size = p->size;
+    int64_t end = reach_end(p, *edge);
     const double scales[3] = {p->half_dt, p->half_dt, p->dt};
     for (int stage = 0; stage < 3; stage++) {
         const double scale = scales[stage], *k_in = k + stage * size;
         double *k_out = k + (stage + 1) * size;
-        for (int64_t i = 0; i < size; i++)
+        for (int64_t i = 0; i < end; i++)
             g[i] = s[i] + scale * k_in[i];
-        project(g, g, size, sat);
-        drift(p, g, k_out);
+        end = project(g, g, size, sat, end);
+        drift(p, g, k_out, end);
         correct(p, sat, k_out);
     }
 
     const double *k1 = k, *k2 = k + size, *k3 = k + 2 * size, *k4 = k + 3 * size;
     const double sixth_dt = p->sixth_dt;
-    for (int64_t i = 0; i < size; i++) {
+    for (int64_t i = 0; i < end; i++) {
         double r = k1[i] + 2.0 * k2[i];
         r = r + 2.0 * k3[i];
         r = r + k4[i];
@@ -1058,10 +1127,10 @@ double ode_step(const drift_params *p, int64_t sat, double *s, double *g, double
     /* one pass takes the distance, compares the bits and copies: it measured
      * faster per step than memcmp then memcpy, and far faster than a compare
      * inside project */
-    project(raw, g, size, sat);
+    end = project(raw, g, size, sat, end);
     uint64_t diff = 0;
     double dist = fabs(raw[0] - g[0]);
-    for (int64_t i = 0; i < size; i++) {
+    for (int64_t i = 0; i < end; i++) {
         uint64_t now, was;
         memcpy(&now, g + i, sizeof now);
         memcpy(&was, s + i, sizeof was);
@@ -1070,7 +1139,21 @@ double ode_step(const drift_params *p, int64_t sat, double *s, double *g, double
         dist = nan_max(dist, fabs(raw[i] - g[i]));
     }
     *moved = diff != 0;
+    *edge = top_bit(s, end - 1, *edge);
     return dist;
+}
+
+/* drift_below and step_below at full width, as an edge at the top level */
+double ode_drift(const drift_params *p, int64_t sat, const double *s, double *k1)
+{
+    return drift_below(p, sat, p->size - 1, s, k1);
+}
+
+double ode_step(const drift_params *p, int64_t sat, double *s, double *g, double *k,
+                double *raw, int *moved)
+{
+    int64_t edge = p->size - 1;
+    return step_below(p, sat, &edge, s, g, k, raw, moved);
 }
 
 /* ------------------------------------------------------------------------ */
@@ -1085,12 +1168,14 @@ enum { STOP_NONE = 0, STOP_RESIDUAL = 1, STOP_STATIONARY = 2 };
  * levels that joined and left it.  quiet is 0 when the last step released a
  * level and 1 when it released none; it is 2 when, besides, that step changed
  * no bit of the tail and pinned nothing, and the step before released
- * nothing. */
+ * nothing.  edge is the support edge: no tail of the run has held a bit above
+ * it, so every level past the reach of a step from it stays +0.0 (see
+ * reach_end); it is size - 1 for every rule but d choices. */
 typedef struct {
     double pin_tol, sat_tol, release_eps; /* mean_field.PIN_TOL, SAT_TOL and
                                              RELEASE_EPS */
     double stop_residual;                 /* > 0: both early stops are on */
-    int64_t step, sat, pins, releases, quiet;
+    int64_t step, sat, pins, releases, quiet, edge;
     double t, sup_k1, max_projection, last_projection;
 } ode_loop;
 
@@ -1102,7 +1187,8 @@ static int may_pin(const drift_params *p, const ode_loop *L, int64_t level, doub
     return v >= 1.0 - L->sat_tol || (level < p->low && v >= 1.0 - L->pin_tol);
 }
 
-/* pin every level above the prefix that may join it, setting it to 1 */
+/* pin every level above the prefix that may join it, setting it to 1 (a level
+ * that may join holds a bit, so the edge stays) */
 static void pin(const drift_params *p, ode_loop *L, double *s)
 {
     while (L->sat + 1 < p->size && may_pin(p, L, L->sat + 1, s[L->sat + 1])) {
@@ -1117,11 +1203,36 @@ static void pin(const drift_params *p, ode_loop *L, double *s)
 static void drift_and_release(const drift_params *p, ode_loop *L, const double *s,
                               double *k1)
 {
-    L->sup_k1 = ode_drift(p, L->sat, s, k1);
+    L->sup_k1 = drift_below(p, L->sat, L->edge, s, k1);
     while (L->sat > 0 && k1[L->sat] < -L->release_eps) {
         L->sat--;
         L->releases++;
     }
+}
+
+/* On each entry of ode_run, for the d-choices rule: raise the edge to the top
+ * level of s that holds a bit (the start, or a tail written between calls;
+ * a start may hold zeros below a non-zero level, so the scan runs down from
+ * the top), then zero g, raw, p->q (size entries for this rule) and every k
+ * row from the end of the levels a step runs on, which the full-width
+ * ode_drift or ode_step may have written.  The other rules run at full
+ * width. */
+static void enter(const drift_params *p, ode_loop *L, const double *s, double *g,
+                  double *k, double *raw)
+{
+    const int64_t size = p->size;
+    if (p->rule != RULE_POWER) {
+        L->edge = size - 1;
+        return;
+    }
+    L->edge = top_bit(s, size - 1, L->edge);
+    const int64_t end = reach_end(p, L->edge);
+    const size_t above = (size_t)(size - end) * sizeof *g;
+    memset(g + end, 0, above);
+    memset(raw + end, 0, above);
+    memset(p->q + end, 0, above);
+    for (int row = 0; row < 4; row++)
+        memset(k + row * size + end, 0, above);
 }
 
 /* The step loop of mean_field.integrate_ode, as its NumPy engine runs it,
@@ -1131,13 +1242,14 @@ static void drift_and_release(const drift_params *p, ode_loop *L, const double *
  * sup|k1| < stop_residual, or on quiet == 2 with sup|k1| not NaN: k1 depends
  * only on the tail and the prefix it was taken at, and with no release in the
  * step before, the k1 in hand was taken at the current prefix, so every later
- * step repeats the last one bit for bit.  A step is ode_step, then pinning,
+ * step repeats the last one bit for bit.  A step is step_below, then pinning,
  * t += dt, and the drift with its releases.  Returns the STOP_* code;
  * STOP_NONE means step `until` was reached. */
 int64_t ode_run(const drift_params *p, ode_loop *L, double *s, double *g, double *k,
                 double *raw, int64_t until)
 {
     const int early = L->stop_residual > 0.0;
+    enter(p, L, s, g, k, raw);
     if (L->step == 0) {
         pin(p, L, s);
         drift_and_release(p, L, s, k);
@@ -1152,7 +1264,7 @@ int64_t ode_run(const drift_params *p, ode_loop *L, double *s, double *g, double
         }
         const int64_t pins = L->pins, releases = L->releases;
         int moved;
-        L->last_projection = ode_step(p, L->sat, s, g, k, raw, &moved);
+        L->last_projection = step_below(p, L->sat, &L->edge, s, g, k, raw, &moved);
         if (L->last_projection > L->max_projection)
             L->max_projection = L->last_projection;
         pin(p, L, s);

@@ -152,7 +152,7 @@ class OdeLoop(ctypes.Structure):
         ("pin_tol", _F64), ("sat_tol", _F64), ("release_eps", _F64),
         ("stop_residual", _F64),
         ("step", _I64), ("sat", _I64), ("pins", _I64), ("releases", _I64),
-        ("quiet", _I64),
+        ("quiet", _I64), ("edge", _I64),
         ("t", _F64), ("sup_k1", _F64), ("max_projection", _F64),
         ("last_projection", _F64),
     ]

@@ -737,7 +737,8 @@ class _Rk4:
     loop state run carries from call to call: step, t, the pinned prefix
     0..sat with its pins and releases counts, the stationary stop's counter
     `quiet`, the last sup|k1|, and the largest and the last projection
-    distance.
+    distance; on the kernel, also the d-choices support edge, up to which
+    (plus a step's reach) ode_run's loops run (see _kernel.c).
 
     drift(sat) writes every entry of q with the scheme's join rule at state,
     then k1[i] = lam*q[i-1] - (i*(state[i] - state[i+1]))/beta for

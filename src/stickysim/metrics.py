@@ -112,6 +112,20 @@ def delay_tail_packet_random(chi: float, params: SystemParams) -> float:
     return math.exp(-chi * (1.0 - rho * params.nu / params.mu))
 
 
+def _shedding_window(params: SystemParams) -> tuple[int, int]:
+    """The levels lo + 1..top that the untruncated shedding sums run over:
+    the Poisson bulk rho +- spread, then the levels where the delay tail
+    still rises, up to the cap but no further than rho + spread, then one
+    more spread.  Every level cut off lies over 12 standard deviations from
+    rho, and the window stays O(sqrt(rho)) long however far above rho the
+    cap lies."""
+    rho = params.rho
+    spread = 12.0 * math.sqrt(rho + 1.0) + 40
+    lo = max(0, math.floor(rho - spread))
+    top = int(max(min(_delay_cap(params), rho + spread), rho) + spread) + 1
+    return lo, top
+
+
 def delay_tail_shedding(
     high: int | float, chi: float, params: SystemParams
 ) -> float:
@@ -122,24 +136,18 @@ def delay_tail_shedding(
     number has Poisson weights w_{i-1} = rho^{i-1} / (i-1)!, so the tail is
     sum_{i<=top} w_{i-1} g(i) / sum_{i<=top} w_{i-1} for the per-occupancy
     tail g.  Both sums are log-sum-exps of log terms, so no term exceeds its
-    Poisson mass at any chi.  The untruncated baseline sums only the levels
-    within a few spreads of rho, whatever the cap: a baseline below about
-    1e-150, whose terms peak beyond that window, can read low, down to 0.
+    Poisson mass at any chi.  The untruncated baseline, and any `high` above
+    its window, sums only the levels within a few spreads of rho, whatever
+    the cap: a baseline below about 1e-150, whose terms peak beyond that
+    window, can read low, down to 0.
     """
     if high != math.inf and (not isinstance(high, int) or high < 1):
         raise ValueError(f"high must be a positive int or math.inf, got {high!r}")
     _check_chi(chi)
     rho = params.rho
-    if high == math.inf:
-        # the Poisson bulk rho +- spread, then the levels where g still
-        # rises, up to the cap but no further than rho + spread, then one
-        # more spread: every level cut off lies over 12 standard deviations
-        # from rho, and the window stays O(sqrt(rho)) long however far
-        # above rho the cap lies
-        spread = 12.0 * math.sqrt(rho + 1.0) + 40
-        lo = max(0, math.floor(rho - spread))
-        top = int(max(min(_delay_cap(params), rho + spread), rho) + spread) + 1
-    else:
+    # a threshold above the window cuts off only levels the window leaves out
+    lo, top = _shedding_window(params)
+    if high <= top:
         lo, top = 0, high
     logs = poisson_log_weights(math.log(rho), lo, top - 1)
     log_norm = rho if high == math.inf else log_sum_exp(logs)
@@ -150,13 +158,19 @@ def delay_tail_shedding(
 
 def shedding_violation(high: int | float, params: SystemParams) -> float:
     """Stationary probability an arriving flow is discarded at threshold
-    `high`: the truncated-Poisson mass at the threshold itself."""
+    `high`: the truncated-Poisson mass at the threshold itself.  Above the
+    window of delay_tail_shedding the window's log-sum-exp is the
+    normaliser, so no array grows with `high`."""
     if high == math.inf:
         return 0.0
     if not isinstance(high, int) or high < 1:
         raise ValueError(f"high must be a positive int or math.inf, got {high!r}")
-    logs = poisson_log_weights(math.log(params.rho), 0, high)
-    return math.exp(logs[-1] - log_sum_exp(logs))
+    log_rate = math.log(params.rho)
+    lo, top = _shedding_window(params)
+    if high <= top:
+        lo, top = 0, high
+    log_norm = log_sum_exp(poisson_log_weights(log_rate, lo, top))
+    return math.exp(high * log_rate - math.lgamma(high + 1) - log_norm)
 
 
 @dataclass(frozen=True)

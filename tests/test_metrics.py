@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from stickysim import core, metrics
 from stickysim.core import (
     FlowDistribution,
     SystemParams,
@@ -215,6 +216,27 @@ def test_unbounded_shedding_delay_tail_sums_a_window_around_rho(chi):
     assert got == pytest.approx(full, rel=1e-13, abs=0.0)
     # one float array over the full window takes 2.4 MB
     assert peak < 2**20, peak
+
+
+def test_shedding_closed_forms_far_above_rho_stay_in_the_window(full_params,
+                                                                monkeypatch):
+    # a threshold of 2e6 at rho 150 reads as no threshold, and neither
+    # function grows log_factorial's table past the window's top (388 here)
+    _, top = metrics._shedding_window(full_params)
+    assert top == 388
+    monkeypatch.setattr(core, "_LOG_FACT", np.array([0.0]))
+    for chi in (0.0, 1.0, 200.0):
+        far = delay_tail_shedding(2_000_000, chi, full_params)
+        assert far == pytest.approx(delay_tail_shedding(math.inf, chi, full_params),
+                                    rel=1e-13, abs=0.0)
+    assert shedding_violation(2_000_000, full_params) == 0.0
+    assert core._LOG_FACT.size <= top + 64
+    # just above the window, the one lgamma term is the truncated-Poisson
+    # mass at the threshold, as the full sum over every level gives it
+    logs = poisson_log_weights(math.log(150.0), 0, top + 1)
+    full = math.exp(logs[-1] - log_sum_exp(logs))
+    assert 0.0 < full < 1e-50
+    assert shedding_violation(top + 1, full_params) == pytest.approx(full, rel=1e-12)
 
 
 def test_shedding_violation_hand_fraction():

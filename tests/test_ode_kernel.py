@@ -602,6 +602,108 @@ def test_power_of_d_runs_on_the_kernel_at_every_d(kernel, d):
 
 
 # ---------------------------------------------------------------------------
+# the d-choices support edge: the compiled step runs only up to the highest
+# level that has held a bit plus a step's reach, the NumPy one at full width
+# ---------------------------------------------------------------------------
+
+
+def _start(size, **levels):
+    """The empty start of `size` levels, with s[i] = v for each i_<i>=v."""
+    s = _empty(size)
+    for name, value in levels.items():
+        s[int(name[2:])] = value
+    return s
+
+
+# (scheme, rho, s0, t_end, kwargs): a support that grows into the last level
+# of a short tail, a start whose last level is set, and a 1e-10 bump and a
+# -0.0 each more than a step's reach above the start's other non-zero levels
+# (the -0.0 beyond the levels the support reaches in the run)
+EDGE_RUNS = {
+    "fills-a-short-tail": (PowerOfD(2), 5.3, _empty(6), 20.0, {"stop_residual": 1e-6}),
+    "last-level-set": (PowerOfD(3), 5.3, 0.8 ** np.arange(20), 1.0, {}),
+    "bump-above-zeros": (PowerOfD(2), 5.3, _start(20, i_1=0.9, i_2=0.5, i_9=1e-10),
+                         1.0, {}),
+    "minus-zero-above": (PowerOfD(2), 5.3, _start(40, i_1=0.9, i_2=0.5, i_30=-0.0),
+                         1.0, {}),
+}
+
+
+@pytest.mark.parametrize("stride", [None, 7])
+@pytest.mark.parametrize("name", sorted(EDGE_RUNS))
+def test_support_edge_runs_match_python_bit_for_bit(kernel, name, stride):
+    # with a stride, each of the run's calls rebuilds the edge on entry
+    scheme, rho, s0, t_end, kwargs = EDGE_RUNS[name]
+
+    def run():
+        every = None if stride is None else stride * DT
+        return mf.integrate_ode(scheme, _load(rho), s0.copy(), t_end,
+                                record_every=every, **kwargs)
+
+    on_kernel, on_python = run(), without_kernel(run)
+    _same_run(on_kernel, on_python)
+    if name == "fills-a-short-tail":
+        assert on_kernel.tail[-1] > 0.0 and on_kernel.stop_reason == "residual"
+    if name == "minus-zero-above":
+        # numpy's first step turns the -0.0 into +0.0, far above the support
+        assert math.copysign(1.0, on_kernel.tail[30]) > 0.0
+
+
+def _top_bit(s):
+    """The highest level of s that holds a bit (-0.0 and NaN do)."""
+    return max(i for i, v in enumerate(s) if v != 0.0 or math.copysign(1.0, v) < 0)
+
+
+# (lam, beta, start of 40 levels): the edge runs' bump and -0.0, a start
+# whose last level is set, a NaN that a stage's projection spreads up to the
+# top, and rates so large that k1 is -inf where k2 is 1e308, so that the
+# first NaN comes out of the step end's sum and its projection spreads it
+EDGE_BUFFER_CASES = {
+    "edge-runs": (4.0, 1.5, _start(40, i_1=0.9, i_2=0.5, i_9=1e-10, i_30=-0.0)),
+    "last-level-set": (4.0, 1.5, 0.9 ** np.arange(40)),
+    "nan-in-a-stage": (4.0, 1.5, _start(40, i_1=0.9, i_2=0.5, i_3=math.nan)),
+    "nan-at-the-step-end": (1e308, 1e-310, _start(40, i_1=0.9, i_2=0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_BUFFER_CASES))
+def test_support_edge_leaves_every_buffer_as_numpy_does(kernel, case):
+    # g, q, raw and k poisoned with NaN above level 0 on both engines, then
+    # calls to steps 1, 13 and 30, with a 1e-300 bump written at level 37
+    # before the last, which the kernel's entry finds: after each call every
+    # buffer and loop field agrees bit for bit (above the bound the kernel's
+    # entry zeroes what numpy computes as +0.0), and no level of the tail
+    # above the edge holds a bit
+    lam, beta, s0 = EDGE_BUFFER_CASES[case]
+    params = SystemParams(n=100, lam=lam, beta=beta, nu=1.0, mu=100.0)
+    size = s0.size
+    bind = functools.partial(mf._bind_ode, PowerOfD(2), params, size, DT)
+    both = bind(), without_kernel(bind)
+    assert [ode.engine for ode in both] == ["kernel", "python"]
+    for ode in both:
+        ode.state[:size] = s0
+        for buf in (ode.g[:size], ode.q, ode.k[:, 1:], ode.raw):
+            buf.fill(math.nan)
+    fields = ("step", "sat", "pins", "releases", "quiet", "t", "sup_k1",
+              "max_projection", "last_projection")
+    on_kernel, on_python = both
+    for until in (1, 13, 30):
+        for ode in both:
+            if until == 30 and ode.state[37] == 0.0:
+                ode.state[37] = 1e-300
+            with np.errstate(all="ignore"):
+                ode.run(until)
+        for name in ("state", "g", "q", "k", "raw"):
+            ours, theirs = getattr(on_kernel, name), getattr(on_python, name)
+            assert ours.tobytes() == theirs.tobytes(), (until, name)
+        ours, theirs = ([getattr(ode.loop, f) for f in fields] for ode in both)
+        assert all(_same_float(float(a), float(b)) for a, b in zip(ours, theirs))
+        edge = on_kernel.loop.edge
+        assert _top_bit(on_kernel.state[:size]) <= edge < size
+    assert edge >= 37
+
+
+# ---------------------------------------------------------------------------
 # struct layout (that importing the package loads no kernel is
 # test_sim_kernel's test_import_neither_builds_nor_loads_the_kernel)
 # ---------------------------------------------------------------------------

@@ -576,6 +576,10 @@ for scheme in (PowerOfD(2), PullBased(5, 8), Shedding(8), TransferToInvite(5, 8)
     out = integrate_ode(scheme, load, s0.copy(), 1.0, stop_residual=1e-9,
                         record_every=0.25)
     assert out.engine == "kernel", out.engine
+# a d-choices tail full to its last level: the support edge sits at the top
+# from the start, so every pass runs to size and the drift reads the padding
+out = integrate_ode(PowerOfD(2), load, 0.8 ** np.arange(16), 1.0, record_every=0.25)
+assert out.engine == "kernel" and out.tail[-1] > 0.0, out
 """
 
 
