@@ -37,6 +37,7 @@ TAIL_MONOTONE_TOL = 1e-12
 # ---------------------------------------------------------------------------
 
 _LOG_FACT = np.array([0.0])  # log(k!) for k = 0 .. len-1, grown on demand
+_LEVELS = np.array([0.0])  # the levels k themselves as doubles, grown with it
 
 
 def log_factorial(k: int | np.ndarray) -> float | np.ndarray:
@@ -61,14 +62,15 @@ def log_factorial(k: int | np.ndarray) -> float | np.ndarray:
 
 
 def _grow_log_fact(kmax: int) -> None:
-    """Extend the log(k!) table past kmax."""
-    global _LOG_FACT
+    """Extend the log(k!) table, and the level table beside it, past kmax."""
+    global _LOG_FACT, _LEVELS
     old = _LOG_FACT.size
     grown = np.empty(kmax + 65)
     grown[:old] = _LOG_FACT
     for j in range(old, grown.size):
         grown[j] = math.lgamma(j + 1)
     _LOG_FACT = grown
+    _LEVELS = np.arange(grown.size, dtype=np.float64)
 
 
 def poisson_log_weights(log_rate: float, lo: int, hi: int) -> np.ndarray:
@@ -76,10 +78,15 @@ def poisson_log_weights(log_rate: float, lo: int, hi: int) -> np.ndarray:
     hi < lo): the log Poisson pmf plus the rate.
 
     Taking log(rate) keeps a rate exact where the rate itself, or e^rate,
-    would overflow a float.
+    would overflow a float.  A negative lo raises ValueError.
     """
-    k = np.arange(lo, hi + 1)
-    return k * log_rate - log_factorial(k)
+    if lo < 0:
+        raise ValueError("k must be non-negative")
+    if hi < lo:
+        return np.empty(0)
+    if hi >= _LOG_FACT.size:
+        _grow_log_fact(hi)
+    return _LEVELS[lo : hi + 1] * log_rate - _LOG_FACT[lo : hi + 1]
 
 
 def log_sum_exp(logs: np.ndarray) -> float:

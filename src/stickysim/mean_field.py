@@ -29,6 +29,7 @@ from .core import (
     TransferToInvite,
     TransferToLeastLoaded,
     log_factorial,
+    poisson_log_weights,
 )
 
 __all__ = [
@@ -377,7 +378,7 @@ def shedding_fixed_point(rho: float, high: int | float) -> FlowDistribution:
         if not isinstance(high, int) or high < 1:
             raise ValueError(f"high must be a positive int or math.inf, got {high!r}")
         top = high
-    return FlowDistribution(_window_weights(rho, *_level_table(0, top)))
+    return FlowDistribution(_normalised(poisson_log_weights(math.log(rho), 0, top)))
 
 
 def power_of_d_tail_bound(rho: float, d: int, i: int) -> float:
@@ -406,65 +407,85 @@ def power_of_d_tail_bound(rho: float, d: int, i: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sigma solvers (carried-traffic bisection)
+# sigma solvers: the pull window and the transfer-to-invite splice share one
+# carried-traffic bisection, _solve_sigma
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """How a fixed-point load sigma was found: bisection iterations and the
-    carried-traffic residual."""
+    """How a fixed-point load sigma was found: the bisection iterations,
+    counting the bracket widenings, and the carried-traffic residual."""
 
     sigma: float
     iterations: int
     residual: float
 
 
-def _bisect_carried(
-    carried: Callable[[float], float], rho: float, lo: float, hi: float
-) -> tuple[float, int]:
-    """Root of carried(sigma) = rho for a non-decreasing carried-traffic
-    curve; widens the bracket geometrically if needed."""
-    if carried(lo) > rho + CARRIED_RESIDUAL_TOL:
+# the weights at sigma <= 0: all the mass on the law's lowest level
+_LOWEST = np.ones(1)
+_LOWEST.flags.writeable = False
+
+
+def _normalised(logs: np.ndarray) -> np.ndarray:
+    """Weights proportional to exp(logs), summing to 1, with the largest
+    log factored out so that no term overflows.  The ufunc reductions are
+    logs.max() and w.sum() without their method-call overhead."""
+    w = np.exp(logs - np.maximum.reduce(logs))
+    w /= np.add.reduce(w)
+    return w
+
+
+def _solve_sigma(
+    logs_at: Callable[[float], np.ndarray],
+    mean: Callable[[np.ndarray, float], float],
+    rho: float,
+    hi: float,
+) -> tuple[np.ndarray, SolveDiagnostics]:
+    """The load sigma at which a loss-system law carries rho, and its weights.
+
+    At sigma > 0 the law's weights are _normalised(logs_at(sigma)), at
+    sigma <= 0 they are _LOWEST; mean(weights, sigma) is the carried traffic,
+    which must not decrease with sigma.  Bisects on [0, hi], widening hi
+    geometrically until it carries rho, and stops once the bracket is below
+    SIGMA_TOL or its ends are adjacent doubles.  Raises BracketError when
+    sigma = 0 already carries more than rho, when 200 widenings never reach
+    rho, or when the carried traffic at the root misses rho by more than
+    CARRIED_RESIDUAL_TOL (a step in the curve)."""
+
+    def carried(sigma: float) -> float:
+        return mean(_normalised(logs_at(sigma)), sigma)
+
+    lo = 0.0
+    if mean(_LOWEST, lo) > rho + CARRIED_RESIDUAL_TOL:
         raise BracketError(
             f"carried traffic at lower bracket {lo:g} already exceeds rho={rho:g}"
         )
-    iterations = 0
     widen = 0
     while carried(hi) < rho:
         lo, hi = hi, 2.0 * hi + 1.0
         widen += 1
         if widen > 200:
             raise BracketError(f"could not bracket carried traffic rho={rho:g}")
+    iterations = 0
     while hi - lo > SIGMA_TOL and iterations < 400:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent doubles: every later midpoint would be this one
         if carried(mid) < rho:
             lo = mid
         else:
             hi = mid
         iterations += 1
-    return 0.5 * (lo + hi), iterations + widen
-
-
-def _level_table(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The levels lo..hi as doubles and their log(k!): what _window_weights
-    reads, built once per solve rather than once per bisection iteration."""
-    k = np.arange(lo, hi + 1)
-    return k.astype(np.float64), log_factorial(k)
-
-
-def _window_weights(
-    sigma: float, levels: np.ndarray, log_fact: np.ndarray
-) -> np.ndarray:
-    """Normalized weights proportional to sigma^i / i! on the levels i of a
-    _level_table (or a prefix of one)."""
-    if sigma <= 0.0:
-        w = np.zeros(levels.size)
-        w[0] = 1.0
-        return w
-    logs = levels * math.log(sigma) - log_fact
-    w = np.exp(logs - logs.max())
-    return w / w.sum()
+    sigma = 0.5 * (lo + hi)
+    w = _normalised(logs_at(sigma))
+    residual = abs(mean(w, sigma) - rho)
+    if residual > CARRIED_RESIDUAL_TOL:
+        raise BracketError(
+            f"carried-traffic residual {residual:g} above {CARRIED_RESIDUAL_TOL:g}"
+        )
+    return w, SolveDiagnostics(
+        sigma=sigma, iterations=iterations + widen, residual=residual)
 
 
 def _open_top(sigma: float, lo: int) -> int:
@@ -473,52 +494,15 @@ def _open_top(sigma: float, lo: int) -> int:
     return int(base + 12.0 * math.sqrt(base + 1.0) + 60)
 
 
-def _solve_window(
-    rho: float, lo: int, hi: int | float, span: int
-) -> tuple[np.ndarray, float, int, float]:
-    bracket_lo = max(0.0, rho - (hi if hi != math.inf else rho))
-    bracket_hi = rho + 10.0 * span
-    # with an open top the carried traffic is at least sigma, so the bracket
-    # never widens and a table reaching the bracket's top covers every sigma
-    levels, log_fact = _level_table(
-        lo, int(hi) if hi != math.inf else _open_top(bracket_hi, lo))
-
-    def carried_window(sigma: float) -> tuple[float, np.ndarray]:
-        """Carried traffic sigma*(1 - w_top) + lo*w_lo of the loss system
-        living on levels lo..hi, together with the weights themselves."""
-        if hi == math.inf:
-            n = _open_top(sigma, lo) - lo + 1
-            w = _window_weights(sigma, levels[:n], log_fact[:n])
-            top_mass = 0.0
-        else:
-            w = _window_weights(sigma, levels, log_fact)
-            top_mass = float(w[-1])
-        return sigma * (1.0 - top_mass) + lo * float(w[0]), w
-
-    sigma, iterations = _bisect_carried(
-        lambda x: carried_window(x)[0], rho, bracket_lo, bracket_hi)
-    value, w = carried_window(sigma)
-    residual = abs(value - rho)
-    if residual > CARRIED_RESIDUAL_TOL:
-        raise BracketError(
-            f"carried-traffic residual {residual:g} above {CARRIED_RESIDUAL_TOL:g}"
-        )
-    return w, sigma, iterations, residual
-
-
-def _embed(weights: np.ndarray, lo: int) -> FlowDistribution:
-    p = np.zeros(lo + weights.size)
-    p[lo:] = weights
-    return FlowDistribution(p)
-
-
 def solve_pull_fixed_point(
     rho: float, low: int, high: int | float
 ) -> tuple[FlowDistribution, SolveDiagnostics]:
     """Fixed point of the invite/disinvite scheme. The regime depends on
     where rho sits relative to the thresholds: below `low` the system is a
     pure loss system on 0..low, between the thresholds it lives on
-    low..high, and at rho >= high mass piles above the upper threshold."""
+    low..high, and at rho >= high mass piles above the upper threshold.
+    In each the law is Poisson(sigma) on its window lo..hi, and sigma makes
+    the carried traffic sigma*(1 - w_hi) + lo*w_lo equal rho."""
     _check_positive("rho", rho)
     PullBased(low, high)  # reuse threshold validation
 
@@ -535,10 +519,20 @@ def solve_pull_fixed_point(
         hi = high
         span = (int(high) - low + 1) if high != math.inf else 64
 
-    w, sigma, iterations, residual = _solve_window(rho, lo, hi, span)
-    return _embed(w, lo), SolveDiagnostics(
-        sigma=sigma, iterations=iterations, residual=residual
-    )
+    open_top = hi == math.inf
+
+    def logs_at(sigma: float) -> np.ndarray:
+        top = _open_top(sigma, lo) if open_top else hi
+        return poisson_log_weights(math.log(sigma), lo, top)
+
+    def mean(w: np.ndarray, sigma: float) -> float:
+        top_mass = 0.0 if open_top else float(w[-1])  # nothing lost at a cut
+        return sigma * (1.0 - top_mass) + lo * float(w[0])
+
+    w, diag = _solve_sigma(logs_at, mean, rho, rho + 10.0 * span)
+    p = np.zeros(lo + w.size)
+    p[lo:] = w
+    return FlowDistribution(p), diag
 
 
 def solve_transfer_invite_fixed_point(
@@ -568,37 +562,23 @@ def solve_transfer_invite_fixed_point(
             return dist, diag
 
     k = np.arange(high + 1)
-    # built once per solve: the Poisson levels 0..low as doubles, the
-    # rho-ratio term (k - low)*log(rho) above low, and log(k!) on both
-    head, head_fact = _level_table(0, low)
+    # built once per solve: the rho-ratio term (k - low)*log(rho) above low
+    # and its log(k!); every bisection iteration refills the one logs array
     rise = (k[low + 1 :] - low) * math.log(rho)
     rise_fact = log_factorial(k[low + 1 :])
+    logs = np.empty(high + 1)
 
-    def log_weights(sigma: float) -> np.ndarray:
-        logs = np.empty(high + 1)
+    def logs_at(sigma: float) -> np.ndarray:
         ls = math.log(sigma)
-        logs[: low + 1] = head * ls - head_fact
+        logs[: low + 1] = poisson_log_weights(ls, 0, low)
         logs[low + 1 :] = low * ls + rise - rise_fact
         return logs
 
-    def mean_occ(sigma: float) -> float:
-        if sigma <= 0.0:
-            return 0.0
-        logs = log_weights(sigma)
-        w = np.exp(logs - logs.max())
-        w /= w.sum()
-        return float(k @ w)
+    def mean(w: np.ndarray, sigma: float) -> float:
+        return float(k[: w.size] @ w)  # _LOWEST has one entry
 
-    sigma, iterations = _bisect_carried(mean_occ, rho, 0.0, rho + 10.0 * (high - low + 1))
-    residual = abs(mean_occ(sigma) - rho)
-    if residual > CARRIED_RESIDUAL_TOL:
-        raise BracketError(
-            f"carried-traffic residual {residual:g} above {CARRIED_RESIDUAL_TOL:g}"
-        )
-    logs = log_weights(sigma)
-    w = np.exp(logs - logs.max())
-    dist = FlowDistribution(w / w.sum())
-    return dist, SolveDiagnostics(sigma=sigma, iterations=iterations, residual=residual)
+    w, diag = _solve_sigma(logs_at, mean, rho, rho + 10.0 * (high - low + 1))
+    return FlowDistribution(w), diag
 
 
 def solve_least_loaded_fixed_point(rho: float, high: int) -> FlowDistribution:

@@ -11,6 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stickysim import core
 from stickysim.core import (
     BinBased,
     FlowDistribution,
@@ -135,6 +136,24 @@ def test_poisson_log_weights_sum_matches_scipy():
     logs = poisson_log_weights(1000.0, 0, 800)
     assert np.allclose(logs, ref, rtol=1e-14, atol=0)
     assert log_sum_exp(logs) == pytest.approx(scipy.special.logsumexp(ref), rel=1e-14)
+
+
+def test_poisson_log_weights_edges_and_table_growth(monkeypatch):
+    with pytest.raises(ValueError, match="non-negative"):
+        poisson_log_weights(0.5, -3, -4)  # even when the window is empty
+    for lo, hi in ((3, 2), (0, -1), (0, -5), (7, 0)):
+        assert poisson_log_weights(0.5, lo, hi).shape == (0,), (lo, hi)
+    # a window far past the table's end grows it, and every entry is the
+    # level times the log rate less lgamma(k + 1), bit for bit
+    monkeypatch.setattr(core, "_LOG_FACT", np.array([0.0]))
+    monkeypatch.setattr(core, "_LEVELS", np.array([0.0]))
+    log_rate = math.log(150.0)
+    logs = poisson_log_weights(log_rate, 4990, 5000)
+    assert core._LOG_FACT.size == core._LEVELS.size > 5000
+    want = [k * log_rate - math.lgamma(k + 1) for k in range(4990, 5001)]
+    assert logs.tolist() == want
+    assert poisson_log_weights(log_rate, 0, 2).tolist() == [
+        k * log_rate - math.lgamma(k + 1) for k in range(3)]
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,79 @@ def test_fixed_point_is_pinned_bit_for_bit(name):
     assert got == FIXED_POINT_PINNED[name]
 
 
+def _solve_grid_triples() -> list[tuple[float, int, int]]:
+    """300 seeded (rho, low, high) draws in criterion 1's three bands: load
+    inside [low, high), load below low, load at or above high."""
+    rng = np.random.default_rng(35)
+    triples = []
+    for _ in range(100):
+        rho = float(rng.uniform(2.0, 180.0))
+        low = max(int(rho) - int(rng.integers(0, min(20, int(rho)))), 0)
+        triples.append((rho, low, int(rho) + 1 + int(rng.integers(0, 20))))
+    for _ in range(100):
+        rho = float(rng.uniform(1.0, 150.0))
+        low = math.ceil(rho) + int(rng.integers(1, 15))
+        triples.append((rho, low, low + 1 + int(rng.integers(0, 15))))
+    for _ in range(100):
+        rho = float(rng.uniform(5.0, 180.0))
+        high = max(1, math.floor(rho) - int(rng.integers(0, 10)))
+        triples.append((rho, int(rng.integers(0, high)), high))
+    return triples
+
+
+# sha256 over sigma.hex(), residual.hex() and the pmf bytes of every solve in
+# test_fixed_point_grid_is_pinned_bit_for_bit, recorded before the pull and
+# splice solvers shared one bisection
+GRID_PINNED = "50e5d03feefc8d81fb7e7971b40d6cc4305caf50207d219a943989f58684f6f4"
+
+
+def test_fixed_point_grid_is_pinned_bit_for_bit():
+    # each triple solves pull with its finite and its open top, the
+    # transfer-to-invite law and shedding with its finite and its open top
+    digest = hashlib.sha256()
+    for rho, low, high in _solve_grid_triples():
+        for dist, diag in (solve_pull_fixed_point(rho, low, high),
+                           solve_pull_fixed_point(rho, low, math.inf),
+                           solve_transfer_invite_fixed_point(rho, low, high)):
+            digest.update(float(diag.sigma).hex().encode())
+            digest.update(float(diag.residual).hex().encode())
+            digest.update(dist.p.tobytes())
+        for top in (high, math.inf):
+            digest.update(shedding_fixed_point(rho, top).p.tobytes())
+    assert digest.hexdigest() == GRID_PINNED
+
+
+# solves whose bisection used to repeat a frozen midpoint up to its 400
+# iteration cap: sigma's double spacing is above SIGMA_TOL there, at a large
+# sigma or with rho within rounding of the window top; (sha256(p), sigma.hex())
+# as recorded before the bisection stopped at adjacent doubles
+STALL_RUNS = {
+    "pull-open-large": (solve_pull_fixed_point, (2e4, 10, math.inf)),
+    "transfer-invite-large": (solve_transfer_invite_fixed_point, (1e5, 10, 200_000)),
+    "pull-rho-at-top": (solve_pull_fixed_point, (160 - 1e-12, 140, 160)),
+}
+STALL_PINNED = {
+    "pull-open-large": (
+        "d519f17e4d75a08727ec2bc2cda6286c15395224306723ec9458b5abdacb1b49",
+        "0x1.3880000000000p+14"),
+    "transfer-invite-large": (
+        "d84f3f713f47566ba7e82899de3815e9ebfabb4e615cd84823e6c38433dd5cab",
+        "0x1.86a0000000000p+16"),
+    "pull-rho-at-top": (
+        "0f2e08ed6100b0f01afcc2b8cbd75b77857d161c92a01386406f0b403fcc0b66",
+        "0x1.477bcf0744fd4p+32"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALL_RUNS))
+def test_bisection_stops_at_adjacent_doubles(name):
+    solve, args = STALL_RUNS[name]
+    dist, diag = solve(*args)
+    assert (hashlib.sha256(dist.p.tobytes()).hexdigest(),
+            float(diag.sigma).hex()) == STALL_PINNED[name]
+    assert diag.iterations < 100
+
+
 # ---------------------------------------------------------------------------
 # ODE integration (small configurations; the reference scale runs in the
 # acceptance suite)
@@ -811,3 +884,52 @@ def test_error_hierarchy():
     assert issubclass(BracketError, NumericalError)
     assert issubclass(NumericalError, RuntimeError)
     assert issubclass(UnsupportedConfigError, ValueError)
+
+
+def _flat_logs(sigma):
+    return np.zeros(3)
+
+
+def test_sigma_solver_rejects_a_curve_already_above_rho_at_zero():
+    with pytest.raises(BracketError, match="lower bracket 0 already exceeds"):
+        mf._solve_sigma(_flat_logs, lambda w, sigma: 2.0 + sigma, 1.0, 5.0)
+
+
+def test_sigma_solver_gives_up_after_200_widenings():
+    seen = []
+
+    def never(w, sigma):
+        seen.append(sigma)
+        return 0.0
+
+    with pytest.raises(BracketError, match="could not bracket"):
+        mf._solve_sigma(_flat_logs, never, 1.0, 5.0)
+    # sigma = 0, the first top and 200 widened tops; the 201st widening raises
+    assert len(seen) == 202 and seen[:3] == [0.0, 5.0, 11.0]
+    assert 1e60 < seen[-1] < math.inf
+
+
+def test_sigma_solver_rejects_a_residual_left_by_a_step():
+    with pytest.raises(BracketError, match="carried-traffic residual 1 above"):
+        mf._solve_sigma(_flat_logs, lambda w, sigma: 0.0 if sigma < 3.0 else 2.0,
+                        1.0, 5.0)
+
+
+def test_sigma_solver_puts_the_mass_on_the_lowest_level_at_zero(monkeypatch):
+    # every bracket starts at sigma = 0, where one unit weight on the lowest
+    # level gives the pull law below `low` 0, a pull window from `low`, with a
+    # finite or an open top, `low`, and the splice mean 0
+    means = []
+    solve_sigma = mf._solve_sigma
+
+    def spy(logs_at, mean, rho, hi):
+        means.append(mean)
+        return solve_sigma(logs_at, mean, rho, hi)
+
+    monkeypatch.setattr(mf, "_solve_sigma", spy)
+    solve_pull_fixed_point(2.0, 5, 8)
+    solve_pull_fixed_point(6.0, 5, 8)
+    solve_pull_fixed_point(6.0, 5, math.inf)
+    solve_transfer_invite_fixed_point(2.0, 5, 8)
+    assert mf._LOWEST.tolist() == [1.0]
+    assert [m(mf._LOWEST, 0.0) for m in means] == [0.0, 5.0, 5.0, 0.0]
